@@ -734,13 +734,13 @@ mod tests {
     #[test]
     fn parser_handles_the_baseline_shapes() {
         let doc = Json::parse(
-            "{\n  \"schema\": \"wormsim-bench-sim/v6\",\n  \"quick\": false,\n  \
+            "{\n  \"schema\": \"wormsim-bench-sim/v7\",\n  \"quick\": false,\n  \
              \"points\": [{\"name\": \"a\", \"median_ns\": 123, \"cycles_per_sec\": 1.5e6}]\n}\n",
         )
         .unwrap();
         assert_eq!(
             doc.get("schema").and_then(Json::as_str),
-            Some("wormsim-bench-sim/v6")
+            Some("wormsim-bench-sim/v7")
         );
         assert_eq!(doc.get("quick").and_then(Json::as_bool), Some(false));
         let p = &doc.get("points").and_then(Json::as_arr).unwrap()[0];
@@ -759,7 +759,7 @@ mod tests {
 
     fn sim_doc(cycles_run: u64, median_ns: u64) -> String {
         format!(
-            "{{\"schema\": \"wormsim-bench-sim/v6\", \"quick\": false, \
+            "{{\"schema\": \"wormsim-bench-sim/v7\", \"quick\": false, \
              \"obs_overhead\": {{\"point\": \"p\", \"budget\": 1.01, \"disabled_median_ns\": 100}}, \
              \"points\": [{{\"name\": \"a\", \"n\": 16, \"flit_load\": 0.001, \"lanes\": 1, \
              \"engine\": \"ref\", \"median_ns\": {median_ns}, \"cycles_run\": {cycles_run}, \
@@ -882,7 +882,7 @@ mod tests {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let sim = std::fs::read_to_string(root.join("BENCH_sim.json")).unwrap();
         let model = std::fs::read_to_string(root.join("BENCH_model.json")).unwrap();
-        validate_baseline(&sim, "wormsim-bench-sim/v6").unwrap();
+        validate_baseline(&sim, "wormsim-bench-sim/v7").unwrap();
         validate_baseline(&model, "wormsim-bench-model/v3").unwrap();
         let report = compare_dirs(&root, &root, &CompareConfig::default()).unwrap();
         assert_eq!(report.regressions(), 0, "{}", report.render());

@@ -5,12 +5,10 @@
 //!
 //! * `BENCH_sim.json` — simulator wall-clock per operating point (median
 //!   ns over repetitions), cycles/second, and the fraction of cycles not
-//!   individually walked (idle fast-forward spans plus the event core's
-//!   batched silent-drain spans), for the reference (cycle-stepped) walk,
-//!   the fast-forwarding core and the calendar-queue event core side by
-//!   side — including a loaded regime group (`bft64_load0.1_*`), a
-//!   saturating N=1024 point where fast-forwarding finds no idle spans
-//!   and the event core's caches carry the speedup, a faulted group
+//!   individually walked (idle fast-forward spans), for the reference
+//!   (cycle-stepped) walk and the fast-forwarding core side by side —
+//!   including a loaded regime group (`bft64_load0.1_*`), a saturating
+//!   N=1024 point where fast-forwarding finds no idle spans, a faulted group
 //!   (`bft64_load0.1_f*`) pricing the fault-aware router with an empty
 //!   plan and under a 5% link knockout plus a deliberately past-knee
 //!   point (`bft64_pastknee_f5_ff`) proving saturated runs complete and
@@ -58,7 +56,8 @@ use wormsim_sim::config::ObsConfig;
 use wormsim_sim::config::{EngineKind, LaneAllocatorKind, LaneConfig, SimConfig, TrafficConfig};
 use wormsim_sim::router::{BftRouter, FaultedBftRouter};
 use wormsim_sim::runner::{
-    run_simulation_observed, run_simulation_with_engine, run_simulation_with_lanes_and_engine,
+    run_simulation_observed, run_simulation_with_engine, run_simulation_with_lanes,
+    run_simulation_with_lanes_and_engine,
 };
 use wormsim_topology::bft::{BftParams, ButterflyFatTree};
 use wormsim_workload::{DestinationPattern, FlowVector};
@@ -175,9 +174,9 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
     let no_rep = || ExperimentError::Invalid("no benchmark repetition ran".into());
 
     // ---- Simulator set: (N, flit load) across the idle→busy spectrum,
-    // each point on all three cores. The (1024, 0.05) point is saturating:
-    // zero idle cycles, so it isolates what the event core's caches buy in
-    // the regime fast-forwarding cannot touch. ----
+    // each point on both cores. The (1024, 0.05) point is saturating:
+    // zero idle cycles, so it prices fast-forwarding's bookkeeping in the
+    // regime where it has nothing to skip. ----
     let mut grid: Vec<(usize, f64)> = vec![
         (16, 0.001),
         (16, 0.0025),
@@ -189,10 +188,9 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
     if ctx.quick {
         grid.retain(|&(n, _)| n <= 256);
     }
-    const ENGINES: [(EngineKind, &str); 3] = [
+    const ENGINES: [(EngineKind, &str); 2] = [
         (EngineKind::Reference, "ref"),
         (EngineKind::FastForward, "ff"),
-        (EngineKind::Event, "ev"),
     ];
     let mut sim_points: Vec<SimPoint> = Vec::new();
     for &(n, flit_load) in &grid {
@@ -220,10 +218,9 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
     }
 
     // ---- Lanes group: the loaded regime (N=64 at 0.1 flits/cycle/PE)
-    // across lane counts, fast-forward vs event core. Fast-forwarding
-    // finds no idle spans here, so this group is where the event core's
-    // ≥-1× claim is measured; the L = 1 fast-forward point doubles as a
-    // no-overhead check against the plain grid. ----
+    // across lane counts on the default core. Fast-forwarding finds no
+    // idle spans here; the L = 1 point doubles as a no-overhead check
+    // against the plain grid. ----
     let mut lane_points: Vec<SimPoint> = Vec::new();
     {
         let n = 64usize;
@@ -234,25 +231,21 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
         let traffic = TrafficConfig::from_flit_load(flit_load, 16)?;
         for lanes in [1u32, 2, 4] {
             let lc = LaneConfig::new(lanes, LaneAllocatorKind::FirstFree)?;
-            for (engine, suffix) in [(EngineKind::FastForward, ""), (EngineKind::Event, "_ev")] {
-                let mut last = None;
-                let median = median_ns(reps, || {
-                    last = Some(run_simulation_with_lanes_and_engine(
-                        &router, &cfg, &traffic, &lc, engine,
-                    ));
-                });
-                let r = last.ok_or_else(no_rep)?;
-                lane_points.push(SimPoint {
-                    name: format!("bft{n}_load{flit_load}_l{lanes}{suffix}"),
-                    n,
-                    flit_load,
-                    lanes,
-                    engine,
-                    median_ns: median,
-                    cycles_run: r.cycles_run,
-                    cycles_skipped: r.cycles_skipped,
-                });
-            }
+            let mut last = None;
+            let median = median_ns(reps, || {
+                last = Some(run_simulation_with_lanes(&router, &cfg, &traffic, &lc));
+            });
+            let r = last.ok_or_else(no_rep)?;
+            lane_points.push(SimPoint {
+                name: format!("bft{n}_load{flit_load}_l{lanes}"),
+                n,
+                flit_load,
+                lanes,
+                engine: EngineKind::FastForward,
+                median_ns: median,
+                cycles_run: r.cycles_run,
+                cycles_skipped: r.cycles_skipped,
+            });
         }
     }
 
@@ -281,42 +274,27 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
         ];
         for (tag, plan) in plans {
             let router = FaultedBftRouter::new(&tree, plan)?;
-            let engines: &[(EngineKind, &str)] = if tag == "f0" {
-                &[(EngineKind::FastForward, "_ff")]
-            } else {
-                &[(EngineKind::FastForward, "_ff"), (EngineKind::Event, "_ev")]
-            };
-            for &(engine, suffix) in engines {
-                let mut last = None;
-                let median = median_ns(reps, || {
-                    last = Some(run_simulation_with_lanes_and_engine(
-                        &router, &cfg, &traffic, &lc, engine,
-                    ));
-                });
-                let r = last.ok_or_else(no_rep)?;
-                fault_points.push(SimPoint {
-                    name: format!("bft{n}_load{flit_load}_{tag}{suffix}"),
-                    n,
-                    flit_load,
-                    lanes: 1,
-                    engine,
-                    median_ns: median,
-                    cycles_run: r.cycles_run,
-                    cycles_skipped: r.cycles_skipped,
-                });
-            }
+            let mut last = None;
+            let median = median_ns(reps, || {
+                last = Some(run_simulation_with_lanes(&router, &cfg, &traffic, &lc));
+            });
+            let r = last.ok_or_else(no_rep)?;
+            fault_points.push(SimPoint {
+                name: format!("bft{n}_load{flit_load}_{tag}_ff"),
+                n,
+                flit_load,
+                lanes: 1,
+                engine: EngineKind::FastForward,
+                median_ns: median,
+                cycles_run: r.cycles_run,
+                cycles_skipped: r.cycles_skipped,
+            });
             if tag == "f5" {
                 let past_knee = 1.5 * knee64;
                 let past_traffic = TrafficConfig::from_flit_load(past_knee, 16)?;
                 let mut last = None;
                 let median = median_ns(reps, || {
-                    last = Some(run_simulation_with_lanes_and_engine(
-                        &router,
-                        &cfg,
-                        &past_traffic,
-                        &lc,
-                        EngineKind::FastForward,
-                    ));
+                    last = Some(run_simulation_with_lanes(&router, &cfg, &past_traffic, &lc));
                 });
                 let r = last.ok_or_else(no_rep)?;
                 fault_points.push(SimPoint {
@@ -509,9 +487,9 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
         "not walked %",
         "vs ref",
     ]);
-    for triple in sim_points.chunks(ENGINES.len()) {
-        let ref_ns = triple[0].median_ns;
-        for p in triple {
+    for pair in sim_points.chunks(ENGINES.len()) {
+        let ref_ns = pair[0].median_ns;
+        for p in pair {
             tbl.row(vec![
                 p.name.clone(),
                 num(p.median_ns as f64 / 1e3, 1),
@@ -531,29 +509,15 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
         reps, ctx.seed
     ));
     out.section(tbl.render());
-    let mut lane_tbl = Table::new(vec![
-        "point",
-        "median us",
-        "cycles/s",
-        "vs L=1",
-        "ev speedup",
-    ]);
+    let mut lane_tbl = Table::new(vec!["point", "median us", "cycles/s", "vs L=1"]);
     let l1_ns = lane_points.first().map_or(1, |p| p.median_ns.max(1));
-    for pair in lane_points.chunks(2) {
-        let ff_ns = pair[0].median_ns;
-        for p in pair {
-            lane_tbl.row(vec![
-                p.name.clone(),
-                num(p.median_ns as f64 / 1e3, 1),
-                format!("{:.2e}", p.cycles_per_sec()),
-                num(p.median_ns as f64 / l1_ns as f64, 2),
-                if p.engine == EngineKind::Event {
-                    num(ff_ns as f64 / p.median_ns.max(1) as f64, 2)
-                } else {
-                    "-".to_string()
-                },
-            ]);
-        }
+    for p in &lane_points {
+        lane_tbl.row(vec![
+            p.name.clone(),
+            num(p.median_ns as f64 / 1e3, 1),
+            format!("{:.2e}", p.cycles_per_sec()),
+            num(p.median_ns as f64 / l1_ns as f64, 2),
+        ]);
     }
     out.section("Lanes group (N=64, load 0.1, first-free allocator; loaded regime):");
     out.section(lane_tbl.render());
@@ -602,7 +566,7 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
 
     // ---- Write the JSON baselines. ----
     let mut sim_json = String::from("{\n");
-    let _ = writeln!(sim_json, "  \"schema\": \"wormsim-bench-sim/v6\",");
+    let _ = writeln!(sim_json, "  \"schema\": \"wormsim-bench-sim/v7\",");
     let _ = writeln!(sim_json, "  \"quick\": {},", ctx.quick);
     let _ = writeln!(sim_json, "  \"repetitions\": {reps},");
     let _ = writeln!(
@@ -727,27 +691,20 @@ mod tests {
         assert_eq!(out.artifacts.len(), 2, "report:\n{}", out.report);
         let sim = std::fs::read_to_string(dir.join("BENCH_sim.json")).unwrap();
         let model = std::fs::read_to_string(dir.join("BENCH_model.json")).unwrap();
-        assert!(sim.contains("\"schema\": \"wormsim-bench-sim/v6\""));
+        assert!(sim.contains("\"schema\": \"wormsim-bench-sim/v7\""));
         assert!(sim.contains("\"obs_overhead\""), "overhead point present");
         assert!(sim.contains("\"budget\": 1.01"));
         assert!(sim.contains("bft16_load0.001_ff"));
-        assert!(
-            sim.contains("bft16_load0.001_ev"),
-            "event grid points present"
-        );
-        assert!(sim.contains("\"engine\": \"event\""));
+        assert!(!sim.contains("_ev\""), "no event-core points emitted");
+        assert!(!sim.contains("\"engine\": \"event\""));
         assert!(sim.contains("bft64_load0.1_l2"), "lanes sim group present");
-        assert!(
-            sim.contains("bft64_load0.1_l2_ev"),
-            "loaded-regime event points present"
-        );
         assert!(
             sim.contains("bft64_load0.1_f0_ff"),
             "empty-plan fault-overhead point present"
         );
         assert!(
-            sim.contains("bft64_load0.1_f5_ev"),
-            "degraded-routing fault points present"
+            sim.contains("bft64_load0.1_f5_ff"),
+            "degraded-routing fault point present"
         );
         assert!(
             sim.contains("bft64_pastknee_f5_ff"),

@@ -1,9 +1,9 @@
 //! Structured worm-lifecycle events and the bounded event sink.
 //!
 //! Events are emitted by the simulation engine at *state transitions*
-//! only — never during fast-forwarded idle spans or silent drain spans,
-//! which by construction contain no transitions — so the event stream of
-//! a run is identical across all three `EngineKind`s.
+//! only — never during fast-forwarded idle spans, which by construction
+//! contain no transitions — so the event stream of a run is identical
+//! across both `EngineKind`s.
 
 /// Why a worm failed to make progress this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -288,16 +288,6 @@ impl SimTrace {
         }
     }
 
-    /// A silent drain span transmitted one flit per cycle on `channel`
-    /// over cycles `[t, t + span)` (batched equivalent of `on_flit`).
-    #[inline]
-    pub fn on_drain_span(&mut self, channel: usize, t: u64, span: u64) {
-        self.busy[channel] += span;
-        if let Some(ts) = &mut self.ts {
-            ts.add_busy_span(t, span);
-        }
-    }
-
     /// The worm failed to make progress this cycle.
     #[inline]
     pub fn on_stall(&mut self, slab: usize, t: u64, cause: StallCause) {
@@ -734,50 +724,22 @@ mod tests {
     }
 
     #[test]
-    fn drain_span_batches_busy() {
-        let cfg = ObsConfig::counters_only();
-        let mut tr = SimTrace::new(2, 1, &cfg);
-        tr.on_drain_span(0, 0, 5);
-        tr.on_drain_span(1, 0, 5);
-        // Give the channels matching occupancy so conservation holds.
-        tr.on_inject(0, 0, 0, 1);
-        tr.on_grant(0, 0, 0, 0);
-        tr.on_grant(0, 0, 1, 0);
-        tr.on_release(7, 0, 0, 8);
-        tr.on_release(7, 1, 0, 8);
-        let snap = tr.finish(8, 2);
-        assert_eq!(snap.channels[0].busy_cycles, 5);
-        assert_eq!(snap.channels[0].stalled_cycles, 3);
-        snap.check_conservation().unwrap();
-    }
-
-    #[test]
     fn windowed_replay_reconciles_and_is_batching_invariant() {
-        // The same replay fed per-cycle and with a batched drain span
-        // must produce identical windows, and both must reconcile with
-        // the run totals via check_conservation.
+        // A per-cycle replay must reconcile its windows with the run
+        // totals via check_conservation.
         let cfg = ObsConfig::counters_only().with_time_series(4);
-        let replay = |batched: bool| {
-            let mut tr = SimTrace::new(1, 1, &cfg);
-            tr.on_inject(0, 1, 0, 1);
-            tr.on_route_chosen(0, 1, 0, false);
-            tr.on_grant(0, 1, 0, 0);
-            // Six flits over [2, 8): either walked or one drain span.
-            if batched {
-                tr.on_drain_span(0, 2, 6);
-            } else {
-                for t in 2..8 {
-                    tr.on_flit(0, t);
-                }
-            }
-            tr.on_release(8, 0, 0, 7);
-            tr.on_drain(0, 8);
-            tr.on_deliver(0, 9, 8, 1);
-            tr.finish(12, 0)
-        };
-        let walked = replay(false);
-        let batched = replay(true);
-        assert_eq!(walked, batched);
+        let mut tr = SimTrace::new(1, 1, &cfg);
+        tr.on_inject(0, 1, 0, 1);
+        tr.on_route_chosen(0, 1, 0, false);
+        tr.on_grant(0, 1, 0, 0);
+        // Six flits over [2, 8), one per walked cycle.
+        for t in 2..8 {
+            tr.on_flit(0, t);
+        }
+        tr.on_release(8, 0, 0, 7);
+        tr.on_drain(0, 8);
+        tr.on_deliver(0, 9, 8, 1);
+        let walked = tr.finish(12, 0);
         walked.check_conservation().unwrap();
         let ts = walked.time_series.unwrap();
         assert_eq!(ts.window_cycles, 4);

@@ -11,25 +11,20 @@
 //!
 //! The sampler is driven entirely by the existing `SimTrace` hooks and
 //! never draws RNG or alters control flow, so it is bit-transparent like
-//! the rest of the observer. The subtle requirement is that the three
-//! engine cores deliver the *same* per-window numbers even though they
-//! walk different cycles:
+//! the rest of the observer. The subtle requirement is that both engine
+//! cores deliver the *same* per-window numbers even though they walk
+//! different cycles:
 //!
 //! * Fast-forwarded idle spans contain no events and no occupancy, so
-//!   the windows they cover are all-zero on every core by construction.
-//! * Batched silent-drain spans arrive as one `(start, span)` call on
-//!   the event core but as `span` individual per-cycle calls on the
-//!   reference core; [`TimeSeries::add_busy_span`] splits the span
-//!   exactly at window boundaries, so both attributions agree.
+//!   the windows they cover are all-zero on either core by construction.
 //! * Union-of-occupancy held intervals close retroactively (at release
 //!   time the interval extends back to its 0→1 edge); they are clipped
 //!   across every window they overlap.
 //! * The in-flight sample for a completed window is taken when the
-//!   *frontier* (latest hook timestamp) first passes the window's end —
-//!   and only hooks that fire identically on every core advance the
-//!   frontier. Busy attribution (`on_flit` / `on_drain_span`, the one
-//!   place cores differ in call shape) never advances it, so sampling
-//!   points, and therefore sampled values, are core-independent.
+//!   *frontier* (latest hook timestamp) first passes the window's end.
+//!   Only lifecycle hooks advance the frontier; busy attribution
+//!   (`on_flit`) never does, so sampling points, and therefore sampled
+//!   values, are core-independent.
 //!
 //! # Ring-buffer storage
 //!
@@ -188,9 +183,8 @@ impl TimeSeries {
 
     /// Advance the frontier to `t`, taking the end-of-window in-flight
     /// sample for every window that ends at or before `t`. Called from
-    /// every hook whose call sequence is identical across engine cores —
-    /// and *not* from busy attribution, where the cores' call shapes
-    /// differ (see the module docs).
+    /// every lifecycle hook — and *not* from busy attribution (see the
+    /// module docs).
     pub fn record_event(&mut self, t: u64) {
         let frontier = self.window_index(t);
         while self.sampled < frontier {
@@ -236,9 +230,9 @@ impl TimeSeries {
     }
 
     /// One flit per cycle crossed some channel over `[start, start+span)`;
-    /// split exactly at window boundaries. Covers both the per-cycle
-    /// reference walk (`span == 1`) and batched silent-drain spans.
-    /// Deliberately does not advance the frontier (see module docs).
+    /// split exactly at window boundaries (the engine walk reports
+    /// `span == 1`). Deliberately does not advance the frontier (see
+    /// module docs).
     pub fn add_busy_span(&mut self, start: u64, span: u64) {
         self.add_span(start, span, |w, take| w.busy_cycles += take);
     }
@@ -404,7 +398,7 @@ mod tests {
     #[test]
     fn spans_split_exactly_at_window_boundaries() {
         let mut ts = TimeSeries::new(2, &cfg(10));
-        // A 25-cycle drain span starting at cycle 5 covers windows
+        // A 25-cycle busy span starting at cycle 5 covers windows
         // 0 (5 cycles), 1 (10), 2 (10).
         ts.add_busy_span(5, 25);
         let r = ts.finish(30);

@@ -42,8 +42,10 @@
 //! `now` across the idle span instead of executing it, clamped at the
 //! warmup/measurement/drain boundaries so window bookkeeping sees the same
 //! cycle numbers. Results are bit-for-bit identical to cycle stepping;
-//! `tests/fast_forward_replay.rs` proves it field-by-field. Disable with
-//! [`Engine::set_fast_forward`] to recover the reference engine.
+//! `tests/fast_forward_replay.rs` proves it field-by-field. Select
+//! [`EngineKind::Reference`] with [`Engine::set_engine_kind`] to recover
+//! the plain cycle walk — the oracle the differential suites compare
+//! against.
 //!
 //! # Virtual channels (lanes)
 //!
@@ -62,41 +64,6 @@
 //! a span reservation can never fail, and the whole mechanism is bypassed
 //! — `L = 1` runs are bit-for-bit identical to the single-lane engine
 //! (pinned in `tests/lanes_regression.rs`).
-//!
-//! # The event-driven core
-//!
-//! Fast-forwarding only wins where whole-network idle cycles exist; in the
-//! loaded regime every cycle does work and the per-cycle walk is the cost.
-//! [`EngineKind::Event`] keeps the exact cycle semantics but attacks the
-//! constant factor of each walked cycle:
-//!
-//! * **Calendar-queue arrivals** — the traffic generator's binary heap is
-//!   swapped for a bucketed timing wheel with an overflow heap
-//!   ([`crate::calendar::CalendarQueue`]): near-`O(1)` per arrival under
-//!   the engine's monotone clock instead of `O(log N)`. Pop order — and
-//!   therefore the RNG draw sequence — is identical by construction.
-//! * **Route and injection caches** — [`Router::next_station`] is a pure
-//!   function of `(head node, destination)`, so grant-phase routing
-//!   memoizes into a flat `node × dest` table (capped at 2²⁴ entries);
-//!   per-PE injection stations are precomputed.
-//! * **Free-member bitmasks** — each station keeps a bitmask of member
-//!   channels with a free lane, maintained on grant/release, so the grant
-//!   phase replaces the member scan with a popcount and an indexed-bit
-//!   select that reproduces the reference's pick semantics exactly
-//!   (including the first-8 truncation).
-//! * **Silent drain spans** — with `L = 1`, a long worm draining into its
-//!   sink performs advancements that touch nothing (no release, no
-//!   completion, no RNG) while its tail has not started moving; when only
-//!   such worms are active the span is batched into one update, like
-//!   `skip_idle` but for busy-yet-silent cycles.
-//!
-//! Every one of these is RNG-neutral and state-transparent: the event
-//! engine is **bit-for-bit identical** to the reference walk (proved
-//! field-by-field by `testutil::differential`, the randomized suite in
-//! `tests/differential_engines.rs` and the pinned configs in
-//! `tests/event_engine_replay.rs`). The reference engine
-//! ([`EngineKind::Reference`]) stays the oracle: the simplest code path,
-//! against which both optimized modes are differentially tested.
 //!
 //! # Path arena
 //!
@@ -126,8 +93,8 @@ type WormIdx = u32;
 const NO_WORM: u32 = u32::MAX;
 
 /// Sentinel holder for lanes of channels the fault plan killed: occupied
-/// at construction and never released, so no grant path (mask or scan)
-/// can ever hand out a dead channel — faults cost nothing per cycle.
+/// at construction and never released, so the grant scan can never hand
+/// out a dead channel — faults cost nothing per cycle.
 const DEAD_WORM: u32 = u32::MAX - 1;
 
 /// Lifecycle state of a worm.
@@ -247,8 +214,8 @@ pub struct Engine<'a, R: Router> {
     backlog_at_window_end: u64,
     max_active_worms: usize,
 
-    // Execution mode (see module docs): which cycles are walked and which
-    // per-cycle shortcuts are active. All modes are bit-exact.
+    // Execution mode (see module docs): whether idle spans are skipped.
+    // Both modes are bit-exact.
     kind: EngineKind,
     cycles_skipped: u64,
 
@@ -258,39 +225,11 @@ pub struct Engine<'a, R: Router> {
     /// of those on the pristine path (same RNG draws, same results).
     faulted: bool,
 
-    // Event-mode acceleration structures (empty/false outside
-    // `EngineKind::Event`; all RNG-neutral, see module docs).
-    /// Memoized `next_station` results, keyed `node·n_pe + dest`, storing
-    /// `station + 1` (0 = unfilled). Empty when the table would exceed
-    /// `ROUTE_CACHE_CAP` entries.
-    route_cache: Vec<u32>,
-    /// Per-PE injection station (pure topology, precomputed).
-    inject_station: Vec<StationId>,
-    /// Per-channel `(station, member position)` for mask maintenance.
-    member_pos: Vec<(u32, u8)>,
-    /// Per-station bitmask of member channels with a free lane.
-    free_mask: Vec<u16>,
-    /// Masks are active (Event mode and every station has ≤ 16 members).
-    use_masks: bool,
-
     /// Optional observer ([`Engine::set_observer`]). `None` is the
     /// zero-cost disabled path: every hook site is one not-taken branch.
     /// Hooks never draw RNG and never alter control flow, so observed
     /// runs are bit-for-bit identical to bare runs under every kind.
     obs: Option<Box<SimTrace>>,
-}
-
-/// Upper bound on route-cache entries (4 bytes each): 2²⁴ ≈ 64 MiB worst
-/// case, ~6 MiB for the N = 1024 butterfly fat-tree.
-const ROUTE_CACHE_CAP: usize = 1 << 24;
-
-/// Position of the `n`-th set bit of `mask` (0-based; `n` < popcount).
-fn nth_set_bit(mask: u16, n: usize) -> usize {
-    let mut m = mask;
-    for _ in 0..n {
-        m &= m - 1;
-    }
-    m.trailing_zeros() as usize
 }
 
 impl<'a, R: Router> Engine<'a, R> {
@@ -347,8 +286,8 @@ impl<'a, R: Router> Engine<'a, R> {
         let lane_slots = net.num_channels() * lanes.lanes() as usize;
         // Apply the router's fault plan, if any: every lane of a dead
         // channel is pre-occupied by a sentinel holder that never releases,
-        // so the unmodified grant machinery (free scans and free masks
-        // alike) simply never sees the channel. An empty plan leaves the
+        // so the unmodified grant scan simply never sees the channel. An
+        // empty plan leaves the
         // engine on its pristine path, bit-for-bit.
         let mut lane_holder = vec![NO_WORM; lane_slots];
         let mut lane_table = LaneTable::new(net.num_channels(), lanes);
@@ -416,78 +355,18 @@ impl<'a, R: Router> Engine<'a, R> {
             kind: EngineKind::FastForward,
             cycles_skipped: 0,
             faulted,
-            route_cache: Vec::new(),
-            inject_station: Vec::new(),
-            member_pos: Vec::new(),
-            free_mask: Vec::new(),
-            use_masks: false,
             obs: None,
         }
     }
 
-    /// Enables or disables idle-span fast-forwarding (on by default).
-    ///
-    /// Results are bit-for-bit identical either way — the switch exists so
-    /// tests and benchmarks can compare against the reference cycle-stepped
-    /// engine. Shorthand for [`Engine::set_engine_kind`] with
-    /// [`EngineKind::FastForward`] / [`EngineKind::Reference`].
-    pub fn set_fast_forward(&mut self, enabled: bool) {
-        self.set_engine_kind(if enabled {
-            EngineKind::FastForward
-        } else {
-            EngineKind::Reference
-        });
-    }
-
     /// Selects the execution core (default [`EngineKind::FastForward`]).
-    /// Call before the first cycle runs — the event mode's calendar queue
-    /// and caches are built from the pristine initial state.
+    /// Call before the first cycle runs.
     ///
-    /// Results are bit-for-bit identical across all kinds; only the cost
-    /// per simulated cycle differs (see the module docs).
+    /// Results are bit-for-bit identical across both kinds; only which
+    /// cycles are individually walked differs (see the module docs).
     pub fn set_engine_kind(&mut self, kind: EngineKind) {
         debug_assert_eq!(self.now, 0, "select the engine before running");
         self.kind = kind;
-        if kind != EngineKind::Event {
-            self.route_cache = Vec::new();
-            self.inject_station = Vec::new();
-            self.member_pos = Vec::new();
-            self.free_mask = Vec::new();
-            self.use_masks = false;
-            return;
-        }
-        self.traffic_gen.enable_calendar();
-        let net = self.router.network();
-        let n_pe = self.sources.len();
-        let cache_entries = net.num_nodes() * n_pe;
-        // The route cache memoizes stations only; the fault-aware route
-        // also carries a per-(node, dest) member mask, so faulted runs
-        // route uncached (correctness over the constant factor).
-        if cache_entries <= ROUTE_CACHE_CAP && !self.faulted {
-            self.route_cache = vec![0; cache_entries];
-        }
-        self.inject_station = (0..n_pe)
-            .map(|pe| {
-                let ports = net.processors()[pe];
-                net.channel(ports.inject).station
-            })
-            .collect();
-        self.use_masks =
-            (0..net.num_stations()).all(|s| net.station(StationId::from(s)).channels.len() <= 16);
-        if self.use_masks {
-            self.member_pos = vec![(0, 0); net.num_channels()];
-            self.free_mask = vec![0; net.num_stations()];
-            for s in 0..net.num_stations() {
-                let st = StationId::from(s);
-                for (pos, &ch) in net.station(st).channels.iter().enumerate() {
-                    debug_assert_eq!(net.channel(ch).station, st, "station membership");
-                    self.member_pos[ch.index()] = (s as u32, pos as u8);
-                    if self.lane_table.has_free(ch.index()) {
-                        self.free_mask[s] |= 1 << pos;
-                    }
-                }
-            }
-        }
     }
 
     /// Attaches (or, with `cfg.enabled == false`, detaches) the
@@ -498,9 +377,9 @@ impl<'a, R: Router> Engine<'a, R> {
     /// Observation is RNG-neutral — hooks never draw from the simulation
     /// RNG and never change control flow — so the run's `SimResult` is
     /// bit-for-bit identical with or without an observer, and the
-    /// captured snapshot itself is identical across all
+    /// captured snapshot itself is identical across both
     /// [`EngineKind`]s (events only occur at worm state transitions,
-    /// which happen in individually-walked cycles under every kind).
+    /// which happen in individually-walked cycles under either kind).
     pub fn set_observer(&mut self, cfg: &ObsConfig) {
         debug_assert_eq!(self.now, 0, "attach the observer before running");
         self.obs = cfg.enabled.then(|| {
@@ -513,8 +392,7 @@ impl<'a, R: Router> Engine<'a, R> {
     }
 
     /// Cycles not individually walked so far: idle spans jumped by
-    /// fast-forwarding plus (in event mode) batched silent drain spans.
-    /// 0 for the reference engine.
+    /// fast-forwarding. 0 for the reference engine.
     #[must_use]
     pub fn cycles_skipped(&self) -> u64 {
         self.cycles_skipped
@@ -629,10 +507,6 @@ impl<'a, R: Router> Engine<'a, R> {
             debug_assert_eq!(self.lane_holder[slot], widx);
             self.lane_holder[slot] = NO_WORM;
             self.lane_table.release(hop.ch.index(), hop.lane);
-            if self.use_masks {
-                let (s, pos) = self.member_pos[hop.ch.index()];
-                self.free_mask[s as usize] |= 1 << pos;
-            }
             let granted_at = self.lane_grant_time[slot];
             if let Some(o) = self.obs.as_deref_mut() {
                 o.on_release(t, hop.ch.index(), hop.lane, t - granted_at + 1);
@@ -693,11 +567,6 @@ impl<'a, R: Router> Engine<'a, R> {
         debug_assert_eq!(self.lane_holder[slot], widx, "release by holder only");
         self.lane_holder[slot] = NO_WORM;
         self.lane_table.release(ch.index(), lane);
-        if self.use_masks {
-            // The channel certainly has a free lane now.
-            let (s, pos) = self.member_pos[ch.index()];
-            self.free_mask[s as usize] |= 1 << pos;
-        }
         let granted_at = self.lane_grant_time[slot];
         if let Some(o) = self.obs.as_deref_mut() {
             o.on_release(t, ch.index(), lane, t - granted_at + 1);
@@ -863,67 +732,6 @@ impl<'a, R: Router> Engine<'a, R> {
         }
     }
 
-    /// Event-mode counterpart of [`Engine::skip_idle`] for busy-yet-silent
-    /// spans: only drainers are active (`L = 1`), and each has not yet
-    /// reached the advancement where its tail starts releasing channels.
-    /// Every cycle of such a span does exactly one thing — increment each
-    /// drainer's advancement counter — with no release, no completion
-    /// (completion needs `advancements ≥ s + 1 > s − 1`), no flit-slot
-    /// stamp (`L = 1` bypasses spans) and **no RNG draw** (empty shuffle,
-    /// no grants, no arrivals before the horizon). Batching the span into
-    /// one update is therefore invisible, exactly like an idle skip.
-    /// Returns `true` when `now` moved.
-    fn skip_drain_silent(&mut self, limit: u64) -> bool {
-        if self.kind != EngineKind::Event
-            || self.lane_table.lanes() != 1
-            || self.drain_list.is_empty()
-            || !self.pending_requests.is_empty()
-            || !self.stall_list.is_empty()
-            || !self.ready_stations.is_empty()
-        {
-            return false;
-        }
-        // Per drainer, advancements stay silent while `adv + k ≤ s − 1`
-        // (release_tail is a no-op below `s`); the batch is the minimum
-        // remaining silent run over all drainers.
-        let mut span = u64::MAX;
-        for &widx in &self.drain_list {
-            let w = &self.worms[widx as usize];
-            span = span.min(u64::from((w.len_flits - 1).saturating_sub(w.advancements)));
-        }
-        // Stop before the next arrival surfaces (that cycle must be walked)
-        // and at the caller's window boundary.
-        let cap = self
-            .traffic_gen
-            .next_arrival_cycle()
-            .map_or(limit, |c| c.min(limit));
-        let span = span.min(cap.saturating_sub(self.now));
-        if span == 0 {
-            return false;
-        }
-        for i in 0..self.drain_list.len() {
-            let widx = self.drain_list[i] as usize;
-            self.worms[widx].advancements += span as u32;
-        }
-        if let Some(o) = self.obs.as_deref_mut() {
-            // Every batched cycle advances every drainer by one, and a
-            // silent drainer's moving span is its whole path (its head
-            // has ejected and its tail has not yet started releasing), so
-            // each path channel carries one flit per batched cycle over
-            // `[now, now + span)` — identical to what the per-cycle walk
-            // would account, including per-window attribution.
-            let start = self.now;
-            for &widx in &self.drain_list {
-                for hop in &self.paths[widx as usize] {
-                    o.on_drain_span(hop.ch.index(), start, span);
-                }
-            }
-        }
-        self.cycles_skipped += span;
-        self.now += span;
-        true
-    }
-
     /// One simulated cycle.
     // The three expects restate arbitration invariants proven in the same
     // block: a picked index lies below `n_free`, a channel with `has_free`
@@ -957,7 +765,6 @@ impl<'a, R: Router> Engine<'a, R> {
         self.arrivals = arrivals;
 
         // Phase 1: requests (random tie-break among same-cycle requesters).
-        let n_pe = self.sources.len();
         let mut pending = std::mem::take(&mut self.pending_requests);
         pending.shuffle(&mut self.rng);
         for widx in pending.drain(..) {
@@ -973,7 +780,6 @@ impl<'a, R: Router> Engine<'a, R> {
                 // Injection request: the source PE's injection channel
                 // (single member; under faults its aliveness was checked
                 // at admission).
-                None if !self.inject_station.is_empty() => (self.inject_station[src], u16::MAX),
                 None => {
                     let ports = self.router.network().processors()[src];
                     (
@@ -996,20 +802,7 @@ impl<'a, R: Router> Engine<'a, R> {
                         continue;
                     }
                 },
-                // Switch hop: route from the head's node (memoized in
-                // event mode — `next_station` is a pure function).
-                Some(node) if !self.route_cache.is_empty() => {
-                    let key = node.index() * n_pe + dest;
-                    let st = match self.route_cache[key] {
-                        0 => {
-                            let st = self.router.next_station(node, dest);
-                            self.route_cache[key] = st.index() as u32 + 1;
-                            st
-                        }
-                        c => StationId::from((c - 1) as usize),
-                    };
-                    (st, u16::MAX)
-                }
+                // Switch hop: route from the head's node.
                 Some(node) => (self.router.next_station(node, dest), u16::MAX),
             };
             if let Some(o) = self.obs.as_deref_mut() {
@@ -1047,60 +840,35 @@ impl<'a, R: Router> Engine<'a, R> {
                 // over physical channels (the paper's up-link rule), the
                 // lane within it is the allocator's deterministic choice.
                 let members = &self.router.network().station(st).channels;
-                let ch = if self.use_masks {
-                    // Event mode: the maintained mask already lists the
-                    // free members; popcount + indexed-bit select replays
-                    // the reference scan exactly (the `n`-th set bit *is*
-                    // the `n`-th free allowed member in member order, and
-                    // picks stay within the first 8 as below).
-                    let mask = self.free_mask[st.index()] & wmask;
-                    let n_free = mask.count_ones() as usize;
-                    if n_free == 0 {
-                        exhausted_free = true;
-                        break;
+                let mut free: [Option<ChannelId>; 8] = [None; 8];
+                let mut n_free = 0usize;
+                for (pos, &ch) in members.iter().enumerate() {
+                    // Members beyond the mask width are always allowed
+                    // (restricting routers guarantee ≤ 16 members).
+                    if pos < 16 && wmask & (1 << pos) == 0 {
+                        continue;
                     }
-                    let pick = if n_free == 1 {
-                        0
-                    } else {
-                        self.rng.gen_range(0..n_free.min(8))
-                    };
-                    members[nth_set_bit(mask, pick)]
+                    if self.lane_table.has_free(ch.index()) {
+                        if n_free < free.len() {
+                            free[n_free] = Some(ch);
+                        }
+                        n_free += 1;
+                    }
+                }
+                if n_free == 0 {
+                    exhausted_free = true;
+                    break;
+                }
+                let pick = if n_free == 1 {
+                    0
                 } else {
-                    let mut free: [Option<ChannelId>; 8] = [None; 8];
-                    let mut n_free = 0usize;
-                    for (pos, &ch) in members.iter().enumerate() {
-                        // Members beyond the mask width are always allowed
-                        // (restricting routers guarantee ≤ 16 members).
-                        if pos < 16 && wmask & (1 << pos) == 0 {
-                            continue;
-                        }
-                        if self.lane_table.has_free(ch.index()) {
-                            if n_free < free.len() {
-                                free[n_free] = Some(ch);
-                            }
-                            n_free += 1;
-                        }
-                    }
-                    if n_free == 0 {
-                        exhausted_free = true;
-                        break;
-                    }
-                    let pick = if n_free == 1 {
-                        0
-                    } else {
-                        self.rng.gen_range(0..n_free.min(8))
-                    };
-                    free[pick].expect("picked a free member")
+                    self.rng.gen_range(0..n_free.min(8))
                 };
+                let ch = free[pick].expect("picked a free member");
                 let lane = self
                     .lane_table
                     .allocate(ch.index())
                     .expect("free member has a free lane");
-                if self.use_masks && !self.lane_table.has_free(ch.index()) {
-                    // Last lane taken: the channel leaves its station mask.
-                    let (s, pos) = self.member_pos[ch.index()];
-                    self.free_mask[s as usize] &= !(1 << pos);
-                }
                 let widx = self.station_queue[st.index()]
                     .pop_front()
                     .expect("non-empty");
@@ -1272,7 +1040,7 @@ impl<'a, R: Router> Engine<'a, R> {
             } else {
                 self.window_end
             };
-            if self.skip_idle(limit) || self.skip_drain_silent(limit) {
+            if self.skip_idle(limit) {
                 continue;
             }
             self.step();
@@ -1283,7 +1051,7 @@ impl<'a, R: Router> Engine<'a, R> {
         // tail is not artificially unloaded).
         let deadline = self.window_end + self.cfg.drain_cap_cycles;
         while self.outstanding_measured > 0 && self.now < deadline {
-            if self.skip_idle(deadline) || self.skip_drain_silent(deadline) {
+            if self.skip_idle(deadline) {
                 continue;
             }
             self.step();

@@ -32,11 +32,9 @@
 //! # Architecture
 //!
 //! * [`engine`] — the cycle kernel: request → grant → advance phases,
-//!   channel occupancy, worm lifecycle. Three bit-exact execution cores
-//!   ([`config::EngineKind`]): the reference walk, idle-span
-//!   fast-forwarding, and the event-driven core for the loaded regime.
-//! * [`calendar`] — the event core's calendar queue (bucketed timing
-//!   wheel + overflow heap) for pending arrival times.
+//!   channel occupancy, worm lifecycle. Two bit-exact execution cores
+//!   ([`config::EngineKind`]): the reference walk (the oracle) and
+//!   idle-span fast-forwarding (the default).
 //! * [`router`] — per-topology routing logic behind one trait
 //!   ([`router::Router`]): butterfly fat-tree, hypercube (e-cube),
 //!   k-ary n-mesh (dimension order) — each with a fault-aware variant
@@ -55,8 +53,8 @@
 //! ([`runner::run_simulation_observed`]): worm-lifecycle events,
 //! per-channel busy/stalled/idle accounting and stall causes, captured
 //! RNG-neutrally — an observed run's `SimResult` is bit-for-bit the bare
-//! run's, on every engine core, and the snapshot is identical across
-//! cores. Disabled (the default) the hooks are single not-taken branches.
+//! run's, on both engine cores, and the snapshot is identical across
+//! them. Disabled (the default) the hooks are single not-taken branches.
 //!
 //! # Example
 //!
@@ -84,7 +82,6 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-pub mod calendar;
 pub mod config;
 pub mod engine;
 pub mod router;

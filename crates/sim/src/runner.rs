@@ -63,8 +63,8 @@ pub struct SimResult {
     /// Total cycles simulated (including warmup and drain).
     pub cycles_run: u64,
     /// Of [`Self::cycles_run`], how many were **not individually walked**:
-    /// idle spans jumped by fast-forwarding, plus (event engine) batched
-    /// silent drain spans. Always 0 for [`EngineKind::Reference`].
+    /// idle spans jumped by fast-forwarding. Always 0 for
+    /// [`EngineKind::Reference`].
     /// Diagnostic only: every other field is bit-identical whichever
     /// engine ran — compare against [`Self::engine`] to interpret it.
     pub cycles_skipped: u64,
@@ -81,7 +81,7 @@ pub struct SimResult {
     /// Observability snapshot, present when an observer was attached
     /// ([`run_simulation_observed`]). Observation is RNG-neutral: every
     /// other field is bit-identical with or without it, and the snapshot
-    /// itself is identical across all [`EngineKind`]s.
+    /// itself is identical across both [`EngineKind`]s.
     pub obs: Option<SimSnapshot>,
 }
 
@@ -101,36 +101,16 @@ pub fn run_simulation<R: Router>(
     cfg: &SimConfig,
     traffic: &TrafficConfig,
 ) -> SimResult {
-    run_simulation_with_fast_forward(router, cfg, traffic, true)
-}
-
-/// Runs one simulation with fast-forwarding explicitly on or off.
-///
-/// `fast_forward = false` recovers the reference cycle-stepped engine;
-/// results are bit-for-bit identical either way (see
-/// `tests/fast_forward_replay.rs`), so the switch exists only for
-/// equivalence tests and speedup benchmarks.
-#[must_use]
-pub fn run_simulation_with_fast_forward<R: Router>(
-    router: &R,
-    cfg: &SimConfig,
-    traffic: &TrafficConfig,
-    fast_forward: bool,
-) -> SimResult {
-    let kind = if fast_forward {
-        EngineKind::FastForward
-    } else {
-        EngineKind::Reference
-    };
-    run_simulation_with_engine(router, cfg, traffic, kind)
+    run_simulation_with_engine(router, cfg, traffic, EngineKind::default())
 }
 
 /// Runs one simulation on the selected execution core
 /// ([`EngineKind`]); single-lane channels.
 ///
-/// All cores are bit-exact — the selector trades per-cycle cost, not
+/// Both cores are bit-exact — the selector trades per-cycle cost, not
 /// results (see `testutil::differential` and
-/// `tests/event_engine_replay.rs`).
+/// `tests/fast_forward_replay.rs`), so [`EngineKind::Reference`] exists
+/// for equivalence tests and speedup benchmarks.
 #[must_use]
 pub fn run_simulation_with_engine<R: Router>(
     router: &R,
@@ -202,34 +182,14 @@ pub fn run_simulation_observed<R: Router>(
 ///
 /// Same as [`sweep_traffic`].
 #[must_use]
+// Panics are the documented contract of the sweep family (see # Panics);
+// callers wanting typed errors validate via `TrafficConfig` first.
+#[allow(clippy::expect_used)]
 pub fn sweep_traffic_with_lanes<R: Router>(
     router: &R,
     cfg: &SimConfig,
     base: &TrafficConfig,
     lanes: &LaneConfig,
-    flit_loads: &[f64],
-) -> Vec<SimResult> {
-    sweep_traffic_with_engine(router, cfg, base, lanes, EngineKind::default(), flit_loads)
-}
-
-/// Like [`sweep_traffic_with_lanes`] with an explicit execution core per
-/// point — the fully general sweep. Per-point seeds are derived exactly as
-/// in [`sweep_traffic`], and every core is bit-exact, so sweeps agree
-/// field-for-field across [`EngineKind`]s.
-///
-/// # Panics
-///
-/// Same as [`sweep_traffic`].
-#[must_use]
-// Panics are the documented contract of the sweep family (see # Panics);
-// callers wanting typed errors validate via `TrafficConfig` first.
-#[allow(clippy::expect_used)]
-pub fn sweep_traffic_with_engine<R: Router>(
-    router: &R,
-    cfg: &SimConfig,
-    base: &TrafficConfig,
-    lanes: &LaneConfig,
-    kind: EngineKind,
     flit_loads: &[f64],
 ) -> Vec<SimResult> {
     base.pattern
@@ -238,7 +198,7 @@ pub fn sweep_traffic_with_engine<R: Router>(
     run_indexed_parallel(flit_loads.len(), |i| {
         let point_cfg = cfg.with_seed(point_seed(cfg.seed, i as u64));
         let traffic = base.at_flit_load(flit_loads[i]).expect("valid sweep load");
-        run_simulation_with_lanes_and_engine(router, &point_cfg, &traffic, lanes, kind)
+        run_simulation_with_lanes(router, &point_cfg, &traffic, lanes)
     })
 }
 
@@ -302,23 +262,13 @@ pub fn sweep_flit_loads<R: Router>(
 /// calling thread, so the failure is a clear message rather than a
 /// worker-thread abort).
 #[must_use]
-// Panics are the documented contract of the sweep family (see # Panics);
-// callers wanting typed errors validate via `TrafficConfig` first.
-#[allow(clippy::expect_used)]
 pub fn sweep_traffic<R: Router>(
     router: &R,
     cfg: &SimConfig,
     base: &TrafficConfig,
     flit_loads: &[f64],
 ) -> Vec<SimResult> {
-    base.pattern
-        .validate(router.network().num_processors())
-        .expect("destination pattern must fit the machine");
-    run_indexed_parallel(flit_loads.len(), |i| {
-        let point_cfg = cfg.with_seed(point_seed(cfg.seed, i as u64));
-        let traffic = base.at_flit_load(flit_loads[i]).expect("valid sweep load");
-        run_simulation(router, &point_cfg, &traffic)
-    })
+    sweep_traffic_with_lanes(router, cfg, base, &LaneConfig::single(), flit_loads)
 }
 
 /// Worker count for a parallel batch of `jobs` independent simulations:
@@ -404,24 +354,10 @@ pub fn replicate<R: Router>(
     traffic: &TrafficConfig,
     replications: usize,
 ) -> ReplicatedResult {
-    replicate_with_engine(router, cfg, traffic, replications, EngineKind::default())
-}
-
-/// Like [`replicate`] with an explicit execution core. Identical seed
-/// derivation — and bit-exact cores — so replicated aggregates agree
-/// across [`EngineKind`]s.
-#[must_use]
-pub fn replicate_with_engine<R: Router>(
-    router: &R,
-    cfg: &SimConfig,
-    traffic: &TrafficConfig,
-    replications: usize,
-    kind: EngineKind,
-) -> ReplicatedResult {
     assert!(replications >= 1);
     let runs = run_indexed_parallel(replications, |i| {
         let seed = replication_seed(cfg.seed, i as u64);
-        run_simulation_with_engine(router, &cfg.with_seed(seed), traffic, kind)
+        run_simulation(router, &cfg.with_seed(seed), traffic)
     });
     let n = runs.len() as f64;
     let mean_latency = runs.iter().map(|r| r.avg_latency).sum::<f64>() / n;

@@ -13,7 +13,6 @@
 //! exponential dwells, drawing exponential arrival gaps at the phase's
 //! rate — the standard competing-clocks simulation of an MMPP).
 
-use crate::calendar::CalendarQueue;
 use crate::config::{ArrivalProcess, DestinationPattern, TrafficConfig};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -61,53 +60,6 @@ impl PartialOrd for Pending {
     }
 }
 
-/// Backing store for the merged next-arrival times.
-///
-/// Both variants pop entries in ascending `(time, pe)` order, so switching
-/// between them is invisible to the RNG stream — arrivals consume
-/// randomness *in pop order* (destination sample, then next inter-arrival
-/// gap), and the pop order is identical.
-#[derive(Debug)]
-enum Queue {
-    /// Binary min-heap: `O(log N)` per operation, the reference backend.
-    Heap(BinaryHeap<Pending>),
-    /// Calendar queue (timing wheel + overflow heap): near-`O(1)` per
-    /// operation under the engine's monotone-time access pattern; used by
-    /// the event-driven engine.
-    Calendar(CalendarQueue),
-}
-
-impl Queue {
-    fn push(&mut self, time: f64, pe: usize) {
-        match self {
-            Queue::Heap(h) => h.push(Pending { time, pe }),
-            Queue::Calendar(c) => c.push(time, pe),
-        }
-    }
-
-    /// Earliest queued `(time, pe)`, without removing it.
-    fn peek(&self) -> Option<(f64, usize)> {
-        match self {
-            Queue::Heap(h) => h.peek().map(|p| (p.time, p.pe)),
-            Queue::Calendar(c) => c.peek_min().map(|e| (e.time, e.pe)),
-        }
-    }
-
-    /// Removes and returns the earliest entry if its time is `< horizon`.
-    fn pop_before(&mut self, horizon: f64) -> Option<(f64, usize)> {
-        match self {
-            Queue::Heap(h) => {
-                if h.peek().is_some_and(|p| p.time < horizon) {
-                    h.pop().map(|p| (p.time, p.pe))
-                } else {
-                    None
-                }
-            }
-            Queue::Calendar(c) => c.pop_before(horizon).map(|e| (e.time, e.pe)),
-        }
-    }
-}
-
 /// Per-PE MMPP phase state: the current phase and when it ends.
 #[derive(Debug, Clone, Copy)]
 struct Phase {
@@ -119,7 +71,10 @@ struct Phase {
 /// Merged message sources for all PEs.
 #[derive(Debug)]
 pub struct TrafficGenerator {
-    queue: Queue,
+    /// Next arrival time of every PE, popped in ascending `(time, pe)`
+    /// order — arrivals consume randomness in pop order (destination
+    /// sample, then the next inter-arrival gap).
+    queue: BinaryHeap<Pending>,
     num_pes: usize,
     rate: f64,
     pattern: DestinationPattern,
@@ -147,7 +102,7 @@ impl TrafficGenerator {
             .validate(num_pes)
             .expect("destination pattern must fit the machine");
         let mut gen = Self {
-            queue: Queue::Heap(BinaryHeap::with_capacity(num_pes)),
+            queue: BinaryHeap::with_capacity(num_pes),
             num_pes,
             rate: traffic.message_rate,
             pattern: traffic.pattern,
@@ -173,25 +128,11 @@ impl TrafficGenerator {
                     .collect();
             }
             for pe in 0..num_pes {
-                let t = gen.next_arrival_time(pe, 0.0, rng);
-                gen.queue.push(t, pe);
+                let time = gen.next_arrival_time(pe, 0.0, rng);
+                gen.queue.push(Pending { time, pe });
             }
         }
         gen
-    }
-
-    /// Switches the pending-arrival store to the calendar queue (used by
-    /// the event-driven engine). Pop order — and therefore the RNG draw
-    /// sequence — is unchanged; only the data structure's cost model
-    /// differs. Call before the first cycle.
-    pub fn enable_calendar(&mut self) {
-        if let Queue::Heap(h) = &mut self.queue {
-            let mut cal = CalendarQueue::new(0);
-            for p in std::mem::take(h) {
-                cal.push(p.time, p.pe);
-            }
-            self.queue = Queue::Calendar(cal);
-        }
     }
 
     /// Samples the next arrival time of `pe` strictly after `from`.
@@ -238,7 +179,7 @@ impl TrafficGenerator {
     /// RNG stream.
     #[must_use]
     pub fn next_arrival_cycle(&self) -> Option<u64> {
-        self.queue.peek().map(|(t, _)| t.max(0.0).floor() as u64)
+        self.queue.peek().map(|p| p.time.max(0.0).floor() as u64)
     }
 
     /// Pops every arrival with generation time inside cycle `cycle`
@@ -250,20 +191,16 @@ impl TrafficGenerator {
     /// a discrete system that samples its sources once per cycle.
     pub fn arrivals_into(&mut self, cycle: u64, rng: &mut SmallRng, out: &mut Vec<Arrival>) {
         let horizon = (cycle + 1) as f64;
-        if let Queue::Calendar(c) = &mut self.queue {
-            // Keep the wheel base abreast of simulation time so pushes
-            // land in fresh buckets and overflow entries migrate in.
-            c.advance_to(cycle);
-        }
-        while let Some((time, pe)) = self.queue.pop_before(horizon) {
+        while let Some(&Pending { time, pe }) = self.queue.peek().filter(|p| p.time < horizon) {
+            self.queue.pop();
             let dest = self.pattern.sample(pe, self.num_pes, rng);
             out.push(Arrival {
                 src: pe,
                 dest,
                 cycle,
             });
-            let next = self.next_arrival_time(pe, time, rng);
-            self.queue.push(next, pe);
+            let time = self.next_arrival_time(pe, time, rng);
+            self.queue.push(Pending { time, pe });
         }
     }
 }

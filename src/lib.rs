@@ -151,10 +151,10 @@ pub mod prelude {
         DegradedRoute, FaultedBftRouter, FaultedHypercubeRouter, FaultedMeshRouter,
     };
     pub use wormsim_sim::runner::{
-        find_saturation, replicate, replicate_with_engine, run_simulation, run_simulation_observed,
-        run_simulation_with_engine, run_simulation_with_fast_forward, run_simulation_with_lanes,
+        find_saturation, replicate, run_simulation, run_simulation_observed,
+        run_simulation_with_engine, run_simulation_with_lanes,
         run_simulation_with_lanes_and_engine, sweep_flit_loads, sweep_traffic,
-        sweep_traffic_with_engine, sweep_traffic_with_lanes, SimResult,
+        sweep_traffic_with_lanes, SimResult,
     };
     pub use wormsim_topology::bft::{BftParams, ButterflyFatTree};
     pub use wormsim_topology::{ChannelClass, ChannelNetwork};

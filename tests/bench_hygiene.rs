@@ -17,7 +17,7 @@
 use std::path::Path;
 
 /// Current schema literals — keep in sync with `bench_baseline.rs`.
-const SIM_SCHEMA: &str = "wormsim-bench-sim/v6";
+const SIM_SCHEMA: &str = "wormsim-bench-sim/v7";
 const MODEL_SCHEMA: &str = "wormsim-bench-model/v3";
 
 fn read_baseline(name: &str) -> String {
@@ -91,13 +91,12 @@ fn baselines_self_compare_without_regressions() {
 fn sim_baseline_carries_the_faulted_group() {
     // Schema v5 added the faulted operating points; v6 added the
     // deliberately past-knee point (saturated run, still completes and is
-    // recorded). A v6 file without them would mean the regeneration ran
-    // against stale code.
+    // recorded); v7 dropped the retired event core's points. A v7 file
+    // without these would mean the regeneration ran against stale code.
     let body = read_baseline("BENCH_sim.json");
     for point in [
         "bft64_load0.1_f0_ff",
         "bft64_load0.1_f5_ff",
-        "bft64_load0.1_f5_ev",
         "bft64_pastknee_f5_ff",
     ] {
         assert!(

@@ -1,11 +1,11 @@
-//! Randomized differential suite: the three execution cores must produce
+//! Randomized differential suite: both execution cores must produce
 //! field-for-field identical `SimResult`s on arbitrary configurations.
 //!
 //! Each case draws a topology (butterfly fat-tree, hypercube, mesh), a
 //! destination pattern, an arrival process (Poisson or bursty MMPP), an
 //! offered load spanning idle to past-saturation, a lane configuration
 //! (`L ∈ {1, 2, 4}`, both allocators) and a seed — then runs the config on
-//! the reference oracle, the fast-forward core and the event core via
+//! the reference oracle and the fast-forward core via
 //! `testutil::assert_engine_equivalence`. Configs are tiny so a case costs
 //! milliseconds; the value is in the breadth of the product space, which
 //! no hand-picked pin set covers. CI runs this suite with the fixed
@@ -20,8 +20,8 @@ use wormsim::topology::hypercube::Hypercube;
 use wormsim::topology::mesh::Mesh;
 use wormsim_testutil::assert_engine_equivalence;
 
-/// The two optimized cores, each checked against the reference oracle.
-const OPTIMIZED: [EngineKind; 2] = [EngineKind::FastForward, EngineKind::Event];
+/// The optimized core, checked against the reference oracle.
+const OPTIMIZED: [EngineKind; 1] = [EngineKind::FastForward];
 
 #[derive(Debug, Clone, Copy)]
 enum Topo {

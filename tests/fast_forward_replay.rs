@@ -8,13 +8,33 @@
 //! tie-break and up-link pick — untouched. These tests check that claim
 //! the hard way: every `SimResult` field, including latency percentiles,
 //! per-class audit counters and the `cycles_run` accounting, must match
-//! to the last bit across workloads and loads.
+//! to the last bit across workloads and loads, plus the six configs pinned
+//! in `tests/lanes_regression.rs` and three loaded-regime points.
 
 use wormsim::prelude::*;
-use wormsim::sim::router::BftRouter;
+use wormsim::sim::router::{BftRouter, HypercubeRouter, MeshRouter};
+use wormsim::topology::hypercube::Hypercube;
+use wormsim::topology::mesh::Mesh;
 // The field-by-field comparison lives in testutil so every replay/
 // differential suite shares one definition of "identical result".
-use wormsim_testutil::{assert_sim_results_identical as assert_bit_identical, quick_sim_config};
+use wormsim_testutil::{
+    assert_engine_equivalence, assert_sim_results_identical as assert_bit_identical,
+    quick_sim_config,
+};
+
+/// Same orchestration parameters as the `lanes_regression` pins.
+fn pin_cfg(seed: u64) -> SimConfig {
+    SimConfig {
+        warmup_cycles: 1_000,
+        measure_cycles: 8_000,
+        drain_cap_cycles: 30_000,
+        seed,
+        batches: 8,
+    }
+}
+
+/// The optimized core, checked against the reference oracle.
+const FAST: [EngineKind; 1] = [EngineKind::FastForward];
 
 fn workloads() -> Vec<(&'static str, Workload)> {
     vec![
@@ -46,8 +66,9 @@ fn fast_forward_is_bit_exact_across_workloads_and_loads() {
             let traffic = TrafficConfig::from_flit_load(load, 16)
                 .unwrap()
                 .with_workload(workload);
-            let fast = run_simulation_with_fast_forward(&router, &cfg, &traffic, true);
-            let reference = run_simulation_with_fast_forward(&router, &cfg, &traffic, false);
+            let fast = run_simulation(&router, &cfg, &traffic);
+            let reference =
+                run_simulation_with_engine(&router, &cfg, &traffic, EngineKind::Reference);
             assert_bit_identical(&fast, &reference, &format!("{name}@{load}"));
             assert_eq!(reference.cycles_skipped, 0, "{name}: reference skips");
             assert!(
@@ -68,8 +89,8 @@ fn fast_forward_is_bit_exact_on_a_larger_machine_near_the_knee() {
     let cfg = quick_sim_config(43);
     for load in [0.01, 0.12] {
         let traffic = TrafficConfig::from_flit_load(load, 16).unwrap();
-        let fast = run_simulation_with_fast_forward(&router, &cfg, &traffic, true);
-        let reference = run_simulation_with_fast_forward(&router, &cfg, &traffic, false);
+        let fast = run_simulation(&router, &cfg, &traffic);
+        let reference = run_simulation_with_engine(&router, &cfg, &traffic, EngineKind::Reference);
         assert_bit_identical(&fast, &reference, &format!("n64@{load}"));
     }
 }
@@ -81,7 +102,7 @@ fn fast_forward_skips_almost_everything_at_vanishing_load() {
     let cfg = quick_sim_config(47);
     let traffic = TrafficConfig::new(0.00002, 16).unwrap();
     let fast = run_simulation(&router, &cfg, &traffic);
-    let reference = run_simulation_with_fast_forward(&router, &cfg, &traffic, false);
+    let reference = run_simulation_with_engine(&router, &cfg, &traffic, EngineKind::Reference);
     assert_bit_identical(&fast, &reference, "vanishing");
     assert!(
         fast.cycles_skipped as f64 > 0.9 * fast.cycles_run as f64,
@@ -99,14 +120,14 @@ fn fast_forward_handles_zero_rate_and_saturation_edges() {
     // Zero rate: the whole run is one idle span.
     let silent = TrafficConfig::new(0.0, 16).unwrap();
     let fast = run_simulation(&router, &cfg, &silent);
-    let reference = run_simulation_with_fast_forward(&router, &cfg, &silent, false);
+    let reference = run_simulation_with_engine(&router, &cfg, &silent, EngineKind::Reference);
     assert_bit_identical(&fast, &reference, "zero-rate");
     assert_eq!(fast.cycles_run, cfg.warmup_cycles + cfg.measure_cycles);
     // Far past saturation: no idle spans to skip, but the accounting (drain
     // cap, incomplete messages) must still agree exactly.
     let overload = TrafficConfig::from_flit_load(0.5, 16).unwrap();
     let fast = run_simulation(&router, &cfg, &overload);
-    let reference = run_simulation_with_fast_forward(&router, &cfg, &overload, false);
+    let reference = run_simulation_with_engine(&router, &cfg, &overload, EngineKind::Reference);
     assert_bit_identical(&fast, &reference, "overload");
     assert!(fast.saturated);
 }
@@ -137,4 +158,97 @@ fn sweeps_and_replications_reproduce_sequential_runs() {
         let solo = run_simulation(&router, &cfg.with_seed(seed), &base);
         assert_bit_identical(r, &solo, &format!("replication {i}"));
     }
+}
+
+#[test]
+fn fast_forward_replays_the_six_pinned_regression_configs() {
+    // Exactly the six configs pinned in `tests/lanes_regression.rs`: three
+    // BFT workloads, a hypercube, a mesh, and the 16-PE reference-walk pin.
+    let single = LaneConfig::single();
+
+    let tree = ButterflyFatTree::new(BftParams::paper(64).unwrap());
+    let router = BftRouter::new(&tree);
+    let t_uni = TrafficConfig::from_flit_load(0.04, 16).unwrap();
+    assert_engine_equivalence(
+        &router,
+        &pin_cfg(7),
+        &t_uni,
+        &single,
+        &FAST,
+        "bft64_uniform",
+    );
+    let t_hot = TrafficConfig::from_flit_load(0.02, 16)
+        .unwrap()
+        .with_pattern(DestinationPattern::hot_spot());
+    assert_engine_equivalence(
+        &router,
+        &pin_cfg(11),
+        &t_hot,
+        &single,
+        &FAST,
+        "bft64_hotspot",
+    );
+    let t_mmpp = TrafficConfig::from_flit_load(0.03, 16)
+        .unwrap()
+        .with_arrival(ArrivalProcess::Mmpp(MmppProfile::default_bursty()));
+    assert_engine_equivalence(&router, &pin_cfg(13), &t_mmpp, &single, &FAST, "bft64_mmpp");
+
+    let cube = Hypercube::new(4).unwrap();
+    let rc = HypercubeRouter::new(&cube);
+    let tc = TrafficConfig::from_flit_load(0.05, 16).unwrap();
+    assert_engine_equivalence(&rc, &pin_cfg(19), &tc, &single, &FAST, "cube4_uniform");
+
+    let mesh = Mesh::new(4, 2).unwrap();
+    let rm = MeshRouter::new(&mesh);
+    let tm = TrafficConfig::from_flit_load(0.05, 8).unwrap();
+    assert_engine_equivalence(&rm, &pin_cfg(23), &tm, &single, &FAST, "mesh4x4_uniform");
+
+    let tree16 = ButterflyFatTree::new(BftParams::paper(16).unwrap());
+    let router16 = BftRouter::new(&tree16);
+    let t16 = TrafficConfig::from_flit_load(0.08, 32).unwrap();
+    assert_engine_equivalence(&router16, &pin_cfg(17), &t16, &single, &FAST, "bft16_ref");
+}
+
+#[test]
+fn fast_forward_replays_the_loaded_regime() {
+    // N=64 at 0.1 flits/cycle/PE (~55% of the single-lane knee), where
+    // idle spans are rare, on single-lane channels and on 2-lane channels
+    // where stalls and the lane audit are in play — plus a saturating
+    // point where the drain cap and incomplete-message accounting are
+    // exercised.
+    let tree = ButterflyFatTree::new(BftParams::paper(64).unwrap());
+    let router = BftRouter::new(&tree);
+
+    let loaded = TrafficConfig::from_flit_load(0.1, 16).unwrap();
+    let r = assert_engine_equivalence(
+        &router,
+        &pin_cfg(29),
+        &loaded,
+        &LaneConfig::single(),
+        &FAST,
+        "bft64_load0.1_l1",
+    );
+    assert!(!r.saturated, "0.1 is below the N=64 knee");
+
+    let two = LaneConfig::new(2, LaneAllocatorKind::FirstFree).unwrap();
+    assert_engine_equivalence(
+        &router,
+        &pin_cfg(31),
+        &loaded,
+        &two,
+        &FAST,
+        "bft64_load0.1_l2",
+    );
+
+    // Past the knee: saturated accounting must agree too.
+    let past_knee = TrafficConfig::from_flit_load(0.25, 16).unwrap();
+    let r = assert_engine_equivalence(
+        &router,
+        &pin_cfg(37),
+        &past_knee,
+        &LaneConfig::single(),
+        &FAST,
+        "bft64_load0.25_l1",
+    );
+    assert!(r.saturated, "0.25 is past the N=64 knee");
 }

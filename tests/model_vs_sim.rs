@@ -4,7 +4,7 @@
 use wormsim::prelude::*;
 use wormsim::sim::config::{SimConfig, TrafficConfig};
 use wormsim::sim::router::BftRouter;
-use wormsim::sim::runner::{run_simulation, run_simulation_with_engine};
+use wormsim::sim::runner::run_simulation;
 use wormsim_testutil::validation_sim_config;
 
 fn quick_cfg(seed: u64) -> SimConfig {
@@ -99,11 +99,7 @@ fn model_is_conservative_near_the_knee() {
 fn simulator_saturates_where_the_model_says_it_should() {
     // Saturating-load points bracketing the model's predicted knee: well
     // below it the simulator must keep up with the offered load; well past
-    // it the backlog must diverge and the run must flag saturation. These
-    // points run on the event-driven core — the loaded regime is exactly
-    // what it exists for — which is proven bit-exact against the reference
-    // walk by `tests/differential_engines.rs` and
-    // `tests/event_engine_replay.rs`.
+    // it the backlog must diverge and the run must flag saturation.
     for (n, s) in [(64usize, 16u32), (64, 32)] {
         let params = BftParams::paper(n).unwrap();
         let tree = ButterflyFatTree::new(params);
@@ -111,11 +107,10 @@ fn simulator_saturates_where_the_model_says_it_should() {
         let model = BftModel::new(params, f64::from(s));
         let knee = model.saturation_flit_load().unwrap();
 
-        let below = run_simulation_with_engine(
+        let below = run_simulation(
             &router,
             &quick_cfg(47),
             &TrafficConfig::from_flit_load(knee * 0.7, s).unwrap(),
-            EngineKind::Event,
         );
         assert!(
             !below.saturated,
@@ -123,11 +118,10 @@ fn simulator_saturates_where_the_model_says_it_should() {
             knee * 0.7
         );
 
-        let past = run_simulation_with_engine(
+        let past = run_simulation(
             &router,
             &quick_cfg(53),
             &TrafficConfig::from_flit_load(knee * 1.25, s).unwrap(),
-            EngineKind::Event,
         );
         assert!(
             past.saturated,

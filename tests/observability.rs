@@ -1,6 +1,6 @@
 //! Observability-layer integration tests: instrumentation transparency
 //! (observed runs are bit-for-bit the bare runs, snapshots identical
-//! across all three engine cores), the per-channel conservation laws,
+//! across both engine cores), the per-channel conservation laws,
 //! the windowed time series (per-window sums reconcile exactly with the
 //! run totals on every core, faulted fabrics included), tail-quantile
 //! accuracy of the log-linear histogram, exporter well-formedness, and
@@ -13,7 +13,7 @@ use wormsim_faults::link_faults;
 use wormsim_testutil::differential::assert_observation_transparent;
 use wormsim_testutil::mix_seed;
 
-const ALL_ENGINES: [EngineKind; 2] = [EngineKind::FastForward, EngineKind::Event];
+const ALL_ENGINES: [EngineKind; 1] = [EngineKind::FastForward];
 
 fn small_cfg(seed: u64) -> SimConfig {
     SimConfig {
