@@ -7,26 +7,15 @@
 //! repro fig3 --quick             # reduced effort (smaller N, shorter runs)
 //! repro all --out results/       # run everything, writing CSV artifacts
 //! repro all --seed 42            # change the simulation seed
-//!
-//! repro bench-compare --baseline DIR --candidate DIR [--tolerance PCT]
-//!                                # perf gate: diff two benchmark baselines;
-//!                                # exits nonzero on any regression
-//! repro bench-compare --quick [--baseline DIR] [--seed N]
-//!                                # CI gate: regenerate a quick baseline and
-//!                                # compare its deterministic fields against
-//!                                # the committed full baselines
 //! ```
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use wormsim_experiments::bench_compare::{compare_dirs, run_quick_gate, CompareConfig};
 use wormsim_experiments::{run_by_name, ExperimentContext, EXPERIMENTS};
 
 fn usage() -> String {
     let mut s = String::from(
-        "usage: repro <experiment|all|list> [--quick] [--out DIR] [--seed N]\n\
-         \x20      repro bench-compare --baseline DIR --candidate DIR [--tolerance PCT]\n\
-         \x20      repro bench-compare --quick [--baseline DIR] [--seed N]\n\nexperiments:\n",
+        "usage: repro <experiment|all|list> [--quick] [--out DIR] [--seed N]\n\nexperiments:\n",
     );
     for (id, _, desc) in EXPERIMENTS {
         s.push_str(&format!("  {id:<18} {desc}\n"));
@@ -34,110 +23,8 @@ fn usage() -> String {
     s
 }
 
-/// `repro bench-compare ...` — the statistical perf-regression gate. Not a
-/// registry experiment: it takes file arguments and an exit-status contract
-/// (nonzero on regression) that the generic runner does not have.
-fn bench_compare_main(args: &[String]) -> ExitCode {
-    let mut baseline: Option<PathBuf> = None;
-    let mut candidate: Option<PathBuf> = None;
-    let mut cfg = CompareConfig::default();
-    let mut quick = false;
-    let mut seed = ExperimentContext::default().seed;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--baseline" => {
-                i += 1;
-                match args.get(i) {
-                    Some(dir) => baseline = Some(PathBuf::from(dir)),
-                    None => {
-                        eprintln!("--baseline needs a directory");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--candidate" => {
-                i += 1;
-                match args.get(i) {
-                    Some(dir) => candidate = Some(PathBuf::from(dir)),
-                    None => {
-                        eprintln!("--candidate needs a directory");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--tolerance" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<f64>().ok()) {
-                    Some(pct) if pct >= 0.0 => cfg.tolerance_pct = pct,
-                    _ => {
-                        eprintln!("--tolerance needs a non-negative percentage");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--seed" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(s) => seed = s,
-                    None => {
-                        eprintln!("--seed needs an integer");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            other => {
-                eprintln!("unexpected argument {other:?}\n{}", usage());
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
-
-    let result = if quick {
-        let dir = baseline.unwrap_or_else(|| PathBuf::from("."));
-        println!(
-            "bench-compare --quick: regenerating a quick baseline and comparing \
-             deterministic fields against {}",
-            dir.display()
-        );
-        run_quick_gate(&dir, seed)
-    } else {
-        let (Some(base), Some(cand)) = (baseline, candidate) else {
-            eprintln!(
-                "bench-compare needs --baseline and --candidate (or --quick)\n{}",
-                usage()
-            );
-            return ExitCode::FAILURE;
-        };
-        compare_dirs(&base, &cand, &cfg)
-    };
-    match result {
-        Ok(report) => {
-            println!("{}", report.render());
-            if report.regressions() > 0 {
-                eprintln!(
-                    "bench-compare: {} regression(s) detected",
-                    report.regressions()
-                );
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            eprintln!("bench-compare: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("bench-compare") {
-        return bench_compare_main(&args[1..]);
-    }
     let mut target: Option<String> = None;
     let mut ctx = ExperimentContext::default();
 

@@ -250,7 +250,7 @@ mod tests {
 
     #[test]
     fn uniform_model_errors_stay_in_the_acceptance_band() {
-        // The acceptance criterion behind the table: at low-to-moderate
+        // The acceptance bar behind the table: at low-to-moderate
         // load the multi-lane model tracks the simulator within the shared
         // tolerance band (quick effort keeps this CI-friendly).
         let ctx = ExperimentContext::quick();

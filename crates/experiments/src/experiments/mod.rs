@@ -4,7 +4,6 @@ use crate::error::ExperimentError;
 use std::path::PathBuf;
 
 pub mod ablations;
-pub mod bench_baseline;
 pub mod bursty;
 pub mod channel_audit;
 pub mod enumerated_mesh;
@@ -195,11 +194,6 @@ pub const EXPERIMENTS: &[(&str, ExperimentFn, &str)] = &[
         "lanes",
         lanes::run,
         "Lanes L1: virtual-channel lanes, multi-lane model vs sim for L in {1,2,4}",
-    ),
-    (
-        "bench-baseline",
-        bench_baseline::run,
-        "Perf P1: micro-bench baseline (BENCH_sim.json / BENCH_model.json), ff + warm-start evidence",
     ),
     (
         "trace",

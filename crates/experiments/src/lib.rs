@@ -26,14 +26,9 @@
 //! | `hotspot` | workload W1: hot-spot traffic, flow model vs sim | [`experiments::hotspot`] |
 //! | `bursty` | workload W2: MMPP sources vs burst-corrected model | [`experiments::bursty`] |
 //! | `lanes` | lanes L1: virtual-channel lanes, model vs sim for L ∈ {1,2,4} | [`experiments::lanes`] |
-//! | `bench-baseline` | perf P1: `BENCH_sim.json`/`BENCH_model.json` baselines | [`experiments::bench_baseline`] |
 //! | `timeline` | obs O2: windowed time series + MSER-5 steady state + counter tracks | [`experiments::timeline`] |
 //! | `faults` | robustness R1: link knockouts, degraded model vs sim | [`experiments::faults`] |
 //! | `knee` | robustness R2: bracketed knee vs sim saturation, N × L × faults | [`experiments::knee`] |
-//!
-//! The perf-regression gate (`repro bench-compare`) lives in
-//! [`bench_compare`]: it diffs two benchmark baselines with exact checks
-//! on machine-independent fields and a noise tolerance on timings.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -50,6 +45,5 @@ pub mod error;
 pub mod experiments;
 pub mod table;
 
-pub use bench_compare::{CompareConfig, CompareReport};
 pub use error::ExperimentError;
 pub use experiments::{run_by_name, ExperimentContext, ExperimentOutput, EXPERIMENTS};

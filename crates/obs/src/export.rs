@@ -1,4 +1,5 @@
-//! Event-stream exporters: JSONL and Chrome `trace_event` JSON.
+//! Event-stream exporters (JSONL and Chrome `trace_event` JSON) and the
+//! one JSON reader that checks them ([`Json`], [`json_is_well_formed`]).
 //!
 //! Both formats are built by hand — every field is numeric or a fixed
 //! label from a closed set, so no escaping machinery is needed and the
@@ -15,7 +16,8 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-/// Format an f64 the way the bench JSON does: finite, shortest-ish.
+/// Format an f64 as a JSON number: integral values as `N.0`, others in
+/// Rust's shortest round-trip form.
 fn json_num(x: f64) -> String {
     if x == x.trunc() && x.abs() < 1e15 {
         format!("{:.1}", x)
@@ -232,171 +234,301 @@ pub fn write_chrome_trace_with_counters(
     )
 }
 
-/// Minimal JSON well-formedness check (recursive descent over the full
-/// grammar, no allocation). Used by the test suite to validate the
-/// exporters without pulling in a JSON dependency; returns `true` iff
-/// `s` is exactly one valid JSON value surrounded by whitespace.
-pub fn json_is_well_formed(s: &str) -> bool {
-    let b = s.as_bytes();
-    let mut i = 0usize;
-    fn ws(b: &[u8], i: &mut usize) {
-        while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-            *i += 1;
+/// Deepest nesting [`Json::parse`] accepts: values sit at depth 0 (the
+/// document) through 64. Deeper input is rejected with an error rather
+/// than recursing until the stack overflows.
+const MAX_DEPTH: u32 = 64;
+
+/// A parsed JSON value — the workspace's one JSON reader, used to check
+/// the exporters' output and to read benchmark records.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number; always finite (out-of-range literals are rejected).
+    Num(f64),
+    /// A string, escapes decoded.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object, in source key order.
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// Parses exactly one JSON value surrounded by optional whitespace,
+    /// under the strict RFC 8259 grammar: no trailing commas, no leading
+    /// zeros, no raw control characters in strings, `\uXXXX` escapes
+    /// decoded (a lone surrogate becomes U+FFFD). Nesting deeper than 64
+    /// levels is an error.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable message with the byte offset of the first error.
+    pub fn parse(src: &str) -> Result<Json, String> {
+        let mut p = Parser {
+            b: src.as_bytes(),
+            i: 0,
+        };
+        let v = p.value(0)?;
+        p.ws();
+        if p.i != p.b.len() {
+            return p.fail("trailing content");
+        }
+        Ok(v)
+    }
+
+    /// Object field lookup (`None` for non-objects / missing keys).
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
         }
     }
-    fn value(b: &[u8], i: &mut usize, depth: u32) -> bool {
-        if depth > 64 {
-            return false;
-        }
-        ws(b, i);
-        match b.get(*i) {
-            Some(b'{') => {
-                *i += 1;
-                ws(b, i);
-                if b.get(*i) == Some(&b'}') {
-                    *i += 1;
-                    return true;
-                }
-                loop {
-                    ws(b, i);
-                    if !string(b, i) {
-                        return false;
-                    }
-                    ws(b, i);
-                    if b.get(*i) != Some(&b':') {
-                        return false;
-                    }
-                    *i += 1;
-                    if !value(b, i, depth + 1) {
-                        return false;
-                    }
-                    ws(b, i);
-                    match b.get(*i) {
-                        Some(b',') => *i += 1,
-                        Some(b'}') => {
-                            *i += 1;
-                            return true;
-                        }
-                        _ => return false,
-                    }
-                }
-            }
-            Some(b'[') => {
-                *i += 1;
-                ws(b, i);
-                if b.get(*i) == Some(&b']') {
-                    *i += 1;
-                    return true;
-                }
-                loop {
-                    if !value(b, i, depth + 1) {
-                        return false;
-                    }
-                    ws(b, i);
-                    match b.get(*i) {
-                        Some(b',') => *i += 1,
-                        Some(b']') => {
-                            *i += 1;
-                            return true;
-                        }
-                        _ => return false,
-                    }
-                }
-            }
-            Some(b'"') => string(b, i),
-            Some(b't') => literal(b, i, b"true"),
-            Some(b'f') => literal(b, i, b"false"),
-            Some(b'n') => literal(b, i, b"null"),
-            Some(_) => number(b, i),
-            None => false,
+
+    /// The number, when this is one.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(v) => Some(*v),
+            _ => None,
         }
     }
-    fn literal(b: &[u8], i: &mut usize, lit: &[u8]) -> bool {
-        if b[*i..].starts_with(lit) {
-            *i += lit.len();
-            true
+
+    /// The string, when this is one.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The boolean, when this is one.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The array elements, when this is one.
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(v) => Some(v),
+            _ => None,
+        }
+    }
+}
+
+/// Recursive-descent state: the input bytes and the read position.
+struct Parser<'a> {
+    b: &'a [u8],
+    i: usize,
+}
+
+impl Parser<'_> {
+    fn fail<T>(&self, what: &str) -> Result<T, String> {
+        Err(format!("{what} at byte {}", self.i))
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.b.get(self.i).copied()
+    }
+
+    fn ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.i += 1;
+        }
+    }
+
+    /// Consumes `c` if it is next.
+    fn eat(&mut self, c: u8) -> bool {
+        let hit = self.peek() == Some(c);
+        if hit {
+            self.i += 1;
+        }
+        hit
+    }
+
+    fn value(&mut self, depth: u32) -> Result<Json, String> {
+        if depth > MAX_DEPTH {
+            return self.fail("nesting deeper than 64 levels");
+        }
+        self.ws();
+        match self.peek() {
+            Some(b'{') => self.object(depth),
+            Some(b'[') => self.array(depth),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(_) => self.number(),
+            None => self.fail("unexpected end of input"),
+        }
+    }
+
+    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
+        if self.b[self.i..].starts_with(lit.as_bytes()) {
+            self.i += lit.len();
+            Ok(v)
         } else {
-            false
+            self.fail(&format!("expected {lit:?}"))
         }
     }
-    fn string(b: &[u8], i: &mut usize) -> bool {
-        if b.get(*i) != Some(&b'"') {
-            return false;
+
+    fn array(&mut self, depth: u32) -> Result<Json, String> {
+        self.i += 1; // '['
+        let mut items = Vec::new();
+        self.ws();
+        if self.eat(b']') {
+            return Ok(Json::Arr(items));
         }
-        *i += 1;
-        while let Some(&c) = b.get(*i) {
+        loop {
+            items.push(self.value(depth + 1)?);
+            self.ws();
+            if self.eat(b']') {
+                return Ok(Json::Arr(items));
+            }
+            if !self.eat(b',') {
+                return self.fail("expected ',' or ']'");
+            }
+        }
+    }
+
+    fn object(&mut self, depth: u32) -> Result<Json, String> {
+        self.i += 1; // '{'
+        let mut fields = Vec::new();
+        self.ws();
+        if self.eat(b'}') {
+            return Ok(Json::Obj(fields));
+        }
+        loop {
+            self.ws();
+            if self.peek() != Some(b'"') {
+                return self.fail("expected a string key");
+            }
+            let key = self.string()?;
+            self.ws();
+            if !self.eat(b':') {
+                return self.fail("expected ':'");
+            }
+            fields.push((key, self.value(depth + 1)?));
+            self.ws();
+            if self.eat(b'}') {
+                return Ok(Json::Obj(fields));
+            }
+            if !self.eat(b',') {
+                return self.fail("expected ',' or '}'");
+            }
+        }
+    }
+
+    /// Four hex digits of a `\u` escape.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let mut v = 0;
+        for _ in 0..4 {
+            let Some(d) = self.peek().and_then(|c| char::from(c).to_digit(16)) else {
+                return self.fail("expected four hex digits");
+            };
+            v = v * 16 + d;
+            self.i += 1;
+        }
+        Ok(v)
+    }
+
+    /// A `\u` escape's code point, after its `\u`: a surrogate pair
+    /// joins into one char; an unpaired surrogate becomes U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let hi = self.hex4()?;
+        if (0xD800..0xDC00).contains(&hi) && self.b[self.i..].starts_with(b"\\u") {
+            let resume = self.i;
+            self.i += 2;
+            let lo = self.hex4()?;
+            if (0xDC00..0xE000).contains(&lo) {
+                let c = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                return Ok(char::from_u32(c).unwrap_or(char::REPLACEMENT_CHARACTER));
+            }
+            self.i = resume; // not a pair: the next escape stands alone
+        }
+        Ok(char::from_u32(hi).unwrap_or(char::REPLACEMENT_CHARACTER))
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.i += 1; // '"'
+        let mut out = Vec::new();
+        loop {
+            let Some(c) = self.peek() else {
+                return self.fail("unterminated string");
+            };
+            if c < 0x20 {
+                return self.fail("raw control character in string");
+            }
+            self.i += 1;
             match c {
-                b'"' => {
-                    *i += 1;
-                    return true;
-                }
+                b'"' => return String::from_utf8(out).or_else(|_| self.fail("invalid UTF-8")),
                 b'\\' => {
-                    *i += 1;
-                    match b.get(*i) {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *i += 1,
-                        Some(b'u') => {
-                            *i += 1;
-                            for _ in 0..4 {
-                                match b.get(*i) {
-                                    Some(h) if h.is_ascii_hexdigit() => *i += 1,
-                                    _ => return false,
-                                }
-                            }
-                        }
-                        _ => return false,
-                    }
+                    let escape = self.peek();
+                    self.i += 1;
+                    let ch = match escape {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'u') => self.unicode_escape()?,
+                        _ => return self.fail("invalid escape"),
+                    };
+                    out.extend_from_slice(ch.encode_utf8(&mut [0; 4]).as_bytes());
                 }
-                0x00..=0x1f => return false,
-                _ => *i += 1,
+                _ => out.push(c),
             }
         }
-        false
     }
-    fn number(b: &[u8], i: &mut usize) -> bool {
-        let start = *i;
-        if b.get(*i) == Some(&b'-') {
-            *i += 1;
+
+    fn digits(&mut self) -> usize {
+        let start = self.i;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.i += 1;
         }
-        let int_start = *i;
-        while matches!(b.get(*i), Some(c) if c.is_ascii_digit()) {
-            *i += 1;
-        }
-        if *i == int_start {
-            return false;
-        }
-        if b[int_start] == b'0' && *i > int_start + 1 {
-            return false; // leading zero
-        }
-        if b.get(*i) == Some(&b'.') {
-            *i += 1;
-            let f = *i;
-            while matches!(b.get(*i), Some(c) if c.is_ascii_digit()) {
-                *i += 1;
-            }
-            if *i == f {
-                return false;
-            }
-        }
-        if matches!(b.get(*i), Some(b'e' | b'E')) {
-            *i += 1;
-            if matches!(b.get(*i), Some(b'+' | b'-')) {
-                *i += 1;
-            }
-            let e = *i;
-            while matches!(b.get(*i), Some(c) if c.is_ascii_digit()) {
-                *i += 1;
-            }
-            if *i == e {
-                return false;
-            }
-        }
-        *i > start
+        self.i - start
     }
-    if !value(b, &mut i, 0) {
-        return false;
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.i;
+        self.eat(b'-');
+        let int_start = self.i;
+        let int_len = self.digits();
+        if int_len == 0 || (int_len > 1 && self.b[int_start] == b'0') {
+            return self.fail("malformed number");
+        }
+        if self.eat(b'.') && self.digits() == 0 {
+            return self.fail("malformed fraction");
+        }
+        if self.eat(b'e') || self.eat(b'E') {
+            let _ = self.eat(b'+') || self.eat(b'-');
+            if self.digits() == 0 {
+                return self.fail("malformed exponent");
+            }
+        }
+        // The slice is ASCII by construction, so from_utf8 cannot fail.
+        std::str::from_utf8(&self.b[start..self.i])
+            .ok()
+            .and_then(|s| s.parse::<f64>().ok())
+            .filter(|v| v.is_finite())
+            .map(Json::Num)
+            .ok_or_else(|| format!("number out of range at byte {start}"))
     }
-    ws(b, &mut i);
-    i == b.len()
+}
+
+/// JSON well-formedness check, used by the test suite to validate the
+/// exporters: `true` iff `s` is exactly one valid JSON value surrounded by
+/// whitespace ([`Json::parse`] succeeds).
+pub fn json_is_well_formed(s: &str) -> bool {
+    Json::parse(s).is_ok()
 }
 
 #[cfg(test)]
@@ -529,5 +661,74 @@ mod tests {
         ] {
             assert!(!json_is_well_formed(bad), "should reject: {bad}");
         }
+    }
+
+    #[test]
+    fn parser_builds_values_and_decodes_escapes() {
+        let doc = Json::parse(r#" {"a": [1, -2.5e1, true, null], "s": "x\"\né😀"} "#).unwrap();
+        let a = doc.get("a").and_then(Json::as_arr).unwrap();
+        assert_eq!(a[0].as_f64(), Some(1.0));
+        assert_eq!(a[1].as_f64(), Some(-25.0));
+        assert_eq!(a[2].as_bool(), Some(true));
+        assert_eq!(a[3], Json::Null);
+        assert_eq!(doc.get("s").and_then(Json::as_str), Some("x\"\né😀"));
+        assert_eq!(doc.get("missing"), None);
+        // An unpaired surrogate decodes to U+FFFD; the escape after a
+        // high surrogate that is not a low one is read on its own.
+        let lone = Json::parse(r#""\ud800A""#).unwrap();
+        assert_eq!(lone.as_str(), Some("\u{fffd}A"));
+        // Raw control characters, bad escapes and out-of-range numbers
+        // are errors.
+        for bad in ["\"a\tb\"", r#""\x""#, r#""\u12g4""#, "1e400", "-", "[1 2]"] {
+            assert!(Json::parse(bad).is_err(), "should reject: {bad:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_64_levels() {
+        let nest = |k: usize| format!("{}{}", "[".repeat(k), "]".repeat(k));
+        // The document is depth 0, so 65 brackets hold values at depths 0-64.
+        assert!(Json::parse(&nest(65)).is_ok());
+        assert!(Json::parse(&nest(66)).is_err());
+        let err = Json::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        assert!(Json::parse(&"{\"a\":".repeat(1_000_000)).is_err());
+        assert!(!json_is_well_formed(&"[".repeat(1_000_000)));
+    }
+
+    #[test]
+    fn random_input_never_panics() {
+        // Inline xorshift64: JSON-ish tokens mixed with arbitrary bytes, so
+        // the parser is driven deep into every branch, not just rejected
+        // at the first byte.
+        const TOKENS: [&str; 16] = [
+            "{", "}", "[", "]", ",", ":", "\"", "\\", "\\u", "d83d", "1", "-0.5e+3", "true", "nul",
+            " ", "\"k\":",
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut accepted = 0;
+        for _ in 0..4_000 {
+            let mut bytes = Vec::new();
+            for _ in 0..next() % 40 {
+                let r = next();
+                if r % 4 == 0 {
+                    bytes.push((r >> 8) as u8);
+                } else {
+                    bytes.extend_from_slice(TOKENS[(r >> 8) as usize % TOKENS.len()].as_bytes());
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            if let Ok(v) = Json::parse(&text) {
+                accepted += 1;
+                assert!(json_is_well_formed(&text), "{text:?} parsed to {v:?}");
+            }
+        }
+        assert!(accepted > 0, "the generator never produced valid JSON");
     }
 }

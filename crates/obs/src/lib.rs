@@ -1,19 +1,22 @@
-//! Zero-cost observability for wormsim: metric registry, worm-lifecycle
+//! Opt-in observability for wormsim: metric registry, worm-lifecycle
 //! event sink, per-channel/per-lane accounting, solver convergence
-//! telemetry, and JSONL / Chrome `trace_event` exporters.
+//! telemetry, JSONL / Chrome `trace_event` exporters, and the JSON reader
+//! that checks them.
 //!
 //! This crate is a dependency-free leaf so that every layer of the
 //! workspace (simulator, queueing solver, modeling framework,
 //! experiments) can speak the same telemetry types without cycles.
 //!
-//! # Zero-cost discipline
+//! # Cost when disabled
 //!
 //! Instrumentation is opt-in per run. The simulation engine stores an
-//! `Option<SimTrace>`; with no observer attached every hook site is a
-//! single not-taken branch on `None` — the workspace's bench baseline
-//! carries an overhead point (`bft64_load0.1_l1`) holding the disabled
-//! path to a ≤1% budget. The queueing solver takes an
-//! `Option<&mut SolverTrace>` with the same property.
+//! `Option<Box<SimTrace>>`, and `ObsConfig::disabled()` leaves it `None`:
+//! a disabled observer takes the same code path as an unobserved run,
+//! every hook site a single not-taken branch. There is no separate
+//! disabled path to A/B. What an enabled observer costs is measured end
+//! to end: `wormbench --trace 1` reports a counters-only observer's cost
+//! as `obs.trace_overhead` (see `benchmark/README.md`). The queueing
+//! solver takes an `Option<&mut SolverTrace>` with the same property.
 //!
 //! # Neutrality guarantee
 //!

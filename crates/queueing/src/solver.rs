@@ -244,7 +244,7 @@ impl Default for AccelerationConfig {
 /// verified Aitken Δ² extrapolation.
 ///
 /// Behaves like [`fixed_point`] — same map contract, same convergence
-/// criterion (∞-norm of the damped update below `config.tolerance`), same
+/// test (∞-norm of the damped update below `config.tolerance`), same
 /// errors — but adapts the damping factor to the observed contraction
 /// (growing it toward the undamped iteration while the residual shrinks,
 /// backing off when it grows) and periodically extrapolates the iterate

@@ -225,8 +225,9 @@ pub struct Engine<'a, R: Router> {
     /// of those on the pristine path (same RNG draws, same results).
     faulted: bool,
 
-    /// Optional observer ([`Engine::set_observer`]). `None` is the
-    /// zero-cost disabled path: every hook site is one not-taken branch.
+    /// Optional observer ([`Engine::set_observer`]). `None` (also what
+    /// `ObsConfig::disabled()` sets) makes every hook site one not-taken
+    /// branch.
     /// Hooks never draw RNG and never alter control flow, so observed
     /// runs are bit-for-bit identical to bare runs under every kind.
     obs: Option<Box<SimTrace>>,

@@ -155,10 +155,10 @@ pub fn run_simulation_with_lanes_and_engine<R: Router>(
 /// worm-lifecycle events, per-channel busy/stalled/idle accounting,
 /// per-lane grant tracking and a delivered-latency histogram, returned
 /// in [`SimResult::obs`]. With `obs.enabled == false` this is exactly
-/// [`run_simulation_with_lanes_and_engine`] (the observer slot stays
-/// `None` and every hook is a single not-taken branch — the bench
-/// baseline's `bft64_load0.1_l1` overhead point holds that path to a
-/// ≤1% budget).
+/// [`run_simulation_with_lanes_and_engine`]: the observer slot stays
+/// `None` and every hook is a single not-taken branch, so there is no
+/// separate disabled path to time. An enabled observer's cost is
+/// `wormbench --trace 1`'s `obs.trace_overhead`.
 #[must_use]
 pub fn run_simulation_observed<R: Router>(
     router: &R,

@@ -30,7 +30,7 @@
 //!   knockout plans, fault-aware degraded routing for every topology, and
 //!   graceful degradation contracts (typed disconnection errors, unroutable
 //!   accounting — never a panic or a hang).
-//! * [`obs`] — zero-cost observability: worm-lifecycle event tracing,
+//! * [`obs`] — opt-in observability: worm-lifecycle event tracing,
 //!   per-channel/per-lane usage accounting, windowed time series with
 //!   MSER-5 steady-state detection, log-linear tail histograms, solver
 //!   convergence telemetry, and JSONL / Chrome `trace_event` exporters

@@ -9,8 +9,10 @@
 //! the hard way: every `SimResult` field, including latency percentiles,
 //! per-class audit counters and the `cycles_run` accounting, must match
 //! to the last bit across workloads and loads, plus the six configs pinned
-//! in `tests/lanes_regression.rs` and three loaded-regime points.
+//! in `tests/lanes_regression.rs` and three loaded-regime points. A last
+//! table pins the default core's cycle accounting at fixed points.
 
+use wormsim::faults::link_faults;
 use wormsim::prelude::*;
 use wormsim::sim::router::{BftRouter, HypercubeRouter, MeshRouter};
 use wormsim::topology::hypercube::Hypercube;
@@ -251,4 +253,63 @@ fn fast_forward_replays_the_loaded_regime() {
         "bft64_load0.25_l1",
     );
     assert!(r.saturated, "0.25 is past the N=64 knee");
+}
+
+/// How a pinned point routes: the pristine router, or the fault-aware one
+/// over an empty plan or a seeded 5% link knockout.
+#[derive(Debug, Clone, Copy)]
+enum Fabric {
+    Pristine,
+    EmptyPlan,
+    Links5,
+}
+
+#[test]
+fn fast_forward_cycle_accounting_is_pinned() {
+    // `(cycles_run, cycles_skipped)` of the default core on short runs at
+    // seed 0xC0FFEE, from idle N=16 to the loaded N=64 regime across lane
+    // counts and fault plans. Both counts are exact, so any change to the
+    // skip schedule or the drain accounting shows here. 0.239064 is 1.5x
+    // the bracketed N=64 knee (pinned in tests/lanes_regression.rs): the
+    // run saturates and must still finish within the drain cap.
+    let cfg = SimConfig {
+        warmup_cycles: 500,
+        measure_cycles: 4_000,
+        drain_cap_cycles: 20_000,
+        seed: 0xC0FFEE,
+        batches: 4,
+    };
+    let pins = [
+        (16, 0.001, 1, Fabric::Pristine, (4500, 4382)),
+        (16, 0.0025, 1, Fabric::Pristine, (4500, 4240)),
+        (64, 0.005, 1, Fabric::Pristine, (4500, 2848)),
+        (256, 0.01, 1, Fabric::Pristine, (4517, 120)),
+        (64, 0.1, 1, Fabric::Pristine, (4539, 2)),
+        (64, 0.1, 2, Fabric::Pristine, (4537, 2)),
+        (64, 0.1, 4, Fabric::Pristine, (4539, 12)),
+        (64, 0.1, 1, Fabric::EmptyPlan, (4539, 2)),
+        (64, 0.1, 1, Fabric::Links5, (4573, 2)),
+        (64, 0.239_064, 1, Fabric::Links5, (9476, 0)),
+    ];
+    for (n, load, lanes, fabric, pinned) in pins {
+        let tree = ButterflyFatTree::new(BftParams::paper(n).unwrap());
+        let traffic = TrafficConfig::from_flit_load(load, 16).unwrap();
+        let lc = LaneConfig::new(lanes, LaneAllocatorKind::FirstFree).unwrap();
+        let faulted = |plan: FaultPlan| {
+            let router = FaultedBftRouter::new(&tree, plan).unwrap();
+            run_simulation_with_lanes(&router, &cfg, &traffic, &lc)
+        };
+        let r = match fabric {
+            Fabric::Pristine => {
+                run_simulation_with_lanes(&BftRouter::new(&tree), &cfg, &traffic, &lc)
+            }
+            Fabric::EmptyPlan => faulted(FaultPlan::none(tree.network())),
+            Fabric::Links5 => faulted(link_faults(tree.network(), 0.05, 7).unwrap()),
+        };
+        assert_eq!(
+            (r.cycles_run, r.cycles_skipped),
+            pinned,
+            "bft{n}@{load} L={lanes} {fabric:?}"
+        );
+    }
 }

@@ -234,6 +234,49 @@ fn single_lane_model_matches_the_closed_form_to_rounding() {
     }
 }
 
+/// The single-lane model's bracketed knee for 16-flit worms at `n` PEs, in
+/// flits/cycle/PE. The reference rate puts every machine's knee inside the
+/// default probe range.
+fn single_lane_knee(n: usize) -> f64 {
+    let lambda0 = 2.5e-4;
+    let spec = bft_spec(&BftParams::paper(n).unwrap(), 16.0, lambda0);
+    let knee = spec
+        .find_knee(&ModelOptions::paper(), &KneeConfig::default())
+        .unwrap();
+    knee.knee * lambda0 * 16.0
+}
+
+#[test]
+fn lane_model_latencies_at_half_the_knee_are_pinned() {
+    // Knee bracketing and the lane model are deterministic, so both pin to
+    // the bit. The N=64 knee sets the past-knee load (1.5x = 0.239064)
+    // replayed in tests/fast_forward_replay.rs.
+    assert_eq!(single_lane_knee(64).to_bits(), 0x3fc4_666e_c9e2_36c1);
+    let knee = single_lane_knee(1024);
+    assert_eq!(knee.to_bits(), 0x3fa3_fd0d_0678_c006, "N=1024 knee {knee}");
+    // Half the single-lane knee lower-bounds every L's knee.
+    let load = 0.5 * knee;
+    let params = BftParams::paper(1024).unwrap();
+    for (lanes, pinned, approx) in [
+        (1u32, 0x403c_161b_4a64_0d08u64, 28.086_354),
+        (2, 0x4040_004c_a43e_a47a, 32.002_339),
+        (4, 0x4040_b2cb_9fed_87e4, 33.396_839),
+    ] {
+        assert!(
+            (f64::from_bits(pinned) - approx).abs() < 1e-6,
+            "L={lanes}: pin {pinned:#x} is not {approx}"
+        );
+        let model = BftModel::with_options(params, 16.0, ModelOptions::paper().with_lanes(lanes));
+        let got = model.latency_at_flit_load(load).unwrap().total;
+        assert_eq!(
+            got.to_bits(),
+            pinned,
+            "L={lanes}: latency {got} moved from {}",
+            f64::from_bits(pinned)
+        );
+    }
+}
+
 #[test]
 fn multi_lane_model_tracks_the_simulator_at_low_to_moderate_load() {
     // The acceptance band: uniform traffic, N=64, loads up to ~55% of the
