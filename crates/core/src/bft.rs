@@ -324,7 +324,7 @@ impl BftModel {
                 return Err(ModelError::Spec(format!("invalid message rate {lambda0}")));
             }
             let spec = crate::framework::bft_spec(&self.params, self.worm_flits, lambda0);
-            return spec.latency(&self.options);
+            return spec.latency(&self.options, None);
         }
         let audit = self.audit_at_message_rate(lambda0)?;
         let w = audit.w_up[0];

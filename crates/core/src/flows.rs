@@ -1,12 +1,12 @@
 //! Workload-driven model construction from per-channel flow vectors.
 //!
-//! [`model_from_flows`] is the nonuniform-traffic counterpart of
-//! [`crate::enumerate`]: where the path enumerator rebuilds uniform
-//! traffic from scratch, this module accepts a precomputed
-//! [`FlowVector`] — *any* destination
-//! pattern pushed through the router's deterministic/adaptive path logic —
-//! and assembles the §2 model from it with **one channel class per
-//! arbitration station**:
+//! [`model_from_flows`] is the one builder of the per-station §2 model.
+//! It accepts a precomputed [`FlowVector`] — *any* destination pattern
+//! pushed through the router's deterministic/adaptive path logic — and
+//! assembles the model from it with **one channel class per arbitration
+//! station**. No symmetry is assumed, so the same builder serves networks
+//! whose channels genuinely differ by position (a mesh's corners and
+//! center) and nonuniform patterns alike:
 //!
 //! * single-channel stations (down-links, dimension hops, ejections)
 //!   become ordinary M/G/1 classes carrying that channel's exact flow;
@@ -21,54 +21,135 @@
 //! PE, which under nonuniform patterns genuinely differ by position.
 
 use crate::bft::LatencyBreakdown;
-use crate::enumerate::EnumeratedModel;
 use crate::error::ModelError;
-use crate::framework::{ClassBody, ClassId, ClassSpec, Forward, NetworkSpec, WarmStart};
+use crate::framework::{ClassBody, ClassId, ClassSpec, Forward, NetworkSpec, Solution, WarmStart};
+use crate::options::ModelOptions;
 use crate::Result;
+use wormsim_guard::SolveOutcome;
 use wormsim_topology::graph::ChannelNetwork;
 use wormsim_topology::ids::ChannelId;
 use wormsim_workload::FlowVector;
 
+/// A per-station model: the class spec (one class per arbitration
+/// station) plus the injection class of every PE to average over, equally
+/// weighted under the uniform-sources assumption.
+#[derive(Debug, Clone)]
+pub struct StationModel {
+    /// The per-station network specification.
+    pub spec: NetworkSpec,
+    /// Injection station class of every PE.
+    pub injections: Vec<ClassId>,
+}
+
+impl StationModel {
+    /// Average latency: Eq. 2's per-source average of `W_inj + x̄_inj`,
+    /// plus `D̄ − 1`. `warm` is the sweep state of
+    /// [`NetworkSpec::solve`].
+    ///
+    /// # Errors
+    ///
+    /// Saturation of any station, or spec inconsistencies.
+    pub fn latency(
+        &self,
+        options: &ModelOptions,
+        warm: Option<&mut WarmStart>,
+    ) -> Result<LatencyBreakdown> {
+        let sol = self.spec.solve(options, warm, None)?;
+        self.breakdown_from(&sol, options)
+    }
+
+    /// Saturation-aware [`Self::latency`]: total over every load,
+    /// returning a typed [`SolveOutcome`] instead of erroring on
+    /// saturation or iteration failure (see
+    /// [`NetworkSpec::solve_outcome`]).
+    ///
+    /// # Errors
+    ///
+    /// Genuine usage errors only (malformed spec, invalid options).
+    pub fn latency_outcome(
+        &self,
+        options: &ModelOptions,
+        warm: Option<&mut WarmStart>,
+    ) -> Result<SolveOutcome<LatencyBreakdown>> {
+        Ok(match self.spec.solve_outcome(options, warm, None)? {
+            SolveOutcome::Converged(sol) => {
+                SolveOutcome::Converged(self.breakdown_from(&sol, options)?)
+            }
+            SolveOutcome::Saturated { knee_estimate } => SolveOutcome::Saturated { knee_estimate },
+            SolveOutcome::NoConvergence {
+                iterations,
+                residual,
+            } => SolveOutcome::NoConvergence {
+                iterations,
+                residual,
+            },
+        })
+    }
+
+    fn breakdown_from(&self, sol: &Solution, options: &ModelOptions) -> Result<LatencyBreakdown> {
+        let mut w_sum = 0.0;
+        let mut x_sum = 0.0;
+        for inj in &self.injections {
+            // Lane corrections per injection station (identities at L = 1):
+            // the wait is already the M/G/L lane-slot wait, and the
+            // injection hold is the multiplex-stretched residence.
+            let x = sol.service_times[inj.0];
+            w_sum += sol.waiting_times[inj.0];
+            x_sum += self.spec.lane_residence_for(inj.0, x, options)?;
+        }
+        let n = self.injections.len() as f64;
+        let (w, x) = (w_sum / n, x_sum / n);
+        Ok(LatencyBreakdown {
+            w_injection: w,
+            x_injection: x,
+            avg_distance: self.spec.avg_distance,
+            total: w + x + self.spec.avg_distance - 1.0,
+        })
+    }
+
+    /// Per-PE injection summary `(W_inj, x̄_inj)` — exposes the spatial
+    /// asymmetry of non-symmetric networks (mesh corners vs. center).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::latency`].
+    pub fn per_source_injection(&self, options: &ModelOptions) -> Result<Vec<(f64, f64)>> {
+        let sol = self.spec.solve(options, None, None)?;
+        Ok(self
+            .injections
+            .iter()
+            .map(|inj| (sol.waiting_times[inj.0], sol.service_times[inj.0]))
+            .collect())
+    }
+}
+
 /// Builds a per-station §2 model from a flow vector at per-PE message
 /// rate `lambda0`.
 ///
-/// The returned [`EnumeratedModel`] solves Eq. 11 over the station
-/// classes and averages Eq. 2 over the per-PE injection stations.
+/// The returned [`StationModel`] solves Eq. 11 over the station classes
+/// and averages Eq. 2 over the per-PE injection stations.
+///
+/// `alive_servers` prices a *degraded* fabric: `alive_servers[st]` gives
+/// the number of surviving member channels of each station (what
+/// `wormsim_faults::FaultPlan::alive_servers` computes), and the station
+/// classes become M/G/`alive` instead of M/G/`m` — a fat-tree up-link
+/// pair with one dead member is priced as a single-server station
+/// carrying the full surviving flow. `None` (or the pristine counts)
+/// prices the pristine fabric, bit-for-bit.
 ///
 /// # Errors
 ///
-/// [`ModelError::Spec`] when the flow vector does not match `net` or
-/// `lambda0` is invalid.
+/// [`ModelError::Spec`] when the flow vector does not match `net`,
+/// `lambda0` is invalid, the server vector has the wrong length, or a
+/// station carries flow with no surviving servers (a disconnected fabric
+/// — the flow builder reports those as typed workload errors first).
 pub fn model_from_flows(
     net: &ChannelNetwork,
     flows: &FlowVector,
     worm_flits: f64,
     lambda0: f64,
-) -> Result<EnumeratedModel> {
-    model_from_flows_with_servers(net, flows, worm_flits, lambda0, None)
-}
-
-/// [`model_from_flows`] over a *degraded* fabric: `alive_servers[st]`
-/// gives the number of surviving member channels of each station (what
-/// `wormsim_faults::FaultPlan::alive_servers` computes), and the station
-/// classes become M/G/`alive` instead of M/G/`m` — a fat-tree up-link
-/// pair with one dead member is priced as a single-server station
-/// carrying the full surviving flow. `None` (or the pristine counts)
-/// reproduces [`model_from_flows`] bit-for-bit.
-///
-/// # Errors
-///
-/// As [`model_from_flows`]; additionally [`ModelError::Spec`] when the
-/// server vector has the wrong length or a station carries flow with no
-/// surviving servers (a disconnected fabric — the flow builder reports
-/// those as typed workload errors first).
-pub fn model_from_flows_with_servers(
-    net: &ChannelNetwork,
-    flows: &FlowVector,
-    worm_flits: f64,
-    lambda0: f64,
     alive_servers: Option<&[u32]>,
-) -> Result<EnumeratedModel> {
+) -> Result<StationModel> {
     if !(lambda0.is_finite() && lambda0 >= 0.0) {
         return Err(ModelError::Spec(format!("invalid message rate {lambda0}")));
     }
@@ -192,7 +273,7 @@ pub fn model_from_flows_with_servers(
         injection: injections[0],
         avg_distance: flows.avg_distance(),
     };
-    Ok(EnumeratedModel { spec, injections })
+    Ok(StationModel { spec, injections })
 }
 
 /// A load sweep over one flow vector's per-station model, built once.
@@ -207,7 +288,7 @@ pub fn model_from_flows_with_servers(
 /// vector.
 #[derive(Debug, Clone)]
 pub struct FlowModelSweep {
-    model: EnumeratedModel,
+    model: StationModel,
     /// Per-class arrival rate at `lambda0 = 1`.
     unit_lambdas: Vec<f64>,
     warm: WarmStart,
@@ -225,18 +306,18 @@ impl FlowModelSweep {
     }
 
     /// As [`Self::new`] over a degraded fabric: `alive_servers` as in
-    /// [`model_from_flows_with_servers`].
+    /// [`model_from_flows`].
     ///
     /// # Errors
     ///
-    /// As [`model_from_flows_with_servers`].
+    /// As [`model_from_flows`].
     pub fn new_with_servers(
         net: &ChannelNetwork,
         flows: &FlowVector,
         worm_flits: f64,
         alive_servers: Option<&[u32]>,
     ) -> Result<Self> {
-        let model = model_from_flows_with_servers(net, flows, worm_flits, 1.0, alive_servers)?;
+        let model = model_from_flows(net, flows, worm_flits, 1.0, alive_servers)?;
         let unit_lambdas = model.spec.classes.iter().map(|c| c.lambda).collect();
         Ok(Self {
             model,
@@ -251,19 +332,15 @@ impl FlowModelSweep {
     /// # Errors
     ///
     /// [`ModelError::Spec`] on an invalid rate; solver errors as in
-    /// [`EnumeratedModel::latency`].
-    pub fn latency_at(
-        &mut self,
-        lambda0: f64,
-        options: &crate::options::ModelOptions,
-    ) -> Result<LatencyBreakdown> {
+    /// [`StationModel::latency`].
+    pub fn latency_at(&mut self, lambda0: f64, options: &ModelOptions) -> Result<LatencyBreakdown> {
         if !(lambda0.is_finite() && lambda0 >= 0.0) {
             return Err(ModelError::Spec(format!("invalid message rate {lambda0}")));
         }
         for (class, unit) in self.model.spec.classes.iter_mut().zip(&self.unit_lambdas) {
             class.lambda = unit * lambda0;
         }
-        self.model.latency_warm(options, &mut self.warm)
+        self.model.latency(options, Some(&mut self.warm))
     }
 
     /// Saturation-aware [`Self::latency_at`], total over every load:
@@ -279,15 +356,15 @@ impl FlowModelSweep {
     pub fn outcome_at(
         &mut self,
         lambda0: f64,
-        options: &crate::options::ModelOptions,
-    ) -> Result<wormsim_guard::SolveOutcome<LatencyBreakdown>> {
+        options: &ModelOptions,
+    ) -> Result<SolveOutcome<LatencyBreakdown>> {
         if !(lambda0.is_finite() && lambda0 >= 0.0) {
             return Err(ModelError::Spec(format!("invalid message rate {lambda0}")));
         }
         for (class, unit) in self.model.spec.classes.iter_mut().zip(&self.unit_lambdas) {
             class.lambda = unit * lambda0;
         }
-        self.model.latency_outcome_warm(options, &mut self.warm)
+        self.model.latency_outcome(options, Some(&mut self.warm))
     }
 
     /// Brackets this workload's saturation knee in per-PE message rate
@@ -301,7 +378,7 @@ impl FlowModelSweep {
     /// As [`crate::framework::NetworkSpec::find_knee`].
     pub fn find_knee(
         &mut self,
-        options: &crate::options::ModelOptions,
+        options: &ModelOptions,
         cfg: &wormsim_guard::KneeConfig,
     ) -> Result<wormsim_guard::Knee> {
         for (class, unit) in self.model.spec.classes.iter_mut().zip(&self.unit_lambdas) {
@@ -312,7 +389,7 @@ impl FlowModelSweep {
 
     /// The model as last rescaled (mainly for inspection in tests).
     #[must_use]
-    pub fn model(&self) -> &EnumeratedModel {
+    pub fn model(&self) -> &StationModel {
         &self.model
     }
 
@@ -323,39 +400,16 @@ impl FlowModelSweep {
     }
 }
 
-/// Convenience: build the flows for `routing` under `pattern` and solve
-/// the model at `lambda0` with the paper's options, returning the latency
-/// breakdown. The long-form API ([`FlowVector::build`] +
-/// [`model_from_flows`]) amortizes the flow computation across a load
-/// sweep ([`FlowModelSweep`] also amortizes the spec assembly and warm
-/// starts the solver); this one-shot form suits single operating points.
-///
-/// # Errors
-///
-/// Workload errors surface as [`ModelError::Spec`]; solver errors as in
-/// [`EnumeratedModel::latency`].
-pub fn workload_latency(
-    routing: &impl wormsim_workload::FlowRouting,
-    pattern: &wormsim_workload::DestinationPattern,
-    worm_flits: f64,
-    lambda0: f64,
-) -> Result<LatencyBreakdown> {
-    let flows = FlowVector::build(routing, pattern)
-        .map_err(|e| ModelError::Spec(format!("workload: {e}")))?;
-    let model = model_from_flows(routing.network(), &flows, worm_flits, lambda0)?;
-    model.latency(&crate::options::ModelOptions::paper())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bft::BftModel;
-    use crate::enumerate::enumerate_deterministic;
-    use crate::options::ModelOptions;
+    use crate::hypercube::hypercube_spec;
     use wormsim_topology::bft::{BftParams, ButterflyFatTree};
+    use wormsim_topology::graph::ChannelClass;
     use wormsim_topology::hypercube::Hypercube;
     use wormsim_topology::mesh::Mesh;
-    use wormsim_workload::DestinationPattern;
+    use wormsim_workload::{DestinationPattern, FlowRouting};
 
     #[test]
     fn uniform_flows_track_the_closed_form_bft_model() {
@@ -373,9 +427,9 @@ mod tests {
             for s in [16.0, 32.0] {
                 for lambda0 in [0.0, 0.0005, 0.001] {
                     let closed = BftModel::new(params, s).latency_at_message_rate(lambda0);
-                    let station = model_from_flows(tree.network(), &flows, s, lambda0)
+                    let station = model_from_flows(tree.network(), &flows, s, lambda0, None)
                         .unwrap()
-                        .latency(&ModelOptions::paper());
+                        .latency(&ModelOptions::paper(), None);
                     match (closed, station) {
                         (Ok(a), Ok(b)) => {
                             assert!(
@@ -398,32 +452,106 @@ mod tests {
     }
 
     #[test]
-    fn uniform_flows_match_path_enumeration_on_deterministic_routers() {
-        // For single-path routers the per-station model and the
-        // per-channel enumerated model are the same mathematical object.
-        let cube = Hypercube::new(4).unwrap();
-        let flows = FlowVector::build(&cube, &DestinationPattern::Uniform).unwrap();
-        for lambda0 in [0.0, 0.002, 0.006] {
-            let a = model_from_flows(cube.network(), &flows, 16.0, lambda0)
-                .unwrap()
-                .latency(&ModelOptions::paper())
-                .unwrap();
-            let b = enumerate_deterministic(
-                cube.network(),
-                |node, dest| cube.route(node, dest),
-                16.0,
-                lambda0,
-            )
-            .unwrap()
-            .latency(&ModelOptions::paper())
-            .unwrap();
-            assert!(
-                (a.total - b.total).abs() < 1e-9 * (1.0 + a.total),
-                "λ0={lambda0}: flows {} vs enumerate {}",
-                a.total,
-                b.total
-            );
+    fn uniform_cube_flows_match_the_hypercube_class_model() {
+        // For e-cube routing the per-station model and the hand-derived
+        // per-dimension class model are the same mathematical object.
+        for dim in [4u32, 6, 8] {
+            let cube = Hypercube::new(dim).unwrap();
+            let flows = FlowVector::build(&cube, &DestinationPattern::Uniform).unwrap();
+            for lambda0 in [0.0, 0.002, 0.006] {
+                let a = model_from_flows(cube.network(), &flows, 16.0, lambda0, None)
+                    .unwrap()
+                    .latency(&ModelOptions::paper(), None)
+                    .unwrap();
+                let b = hypercube_spec(dim, 16.0, lambda0)
+                    .unwrap()
+                    .latency(&ModelOptions::paper(), None)
+                    .unwrap();
+                assert!(
+                    (a.total - b.total).abs() < 1e-9 * (1.0 + a.total),
+                    "d={dim} λ0={lambda0}: flows {} vs class model {}",
+                    a.total,
+                    b.total
+                );
+            }
         }
+    }
+
+    #[test]
+    fn cube_stations_solve_to_their_symmetry_derived_class() {
+        // The class model assumes every channel of one dimension is
+        // statistically identical; the per-station model solves each
+        // channel on its own, so each must land on its class's x̄ and W.
+        let dim = 4u32;
+        let cube = Hypercube::new(dim).unwrap();
+        let flows = FlowVector::build(&cube, &DestinationPattern::Uniform).unwrap();
+        let opts = ModelOptions::paper();
+        for lambda0 in [0.0, 0.002, 0.008] {
+            let by_station = model_from_flows(cube.network(), &flows, 16.0, lambda0, None)
+                .unwrap()
+                .spec
+                .solve(&opts, None, None)
+                .unwrap();
+            let by_class = hypercube_spec(dim, 16.0, lambda0)
+                .unwrap()
+                .solve(&opts, None, None)
+                .unwrap();
+            for (i, info) in cube.network().channels().iter().enumerate() {
+                let class = match info.class {
+                    ChannelClass::Ejection => 0,
+                    ChannelClass::Dimension { dim: k } => 1 + k as usize,
+                    ChannelClass::Injection => 1 + dim as usize,
+                    other => panic!("channel {i}: unexpected class {other}"),
+                };
+                let st = info.station.index();
+                for (what, got, want) in [
+                    (
+                        "x̄",
+                        by_station.service_times[st],
+                        by_class.service_times[class],
+                    ),
+                    (
+                        "W",
+                        by_station.waiting_times[st],
+                        by_class.waiting_times[class],
+                    ),
+                ] {
+                    assert!(
+                        (got - want).abs() < 1e-9 * (1.0 + want),
+                        "λ0={lambda0} channel {i} ({}): {what} {got} vs class {want}",
+                        info.class
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mesh_flow_model_exposes_positional_asymmetry() {
+        // In a mesh, central channels carry more traffic than edge ones,
+        // and central sources see more contention than corner sources.
+        let mesh = Mesh::new(4, 2).unwrap();
+        let flows = FlowVector::build(&mesh, &DestinationPattern::Uniform).unwrap();
+        let m = model_from_flows(mesh.network(), &flows, 16.0, 0.004, None).unwrap();
+        m.spec.validate().unwrap();
+        let per_source = m.per_source_injection(&ModelOptions::paper()).unwrap();
+        // Corner sources have the longest expected remaining paths under
+        // uniform traffic, so their injected worms accumulate the most
+        // downstream blocking: corner x̄_inj exceeds central x̄_inj.
+        let (_, x_corner) = per_source[0]; // PE 0 = (0,0)
+        let (_, x_center) = per_source[5]; // PE 5 = (1,1)
+        assert!(
+            x_corner > x_center,
+            "corner source service {x_corner} should exceed central {x_center}"
+        );
+        // The asymmetry is real: min and max per-source service differ.
+        let xs: Vec<f64> = per_source.iter().map(|&(_, x)| x).collect();
+        let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
+        let max = xs.iter().cloned().fold(0.0f64, f64::max);
+        assert!(max - min > 1e-3, "mesh injection must vary by position");
+        // Average latency sits above the zero-load bound.
+        let lat = m.latency(&ModelOptions::paper(), None).unwrap();
+        assert!(lat.total > 16.0 + m.spec.avg_distance - 1.0);
     }
 
     #[test]
@@ -435,21 +563,21 @@ mod tests {
         // Hot ejector carries ≈ (N−1)·β + (1−β) ≈ 8.75 units: it saturates
         // when λ0·8.75·16 ≥ 1, i.e. λ0 ≈ 0.0071, far below the uniform knee.
         let lambda0 = 0.005;
-        let u = model_from_flows(tree.network(), &uniform, s, lambda0)
+        let u = model_from_flows(tree.network(), &uniform, s, lambda0, None)
             .unwrap()
-            .latency(&ModelOptions::paper())
+            .latency(&ModelOptions::paper(), None)
             .unwrap();
-        let h = model_from_flows(tree.network(), &hot, s, lambda0)
+        let h = model_from_flows(tree.network(), &hot, s, lambda0, None)
             .unwrap()
-            .latency(&ModelOptions::paper());
+            .latency(&ModelOptions::paper(), None);
         match h {
             Ok(h) => assert!(h.total > u.total, "hot {} vs uniform {}", h.total, u.total),
             Err(e) => assert!(e.is_saturation(), "unexpected error {e}"),
         }
         // And well past the hot ejector's capacity it must saturate.
-        let sat = model_from_flows(tree.network(), &hot, s, 0.008)
+        let sat = model_from_flows(tree.network(), &hot, s, 0.008, None)
             .unwrap()
-            .latency(&ModelOptions::paper());
+            .latency(&ModelOptions::paper(), None);
         assert!(sat.is_err());
     }
 
@@ -463,8 +591,8 @@ mod tests {
             DestinationPattern::hot_spot(),
         ] {
             let flows = FlowVector::build(&mesh, &pattern).unwrap();
-            let m = model_from_flows(mesh.network(), &flows, 16.0, 0.0).unwrap();
-            let lat = m.latency(&ModelOptions::paper()).unwrap();
+            let m = model_from_flows(mesh.network(), &flows, 16.0, 0.0, None).unwrap();
+            let lat = m.latency(&ModelOptions::paper(), None).unwrap();
             let expect = 16.0 + flows.avg_distance() - 1.0;
             assert!(
                 (lat.total - expect).abs() < 1e-12,
@@ -475,16 +603,27 @@ mod tests {
     }
 
     #[test]
-    fn one_shot_workload_latency_agrees_with_long_form() {
-        let tree = ButterflyFatTree::new(BftParams::paper(16).unwrap());
-        let pattern = DestinationPattern::hot_spot();
-        let one = workload_latency(&tree, &pattern, 16.0, 0.001).unwrap();
-        let flows = FlowVector::build(&tree, &pattern).unwrap();
-        let long = model_from_flows(tree.network(), &flows, 16.0, 0.001)
-            .unwrap()
-            .latency(&ModelOptions::paper())
-            .unwrap();
-        assert_eq!(one.total.to_bits(), long.total.to_bits());
+    fn zero_load_flow_latency_is_exact_on_every_topology() {
+        // With no load nothing waits, so every topology's flow-built model
+        // returns s + D̄ − 1, the fat-tree's M/G/p up-link bundles included.
+        fn zero_load_gap<R: FlowRouting>(routing: &R) -> f64 {
+            let flows = FlowVector::build(routing, &DestinationPattern::Uniform).unwrap();
+            let lat = model_from_flows(routing.network(), &flows, 16.0, 0.0, None)
+                .unwrap()
+                .latency(&ModelOptions::paper(), None)
+                .unwrap();
+            lat.total - (16.0 + flows.avg_distance() - 1.0)
+        }
+        let tree = ButterflyFatTree::new(BftParams::paper(64).unwrap());
+        let cube = Hypercube::new(4).unwrap();
+        let mesh = Mesh::new(3, 2).unwrap();
+        for (name, gap) in [
+            ("bft N=64", zero_load_gap(&tree)),
+            ("cube d=4", zero_load_gap(&cube)),
+            ("mesh 3x3", zero_load_gap(&mesh)),
+        ] {
+            assert!(gap.abs() < 1e-12, "{name}: off by {gap}");
+        }
     }
 
     #[test]
@@ -497,9 +636,9 @@ mod tests {
         let mut sweep = FlowModelSweep::new(tree.network(), &flows, 16.0).unwrap();
         for lambda0 in [0.0, 0.0005, 0.001, 0.002, 0.003] {
             let swept = sweep.latency_at(lambda0, &ModelOptions::paper());
-            let rebuilt = model_from_flows(tree.network(), &flows, 16.0, lambda0)
+            let rebuilt = model_from_flows(tree.network(), &flows, 16.0, lambda0, None)
                 .unwrap()
-                .latency(&ModelOptions::paper());
+                .latency(&ModelOptions::paper(), None);
             match (swept, rebuilt) {
                 (Ok(a), Ok(b)) => assert_eq!(
                     a.total.to_bits(),
@@ -527,13 +666,13 @@ mod tests {
             .map(wormsim_topology::graph::Station::servers)
             .collect();
         for lambda0 in [0.0, 0.001, 0.002] {
-            let base = model_from_flows(net, &flows, 16.0, lambda0)
+            let base = model_from_flows(net, &flows, 16.0, lambda0, None)
                 .unwrap()
-                .latency(&ModelOptions::paper())
+                .latency(&ModelOptions::paper(), None)
                 .unwrap();
-            let degraded = model_from_flows_with_servers(net, &flows, 16.0, lambda0, Some(&full))
+            let degraded = model_from_flows(net, &flows, 16.0, lambda0, Some(&full))
                 .unwrap()
-                .latency(&ModelOptions::paper())
+                .latency(&ModelOptions::paper(), None)
                 .unwrap();
             assert_eq!(base.total.to_bits(), degraded.total.to_bits());
         }
@@ -557,13 +696,13 @@ mod tests {
             .expect("BFT-64 has multi-server up bundles");
         alive[bundle] -= 1;
         let lambda0 = 0.002;
-        let base = model_from_flows(net, &flows, 16.0, lambda0)
+        let base = model_from_flows(net, &flows, 16.0, lambda0, None)
             .unwrap()
-            .latency(&ModelOptions::paper())
+            .latency(&ModelOptions::paper(), None)
             .unwrap();
-        let degraded = model_from_flows_with_servers(net, &flows, 16.0, lambda0, Some(&alive))
+        let degraded = model_from_flows(net, &flows, 16.0, lambda0, Some(&alive))
             .unwrap()
-            .latency(&ModelOptions::paper())
+            .latency(&ModelOptions::paper(), None)
             .unwrap();
         assert!(
             degraded.total > base.total,
@@ -574,11 +713,11 @@ mod tests {
         // A station that still carries flow but has no surviving servers is
         // a spec error, not a silent divide-by-zero.
         alive[bundle] = 0;
-        let dead = model_from_flows_with_servers(net, &flows, 16.0, lambda0, Some(&alive));
+        let dead = model_from_flows(net, &flows, 16.0, lambda0, Some(&alive));
         assert!(dead.is_err());
         // And a wrong-length vector is rejected up front.
         let short = vec![1u32; 3];
-        assert!(model_from_flows_with_servers(net, &flows, 16.0, lambda0, Some(&short)).is_err());
+        assert!(model_from_flows(net, &flows, 16.0, lambda0, Some(&short)).is_err());
     }
 
     #[test]
@@ -641,7 +780,7 @@ mod tests {
         let tree16 = ButterflyFatTree::new(BftParams::paper(16).unwrap());
         let tree64 = ButterflyFatTree::new(BftParams::paper(64).unwrap());
         let flows = FlowVector::build(&tree16, &DestinationPattern::Uniform).unwrap();
-        assert!(model_from_flows(tree64.network(), &flows, 16.0, 0.001).is_err());
-        assert!(model_from_flows(tree16.network(), &flows, 16.0, f64::NAN).is_err());
+        assert!(model_from_flows(tree64.network(), &flows, 16.0, 0.001, None).is_err());
+        assert!(model_from_flows(tree16.network(), &flows, 16.0, f64::NAN, None).is_err());
     }
 }

@@ -39,7 +39,7 @@ use crate::Result;
 use wormsim_guard::{bracket_knee, escalate, Knee, KneeConfig, LadderOutcome, Rung, SolveOutcome};
 use wormsim_obs::{LadderSample, ModelTelemetry, OutcomeKind, SolverTrace, StationBreakdown};
 use wormsim_queueing::solver::{
-    fixed_point_accelerated_traced, fixed_point_traced, AccelerationConfig, FixedPointConfig,
+    fixed_point, fixed_point_accelerated, AccelerationConfig, FixedPointConfig,
 };
 use wormsim_queueing::{mg1, mgm, QueueingError};
 
@@ -47,9 +47,9 @@ use wormsim_queueing::{mg1, mgm, QueueingError};
 /// load sweep, a saturation bisection, a β sweep — whose solutions vary
 /// continuously with the swept parameter.
 ///
-/// Passing the same `WarmStart` to consecutive [`NetworkSpec::solve_warm`]
-/// calls seeds each cyclic solve with the previous converged service-time
-/// vector and engages the accelerated iteration
+/// Passing the same `WarmStart` as the `warm` argument of consecutive
+/// [`NetworkSpec::solve`] calls seeds each cyclic solve with the previous
+/// converged service-time vector and engages the accelerated iteration
 /// ([`fixed_point_accelerated`]: adaptive damping plus verified Aitken
 /// Δ²), typically cutting fixed-point iterations by well over the 30%
 /// sweep target on interior points while converging to the same vectors
@@ -203,8 +203,7 @@ impl SolveProfile {
     /// The profile for one [`Rung`] of the escalation ladder.
     ///
     /// * `Plain` — the historical configuration: θ = 0.5, accelerated iff
-    ///   warm-started (identical to [`NetworkSpec::solve`] /
-    ///   [`NetworkSpec::solve_warm`]).
+    ///   warm-started (what [`NetworkSpec::solve`] runs).
     /// * `Damped` — θ = 0.1 plain iteration: slow, but contracts where
     ///   the θ = 0.5 map oscillates.
     /// * `AcceleratedRestart` — Aitken Δ² from a cold seed, able to land
@@ -397,7 +396,7 @@ impl NetworkSpec {
         .map_err(|e| ModelError::at(class.name.clone(), e))
     }
 
-    /// Crate-visible [`Self::lane_residence`] (used by the enumerated
+    /// Crate-visible [`Self::lane_residence`] (used by the station
     /// model's per-injection breakdown).
     pub(crate) fn lane_residence_for(
         &self,
@@ -490,59 +489,40 @@ impl NetworkSpec {
 
     /// Solves for every class's service and waiting time.
     ///
-    /// # Errors
-    ///
-    /// Spec errors, saturation at any station, or fixed-point divergence
-    /// (cyclic graphs near saturation).
-    pub fn solve(&self, options: &ModelOptions) -> Result<Solution> {
-        self.solve_inner(options, None, None)
-    }
-
-    /// Like [`Self::solve`], but filling `telemetry` with the solver's
-    /// convergence trace (per-evaluation residual, damping, Aitken
-    /// outcomes — empty when the class graph is a DAG and no iteration
-    /// runs) and the per-station breakdown of the solution. The solved
-    /// values are bit-for-bit those of [`Self::solve`]: tracing only
-    /// records, it never alters the iteration.
-    ///
-    /// Any previous contents of `telemetry` are replaced.
+    /// * `warm` threads sweep state: the cyclic solve is seeded with the
+    ///   previous converged vector and runs the accelerated iteration, and
+    ///   on success the state is refreshed for the next sweep point (see
+    ///   [`WarmStart`]). A failed point leaves it untouched, so the next
+    ///   point still seeds from the last convergent one.
+    /// * `telemetry` receives the solver's convergence trace
+    ///   (per-evaluation residual, damping, Aitken outcomes — empty when
+    ///   the class graph is a DAG and no iteration runs) and, on success,
+    ///   the per-station breakdown of the solution. Any previous contents
+    ///   are replaced. Tracing only records: the solved values are
+    ///   bit-for-bit those of the untraced solve.
     ///
     /// # Errors
     ///
-    /// Same as [`Self::solve`]. On error the telemetry holds whatever
-    /// trace accumulated before the failure and no station rows.
-    pub fn solve_traced(
+    /// Spec errors, saturation at any station (naming the saturated
+    /// class), or fixed-point divergence (cyclic graphs near saturation).
+    /// On error the telemetry holds whatever trace accumulated before the
+    /// failure and no station rows.
+    pub fn solve(
         &self,
         options: &ModelOptions,
-        telemetry: &mut ModelTelemetry,
+        warm: Option<&mut WarmStart>,
+        telemetry: Option<&mut ModelTelemetry>,
     ) -> Result<Solution> {
-        telemetry.solver = SolverTrace::new();
-        telemetry.stations.clear();
-        let sol = self.solve_inner(options, None, Some(&mut telemetry.solver))?;
-        telemetry.stations = self.station_breakdown(&sol, options)?;
-        Ok(sol)
-    }
-
-    /// [`Self::solve_warm`] with telemetry: the accelerated, warm-seeded
-    /// iteration runs with its convergence trace captured (this is the
-    /// variant that exercises Aitken Δ² and adaptive damping), and the
-    /// per-station breakdown is filled on success. Bit-for-bit identical
-    /// values to [`Self::solve_warm`] given the same prior state.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::solve_warm`].
-    pub fn solve_warm_traced(
-        &self,
-        options: &ModelOptions,
-        warm: &mut WarmStart,
-        telemetry: &mut ModelTelemetry,
-    ) -> Result<Solution> {
-        telemetry.solver = SolverTrace::new();
-        telemetry.stations.clear();
-        let sol = self.solve_inner(options, Some(warm), Some(&mut telemetry.solver))?;
-        telemetry.stations = self.station_breakdown(&sol, options)?;
-        Ok(sol)
+        let profile = SolveProfile::for_rung(Rung::Plain, warm.is_some());
+        match telemetry {
+            None => self.solve_profiled(options, warm, None, profile),
+            Some(t) => {
+                t.reset();
+                let sol = self.solve_profiled(options, warm, Some(&mut t.solver), profile)?;
+                t.stations = self.station_breakdown(&sol, options)?;
+                Ok(sol)
+            }
+        }
     }
 
     /// Per-station breakdown of a solved spec: for every class, the
@@ -596,19 +576,6 @@ impl NetworkSpec {
         Ok(rows)
     }
 
-    /// Like [`Self::solve`], but threading sweep state: the cyclic solve
-    /// is seeded with `warm`'s previous converged vector and runs the
-    /// accelerated iteration; on success the state is refreshed for the
-    /// next sweep point. See [`WarmStart`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::solve`] (a failed point leaves `warm` untouched, so
-    /// the next point still seeds from the last convergent one).
-    pub fn solve_warm(&self, options: &ModelOptions, warm: &mut WarmStart) -> Result<Solution> {
-        self.solve_inner(options, Some(warm), None)
-    }
-
     /// Saturation-aware solve, total over load ∈ [0, ∞): never errors on
     /// saturation or iteration failure, returning a typed
     /// [`SolveOutcome`] instead. A failed attempt is retried through the
@@ -617,49 +584,19 @@ impl NetworkSpec {
     /// detected divergence — definitive) or `NoConvergence` (budget
     /// expired at every rung — report, don't guess).
     ///
+    /// `warm` is the sweep state of [`Self::solve`]; a non-converged point
+    /// leaves it untouched. `telemetry` receives the solver trace of the
+    /// *final* ladder attempt, one [`LadderSample`] per rung tried and the
+    /// outcome classification, plus the station breakdown when the solve
+    /// converged. Any previous contents are replaced.
+    ///
     /// # Errors
     ///
     /// Only genuine usage errors: malformed specs, invalid options. The
     /// load being too high is *data* ([`SolveOutcome::Saturated`]), not
-    /// an error.
-    pub fn solve_outcome(&self, options: &ModelOptions) -> Result<SolveOutcome<Solution>> {
-        self.solve_outcome_inner(options, None, None)
-    }
-
-    /// [`Self::solve_outcome`] with warm-started sweep state: the sweep
-    /// entry point that degrades gracefully. A non-converged point
-    /// leaves `warm` untouched, so the next sweep point still seeds from
-    /// the last convergent one.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::solve_outcome`].
-    pub fn solve_outcome_warm(
-        &self,
-        options: &ModelOptions,
-        warm: &mut WarmStart,
-    ) -> Result<SolveOutcome<Solution>> {
-        self.solve_outcome_inner(options, Some(warm), None)
-    }
-
-    /// [`Self::solve_outcome`] with telemetry: the solver trace of the
-    /// *final* ladder attempt, one [`LadderSample`] per rung tried, and
-    /// the outcome classification land in `telemetry`; the station
-    /// breakdown is filled when the solve converged.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::solve_outcome`]. On error the telemetry holds the
-    /// ladder attempts and trace accumulated before the failure.
-    pub fn solve_outcome_traced(
-        &self,
-        options: &ModelOptions,
-        telemetry: &mut ModelTelemetry,
-    ) -> Result<SolveOutcome<Solution>> {
-        self.solve_outcome_inner(options, None, Some(telemetry))
-    }
-
-    fn solve_outcome_inner(
+    /// an error. On error the telemetry holds the ladder attempts and
+    /// trace accumulated before the failure.
+    pub fn solve_outcome(
         &self,
         options: &ModelOptions,
         mut warm: Option<&mut WarmStart>,
@@ -777,7 +714,7 @@ impl NetworkSpec {
             for (class, b) in scaled.classes.iter_mut().zip(&base) {
                 class.lambda = b * t;
             }
-            match scaled.solve_outcome_warm(options, &mut warm) {
+            match scaled.solve_outcome(options, Some(&mut warm), None) {
                 Ok(outcome) => outcome.is_converged(),
                 Err(e) => {
                     // A usage error aborts the probe sequence; surface
@@ -791,28 +728,6 @@ impl NetworkSpec {
             return Err(e);
         }
         bracket.map_err(ModelError::Knee)
-    }
-
-    fn solve_inner(
-        &self,
-        options: &ModelOptions,
-        warm: Option<&mut WarmStart>,
-        trace: Option<&mut SolverTrace>,
-    ) -> Result<Solution> {
-        // The historical profile: standard damping, accelerated iff a
-        // warm start is threaded through. Bit-for-bit the pre-ladder
-        // behaviour.
-        let accelerated = warm.is_some();
-        self.solve_profiled(
-            options,
-            warm,
-            trace,
-            SolveProfile {
-                damping: 0.5,
-                accelerated,
-                cold_seed: false,
-            },
-        )
     }
 
     fn solve_profiled(
@@ -869,9 +784,9 @@ impl NetworkSpec {
                 Ok(())
             };
             let outcome = if profile.accelerated {
-                fixed_point_accelerated_traced(&x, cfg, AccelerationConfig::default(), map, trace)
+                fixed_point_accelerated(&x, cfg, AccelerationConfig::default(), map, trace)
             } else {
-                fixed_point_traced(&x, cfg, map, trace)
+                fixed_point(&x, cfg, map, trace)
             };
             match outcome {
                 Ok(out) => {
@@ -922,27 +837,17 @@ impl NetworkSpec {
     }
 
     /// Average latency via Eq. 2/25: `L = W_inj + x̄_inj + D̄ − 1`.
+    /// `warm` is the sweep state of [`Self::solve`].
     ///
     /// # Errors
     ///
     /// Same as [`Self::solve`].
-    pub fn latency(&self, options: &ModelOptions) -> Result<crate::bft::LatencyBreakdown> {
-        let sol = self.solve(options)?;
-        self.breakdown_from(&sol, options)
-    }
-
-    /// [`Self::latency`] with warm-started sweep state — the entry point
-    /// for figure sweeps re-solving the same network across loads.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::solve`].
-    pub fn latency_warm(
+    pub fn latency(
         &self,
         options: &ModelOptions,
-        warm: &mut WarmStart,
+        warm: Option<&mut WarmStart>,
     ) -> Result<crate::bft::LatencyBreakdown> {
-        let sol = self.solve_warm(options, warm)?;
+        let sol = self.solve(options, warm, None)?;
         self.breakdown_from(&sol, options)
     }
 
@@ -1173,9 +1078,8 @@ pub fn bft_spec_with_rates(
 /// that resolve in one backward pass; a ring's channels form a dependency
 /// cycle (`ring₀ → ring₁ → … → ring₀`), so Eq. 11 must be solved by
 /// fixed-point iteration. This makes the ring the exemplar network for the
-/// warm-started sweep machinery ([`WarmStart`],
-/// [`NetworkSpec::solve_warm`]): it is what the iteration-count benchmarks
-/// and regression tests sweep.
+/// warm-started sweep machinery ([`WarmStart`]): it is what the
+/// iteration-count regression tests sweep.
 ///
 /// Model: each node sends `lambda0` worms/cycle to a destination uniform
 /// over the other `k − 1` nodes, so ring hops per message are uniform on
@@ -1184,15 +1088,25 @@ pub fn bft_spec_with_rates(
 /// to the next one with the aggregate probability `(D−1)/D` or ejects with
 /// `1/D`.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when `k < 3` (a 2-ring has no cycle) or the inputs are not
-/// finite and positive.
-#[must_use]
-pub fn ring_spec(k: usize, worm_flits: f64, lambda0: f64) -> NetworkSpec {
-    assert!(k >= 3, "a ring needs at least 3 nodes to form a cycle");
-    assert!(worm_flits.is_finite() && worm_flits > 0.0);
-    assert!(lambda0.is_finite() && lambda0 >= 0.0);
+/// [`ModelError::Spec`] when `k < 3` (a 2-ring has no cycle), the worm
+/// length is not finite and positive, or the rate is not finite and
+/// non-negative.
+pub fn ring_spec(k: usize, worm_flits: f64, lambda0: f64) -> Result<NetworkSpec> {
+    if k < 3 {
+        return Err(ModelError::Spec(format!(
+            "a ring needs at least 3 nodes to form a cycle, got {k}"
+        )));
+    }
+    if !(worm_flits.is_finite() && worm_flits > 0.0) {
+        return Err(ModelError::Spec(format!(
+            "invalid worm length {worm_flits}"
+        )));
+    }
+    if !(lambda0.is_finite() && lambda0 >= 0.0) {
+        return Err(ModelError::Spec(format!("invalid message rate {lambda0}")));
+    }
     let d = k as f64 / 2.0;
     let p_continue = (d - 1.0) / d;
     let p_eject = 1.0 / d;
@@ -1229,13 +1143,13 @@ pub fn ring_spec(k: usize, worm_flits: f64, lambda0: f64) -> NetworkSpec {
             forwards: vec![Forward::flat(ring(0), 1, 1.0)],
         },
     });
-    NetworkSpec {
+    Ok(NetworkSpec {
         classes,
         worm_flits,
         injection: ClassId(k + 1),
         // Injection + D ring hops + ejection.
         avg_distance: d + 2.0,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -1280,7 +1194,7 @@ mod tests {
     fn line_network_resolves_backwards() {
         let spec = line_spec(0.01, 16.0);
         spec.validate().unwrap();
-        let sol = spec.solve(&ModelOptions::paper()).unwrap();
+        let sol = spec.solve(&ModelOptions::paper(), None, None).unwrap();
         assert_eq!(sol.iterations, 0, "line network is a DAG");
         // Ejection service is fixed.
         assert_eq!(sol.service_times[0], 16.0);
@@ -1296,7 +1210,9 @@ mod tests {
     #[test]
     fn line_without_blocking_correction_accumulates_waits() {
         let spec = line_spec(0.01, 16.0);
-        let sol = spec.solve(&ModelOptions::no_blocking_correction()).unwrap();
+        let sol = spec
+            .solve(&ModelOptions::no_blocking_correction(), None, None)
+            .unwrap();
         assert!(
             sol.service_times[2] > 16.0,
             "P=1 must add waiting at every hop"
@@ -1306,7 +1222,7 @@ mod tests {
     #[test]
     fn zero_load_framework_latency_is_s_plus_d_minus_one() {
         let spec = line_spec(0.0, 16.0);
-        let lat = spec.latency(&ModelOptions::paper()).unwrap();
+        let lat = spec.latency(&ModelOptions::paper(), None).unwrap();
         assert!((lat.total - (16.0 + 3.0 - 1.0)).abs() < 1e-12);
     }
 
@@ -1328,7 +1244,7 @@ mod tests {
                         let closed = crate::bft::BftModel::with_options(params, s, options)
                             .latency_at_message_rate(lambda0);
                         let spec = bft_spec(&params, s, lambda0);
-                        let generic = spec.latency(&options);
+                        let generic = spec.latency(&options, None);
                         match (closed, generic) {
                             (Ok(a), Ok(b)) => {
                                 assert!(
@@ -1368,8 +1284,8 @@ mod tests {
                 for (a, b) in direct.classes.iter().zip(&via_rates.classes) {
                     assert_eq!(a.lambda.to_bits(), b.lambda.to_bits(), "{}", a.name);
                 }
-                let la = direct.latency(&ModelOptions::paper());
-                let lb = via_rates.latency(&ModelOptions::paper());
+                let la = direct.latency(&ModelOptions::paper(), None);
+                let lb = via_rates.latency(&ModelOptions::paper(), None);
                 match (la, lb) {
                     (Ok(a), Ok(b)) => assert_eq!(a.total.to_bits(), b.total.to_bits()),
                     (Err(_), Err(_)) => {}
@@ -1401,9 +1317,9 @@ mod tests {
                     assert!((a - b).abs() <= 1e-11 * (1.0 + b.abs()), "down {a} vs {b}");
                 }
                 assert!((from_flows.avg_distance - closed.avg_distance).abs() < 1e-9);
-                let a =
-                    bft_spec_with_rates(&params, 16.0, &from_flows).latency(&ModelOptions::paper());
-                let b = bft_spec(&params, 16.0, lambda0).latency(&ModelOptions::paper());
+                let a = bft_spec_with_rates(&params, 16.0, &from_flows)
+                    .latency(&ModelOptions::paper(), None);
+                let b = bft_spec(&params, 16.0, lambda0).latency(&ModelOptions::paper(), None);
                 match (a, b) {
                     (Ok(a), Ok(b)) => assert!(
                         (a.total - b.total).abs() < 1e-9 * (1.0 + b.total),
@@ -1422,7 +1338,7 @@ mod tests {
     fn bft_spec_is_a_dag() {
         let params = BftParams::paper(256).unwrap();
         let spec = bft_spec(&params, 32.0, 0.001);
-        let sol = spec.solve(&ModelOptions::paper()).unwrap();
+        let sol = spec.solve(&ModelOptions::paper(), None, None).unwrap();
         assert_eq!(sol.iterations, 0);
     }
 
@@ -1475,7 +1391,7 @@ mod tests {
             avg_distance: 4.0,
         };
         spec.validate().unwrap();
-        let sol = spec.solve(&ModelOptions::paper()).unwrap();
+        let sol = spec.solve(&ModelOptions::paper(), None, None).unwrap();
         assert!(sol.iterations > 0, "cycle must engage the fixed point");
         // The fixed point must satisfy the service equations.
         for i in 0..spec.classes.len() {
@@ -1492,13 +1408,13 @@ mod tests {
 
     #[test]
     fn ring_spec_is_cyclic_and_consistent() {
-        let spec = ring_spec(8, 16.0, 0.003);
+        let spec = ring_spec(8, 16.0, 0.003).unwrap();
         spec.validate().unwrap();
         assert!(
             spec.reverse_topological_order().is_none(),
             "a ring's class graph must be cyclic"
         );
-        let sol = spec.solve(&ModelOptions::paper()).unwrap();
+        let sol = spec.solve(&ModelOptions::paper(), None, None).unwrap();
         assert!(sol.iterations > 0, "cyclic graph engages the fixed point");
         // The converged vector satisfies the service equations.
         for i in 0..spec.classes.len() {
@@ -1512,8 +1428,8 @@ mod tests {
             assert!((sol.service_times[i] - sol.service_times[1]).abs() < 1e-8);
         }
         // Zero load collapses to s everywhere and L = s + D̄ − 1.
-        let idle = ring_spec(8, 16.0, 0.0);
-        let lat = idle.latency(&ModelOptions::paper()).unwrap();
+        let idle = ring_spec(8, 16.0, 0.0).unwrap();
+        let lat = idle.latency(&ModelOptions::paper(), None).unwrap();
         assert!((lat.total - (16.0 + 6.0 - 1.0)).abs() < 1e-9);
     }
 
@@ -1529,9 +1445,9 @@ mod tests {
         let mut cold_total = 0usize;
         let mut strictly_lower = 0usize;
         for (pi, &lambda0) in loads.iter().enumerate() {
-            let spec = ring_spec(12, 16.0, lambda0);
-            let cold = spec.solve(&opts).unwrap();
-            let hot = spec.solve_warm(&opts, &mut warm).unwrap();
+            let spec = ring_spec(12, 16.0, lambda0).unwrap();
+            let cold = spec.solve(&opts, None, None).unwrap();
+            let hot = spec.solve(&opts, Some(&mut warm), None).unwrap();
             cold_total += cold.iterations;
             for (a, b) in cold.service_times.iter().zip(&hot.service_times) {
                 assert!(
@@ -1561,19 +1477,21 @@ mod tests {
         let opts = ModelOptions::paper();
         let mut warm = WarmStart::new();
         ring_spec(8, 16.0, 0.002)
-            .solve_warm(&opts, &mut warm)
+            .unwrap()
+            .solve(&opts, Some(&mut warm), None)
             .unwrap();
         let seeded = warm.last_values().unwrap().to_vec();
         // Far past the knee: the solve fails, the cache stays intact.
         assert!(ring_spec(8, 16.0, 0.5)
-            .solve_warm(&opts, &mut warm)
+            .unwrap()
+            .solve(&opts, Some(&mut warm), None)
             .is_err());
         assert_eq!(warm.last_values().unwrap(), seeded.as_slice());
         // A different class count cannot reuse the guess but must still
         // solve correctly from the cold seed.
-        let other = ring_spec(6, 16.0, 0.002);
-        let via_warm = other.solve_warm(&opts, &mut warm).unwrap();
-        let via_cold = other.solve(&opts).unwrap();
+        let other = ring_spec(6, 16.0, 0.002).unwrap();
+        let via_warm = other.solve(&opts, Some(&mut warm), None).unwrap();
+        let via_cold = other.solve(&opts, None, None).unwrap();
         for (a, b) in via_warm.service_times.iter().zip(&via_cold.service_times) {
             assert!((a - b).abs() < 1e-9);
         }
@@ -1587,9 +1505,9 @@ mod tests {
         let mut warm = WarmStart::new();
         for lambda0 in [0.0005, 0.001, 0.0015] {
             let spec = bft_spec(&params, 16.0, lambda0);
-            let cold = spec.latency(&ModelOptions::paper()).unwrap();
+            let cold = spec.latency(&ModelOptions::paper(), None).unwrap();
             let hot = spec
-                .latency_warm(&ModelOptions::paper(), &mut warm)
+                .latency(&ModelOptions::paper(), Some(&mut warm))
                 .unwrap();
             assert_eq!(cold.total.to_bits(), hot.total.to_bits());
         }
@@ -1600,11 +1518,11 @@ mod tests {
     fn traced_solve_is_bit_identical_and_captures_convergence() {
         // Cyclic spec → fixed-point iteration → a non-empty trace whose
         // values change nothing about the solution.
-        let spec = ring_spec(8, 16.0, 0.002);
+        let spec = ring_spec(8, 16.0, 0.002).unwrap();
         let opts = ModelOptions::paper();
-        let plain = spec.solve(&opts).unwrap();
+        let plain = spec.solve(&opts, None, None).unwrap();
         let mut tel = ModelTelemetry::default();
-        let traced = spec.solve_traced(&opts, &mut tel).unwrap();
+        let traced = spec.solve(&opts, None, Some(&mut tel)).unwrap();
         assert_eq!(plain.iterations, traced.iterations);
         for (a, b) in plain.service_times.iter().zip(&traced.service_times) {
             assert_eq!(a.to_bits(), b.to_bits(), "tracing perturbed the solve");
@@ -1637,10 +1555,10 @@ mod tests {
         let mut warm_b = WarmStart::new();
         let mut tel = ModelTelemetry::default();
         for lambda0 in [0.001, 0.0015, 0.002] {
-            let spec = ring_spec(10, 16.0, lambda0);
-            let plain = spec.solve_warm(&opts, &mut warm_a).unwrap();
+            let spec = ring_spec(10, 16.0, lambda0).unwrap();
+            let plain = spec.solve(&opts, Some(&mut warm_a), None).unwrap();
             let traced = spec
-                .solve_warm_traced(&opts, &mut warm_b, &mut tel)
+                .solve(&opts, Some(&mut warm_b), Some(&mut tel))
                 .unwrap();
             assert_eq!(plain.iterations, traced.iterations);
             for (a, b) in plain.service_times.iter().zip(&traced.service_times) {
@@ -1657,7 +1575,9 @@ mod tests {
         let params = BftParams::paper(64).unwrap();
         let spec = bft_spec(&params, 16.0, 0.001);
         let mut tel = ModelTelemetry::default();
-        let sol = spec.solve_traced(&ModelOptions::paper(), &mut tel).unwrap();
+        let sol = spec
+            .solve(&ModelOptions::paper(), None, Some(&mut tel))
+            .unwrap();
         assert_eq!(sol.iterations, 0, "BFT class graph is a DAG");
         assert!(tel.solver.is_empty(), "no iteration ran, no samples");
         assert_eq!(tel.stations.len(), spec.classes.len());
@@ -1720,7 +1640,7 @@ mod tests {
     fn saturation_surfaces_with_class_name() {
         // Drive the middle link past ρ = 1.
         let spec = line_spec(0.2, 16.0); // ρ = 3.2
-        let err = spec.solve(&ModelOptions::paper()).unwrap_err();
+        let err = spec.solve(&ModelOptions::paper(), None, None).unwrap_err();
         match err {
             ModelError::Queueing { class, .. } => {
                 assert!(["mid", "eject", "inject"].contains(&class.as_str()));
@@ -1733,9 +1653,9 @@ mod tests {
     fn solve_outcome_is_total_across_the_load_axis() {
         let opts = ModelOptions::paper();
         // Below the knee: converged, same values as the plain solve.
-        let spec = ring_spec(8, 16.0, 0.002);
-        let outcome = spec.solve_outcome(&opts).unwrap();
-        let plain = spec.solve(&opts).unwrap();
+        let spec = ring_spec(8, 16.0, 0.002).unwrap();
+        let outcome = spec.solve_outcome(&opts, None, None).unwrap();
+        let plain = spec.solve(&opts, None, None).unwrap();
         match &outcome {
             SolveOutcome::Converged(sol) => {
                 for (a, b) in sol.service_times.iter().zip(&plain.service_times) {
@@ -1745,21 +1665,22 @@ mod tests {
             other => panic!("sub-knee load must converge, got {other:?}"),
         }
         // Far past the knee: Saturated, not an error and not a panic.
-        let hot = ring_spec(8, 16.0, 0.5);
-        assert!(hot.solve_outcome(&opts).unwrap().is_saturated());
+        let hot = ring_spec(8, 16.0, 0.5).unwrap();
+        assert!(hot.solve_outcome(&opts, None, None).unwrap().is_saturated());
         // A genuine usage error is still an error.
-        let mut bad = ring_spec(8, 16.0, 0.002);
+        let mut bad = ring_spec(8, 16.0, 0.002).unwrap();
         bad.classes[1].lambda = f64::NAN;
-        assert!(bad.solve_outcome(&opts).is_err());
+        assert!(bad.solve_outcome(&opts, None, None).is_err());
     }
 
     #[test]
-    fn solve_outcome_traced_records_ladder_and_outcome() {
+    fn solve_outcome_telemetry_records_ladder_and_outcome() {
         let opts = ModelOptions::paper();
         let mut tel = ModelTelemetry::default();
 
         let ok = ring_spec(8, 16.0, 0.002)
-            .solve_outcome_traced(&opts, &mut tel)
+            .unwrap()
+            .solve_outcome(&opts, None, Some(&mut tel))
             .unwrap();
         assert!(ok.is_converged());
         assert_eq!(tel.outcome, Some(wormsim_obs::OutcomeKind::Converged));
@@ -1775,7 +1696,8 @@ mod tests {
         assert!(tel.solver.converged);
 
         let sat = ring_spec(8, 16.0, 0.5)
-            .solve_outcome_traced(&opts, &mut tel)
+            .unwrap()
+            .solve_outcome(&opts, None, Some(&mut tel))
             .unwrap();
         assert!(sat.is_saturated());
         assert_eq!(tel.outcome, Some(wormsim_obs::OutcomeKind::Saturated));
@@ -1785,16 +1707,58 @@ mod tests {
     }
 
     #[test]
-    fn solve_outcome_warm_leaves_state_usable_past_a_saturated_point() {
+    fn plain_solve_replaces_outcome_telemetry_left_by_an_outcome_solve() {
+        // One telemetry value reused across the two entry points: the
+        // plain solve must not inherit the outcome solve's classification
+        // or ladder.
+        let opts = ModelOptions::paper();
+        let mut tel = ModelTelemetry::default();
+        let sat = ring_spec(8, 16.0, 0.5)
+            .unwrap()
+            .solve_outcome(&opts, None, Some(&mut tel))
+            .unwrap();
+        assert!(sat.is_saturated());
+        assert_eq!(tel.outcome, Some(wormsim_obs::OutcomeKind::Saturated));
+        assert!(!tel.ladder.is_empty());
+        ring_spec(8, 16.0, 0.002)
+            .unwrap()
+            .solve(&opts, None, Some(&mut tel))
+            .unwrap();
+        assert_eq!(tel.outcome, None, "stale outcome survived a plain solve");
+        assert!(tel.ladder.is_empty(), "stale ladder: {:?}", tel.ladder);
+        assert!(tel.solver.converged);
+        assert!(!tel.stations.is_empty());
+    }
+
+    #[test]
+    fn spec_builders_reject_invalid_inputs() {
+        assert!(matches!(
+            ring_spec(2, 16.0, 0.001),
+            Err(ModelError::Spec(_))
+        ));
+        for dim in [0, 64] {
+            assert!(matches!(
+                crate::hypercube::hypercube_spec(dim, 16.0, 0.001),
+                Err(ModelError::Spec(_))
+            ));
+        }
+        assert!(ring_spec(8, f64::NAN, 0.001).is_err());
+        assert!(ring_spec(8, 16.0, -1.0).is_err());
+    }
+
+    #[test]
+    fn warm_outcome_solve_leaves_state_usable_past_a_saturated_point() {
         let opts = ModelOptions::paper();
         let mut warm = WarmStart::new();
         assert!(ring_spec(8, 16.0, 0.002)
-            .solve_outcome_warm(&opts, &mut warm)
+            .unwrap()
+            .solve_outcome(&opts, Some(&mut warm), None)
             .unwrap()
             .is_converged());
         let seeded = warm.last_values().unwrap().to_vec();
         assert!(ring_spec(8, 16.0, 0.5)
-            .solve_outcome_warm(&opts, &mut warm)
+            .unwrap()
+            .solve_outcome(&opts, Some(&mut warm), None)
             .unwrap()
             .is_saturated());
         assert_eq!(
@@ -1803,7 +1767,8 @@ mod tests {
             "a saturated point must not poison the warm start"
         );
         assert!(ring_spec(8, 16.0, 0.0021)
-            .solve_outcome_warm(&opts, &mut warm)
+            .unwrap()
+            .solve_outcome(&opts, Some(&mut warm), None)
             .unwrap()
             .is_converged());
     }
@@ -1812,7 +1777,7 @@ mod tests {
     fn find_knee_brackets_the_ring_saturation() {
         // Unit-rate ring: the knee multiplier is λ₀ itself. The ring-8
         // knee sits near λ₀ ≈ 0.004 (ρ_ring = λ₀·D·x̄ with x̄ ≥ 16).
-        let spec = ring_spec(8, 16.0, 1.0);
+        let spec = ring_spec(8, 16.0, 1.0).unwrap();
         let cfg = KneeConfig {
             initial: 1e-4,
             max: 1.0,
@@ -1822,11 +1787,13 @@ mod tests {
         let knee = spec.find_knee(&ModelOptions::paper(), &cfg).unwrap();
         // Feasible side must actually solve; infeasible side must not.
         assert!(ring_spec(8, 16.0, knee.knee)
-            .solve_outcome(&ModelOptions::paper())
+            .unwrap()
+            .solve_outcome(&ModelOptions::paper(), None, None)
             .unwrap()
             .is_converged());
         assert!(!ring_spec(8, 16.0, knee.first_infeasible)
-            .solve_outcome(&ModelOptions::paper())
+            .unwrap()
+            .solve_outcome(&ModelOptions::paper(), None, None)
             .unwrap()
             .is_converged());
         // Loose physical sanity: ρ < 1 needs λ₀ < 1/(D·s) = 1/64.
@@ -1838,7 +1805,7 @@ mod tests {
     fn find_knee_reports_open_brackets_as_typed_errors() {
         // An idle-rate spec scaled up to `max` that never saturates
         // within range: max far below the knee.
-        let spec = ring_spec(8, 16.0, 1.0);
+        let spec = ring_spec(8, 16.0, 1.0).unwrap();
         let cfg = KneeConfig {
             initial: 1e-5,
             max: 1e-4,

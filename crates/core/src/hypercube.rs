@@ -23,6 +23,7 @@
 //! independent of `k` (verified in tests against the spec's own flow
 //! equations).
 
+use crate::error::ModelError;
 use crate::framework::{ClassBody, ClassId, ClassSpec, Forward, NetworkSpec};
 use crate::options::ModelOptions;
 use crate::throughput::{self, SaturationPoint};
@@ -34,12 +35,16 @@ use crate::Result;
 /// Class layout: `0` = ejection, `1..=dim` = dimension `k−1`, `dim+1` =
 /// injection.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when `dim == 0`.
-#[must_use]
-pub fn hypercube_spec(dim: u32, worm_flits: f64, lambda0: f64) -> NetworkSpec {
-    assert!(dim >= 1, "hypercube dimension must be at least 1");
+/// [`ModelError::Spec`] when `dim` is 0 or too large for a 64-bit node
+/// count.
+pub fn hypercube_spec(dim: u32, worm_flits: f64, lambda0: f64) -> Result<NetworkSpec> {
+    if !(1..64).contains(&dim) {
+        return Err(ModelError::Spec(format!(
+            "hypercube dimension must be in 1..=63, got {dim}"
+        )));
+    }
     let d = dim as usize;
     let n_nodes = (1u64 << dim) as f64;
     let lambda_dim = lambda0 * (n_nodes / 2.0) / (n_nodes - 1.0);
@@ -92,38 +97,26 @@ pub fn hypercube_spec(dim: u32, worm_flits: f64, lambda0: f64) -> NetworkSpec {
     // Average distance: d·2^{d-1}/(2^d − 1) switch hops + inject + eject.
     let avg_distance = f64::from(dim) * (n_nodes / 2.0) / (n_nodes - 1.0) + 2.0;
 
-    NetworkSpec {
+    Ok(NetworkSpec {
         classes,
         worm_flits,
         injection,
         avg_distance,
-    }
-}
-
-/// Convenience: average latency of the hypercube model at a message rate.
-///
-/// # Errors
-///
-/// Saturation or spec errors from the framework solve.
-pub fn latency_at_message_rate(
-    dim: u32,
-    worm_flits: f64,
-    lambda0: f64,
-    options: &ModelOptions,
-) -> Result<crate::bft::LatencyBreakdown> {
-    hypercube_spec(dim, worm_flits, lambda0).latency(options)
+    })
 }
 
 /// Saturation point of the hypercube model (Eq. 26 applied to the cube).
 ///
 /// # Errors
 ///
-/// [`crate::ModelError::Saturation`] when no knee can be bracketed.
+/// [`ModelError::Spec`] from [`hypercube_spec`];
+/// [`ModelError::Saturation`] when no knee can be bracketed.
 pub fn saturation(dim: u32, worm_flits: f64, options: &ModelOptions) -> Result<SaturationPoint> {
+    hypercube_spec(dim, worm_flits, 0.0)?;
     let opts = *options;
     throughput::saturation_point(worm_flits, move |lambda0| {
-        let spec = hypercube_spec(dim, worm_flits, lambda0);
-        let sol = spec.solve(&opts)?;
+        let spec = hypercube_spec(dim, worm_flits, lambda0)?;
+        let sol = spec.solve(&opts, None, None)?;
         Ok(sol.service_times[spec.injection.0])
     })
 }
@@ -135,15 +128,15 @@ mod tests {
     #[test]
     fn spec_validates_for_all_dims() {
         for dim in 1..=10u32 {
-            let spec = hypercube_spec(dim, 16.0, 0.001);
+            let spec = hypercube_spec(dim, 16.0, 0.001).unwrap();
             spec.validate().unwrap_or_else(|e| panic!("dim {dim}: {e}"));
         }
     }
 
     #[test]
     fn spec_is_a_dag() {
-        let spec = hypercube_spec(6, 16.0, 0.001);
-        let sol = spec.solve(&ModelOptions::paper()).unwrap();
+        let spec = hypercube_spec(6, 16.0, 0.001).unwrap();
+        let sol = spec.solve(&ModelOptions::paper(), None, None).unwrap();
         assert_eq!(sol.iterations, 0, "e-cube dependencies are acyclic");
     }
 
@@ -153,7 +146,7 @@ mod tests {
         // λ_j = λ_inj·R(inj→j) + Σ_{k<j} λ_k·R(k→j).
         let dim = 7u32;
         let lambda0 = 0.003;
-        let spec = hypercube_spec(dim, 16.0, lambda0);
+        let spec = hypercube_spec(dim, 16.0, lambda0).unwrap();
         let d = dim as usize;
         let lam = |cid: usize| spec.classes[cid].lambda;
         for j in 0..d {
@@ -191,7 +184,10 @@ mod tests {
     #[test]
     fn zero_load_latency_matches_distance_formula() {
         for dim in [3u32, 5, 8] {
-            let lat = latency_at_message_rate(dim, 16.0, 0.0, &ModelOptions::paper()).unwrap();
+            let lat = hypercube_spec(dim, 16.0, 0.0)
+                .unwrap()
+                .latency(&ModelOptions::paper(), None)
+                .unwrap();
             let n = (1u64 << dim) as f64;
             let expect = 16.0 + f64::from(dim) * n / 2.0 / (n - 1.0) + 2.0 - 1.0;
             assert!((lat.total - expect).abs() < 1e-12, "dim {dim}");
@@ -203,7 +199,10 @@ mod tests {
         let mut prev = 0.0;
         for i in 1..=8 {
             let lambda0 = 0.0005 * f64::from(i);
-            let lat = latency_at_message_rate(10, 16.0, lambda0, &ModelOptions::paper()).unwrap();
+            let lat = hypercube_spec(10, 16.0, lambda0)
+                .unwrap()
+                .latency(&ModelOptions::paper(), None)
+                .unwrap();
             assert!(lat.total > prev);
             prev = lat.total;
         }
@@ -214,17 +213,17 @@ mod tests {
             sat.message_rate
         );
         // Past the knee the model must refuse.
-        assert!(
-            latency_at_message_rate(10, 16.0, sat.message_rate * 1.5, &ModelOptions::paper())
-                .is_err()
-        );
+        assert!(hypercube_spec(10, 16.0, sat.message_rate * 1.5)
+            .unwrap()
+            .latency(&ModelOptions::paper(), None)
+            .is_err());
     }
 
     #[test]
     fn higher_dimensions_carry_less_per_channel_correction() {
         // Smoke test for the forwarding table: probabilities from dim k sum
         // to 1 and decay geometrically.
-        let spec = hypercube_spec(5, 16.0, 0.001);
+        let spec = hypercube_spec(5, 16.0, 0.001).unwrap();
         if let ClassBody::Interior { forwards } = &spec.classes[1].body {
             // dim0 of d=5: 2^-1, 2^-2, 2^-3, 2^-4 to dims 1..4 and 2^-4 eject.
             let probs: Vec<f64> = forwards.iter().map(|f| f.prob_each).collect();

@@ -16,15 +16,14 @@
 //!   (Eq. 25) and saturation throughput (Eq. 26).
 //!
 //! [`hypercube`] instantiates the general framework on the binary
-//! hypercube with e-cube routing (a Draper–Ghosh-style baseline);
-//! [`enumerate`] builds the framework spec *mechanically* for any
-//! deterministic-routing network by exact path enumeration (one class per
-//! physical channel — this is how asymmetric networks like meshes are
-//! modeled); [`flows`] generalizes that to **arbitrary workloads**: a
+//! hypercube with e-cube routing (a Draper–Ghosh-style baseline, derived
+//! by hand from per-dimension symmetry); [`flows`] builds the framework
+//! spec *mechanically* for any network and **any workload**: a
 //! `wormsim-workload` flow vector (any destination pattern pushed through
-//! the router) becomes a per-station §2 model, preserving the M/G/p
-//! up-link bundles; and [`throughput`] hosts the saturation-point search
-//! shared by all models.
+//! the router) becomes a per-station §2 model with one class per
+//! arbitration station, preserving the M/G/p up-link bundles — this is
+//! also how asymmetric networks like meshes are modeled; and
+//! [`throughput`] hosts the saturation-point search shared by all models.
 //!
 //! Load sweeps re-solve the same network at many rates; the framework
 //! supports **warm starting** them: [`framework::WarmStart`] threads each
@@ -66,7 +65,6 @@
 )]
 
 pub mod bft;
-pub mod enumerate;
 pub mod error;
 pub mod flows;
 pub mod framework;

@@ -83,7 +83,7 @@ proptest! {
         let Ok(sat) = model.saturation() else { return Ok(()); };
         let lambda0 = sat.message_rate * rate_scale;
         let closed = model.latency_at_message_rate(lambda0);
-        let generic = bft_spec(&p, s, lambda0).latency(&opts);
+        let generic = bft_spec(&p, s, lambda0).latency(&opts, None);
         match (closed, generic) {
             (Ok(a), Ok(b)) => {
                 prop_assert!((a.total - b.total).abs() < 1e-7 * (1.0 + a.total.abs()),

@@ -3,38 +3,42 @@
 //!
 //! A mesh has no per-level or per-dimension symmetry (corners differ from
 //! centers), so none of the paper's hand-derived class structures apply.
-//! [`wormsim_core::enumerate`] builds the §2 model mechanically by exact
-//! route enumeration — one class per physical channel, Eq. 2 averaged over
-//! the per-PE injection channels — and this experiment validates it against
-//! the flit-level simulator running dimension-order routing.
+//! [`wormsim_core::flows::model_from_flows`] builds the §2 model
+//! mechanically from the uniform-traffic flow vector of dimension-order
+//! routing — one class per arbitration station, which in a mesh is one per
+//! physical channel, Eq. 2 averaged over the per-PE injection channels —
+//! and this experiment validates it against the flit-level simulator
+//! running the same routing.
 
 use super::{ExperimentContext, ExperimentOutput};
 use crate::csv::Csv;
 use crate::error::ExperimentError;
 use crate::table::{num, Table};
-use wormsim_core::enumerate::enumerate_deterministic;
+use wormsim_core::flows::model_from_flows;
 use wormsim_core::options::ModelOptions;
 use wormsim_sim::config::TrafficConfig;
 use wormsim_sim::router::MeshRouter;
 use wormsim_sim::runner::run_simulation;
 use wormsim_topology::mesh::Mesh;
+use wormsim_workload::{DestinationPattern, FlowVector};
 
 /// Runs the experiment.
 ///
 /// # Errors
 ///
 /// Propagates any [`ExperimentError`] raised while building the topology,
-/// the traffic, or the enumerated model.
+/// the traffic, the flow vector or the per-channel model.
 pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError> {
     let mut out = ExperimentOutput::new("enumerated-mesh");
     let k = if ctx.quick { 4 } else { 8 };
     let s = 16u32;
     let mesh = Mesh::new(k, 2)?;
     let router = MeshRouter::new(&mesh);
+    let flows = FlowVector::build(&mesh, &DestinationPattern::Uniform)?;
     let cfg = ctx.sim_config();
 
     out.section(format!(
-        "Per-channel enumerated model on a {k}x{k} mesh ({} PEs), worms of {s} \
+        "Per-channel flow-built model on a {k}x{k} mesh ({} PEs), worms of {s} \
          flits, dimension-order routing. No symmetry assumed: one channel \
          class per physical channel ({} classes), Eq. 2 averaged over every \
          PE's injection channel.",
@@ -59,13 +63,14 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
 
     for &load in &loads {
         let traffic = TrafficConfig::from_flit_load(load, s)?;
-        let model = enumerate_deterministic(
+        let model = model_from_flows(
             mesh.network(),
-            |node, dest| mesh.route(node, dest),
+            &flows,
             f64::from(s),
             traffic.message_rate,
+            None,
         )?;
-        let model_l = model.latency(&ModelOptions::paper()).map(|l| l.total);
+        let model_l = model.latency(&ModelOptions::paper(), None).map(|l| l.total);
         let sim = run_simulation(&router, &cfg, &traffic);
         match (model_l, sim.saturated) {
             (Ok(m), false) => {
@@ -106,11 +111,12 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
     // Positional asymmetry: corner vs center injection under load.
     let load = loads[loads.len() - 2];
     let traffic = TrafficConfig::from_flit_load(load, s)?;
-    let model = enumerate_deterministic(
+    let model = model_from_flows(
         mesh.network(),
-        |node, dest| mesh.route(node, dest),
+        &flows,
         f64::from(s),
         traffic.message_rate,
+        None,
     )?;
     if let Ok(per_src) = model.per_source_injection(&ModelOptions::paper()) {
         let corner = per_src[0];

@@ -58,13 +58,9 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
 
     for &load in &loads {
         let traffic = TrafficConfig::from_flit_load(load, s)?;
-        let model_l = cube_model::latency_at_message_rate(
-            dim,
-            f64::from(s),
-            traffic.message_rate,
-            &ModelOptions::paper(),
-        )
-        .map(|l| l.total);
+        let model_l = cube_model::hypercube_spec(dim, f64::from(s), traffic.message_rate)?
+            .latency(&ModelOptions::paper(), None)
+            .map(|l| l.total);
         let sim = run_simulation(&router, &cfg, &traffic);
         match (model_l, sim.saturated) {
             (Ok(m), false) => {

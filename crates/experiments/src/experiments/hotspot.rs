@@ -166,8 +166,8 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
         let f = FlowVector::build(&tree, &pat)?;
         let lambda0 = sweep_load / f64::from(s);
         let util = f.unit_flow(tree.network().processors()[0].eject) * lambda0 * f64::from(s);
-        let model_l = model_from_flows(tree.network(), &f, f64::from(s), lambda0)?
-            .latency(&ModelOptions::paper())
+        let model_l = model_from_flows(tree.network(), &f, f64::from(s), lambda0, None)?
+            .latency(&ModelOptions::paper(), None)
             .map(|l| l.total);
         let traffic = TrafficConfig::from_flit_load(sweep_load, s)?.with_pattern(pat);
         let r = wormsim_sim::runner::run_simulation(&router, &cfg, &traffic);

@@ -156,12 +156,12 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
 
     // ---- Model telemetry: cyclic-ring convergence trace. ----
     let opts = ModelOptions::paper();
-    let ring = ring_spec(16, f64::from(worm_flits), 0.002);
+    let ring = ring_spec(16, f64::from(worm_flits), 0.002)?;
     let mut plain_tel = ModelTelemetry::default();
     let mut accel_tel = ModelTelemetry::default();
-    let plain_ok = ring.solve_traced(&opts, &mut plain_tel).is_ok();
+    let plain_ok = ring.solve(&opts, None, Some(&mut plain_tel)).is_ok();
     let accel_ok = ring
-        .solve_warm_traced(&opts, &mut WarmStart::new(), &mut accel_tel)
+        .solve(&opts, Some(&mut WarmStart::new()), Some(&mut accel_tel))
         .is_ok();
     if plain_ok && accel_ok {
         out.section(format!(
@@ -208,7 +208,7 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
     let lambda0 = flit_load / f64::from(worm_flits);
     let spec = bft_spec(&BftParams::paper(n)?, f64::from(worm_flits), lambda0);
     let mut bft_tel = ModelTelemetry::default();
-    match spec.solve_traced(&opts.with_lanes(lanes), &mut bft_tel) {
+    match spec.solve(&opts.with_lanes(lanes), None, Some(&mut bft_tel)) {
         Ok(_) => {
             let mut st = Table::new(vec![
                 "station",

@@ -20,7 +20,7 @@
 //! | `ablation-servers` | novelty 1: M/G/2 bundles vs independent M/G/1 | [`experiments::ablations`] |
 //! | `ablation-blocking` | novelty 2: Eq. 10 correction on/off | [`experiments::ablations`] |
 //! | `extension-mgm` | §4: M/G/m for (c,p) trees with p ∈ {1,2,4} | [`experiments::extension_mgm`] |
-//! | `enumerated-mesh` | automatic per-channel model for a mesh, vs sim | [`experiments::enumerated_mesh`] |
+//! | `enumerated-mesh` | flow-built per-channel model for a mesh, vs sim | [`experiments::enumerated_mesh`] |
 //! | `tail-latency` | latency percentiles under load | [`experiments::tail_latency`] |
 //! | `channel-audit` | internal validity: per-level λ/x̄ vs Eqs. 14–24 | [`experiments::channel_audit`] |
 //! | `hotspot` | workload W1: hot-spot traffic, flow model vs sim | [`experiments::hotspot`] |

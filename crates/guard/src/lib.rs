@@ -24,7 +24,8 @@
 //!
 //! The crate is deliberately generic: it never names `NetworkSpec` (which
 //! lives above it in the dependency order). `wormsim-core` wires these
-//! primitives into `NetworkSpec::solve_outcome` / `NetworkSpec::find_knee`.
+//! primitives into `NetworkSpec::solve_outcome` (and through it
+//! `StationModel::latency_outcome`) and `NetworkSpec::find_knee`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

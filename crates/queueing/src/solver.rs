@@ -18,12 +18,10 @@
 //!   used for the throughput computation of paper §2.3/§3.5: find the
 //!   arrival rate where the source service time crosses `1/λ₀`.
 //!
-//! Both fixed-point solvers have `_traced` variants threading an optional
-//! [`SolverTrace`] through the iteration loop — per-evaluation raw
-//! residual, damping factor in force, and Aitken accept/reject outcomes —
-//! for convergence telemetry. The untraced functions are thin `None`
-//! wrappers; with no trace attached the per-iteration cost is one
-//! not-taken branch.
+//! Both fixed-point solvers take an optional [`SolverTrace`] threaded
+//! through the iteration loop — per-evaluation raw residual, damping
+//! factor in force, and Aitken accept/reject outcomes — for convergence
+//! telemetry. With `None` the per-iteration cost is one not-taken branch.
 
 use crate::{QueueingError, Result};
 use wormsim_obs::{AitkenStep, SolverTrace};
@@ -126,31 +124,23 @@ pub struct FixedPointOutcome {
 /// when an intermediate state saturates a queue — in which case iteration
 /// stops and the error propagates.
 ///
+/// With a `trace`, each iteration records the raw residual
+/// `max_i |F(x)_i − x_i|` and the (fixed) damping factor. With `None` the
+/// trace branch is never taken and the raw residual is not computed; the
+/// iteration itself is identical either way.
+///
 /// # Errors
 ///
 /// * [`QueueingError::NoConvergence`] after `max_iterations`.
+/// * [`QueueingError::Diverged`] when the divergence watchdog fires
+///   (sustained monotone residual growth, or a non-finite iterate) — the
+///   signature of a load past the saturation knee.
 /// * Any error returned by `f` (typically [`QueueingError::Saturated`]).
-pub fn fixed_point<F>(initial: &[f64], config: FixedPointConfig, f: F) -> Result<FixedPointOutcome>
-where
-    F: FnMut(&[f64], &mut [f64]) -> Result<()>,
-{
-    fixed_point_traced(initial, config, f, None)
-}
-
-/// [`fixed_point`] with an optional convergence trace: each iteration
-/// records the raw residual `max_i |F(x)_i − x_i|` and the (fixed)
-/// damping factor. With `trace = None` this *is* `fixed_point` — the
-/// trace branch is never taken and the raw residual is not computed.
 ///
-/// # Errors
-///
-/// As [`fixed_point`]. Additionally [`QueueingError::Diverged`] when the
-/// divergence watchdog fires (sustained monotone residual growth, or a
-/// non-finite iterate) — the signature of a load past the saturation
-/// knee. On [`QueueingError::NoConvergence`] or
-/// [`QueueingError::Diverged`] the trace is finished with
-/// `converged = false`; a map error leaves it unfinished.
-pub fn fixed_point_traced<F>(
+/// On [`QueueingError::NoConvergence`] or [`QueueingError::Diverged`] the
+/// trace is finished with `converged = false`; a map error leaves it
+/// unfinished.
+pub fn fixed_point<F>(
     initial: &[f64],
     config: FixedPointConfig,
     mut f: F,
@@ -260,43 +250,29 @@ impl Default for AccelerationConfig {
 /// Warm starts compose naturally: pass the previous sweep point's
 /// converged vector as `initial`.
 ///
+/// With a `trace`, one sample is recorded per main-loop evaluation (raw
+/// residual and the adaptive θ in force), plus one per Aitken Δ²
+/// verification recording the candidate's residual and whether it was
+/// accepted (a verification that errored records an infinite residual,
+/// rejected). The iteration is identical with or without a trace.
+///
 /// # Errors
 ///
 /// * [`QueueingError::NoConvergence`] after `max_iterations` evaluations.
+/// * [`QueueingError::Diverged`] from the divergence watchdog (sustained
+///   monotone growth of the raw residual — the accelerated loop gets its
+///   Aitken chances first, since the watchdog streak is far longer than
+///   the extrapolation period).
 /// * Any error returned by `f` from the main iteration (an error during an
 ///   Aitken verification just discards the extrapolation: the candidate
 ///   stepped outside the map's stable region, e.g. past a queue's
 ///   saturation, which is exactly the case the verification exists to
 ///   catch).
-pub fn fixed_point_accelerated<F>(
-    initial: &[f64],
-    config: FixedPointConfig,
-    accel: AccelerationConfig,
-    f: F,
-) -> Result<FixedPointOutcome>
-where
-    F: FnMut(&[f64], &mut [f64]) -> Result<()>,
-{
-    fixed_point_accelerated_traced(initial, config, accel, f, None)
-}
-
-/// [`fixed_point_accelerated`] with an optional convergence trace: one
-/// sample per main-loop evaluation (raw residual and the adaptive θ in
-/// force), plus one sample per Aitken Δ² verification recording the
-/// candidate's residual and whether it was accepted (a verification
-/// that errored records an infinite residual, rejected). With
-/// `trace = None` this *is* `fixed_point_accelerated`.
 ///
-/// # Errors
-///
-/// As [`fixed_point_accelerated`], plus [`QueueingError::Diverged`] from
-/// the divergence watchdog (sustained monotone growth of the raw
-/// residual — the accelerated loop gets its Aitken chances first, since
-/// the watchdog streak is far longer than the extrapolation period); the
-/// trace is finished with `converged = false` on
+/// The trace is finished with `converged = false` on
 /// [`QueueingError::NoConvergence`] or [`QueueingError::Diverged`] and
 /// left unfinished on a map error.
-pub fn fixed_point_accelerated_traced<F>(
+pub fn fixed_point_accelerated<F>(
     initial: &[f64],
     config: FixedPointConfig,
     accel: AccelerationConfig,
@@ -538,10 +514,15 @@ mod tests {
     #[test]
     fn fixed_point_solves_scalar_contraction() {
         // x = cos(x) has the Dottie number ≈ 0.7390851332151607 as fixed point.
-        let out = fixed_point(&[0.0], FixedPointConfig::default(), |x, fx| {
-            fx[0] = x[0].cos();
-            Ok(())
-        })
+        let out = fixed_point(
+            &[0.0],
+            FixedPointConfig::default(),
+            |x, fx| {
+                fx[0] = x[0].cos();
+                Ok(())
+            },
+            None,
+        )
         .unwrap();
         assert!((out.values[0] - 0.739_085_133_215_160_7).abs() < 1e-8);
         assert!(out.iterations > 0);
@@ -551,11 +532,16 @@ mod tests {
     fn fixed_point_solves_linear_system() {
         // x = A x + b with spectral radius < 1: x0 = 0.5 x1 + 1, x1 = 0.3 x0 + 2.
         // Solution: x0 = 1 + 0.5(2 + 0.3 x0) ⇒ x0(1 − 0.15) = 2 ⇒ x0 = 2/0.85.
-        let out = fixed_point(&[0.0, 0.0], FixedPointConfig::default(), |x, fx| {
-            fx[0] = 0.5 * x[1] + 1.0;
-            fx[1] = 0.3 * x[0] + 2.0;
-            Ok(())
-        })
+        let out = fixed_point(
+            &[0.0, 0.0],
+            FixedPointConfig::default(),
+            |x, fx| {
+                fx[0] = 0.5 * x[1] + 1.0;
+                fx[1] = 0.3 * x[0] + 2.0;
+                Ok(())
+            },
+            None,
+        )
         .unwrap();
         let x0 = 2.0 / 0.85;
         let x1 = 0.3 * x0 + 2.0;
@@ -568,10 +554,15 @@ mod tests {
         // x = 2x + 1 diverges; the watchdog (40-iteration monotone growth
         // streak past 1e6×) must fire before the 10_000-iteration budget
         // is spent and classify the failure as Diverged, not NoConvergence.
-        let err = fixed_point(&[1.0], FixedPointConfig::default(), |x, fx| {
-            fx[0] = 2.0 * x[0] + 1.0;
-            Ok(())
-        })
+        let err = fixed_point(
+            &[1.0],
+            FixedPointConfig::default(),
+            |x, fx| {
+                fx[0] = 2.0 * x[0] + 1.0;
+                Ok(())
+            },
+            None,
+        )
         .unwrap_err();
         match err {
             QueueingError::Diverged {
@@ -596,10 +587,15 @@ mod tests {
             max_iterations: 20,
             ..Default::default()
         };
-        let err = fixed_point(&[1.0], cfg, |x, fx| {
-            fx[0] = 2.0 * x[0] + 1.0;
-            Ok(())
-        })
+        let err = fixed_point(
+            &[1.0],
+            cfg,
+            |x, fx| {
+                fx[0] = 2.0 * x[0] + 1.0;
+                Ok(())
+            },
+            None,
+        )
         .unwrap_err();
         assert!(matches!(err, QueueingError::NoConvergence { .. }));
     }
@@ -608,10 +604,15 @@ mod tests {
     fn watchdog_traps_non_finite_iterates_immediately() {
         // A map that manufactures infinity: without the guard the
         // iteration would grind NaN arithmetic for the whole budget.
-        let err = fixed_point(&[1.0], FixedPointConfig::default(), |x, fx| {
-            fx[0] = x[0] * 1e308 + 1e308;
-            Ok(())
-        })
+        let err = fixed_point(
+            &[1.0],
+            FixedPointConfig::default(),
+            |x, fx| {
+                fx[0] = x[0] * 1e308 + 1e308;
+                Ok(())
+            },
+            None,
+        )
         .unwrap_err();
         assert!(matches!(err, QueueingError::Diverged { .. }));
     }
@@ -627,19 +628,27 @@ mod tests {
             max_iterations: 200_000,
             damping: 0.5,
         };
-        let out = fixed_point(&[0.0], cfg, |x, fx| {
-            fx[0] = 0.999 * x[0] + 1.0;
-            Ok(())
-        })
+        let out = fixed_point(
+            &[0.0],
+            cfg,
+            |x, fx| {
+                fx[0] = 0.999 * x[0] + 1.0;
+                Ok(())
+            },
+            None,
+        )
         .unwrap();
         assert!((out.values[0] - 1000.0).abs() < 1e-6);
     }
 
     #[test]
     fn fixed_point_propagates_map_errors() {
-        let err = fixed_point(&[1.0], FixedPointConfig::default(), |_x, _fx| {
-            Err(QueueingError::Saturated { utilization: 1.1 })
-        })
+        let err = fixed_point(
+            &[1.0],
+            FixedPointConfig::default(),
+            |_x, _fx| Err(QueueingError::Saturated { utilization: 1.1 }),
+            None,
+        )
         .unwrap_err();
         assert!(matches!(err, QueueingError::Saturated { .. }));
     }
@@ -651,10 +660,15 @@ mod tests {
                 damping,
                 ..Default::default()
             };
-            let out = fixed_point(&[0.0], cfg, |x, fx| {
-                fx[0] = 0.5 * x[0] + 3.0;
-                Ok(())
-            })
+            let out = fixed_point(
+                &[0.0],
+                cfg,
+                |x, fx| {
+                    fx[0] = 0.5 * x[0] + 3.0;
+                    Ok(())
+                },
+                None,
+            )
             .unwrap();
             assert!((out.values[0] - 6.0).abs() < 1e-7, "damping {damping}");
         }
@@ -669,12 +683,13 @@ mod tests {
             fx[1] = 0.3 * x[0] + 2.0;
             Ok(())
         };
-        let plain = fixed_point(&[0.0, 0.0], FixedPointConfig::default(), map).unwrap();
+        let plain = fixed_point(&[0.0, 0.0], FixedPointConfig::default(), map, None).unwrap();
         let accel = fixed_point_accelerated(
             &[0.0, 0.0],
             FixedPointConfig::default(),
             AccelerationConfig::default(),
             map,
+            None,
         )
         .unwrap();
         for (a, b) in plain.values.iter().zip(&accel.values) {
@@ -686,6 +701,7 @@ mod tests {
             FixedPointConfig::default(),
             AccelerationConfig::default(),
             map,
+            None,
         )
         .unwrap();
         assert_eq!(warm.iterations, 1, "already-converged start");
@@ -704,9 +720,9 @@ mod tests {
             max_iterations: 100_000,
             damping: 0.5,
         };
-        let plain = fixed_point(&[0.0], cfg, map).unwrap();
+        let plain = fixed_point(&[0.0], cfg, map, None).unwrap();
         let accel =
-            fixed_point_accelerated(&[0.0], cfg, AccelerationConfig::default(), map).unwrap();
+            fixed_point_accelerated(&[0.0], cfg, AccelerationConfig::default(), map, None).unwrap();
         assert!((plain.values[0] - 100.0).abs() < 1e-6);
         assert!((accel.values[0] - 100.0).abs() < 1e-6);
         assert!(
@@ -734,7 +750,8 @@ mod tests {
             max_iterations: 100_000,
             damping: 0.5,
         };
-        let out = fixed_point_accelerated(&[0.0], cfg, AccelerationConfig::default(), map).unwrap();
+        let out =
+            fixed_point_accelerated(&[0.0], cfg, AccelerationConfig::default(), map, None).unwrap();
         assert!((out.values[0] - 100.0).abs() < 1e-6);
     }
 
@@ -752,6 +769,7 @@ mod tests {
                 fx[0] = 2.0 * x[0] + 1.0;
                 Ok(())
             },
+            None,
         )
         .unwrap();
         assert!((out.values[0] + 1.0).abs() < 1e-8);
@@ -765,10 +783,16 @@ mod tests {
         };
         // x ← x + 1 has no fixed point at all: the translation defeats
         // both damping and extrapolation (Δ² denominator is exactly 0).
-        let err = fixed_point_accelerated(&[1.0], cfg, AccelerationConfig::default(), |x, fx| {
-            fx[0] = x[0] + 1.0;
-            Ok(())
-        })
+        let err = fixed_point_accelerated(
+            &[1.0],
+            cfg,
+            AccelerationConfig::default(),
+            |x, fx| {
+                fx[0] = x[0] + 1.0;
+                Ok(())
+            },
+            None,
+        )
         .unwrap_err();
         assert!(matches!(err, QueueingError::NoConvergence { .. }));
         let err = fixed_point_accelerated(
@@ -776,6 +800,7 @@ mod tests {
             FixedPointConfig::default(),
             AccelerationConfig::default(),
             |_x, _fx| Err(QueueingError::Saturated { utilization: 1.1 }),
+            None,
         )
         .unwrap_err();
         assert!(matches!(err, QueueingError::Saturated { .. }));
@@ -788,11 +813,10 @@ mod tests {
             fx[1] = 0.3 * x[0] + 2.0;
             Ok(())
         };
-        let plain = fixed_point(&[0.0, 0.0], FixedPointConfig::default(), map).unwrap();
+        let plain = fixed_point(&[0.0, 0.0], FixedPointConfig::default(), map, None).unwrap();
         let mut tr = SolverTrace::new();
         let traced =
-            fixed_point_traced(&[0.0, 0.0], FixedPointConfig::default(), map, Some(&mut tr))
-                .unwrap();
+            fixed_point(&[0.0, 0.0], FixedPointConfig::default(), map, Some(&mut tr)).unwrap();
         // The trace is observation only: bit-identical outcome.
         assert_eq!(plain.iterations, traced.iterations);
         for (a, b) in plain.values.iter().zip(&traced.values) {
@@ -825,9 +849,9 @@ mod tests {
             damping: 0.5,
         };
         let plain =
-            fixed_point_accelerated(&[0.0], cfg, AccelerationConfig::default(), map).unwrap();
+            fixed_point_accelerated(&[0.0], cfg, AccelerationConfig::default(), map, None).unwrap();
         let mut tr = SolverTrace::new();
-        let traced = fixed_point_accelerated_traced(
+        let traced = fixed_point_accelerated(
             &[0.0],
             cfg,
             AccelerationConfig::default(),
@@ -851,7 +875,7 @@ mod tests {
             ..Default::default()
         };
         let mut tr = SolverTrace::new();
-        let err = fixed_point_traced(
+        let err = fixed_point(
             &[1.0],
             cfg,
             |x, fx| {

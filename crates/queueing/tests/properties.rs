@@ -142,7 +142,7 @@ proptest! {
         let out = solver::fixed_point(&[0.0], solver::FixedPointConfig::default(), |x, fx| {
             fx[0] = slope * x[0] + offset;
             Ok(())
-        }).unwrap();
+        }, None).unwrap();
         let expect = offset / (1.0 - slope);
         prop_assert!((out.values[0] - expect).abs() < 1e-6 * (1.0 + expect.abs()));
     }

@@ -178,6 +178,9 @@ pub struct Engine<'a, R: Router> {
     station_queue: Vec<VecDeque<WormIdx>>,
     station_ready: Vec<bool>,
     ready_stations: Vec<StationId>,
+    /// Grant-phase scratch: the queue head's member channels with a free
+    /// lane, in member order (cleared for every head).
+    free_members: Vec<ChannelId>,
 
     // Worm slab. `paths[w]` is worm `w`'s acquired hops, in order
     // (index 0 is the injection channel); cleared-but-retained on free.
@@ -325,6 +328,7 @@ impl<'a, R: Router> Engine<'a, R> {
             station_queue: vec![VecDeque::new(); net.num_stations()],
             station_ready: vec![false; net.num_stations()],
             ready_stations: Vec::with_capacity(64),
+            free_members: Vec::with_capacity(8),
             worms: Vec::with_capacity(1024),
             paths: Vec::with_capacity(1024),
             free_worms: Vec::new(),
@@ -734,10 +738,9 @@ impl<'a, R: Router> Engine<'a, R> {
     }
 
     /// One simulated cycle.
-    // The three expects restate arbitration invariants proven in the same
-    // block: a picked index lies below `n_free`, a channel with `has_free`
-    // yields a lane, and a granted station has a queued head worm. Per-cycle
-    // hot path — kept as expects.
+    // The two expects restate arbitration invariants proven in the same
+    // block: a channel with `has_free` yields a lane, and a granted station
+    // has a queued head worm. Per-cycle hot path — kept as expects.
     #[allow(clippy::expect_used)]
     fn step(&mut self) {
         let t = self.now;
@@ -841,8 +844,7 @@ impl<'a, R: Router> Engine<'a, R> {
                 // over physical channels (the paper's up-link rule), the
                 // lane within it is the allocator's deterministic choice.
                 let members = &self.router.network().station(st).channels;
-                let mut free: [Option<ChannelId>; 8] = [None; 8];
-                let mut n_free = 0usize;
+                self.free_members.clear();
                 for (pos, &ch) in members.iter().enumerate() {
                     // Members beyond the mask width are always allowed
                     // (restricting routers guarantee ≤ 16 members).
@@ -850,12 +852,10 @@ impl<'a, R: Router> Engine<'a, R> {
                         continue;
                     }
                     if self.lane_table.has_free(ch.index()) {
-                        if n_free < free.len() {
-                            free[n_free] = Some(ch);
-                        }
-                        n_free += 1;
+                        self.free_members.push(ch);
                     }
                 }
+                let n_free = self.free_members.len();
                 if n_free == 0 {
                     exhausted_free = true;
                     break;
@@ -863,9 +863,9 @@ impl<'a, R: Router> Engine<'a, R> {
                 let pick = if n_free == 1 {
                     0
                 } else {
-                    self.rng.gen_range(0..n_free.min(8))
+                    self.rng.gen_range(0..n_free)
                 };
-                let ch = free[pick].expect("picked a free member");
+                let ch = self.free_members[pick];
                 let lane = self
                     .lane_table
                     .allocate(ch.index())

@@ -2,9 +2,11 @@
 //! traffic patterns where every message's unblocked latency is known in
 //! closed form.
 
-use wormsim_sim::config::{SimConfig, TrafficConfig, TrafficPattern};
+use wormsim_sim::config::{
+    EngineKind, LaneConfig, ObsConfig, SimConfig, TrafficConfig, TrafficPattern,
+};
 use wormsim_sim::router::BftRouter;
-use wormsim_sim::runner::run_simulation;
+use wormsim_sim::runner::{run_simulation, run_simulation_observed};
 use wormsim_topology::bft::{BftParams, ButterflyFatTree};
 use wormsim_topology::graph::ChannelClass;
 
@@ -149,6 +151,53 @@ fn utilization_equals_lambda_times_service() {
             "{}: utilization {} vs λ·x̄ {predicted}",
             cs.class,
             cs.utilization
+        );
+    }
+}
+
+#[test]
+fn grants_spread_over_every_member_of_a_wide_up_bundle() {
+    // A (4, 9) tree has 9-wide up-link bundles. A grant picks uniformly
+    // among the free members, so no bundle position may be starved: each
+    // position's busy cycles, summed over the bundles, must reach half the
+    // per-position mean.
+    let tree = ButterflyFatTree::new(BftParams::new(4, 9, 2).unwrap());
+    let router = BftRouter::new(&tree);
+    let cfg = SimConfig {
+        warmup_cycles: 1_000,
+        measure_cycles: 8_000,
+        drain_cap_cycles: 30_000,
+        seed: 7,
+        batches: 4,
+    };
+    let traffic = TrafficConfig::from_flit_load(0.1, 16).unwrap();
+    let r = run_simulation_observed(
+        &router,
+        &cfg,
+        &traffic,
+        &LaneConfig::single(),
+        EngineKind::default(),
+        &ObsConfig::counters_only(),
+    );
+    let snap = r.obs.expect("observer attached");
+    let mut busy = [0u64; 9];
+    let bundles = tree
+        .network()
+        .stations()
+        .iter()
+        .filter(|st| st.servers() > 1);
+    for st in bundles {
+        assert_eq!(st.channels.len(), busy.len());
+        for (pos, ch) in st.channels.iter().enumerate() {
+            busy[pos] += snap.channels[ch.index()].busy_cycles;
+        }
+    }
+    let mean = busy.iter().sum::<u64>() as f64 / busy.len() as f64;
+    assert!(mean > 0.0, "no up-bundle traffic");
+    for (pos, &b) in busy.iter().enumerate() {
+        assert!(
+            b as f64 >= 0.5 * mean,
+            "bundle position {pos} busy {b} cycles vs mean {mean}: {busy:?}"
         );
     }
 }

@@ -1,15 +1,15 @@
 //! Differential testing of the simulator's execution cores.
 //!
-//! The simulator ships two bit-exact cores behind
-//! [`EngineKind`](wormsim_sim::config::EngineKind): the reference cycle
-//! walk (the oracle) and idle-span fast-forwarding (the default). Their
-//! contract is *observational equality*: the same seeded configuration
-//! must yield a field-for-field identical [`SimResult`] whichever core
-//! ran. This module is that contract's enforcement point — one comparison
-//! helper used by the replay regressions (`tests/fast_forward_replay.rs`,
-//! `tests/lanes_regression.rs`) and one harness that runs a config on the
-//! reference oracle and the fast-forward core and asserts equality, used
-//! by the pinned replays and the randomized differential suite.
+//! The simulator ships two bit-exact cores behind [`EngineKind`]: the
+//! reference cycle walk (the oracle) and idle-span fast-forwarding (the
+//! default). Their contract is *observational equality*: the same seeded
+//! configuration must yield a field-for-field identical [`SimResult`]
+//! whichever core ran. This module is that contract's enforcement point —
+//! one comparison helper used by the replay regressions
+//! (`tests/fast_forward_replay.rs`, `tests/lanes_regression.rs`) and one
+//! harness that runs a config on the reference oracle and the
+//! fast-forward core and asserts equality, used by the pinned replays and
+//! the randomized differential suite.
 //!
 //! Floats are compared via `to_bits`, so NaN sentinels (e.g. the CI
 //! half-width of a tiny population) compare equal when both runs produce

@@ -8,8 +8,8 @@
 //! virtual-channel layer. (Dally's 1990 analysis targets the wrapped torus,
 //! whose honest simulation would need virtual channels for deadlock
 //! freedom; the mesh covers the k-ary n-cube family within scope — see
-//! DESIGN.md §3. The mesh is modeled analytically via exact path
-//! enumeration in `wormsim-core::enumerate`.)
+//! DESIGN.md §3. The mesh is modeled analytically by the per-station
+//! flow model in `wormsim-core::flows`.)
 
 use crate::graph::{ChannelClass, ChannelNetwork, NodeKind, ProcessorPorts};
 use crate::ids::{ChannelId, NodeId};

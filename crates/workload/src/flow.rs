@@ -20,8 +20,7 @@
 //!   loops are detected by a hop cap.
 //!
 //! Flows are stored per **unit per-PE message rate**, so one propagation
-//! (`O(N² · distance)`, like the mesh path enumeration it generalizes)
-//! serves a whole load sweep: `λ_c = unit_flow(c) · λ₀`.
+//! (`O(N² · distance)`) serves a whole load sweep: `λ_c = unit_flow(c) · λ₀`.
 
 use crate::error::WorkloadError;
 use crate::pattern::DestinationPattern;
@@ -546,6 +545,99 @@ mod tests {
         // paths: D̄ well below the uniform average.
         let uniform = FlowVector::build(&mesh, &DestinationPattern::Uniform).unwrap();
         assert!(flows.avg_distance() < uniform.avg_distance());
+    }
+
+    #[test]
+    fn uniform_cube_flows_recover_the_exact_dimension_rates() {
+        // Under e-cube routing every dimension channel carries
+        // (N/2)/(N−1) units, whatever its dimension.
+        let cube = Hypercube::new(5).unwrap();
+        let flows = FlowVector::build(&cube, &DestinationPattern::Uniform).unwrap();
+        let n = 32.0;
+        let expect = (n / 2.0) / (n - 1.0);
+        for (i, info) in cube.network().channels().iter().enumerate() {
+            if matches!(info.class, ChannelClass::Dimension { .. }) {
+                let flow = flows.unit_flow(ChannelId(i));
+                assert!(
+                    (flow - expect).abs() < 1e-12,
+                    "channel {i}: {flow} vs {expect}"
+                );
+            }
+        }
+        assert!((flows.avg_distance() - cube.average_distance()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn uniform_mesh_distance_matches_the_closed_form() {
+        let mesh = Mesh::new(5, 2).unwrap();
+        let flows = FlowVector::build(&mesh, &DestinationPattern::Uniform).unwrap();
+        assert!(
+            (flows.avg_distance() - mesh.average_distance()).abs() < 1e-12,
+            "flow D̄ {} vs closed form {}",
+            flows.avg_distance(),
+            mesh.average_distance()
+        );
+    }
+
+    /// A mesh whose routing is broken in one of three ways.
+    enum Broken {
+        /// Never ejects: always hops to the first neighbouring switch.
+        NeverEjects,
+        /// Ejects at every switch, including the source's own.
+        EjectsEverywhere,
+        /// Offers an adaptive bundle with no members.
+        EmptyBundle,
+    }
+
+    struct BrokenMesh(Mesh, Broken);
+
+    impl FlowRouting for BrokenMesh {
+        fn network(&self) -> &ChannelNetwork {
+            self.0.network()
+        }
+
+        fn flow_hop(&self, node: NodeId, _dest: usize) -> FlowHop<'_> {
+            let net = self.0.network();
+            match self.1 {
+                Broken::NeverEjects => {
+                    let to_switch = net.node(node).out_channels.iter().copied().find(|&ch| {
+                        matches!(net.node(net.channel(ch).dst).kind, NodeKind::Switch { .. })
+                    });
+                    FlowHop::Deterministic(to_switch.unwrap())
+                }
+                Broken::EjectsEverywhere => FlowHop::Eject,
+                Broken::EmptyBundle => FlowHop::Adaptive(&[]),
+            }
+        }
+    }
+
+    fn build_broken(fault: Broken) -> Result<FlowVector> {
+        let broken = BrokenMesh(Mesh::new(3, 2).unwrap(), fault);
+        FlowVector::build(&broken, &DestinationPattern::Uniform)
+    }
+
+    #[test]
+    fn looping_router_is_a_typed_routing_error() {
+        assert!(matches!(
+            build_broken(Broken::NeverEjects),
+            Err(WorkloadError::Routing(_))
+        ));
+    }
+
+    #[test]
+    fn ejecting_at_the_wrong_switch_is_a_typed_routing_error() {
+        assert!(matches!(
+            build_broken(Broken::EjectsEverywhere),
+            Err(WorkloadError::Routing(_))
+        ));
+    }
+
+    #[test]
+    fn empty_adaptive_bundle_is_a_typed_routing_error() {
+        assert!(matches!(
+            build_broken(Broken::EmptyBundle),
+            Err(WorkloadError::Routing(_))
+        ));
     }
 
     #[test]

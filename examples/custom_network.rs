@@ -70,7 +70,7 @@ fn main() {
     for i in 1..=10 {
         let lambda0 = 0.004 * f64::from(i);
         let net = spec(lambda0, s);
-        match net.latency(&ModelOptions::paper()) {
+        match net.latency(&ModelOptions::paper(), None) {
             Ok(l) => println!(
                 "{lambda0:>10.4}  {:>12.3}  {:>12.3}  {:>12.3}",
                 l.total, l.x_injection, l.w_injection
@@ -86,9 +86,9 @@ fn main() {
     // links (the pre-paper modeling): pooling always wins.
     println!("\npaper M/G/2 bundle vs independent M/G/1 middle links @ λ0 = 0.02:");
     let net = spec(0.02, s);
-    let paper = net.latency(&ModelOptions::paper()).expect("stable");
+    let paper = net.latency(&ModelOptions::paper(), None).expect("stable");
     let single = net
-        .latency(&ModelOptions::single_server_up())
+        .latency(&ModelOptions::single_server_up(), None)
         .expect("stable");
     println!("  M/G/2 bundle     : {:.3} cycles", paper.total);
     println!("  independent M/G/1: {:.3} cycles", single.total);

@@ -66,14 +66,8 @@ fn main() {
     );
     for load in [0.02, 0.04, 0.06, 0.08, 0.10] {
         let lambda0 = load / f64::from(s);
-        let model = model_from_flows_with_servers(
-            tree.network(),
-            &flows,
-            f64::from(s),
-            lambda0,
-            Some(&alive),
-        )
-        .and_then(|m| m.latency(&ModelOptions::paper()));
+        let model = model_from_flows(tree.network(), &flows, f64::from(s), lambda0, Some(&alive))
+            .and_then(|m| m.latency(&ModelOptions::paper(), None));
         let traffic = TrafficConfig::from_flit_load(load, s).expect("valid load");
         let r = run_simulation(&router, &cfg, &traffic);
         match (model, r.saturated) {

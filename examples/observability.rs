@@ -87,12 +87,12 @@ fn main() {
     );
 
     // ---- Solver telemetry on the cyclic ring exemplar. ----
-    let ring = ring_spec(16, 16.0, 0.002);
+    let ring = ring_spec(16, 16.0, 0.002).expect("valid ring");
     let mut telemetry = ModelTelemetry::default();
-    ring.solve_warm_traced(
+    ring.solve(
         &ModelOptions::paper(),
-        &mut WarmStart::new(),
-        &mut telemetry,
+        Some(&mut WarmStart::new()),
+        Some(&mut telemetry),
     )
     .expect("below the knee");
     println!(

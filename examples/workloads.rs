@@ -34,10 +34,10 @@ fn main() {
     ] {
         // Model side: exact per-channel flows through the tree's routing.
         let flows = FlowVector::build(&tree, &pattern).expect("flows");
-        let model =
-            model_from_flows(tree.network(), &flows, f64::from(s), lambda0).expect("model builds");
+        let model = model_from_flows(tree.network(), &flows, f64::from(s), lambda0, None)
+            .expect("model builds");
         let predicted = model
-            .latency(&ModelOptions::paper())
+            .latency(&ModelOptions::paper(), None)
             .map(|l| format!("{:9.2}", l.total))
             .unwrap_or_else(|_| "      SAT".into());
         // Simulator side: the identical pattern, sampled per message.

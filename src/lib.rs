@@ -74,8 +74,8 @@
 //! // Model: push the pattern's flow matrix through the tree's routing and
 //! // solve one §2 class per arbitration station.
 //! let flows = FlowVector::build(&tree, &pattern).unwrap();
-//! let model = model_from_flows(tree.network(), &flows, 16.0, 0.002).unwrap();
-//! let predicted = model.latency(&ModelOptions::paper()).unwrap().total;
+//! let model = model_from_flows(tree.network(), &flows, 16.0, 0.002, None).unwrap();
+//! let predicted = model.latency(&ModelOptions::paper(), None).unwrap().total;
 //!
 //! // Simulation: the identical workload, flit by flit.
 //! let router = wormsim::sim::router::BftRouter::new(&tree);
@@ -129,10 +129,7 @@ pub use wormsim_workload as workload;
 /// Commonly used types, re-exported for `use wormsim::prelude::*`.
 pub mod prelude {
     pub use wormsim_core::bft::{BftModel, ChannelAudit, LatencyBreakdown};
-    pub use wormsim_core::enumerate::{enumerate_deterministic, EnumeratedModel};
-    pub use wormsim_core::flows::{
-        model_from_flows, model_from_flows_with_servers, workload_latency, FlowModelSweep,
-    };
+    pub use wormsim_core::flows::{model_from_flows, FlowModelSweep, StationModel};
     pub use wormsim_core::framework::{bft_spec_with_rates, ring_spec, BftLevelRates, WarmStart};
     pub use wormsim_core::options::{ModelOptions, ScvMode};
     pub use wormsim_core::throughput::SaturationPoint;

@@ -297,12 +297,11 @@ fn degraded_model_tracks_degraded_sim_below_knee() {
     let pattern = DestinationPattern::Uniform;
     let flows = FlowVector::build(&bft, &pattern).unwrap();
     let alive = plan.alive_servers(tree.network());
-    let m =
-        model_from_flows_with_servers(tree.network(), &flows, f64::from(s), lambda0, Some(&alive))
-            .unwrap()
-            .latency(&ModelOptions::paper())
-            .unwrap()
-            .total;
+    let m = model_from_flows(tree.network(), &flows, f64::from(s), lambda0, Some(&alive))
+        .unwrap()
+        .latency(&ModelOptions::paper(), None)
+        .unwrap()
+        .total;
 
     let router = FaultedBftRouter::new(&tree, plan).unwrap();
     let cfg = quick_sim_config(41);

@@ -224,7 +224,7 @@ fn single_lane_model_matches_the_closed_form_to_rounding() {
             "N={n}: closed form {closed} vs pinned {expect}"
         );
         let generic = bft_spec(&params, s, load / s)
-            .latency(&lanes1)
+            .latency(&lanes1, None)
             .unwrap()
             .total;
         assert!(
@@ -414,7 +414,7 @@ fn multi_lane_bft_model_rejects_single_lane_only_entry_points() {
     assert!(zero.latency_at_flit_load(0.05).is_err());
     assert!(zero.saturation().is_err());
     assert!(bft_spec(&params, 16.0, 0.001)
-        .latency(&ModelOptions::paper().with_lanes(0))
+        .latency(&ModelOptions::paper().with_lanes(0), None)
         .is_err());
 }
 

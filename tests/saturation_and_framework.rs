@@ -38,7 +38,7 @@ fn framework_bft_equals_closed_form_cross_crate() {
             .latency_at_message_rate(lambda0)
             .unwrap();
         let spec = framework::bft_spec(&params, 32.0, lambda0);
-        let generic = spec.latency(&ModelOptions::paper()).unwrap();
+        let generic = spec.latency(&ModelOptions::paper(), None).unwrap();
         assert!((closed.total - generic.total).abs() < 1e-9);
     }
 }
@@ -52,14 +52,11 @@ fn hypercube_framework_model_tracks_hypercube_simulation() {
     let cfg = SimConfig::quick().with_seed(37);
     for load in [0.02f64, 0.05] {
         let traffic = TrafficConfig::from_flit_load(load, 16).unwrap();
-        let m = cube_model::latency_at_message_rate(
-            6,
-            16.0,
-            traffic.message_rate,
-            &ModelOptions::paper(),
-        )
-        .unwrap()
-        .total;
+        let m = cube_model::hypercube_spec(6, 16.0, traffic.message_rate)
+            .unwrap()
+            .latency(&ModelOptions::paper(), None)
+            .unwrap()
+            .total;
         let r = run_simulation(&router, &cfg, &traffic);
         assert!(
             !r.saturated,

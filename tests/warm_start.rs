@@ -22,9 +22,11 @@ fn warm_sweep_matches_cold_to_1e9_and_cuts_iterations_by_30_percent() {
     let mut cold_total = 0usize;
     let mut strictly_lower = 0usize;
     for (pi, &lambda0) in loads.iter().enumerate() {
-        let spec = ring_spec(16, 16.0, lambda0);
-        let cold = spec.solve(&opts).expect("below the knee");
-        let hot = spec.solve_warm(&opts, &mut warm).expect("below the knee");
+        let spec = ring_spec(16, 16.0, lambda0).unwrap();
+        let cold = spec.solve(&opts, None, None).expect("below the knee");
+        let hot = spec
+            .solve(&opts, Some(&mut warm), None)
+            .expect("below the knee");
         cold_total += cold.iterations;
         assert!(cold.iterations > 0, "ring must engage the fixed point");
         for (a, b) in cold.service_times.iter().zip(&hot.service_times) {
@@ -64,9 +66,9 @@ fn flow_model_sweep_agrees_with_fresh_builds_across_patterns() {
         let mut sweep = FlowModelSweep::new(tree.network(), &flows, 16.0).unwrap();
         for lambda0 in [0.0, 0.0004, 0.0009, 0.0014] {
             let swept = sweep.latency_at(lambda0, &ModelOptions::paper());
-            let fresh = model_from_flows(tree.network(), &flows, 16.0, lambda0)
+            let fresh = model_from_flows(tree.network(), &flows, 16.0, lambda0, None)
                 .unwrap()
-                .latency(&ModelOptions::paper());
+                .latency(&ModelOptions::paper(), None);
             match (swept, fresh) {
                 (Ok(a), Ok(b)) => assert!(
                     (a.total - b.total).abs() < 1e-9 * (1.0 + b.total),
@@ -104,7 +106,7 @@ fn figure_2_3_closed_form_numbers_are_unchanged() {
         );
         // And the generic framework still reproduces the closed form.
         let spec = bft_spec(&BftParams::paper(n).unwrap(), s, load / s);
-        let generic = spec.latency(&ModelOptions::paper()).unwrap().total;
+        let generic = spec.latency(&ModelOptions::paper(), None).unwrap().total;
         assert!(
             (generic - expect).abs() < 1e-9 * (1.0 + expect),
             "framework drifted at N={n} s={s}: {generic} vs {expect}"
@@ -128,8 +130,11 @@ fn warm_start_across_a_saturation_bracket_is_safe() {
     let mut failures = 0;
     for i in 1..=12 {
         let lambda0 = 0.0004 * f64::from(i); // crosses the ring-12 knee ≈ 0.0029
-        let spec = ring_spec(12, 16.0, lambda0);
-        match (spec.solve(&opts), spec.solve_warm(&opts, &mut warm)) {
+        let spec = ring_spec(12, 16.0, lambda0).unwrap();
+        match (
+            spec.solve(&opts, None, None),
+            spec.solve(&opts, Some(&mut warm), None),
+        ) {
             (Ok(cold), Ok(hot)) => {
                 for (a, b) in cold.service_times.iter().zip(&hot.service_times) {
                     assert!((a - b).abs() < 1e-9 * (1.0 + a.abs()));

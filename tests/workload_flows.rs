@@ -114,7 +114,8 @@ fn uniform_workload_reproduces_closed_form_model_numbers() {
             for flit_load in [0.0, 0.01, 0.02] {
                 let lambda0 = flit_load / s;
                 let rates = BftLevelRates::from_flows(&tree, &flows, lambda0).unwrap();
-                let a = bft_spec_with_rates(&params, s, &rates).latency(&ModelOptions::paper());
+                let a =
+                    bft_spec_with_rates(&params, s, &rates).latency(&ModelOptions::paper(), None);
                 let b = closed.latency_at_message_rate(lambda0);
                 match (a, b) {
                     (Ok(a), Ok(b)) => assert_relative_close(
