@@ -17,8 +17,9 @@ use crate::error::ExperimentError;
 use crate::table::{num, Table};
 use wormsim_core::bft::BftModel;
 use wormsim_core::options::ModelOptions;
+use wormsim_sim::config::{LaneConfig, TrafficConfig};
 use wormsim_sim::router::BftRouter;
-use wormsim_sim::runner::sweep_flit_loads;
+use wormsim_sim::runner::sweep_traffic;
 use wormsim_topology::bft::{BftParams, ButterflyFatTree};
 
 struct Variant {
@@ -70,7 +71,8 @@ fn run_ablation(
         "Butterfly fat-tree N={n}, worms of {s} flits; simulator as ground truth."
     ));
 
-    let sims = sweep_flit_loads(&router, &cfg, s, &loads);
+    let base = TrafficConfig::new(0.0, s)?;
+    let sims = sweep_traffic(&router, &cfg, &base, &LaneConfig::single(), &loads)?;
     let vs = variants();
     let mut tbl_header: Vec<String> = vec!["load".into(), "sim L".into()];
     for v in &vs {

@@ -13,8 +13,9 @@ use crate::csv::Csv;
 use crate::error::ExperimentError;
 use crate::table::{num, Table};
 use wormsim_core::bft::BftModel;
+use wormsim_sim::config::{LaneConfig, TrafficConfig};
 use wormsim_sim::router::BftRouter;
-use wormsim_sim::runner::sweep_flit_loads;
+use wormsim_sim::runner::sweep_traffic;
 use wormsim_topology::bft::{BftParams, ButterflyFatTree};
 
 /// Runs the experiment.
@@ -58,12 +59,13 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
         let router = BftRouter::new(&tree);
         let model = BftModel::new(params, f64::from(s));
         // More parents = more top-level bandwidth = higher usable loads.
-        let base: Vec<f64> = match p {
+        let loads: Vec<f64> = match p {
             1 => vec![0.002, 0.004, 0.006],
             2 => vec![0.01, 0.02, 0.03],
             _ => vec![0.02, 0.04, 0.06],
         };
-        let results = sweep_flit_loads(&router, &cfg, s, &base);
+        let base = TrafficConfig::new(0.0, s)?;
+        let results = sweep_traffic(&router, &cfg, &base, &LaneConfig::single(), &loads)?;
         for r in &results {
             let model_l = model
                 .latency_at_flit_load(r.offered_flit_load)

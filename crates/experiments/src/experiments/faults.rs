@@ -27,7 +27,7 @@ use wormsim_core::flows::FlowModelSweep;
 use wormsim_core::options::ModelOptions;
 use wormsim_faults::{link_faults, FaultPlan, FaultedBft};
 use wormsim_guard::KneeConfig;
-use wormsim_sim::config::TrafficConfig;
+use wormsim_sim::config::{LaneConfig, TrafficConfig};
 use wormsim_sim::router::FaultedBftRouter;
 use wormsim_sim::runner::{find_saturation, run_simulation};
 use wormsim_topology::bft::{BftParams, ButterflyFatTree};
@@ -163,11 +163,12 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
         let (last_stable, first_sat) = find_saturation(
             &router,
             &cfg,
-            s,
+            &TrafficConfig::new(0.0, s)?,
+            &LaneConfig::single(),
             0.4 * model_knee.max(step),
             step,
             1.5 * pristine_knee,
-        );
+        )?;
         tbl2.row(vec![
             num(*frac, 2),
             plan.dead_channel_count().to_string(),

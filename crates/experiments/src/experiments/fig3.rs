@@ -13,8 +13,9 @@ use crate::csv::Csv;
 use crate::error::ExperimentError;
 use crate::table::{num, Table};
 use wormsim_core::bft::BftModel;
+use wormsim_sim::config::{LaneConfig, TrafficConfig};
 use wormsim_sim::router::BftRouter;
-use wormsim_sim::runner::sweep_flit_loads;
+use wormsim_sim::runner::sweep_traffic;
 use wormsim_topology::bft::{BftParams, ButterflyFatTree};
 
 /// The worm lengths of Figure 3.
@@ -59,7 +60,8 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
 
     for (si, &s) in WORM_LENGTHS.iter().enumerate() {
         let model = BftModel::new(params, f64::from(s));
-        let results = sweep_flit_loads(&router, &cfg, s, &sim_loads);
+        let base = TrafficConfig::new(0.0, s)?;
+        let results = sweep_traffic(&router, &cfg, &base, &LaneConfig::single(), &sim_loads)?;
 
         let mut tbl = Table::new(vec![
             "load (flits/cyc/PE)",

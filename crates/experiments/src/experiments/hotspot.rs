@@ -18,7 +18,7 @@ use crate::table::{num, Table};
 use wormsim_core::bft::BftModel;
 use wormsim_core::flows::{model_from_flows, FlowModelSweep};
 use wormsim_core::options::ModelOptions;
-use wormsim_sim::config::{DestinationPattern, TrafficConfig};
+use wormsim_sim::config::{DestinationPattern, LaneConfig, TrafficConfig};
 use wormsim_sim::router::BftRouter;
 use wormsim_sim::runner::sweep_traffic;
 use wormsim_topology::bft::{BftParams, ButterflyFatTree};
@@ -78,7 +78,7 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
     let loads: Vec<f64> = fractions.iter().map(|f| f * knee).collect();
 
     let base = TrafficConfig::from_flit_load(loads[0], s)?.with_pattern(pattern);
-    let results = sweep_traffic(&router, &cfg, &base, &loads);
+    let results = sweep_traffic(&router, &cfg, &base, &LaneConfig::single(), &loads)?;
     // One model build for the whole sweep; per point only the class rates
     // rescale and the solver warm-starts from the previous load.
     let mut hot_model = FlowModelSweep::new(tree.network(), &flows, f64::from(s))?;

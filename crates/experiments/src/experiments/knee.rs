@@ -10,10 +10,10 @@
 //!    knee through [`FlowModelSweep::outcome_at`]; every point must come
 //!    back as a *typed* outcome (`Converged` below the knee, `Saturated`
 //!    past it), never a panic, `NaN`, or a hard error.
-//! 2. **Simulation** — a lanes-aware load scan brackets the simulator's
-//!    own delivered-throughput knee on the same fabric (same fault plan,
-//!    same lane allocator), and the model knee is reported against the
-//!    sim bracket `(last stable, first saturated)`.
+//! 2. **Simulation** — a lanes-aware load scan (`find_saturation`)
+//!    brackets the simulator's own delivered-throughput knee on the same
+//!    fabric (same fault plan, same lane allocator), and the model knee is
+//!    reported against the sim bracket `(last stable, first saturated)`.
 //!
 //! The emitted CSV (`knee_vs_n_lanes_faults.csv`) carries the
 //! knee-vs-N / knee-vs-L / knee-vs-failure-fraction curves; `--quick`
@@ -31,7 +31,7 @@ use wormsim_faults::{FaultPlan, FaultedBft};
 use wormsim_guard::{KneeConfig, SolveOutcome};
 use wormsim_sim::config::{LaneAllocatorKind, LaneConfig, TrafficConfig};
 use wormsim_sim::router::FaultedBftRouter;
-use wormsim_sim::runner::{run_simulation_with_lanes, saturation_probe_seed};
+use wormsim_sim::runner::find_saturation;
 use wormsim_topology::bft::{BftParams, ButterflyFatTree};
 use wormsim_workload::{DestinationPattern, FlowVector};
 
@@ -57,34 +57,6 @@ impl KneePoint {
         let mid = 0.5 * (self.sim_last_stable + first);
         (mid > 0.0).then(|| 100.0 * (self.model_knee - mid) / mid)
     }
-}
-
-/// Lanes-aware analogue of `find_saturation`: scans loads upward on the
-/// faulted router until the simulator saturates, returning the bracket.
-fn sim_knee_bracket(
-    router: &FaultedBftRouter<'_>,
-    cfg: &wormsim_sim::config::SimConfig,
-    lc: &LaneConfig,
-    worm_flits: u32,
-    start: f64,
-    step: f64,
-    max: f64,
-) -> Result<(f64, Option<f64>), ExperimentError> {
-    let mut last_stable = 0.0;
-    let mut load = start;
-    let mut idx = 0u64;
-    while load <= max {
-        let traffic = TrafficConfig::from_flit_load(load, worm_flits)?;
-        let probe_cfg = cfg.with_seed(saturation_probe_seed(cfg.seed, idx));
-        let r = run_simulation_with_lanes(router, &probe_cfg, &traffic, lc);
-        if r.saturated {
-            return Ok((last_stable, Some(load)));
-        }
-        last_stable = load;
-        load += step;
-        idx += 1;
-    }
-    Ok((last_stable, None))
 }
 
 /// Runs the experiment.
@@ -233,8 +205,9 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
                 } else {
                     (0.5 * model_knee, 0.125 * model_knee)
                 };
+                let base = TrafficConfig::new(0.0, s)?;
                 let (sim_last_stable, sim_first_saturated) =
-                    sim_knee_bracket(&router, &cfg, &lc, s, start, step, 2.0 * model_knee)?;
+                    find_saturation(&router, &cfg, &base, &lc, start, step, 2.0 * model_knee)?;
 
                 let p = KneePoint {
                     model_knee,

@@ -7,8 +7,9 @@ use crate::csv::Csv;
 use crate::error::ExperimentError;
 use crate::table::{num, Table};
 use wormsim_core::bft::BftModel;
+use wormsim_sim::config::{LaneConfig, TrafficConfig};
 use wormsim_sim::router::BftRouter;
-use wormsim_sim::runner::sweep_flit_loads;
+use wormsim_sim::runner::sweep_traffic;
 use wormsim_topology::bft::{BftParams, ButterflyFatTree};
 
 /// Runs the experiment.
@@ -47,7 +48,8 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
         let tree = ButterflyFatTree::new(params);
         let router = BftRouter::new(&tree);
         let model = BftModel::new(params, f64::from(s));
-        let results = sweep_flit_loads(&router, &cfg, s, &loads);
+        let base = TrafficConfig::new(0.0, s)?;
+        let results = sweep_traffic(&router, &cfg, &base, &LaneConfig::single(), &loads)?;
         for r in &results {
             if r.saturated {
                 tbl.row(vec![

@@ -12,8 +12,9 @@ use crate::csv::Csv;
 use crate::error::ExperimentError;
 use crate::table::{num, Table};
 use wormsim_core::bft::BftModel;
+use wormsim_sim::config::{LaneConfig, TrafficConfig};
 use wormsim_sim::router::BftRouter;
-use wormsim_sim::runner::sweep_flit_loads;
+use wormsim_sim::runner::sweep_traffic;
 use wormsim_topology::bft::{BftParams, ButterflyFatTree};
 
 /// Runs the experiment.
@@ -42,7 +43,8 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
     } else {
         vec![0.005, 0.015, 0.025, 0.03, 0.035]
     };
-    let results = sweep_flit_loads(&router, &cfg, s, &loads);
+    let base = TrafficConfig::new(0.0, s)?;
+    let results = sweep_traffic(&router, &cfg, &base, &LaneConfig::single(), &loads)?;
 
     let mut tbl = Table::new(vec![
         "load",

@@ -11,6 +11,7 @@ use crate::csv::Csv;
 use crate::error::ExperimentError;
 use crate::table::{num, Table};
 use wormsim_core::bft::BftModel;
+use wormsim_sim::config::{LaneConfig, TrafficConfig};
 use wormsim_sim::router::BftRouter;
 use wormsim_sim::runner::find_saturation;
 use wormsim_topology::bft::{BftParams, ButterflyFatTree};
@@ -61,7 +62,9 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
             // Scan around the model prediction: start well below, step ~6%.
             let start = (knee * 0.55).max(0.004);
             let step = (knee * 0.06).max(0.002);
-            let (stable, first_bad) = find_saturation(&router, &cfg, s, start, step, knee * 2.5);
+            let (base, one) = (TrafficConfig::new(0.0, s)?, LaneConfig::single());
+            let scan = find_saturation(&router, &cfg, &base, &one, start, step, knee * 2.5);
+            let (stable, first_bad) = scan?;
             let bad = first_bad.unwrap_or(f64::NAN);
             // The analytical knee is systematically slightly conservative
             // (the model is pessimistic approaching saturation, visibly so

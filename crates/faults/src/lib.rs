@@ -18,9 +18,11 @@
 //!   [`FaultPlan::alive_servers`] feeding the surviving M/G/m server
 //!   counts.
 //!
-//! The simulator consumes plans through its fault-aware routers
-//! (`wormsim-sim::router`); with an empty plan every consumer is
-//! bit-for-bit the un-faulted system.
+//! The simulator consumes plans through its routers
+//! (`wormsim-sim::router`: `FaultedBftRouter`, and the mesh and
+//! hypercube routers, which own a plan that is empty unless built
+//! `with_faults`); with an empty plan every consumer is bit-for-bit the
+//! un-faulted system.
 //!
 //! ```
 //! use wormsim_faults::{FaultPlan, FaultSpec, FaultedBft};

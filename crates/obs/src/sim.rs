@@ -74,22 +74,10 @@ impl ObsConfig {
         }
     }
 
-    /// Same config with a different event-sink capacity.
-    pub fn with_event_capacity(mut self, capacity: usize) -> Self {
-        self.event_capacity = capacity;
-        self
-    }
-
     /// Same config with windowed time-series sampling at
     /// `window_cycles`-cycle windows (default retention).
     pub fn with_time_series(mut self, window_cycles: u64) -> Self {
         self.time_series = Some(TimeSeriesConfig::new(window_cycles));
-        self
-    }
-
-    /// Same config with an explicit time-series configuration.
-    pub fn with_time_series_config(mut self, cfg: TimeSeriesConfig) -> Self {
-        self.time_series = Some(cfg);
         self
     }
 }

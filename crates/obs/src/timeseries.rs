@@ -379,12 +379,6 @@ impl TimeSeriesResult {
         self.total_held_cycles()
             .saturating_sub(self.total_busy_cycles())
     }
-
-    /// Per-window delivered throughput (worms/cycle), oldest retained
-    /// window first — the series the steady-state detector consumes.
-    pub fn throughput_series(&self) -> Vec<f64> {
-        self.windows.iter().map(|w| self.throughput(w)).collect()
-    }
 }
 
 #[cfg(test)]

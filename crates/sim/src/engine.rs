@@ -7,11 +7,12 @@
 //!    channel activates its queue head.
 //! 2. **Requests** — every worm whose head reached a new node last cycle
 //!    (or was just activated) joins the FCFS queue of the station chosen by
-//!    the router. Same-cycle requesters are enqueued in random order
+//!    the router ([`Router::route`], which also names the members the worm
+//!    may be granted). Same-cycle requesters are enqueued in random order
 //!    (random tie-break, earlier requesters always keep priority).
-//! 3. **Grants** — each station with waiting worms hands free member
-//!    channels to queue heads (random member when several are free — the
-//!    paper's random up-link choice).
+//! 3. **Grants** — each station with waiting worms hands free allowed
+//!    member channels to queue heads (random member when several are free
+//!    — the paper's random up-link choice).
 //! 4. **Advance** — granted worms advance one hop: the head flit traverses
 //!    the new channel this cycle and every in-network flit behind moves up
 //!    one channel (rigid chain). Worms whose head already ejected drain one
@@ -74,7 +75,7 @@
 //! message.
 
 use crate::config::{EngineKind, SimConfig, TrafficConfig};
-use crate::router::{DegradedRoute, Router};
+use crate::router::{Route, Router};
 use crate::runner::SimResult;
 use crate::stats::{BatchMeans, ClassAudit, Percentiles, Welford};
 use crate::traffic::{Arrival, TrafficGenerator};
@@ -139,9 +140,9 @@ struct Worm {
     /// Whether this message belongs to the measured population.
     measured: bool,
     /// Allowed-member bitmask of the requested station (bit `k` = member
-    /// position `k`), set per request from the fault-aware route. All-ones
-    /// on every fault-free path; members beyond bit 15 are always allowed
-    /// (only the fat-tree router restricts, and it guards `p ≤ 8`).
+    /// position `k`), set per request from the router's [`Route`].
+    /// All-ones for an open route; members beyond bit 15 are always
+    /// allowed (only the fat-tree router restricts, and it guards `p ≤ 8`).
     route_mask: u16,
 }
 
@@ -155,8 +156,8 @@ struct Source {
     worm_waiting: bool,
 }
 
-/// The simulator core. Construct with [`Engine::new`] and consume with
-/// [`Engine::run`].
+/// The simulator core. Construct with [`Engine::with_lanes`] and consume
+/// with [`Engine::run`].
 pub struct Engine<'a, R: Router> {
     router: &'a R,
     cfg: SimConfig,
@@ -222,12 +223,6 @@ pub struct Engine<'a, R: Router> {
     kind: EngineKind,
     cycles_skipped: u64,
 
-    /// The router carries a non-empty fault plan: injection checks
-    /// routability, requests go through `route_degraded`, and grants
-    /// intersect the worm's allowed-member mask. `false` keeps every one
-    /// of those on the pristine path (same RNG draws, same results).
-    faulted: bool,
-
     /// Optional observer ([`Engine::set_observer`]). `None` (also what
     /// `ObsConfig::disabled()` sets) makes every hook site one not-taken
     /// branch.
@@ -237,27 +232,16 @@ pub struct Engine<'a, R: Router> {
 }
 
 impl<'a, R: Router> Engine<'a, R> {
-    /// Builds an engine over `router`'s network with single-lane channels
-    /// (the paper's model; see [`Engine::with_lanes`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the network has fewer than two processors or a traffic
-    /// destination pattern maps outside the PE range.
-    #[must_use]
-    pub fn new(router: &'a R, cfg: &SimConfig, traffic: &TrafficConfig) -> Self {
-        Self::with_lanes(router, cfg, traffic, &LaneConfig::single())
-    }
-
     /// Builds an engine whose physical channels each carry the configured
     /// number of virtual-channel lanes. `lanes` is validated by
-    /// construction ([`LaneConfig::new`]), so no further checks apply; at
-    /// `LaneConfig::single()` this is exactly [`Engine::new`].
+    /// construction ([`LaneConfig::new`]), so no further checks apply;
+    /// [`LaneConfig::single`] gives the paper's single-lane channels.
     ///
     /// # Panics
     ///
-    /// Panics when the network has fewer than two processors or a traffic
-    /// destination pattern maps outside the PE range.
+    /// Panics when the network has fewer than two processors, a traffic
+    /// destination pattern maps outside the PE range, or the router's
+    /// fault plan was built for a different network.
     #[must_use]
     // `ClassAudit::new` registers every class present in the network it was
     // built from, so the index lookup is total — construction-local invariant.
@@ -290,29 +274,23 @@ impl<'a, R: Router> Engine<'a, R> {
         let lane_slots = net.num_channels() * lanes.lanes() as usize;
         // Apply the router's fault plan, if any: every lane of a dead
         // channel is pre-occupied by a sentinel holder that never releases,
-        // so the unmodified grant scan simply never sees the channel. An
-        // empty plan leaves the
-        // engine on its pristine path, bit-for-bit.
+        // so the unmodified grant scan simply never sees the channel.
         let mut lane_holder = vec![NO_WORM; lane_slots];
         let mut lane_table = LaneTable::new(net.num_channels(), lanes);
-        let faulted = match router.fault_plan() {
-            None => false,
-            Some(plan) => {
-                assert_eq!(
-                    plan.num_channels(),
-                    net.num_channels(),
-                    "fault plan shape must match the routed network"
-                );
-                for ch in 0..net.num_channels() {
-                    if plan.channel_dead(ChannelId::from(ch)) {
-                        while let Some(lane) = lane_table.allocate(ch) {
-                            lane_holder[ch * lanes.lanes() as usize + lane as usize] = DEAD_WORM;
-                        }
+        if let Some(plan) = router.fault_plan() {
+            assert_eq!(
+                plan.num_channels(),
+                net.num_channels(),
+                "fault plan shape must match the routed network"
+            );
+            for ch in 0..net.num_channels() {
+                if plan.channel_dead(ChannelId::from(ch)) {
+                    while let Some(lane) = lane_table.allocate(ch) {
+                        lane_holder[ch * lanes.lanes() as usize + lane as usize] = DEAD_WORM;
                     }
                 }
-                !plan.is_empty()
             }
-        };
+        }
         Self {
             router,
             cfg: *cfg,
@@ -359,7 +337,6 @@ impl<'a, R: Router> Engine<'a, R> {
             max_active_worms: 0,
             kind: EngineKind::FastForward,
             cycles_skipped: 0,
-            faulted,
             obs: None,
         }
     }
@@ -448,14 +425,15 @@ impl<'a, R: Router> Engine<'a, R> {
     }
 
     /// Turns the head of a PE's source queue into a worm contending for the
-    /// injection channel. Under a fault plan, messages whose destination
-    /// the surviving fabric cannot reach are dropped here (counted as
-    /// unroutable, never becoming worms) and the next queued message gets
-    /// its turn — graceful degradation instead of a head-of-line hang.
+    /// injection channel. Messages whose destination the surviving fabric
+    /// cannot reach ([`Router::source_can_reach`]) are dropped here
+    /// (counted as unroutable, never becoming worms) and the next queued
+    /// message gets its turn — graceful degradation instead of a
+    /// head-of-line hang.
     fn activate_source(&mut self, pe: usize, into_next_cycle: bool) {
         debug_assert!(!self.sources[pe].worm_waiting);
         while let Some((dest, gen)) = self.sources[pe].pending.pop_front() {
-            if self.faulted && !self.router.source_can_reach(pe, dest as usize) {
+            if !self.router.source_can_reach(pe, dest as usize) {
                 self.record_unroutable(gen);
                 continue;
             }
@@ -485,9 +463,9 @@ impl<'a, R: Router> Engine<'a, R> {
     }
 
     /// Defensively removes a worm whose head reached a node with no
-    /// surviving route. The shipped fault-aware routers make this
-    /// unreachable — admission checks plus monotone route masks keep every
-    /// admitted worm on surviving fabric (proven by
+    /// surviving route. The shipped routers make this unreachable —
+    /// admission checks plus monotone route masks keep every admitted worm
+    /// on surviving fabric (proven by
     /// `admitted_worms_never_strand_under_random_plans`) — but a custom
     /// [`Router`] could misroute, and the engine must degrade to an
     /// accounted drop rather than a panic or a wedged station queue.
@@ -780,34 +758,29 @@ impl<'a, R: Router> Engine<'a, R> {
                     .map(|h| self.router.network().channel(h.ch).dst);
                 (head, w.dest as usize, w.src as usize)
             };
-            let (station, mask) = match head {
+            let route = match head {
                 // Injection request: the source PE's injection channel
-                // (single member; under faults its aliveness was checked
-                // at admission).
+                // (single member; its aliveness was checked at admission).
                 None => {
                     let ports = self.router.network().processors()[src];
-                    (
-                        self.router.network().channel(ports.inject).station,
-                        u16::MAX,
-                    )
+                    Route::Open(self.router.network().channel(ports.inject).station)
                 }
-                // Switch hop under a fault plan: the degraded route also
-                // carries the allowed-member mask the grant phase must
-                // respect; a dead-end head (impossible for the shipped
-                // routers) degrades to an accounted kill.
-                Some(node) if self.faulted => match self.router.route_degraded(node, dest) {
-                    DegradedRoute::Open(st) => (st, u16::MAX),
-                    DegradedRoute::Restricted(st, m) => {
-                        debug_assert_ne!(m, 0, "restricted route with no allowed member");
-                        (st, m)
-                    }
-                    DegradedRoute::Unreachable => {
-                        self.kill_worm(widx, t);
-                        continue;
-                    }
-                },
                 // Switch hop: route from the head's node.
-                Some(node) => (self.router.next_station(node, dest), u16::MAX),
+                Some(node) => self.router.route(node, dest),
+            };
+            // The route's allowed-member mask is what the grant phase
+            // respects; a dead-end head (impossible for the shipped
+            // routers) degrades to an accounted kill.
+            let (station, mask) = match route {
+                Route::Open(st) => (st, u16::MAX),
+                Route::Restricted(st, m) => {
+                    debug_assert_ne!(m, 0, "restricted route with no allowed member");
+                    (st, m)
+                }
+                Route::Unreachable => {
+                    self.kill_worm(widx, t);
+                    continue;
+                }
             };
             if let Some(o) = self.obs.as_deref_mut() {
                 let queued_behind = !self.station_queue[station.index()].is_empty();
@@ -827,18 +800,14 @@ impl<'a, R: Router> Engine<'a, R> {
         while i < self.ready_stations.len() {
             let st = self.ready_stations[i];
             let mut exhausted_free = false;
-            // FCFS: the queue head's allowed-member mask (all-ones on
-            // every fault-free path) restricts which members it may be
-            // granted; a restricted head whose allowed members are all
-            // busy blocks the queue exactly like an exhausted station
-            // (its allowed members are alive by construction, so a
-            // release re-arms the station — no hang).
+            // FCFS: the queue head's allowed-member mask (all-ones for an
+            // open route) restricts which members it may be granted; a
+            // restricted head whose allowed members are all busy blocks
+            // the queue exactly like an exhausted station (its allowed
+            // members are alive by construction, so a release re-arms the
+            // station — no hang).
             while let Some(&head_worm) = self.station_queue[st.index()].front() {
-                let wmask = if self.faulted {
-                    self.worms[head_worm as usize].route_mask
-                } else {
-                    u16::MAX
-                };
+                let wmask = self.worms[head_worm as usize].route_mask;
                 // Collect member channels with a free lane. A channel with
                 // several free lanes still counts once — the random pick is
                 // over physical channels (the paper's up-link rule), the

@@ -36,18 +36,20 @@
 //!   ([`config::EngineKind`]): the reference walk (the oracle) and
 //!   idle-span fast-forwarding (the default).
 //! * [`router`] — per-topology routing logic behind one trait
-//!   ([`router::Router`]): butterfly fat-tree, hypercube (e-cube),
-//!   k-ary n-mesh (dimension order) — each with a fault-aware variant
-//!   ([`router::FaultedBftRouter`] and friends) that routes around a
-//!   `wormsim_faults::FaultPlan`, reports unroutable messages instead of
-//!   wedging, and is bit-for-bit the pristine router under an empty plan.
+//!   ([`router::Router`], one [`router::Route`] per hop): butterfly
+//!   fat-tree, hypercube (e-cube), k-ary n-mesh (dimension order). The
+//!   hypercube and mesh routers and [`router::FaultedBftRouter`] route
+//!   around a `wormsim_faults::FaultPlan`, report unroutable messages
+//!   instead of wedging, and are bit-for-bit the pristine topology's
+//!   routing under an empty plan.
 //! * [`traffic`] — Poisson or MMPP-modulated sources on a continuous
 //!   clock, merged through a binary heap so per-cycle cost scales with
 //!   arrivals, not PEs; destinations sampled from the workload's pattern.
 //! * [`stats`] — Welford accumulators, batch-means confidence intervals,
 //!   per-channel-class audit counters.
-//! * [`runner`] — warmup/measure/drain orchestration, saturation detection,
-//!   and thread-parallel load sweeps with deterministic per-point seeds.
+//! * [`runner`] — single runs, and thread-parallel load sweeps,
+//!   replications and saturation scans with deterministic per-point seeds
+//!   that return typed errors instead of panicking.
 //!
 //! The engine also hosts the optional `wormsim-obs` observer
 //! ([`runner::run_simulation_observed`]): worm-lifecycle events,
@@ -90,11 +92,5 @@ pub mod stats;
 pub mod traffic;
 
 pub use config::{EngineKind, SimConfig, SimConfigError, TrafficConfig};
-pub use router::{
-    BftRouter, DegradedRoute, FaultedBftRouter, FaultedHypercubeRouter, FaultedMeshRouter,
-    HypercubeRouter, MeshRouter, Router,
-};
-pub use runner::{
-    run_simulation, run_simulation_observed, run_simulation_with_engine, run_simulation_with_lanes,
-    run_simulation_with_lanes_and_engine, SimResult,
-};
+pub use router::{BftRouter, FaultedBftRouter, HypercubeRouter, MeshRouter, Route, Router};
+pub use runner::{run_simulation, run_simulation_observed, run_simulation_with_lanes, SimResult};

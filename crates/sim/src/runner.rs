@@ -1,4 +1,7 @@
-//! Run orchestration: single simulations and parallel load sweeps.
+//! Run orchestration: single simulations, parallel load sweeps,
+//! replications and saturation scans. The batch runners validate their
+//! inputs on the calling thread and return [`WorkloadError`] instead of
+//! panicking.
 
 use crate::config::{EngineKind, SimConfig, TrafficConfig};
 use crate::engine::Engine;
@@ -6,6 +9,7 @@ use crate::router::Router;
 use crate::stats::ClassStats;
 use wormsim_lanes::{LaneConfig, LaneStats};
 use wormsim_obs::{ObsConfig, SimSnapshot};
+use wormsim_workload::WorkloadError;
 
 /// Aggregated outcome of one simulation run.
 #[derive(Debug, Clone)]
@@ -93,32 +97,15 @@ impl SimResult {
     }
 }
 
-/// Runs one simulation to completion (idle-span fast-forwarding enabled —
-/// the default engine).
+/// Runs one simulation to completion on the default engine
+/// (idle-span fast-forwarding) with single-lane channels.
 #[must_use]
 pub fn run_simulation<R: Router>(
     router: &R,
     cfg: &SimConfig,
     traffic: &TrafficConfig,
 ) -> SimResult {
-    run_simulation_with_engine(router, cfg, traffic, EngineKind::default())
-}
-
-/// Runs one simulation on the selected execution core
-/// ([`EngineKind`]); single-lane channels.
-///
-/// Both cores are bit-exact — the selector trades per-cycle cost, not
-/// results (see `testutil::differential` and
-/// `tests/fast_forward_replay.rs`), so [`EngineKind::Reference`] exists
-/// for equivalence tests and speedup benchmarks.
-#[must_use]
-pub fn run_simulation_with_engine<R: Router>(
-    router: &R,
-    cfg: &SimConfig,
-    traffic: &TrafficConfig,
-    kind: EngineKind,
-) -> SimResult {
-    run_simulation_with_lanes_and_engine(router, cfg, traffic, &LaneConfig::single(), kind)
+    run_simulation_with_lanes(router, cfg, traffic, &LaneConfig::single())
 }
 
 /// Runs one simulation with the given virtual-channel configuration.
@@ -136,29 +123,19 @@ pub fn run_simulation_with_lanes<R: Router>(
     Engine::with_lanes(router, cfg, traffic, lanes).run()
 }
 
-/// Runs one simulation with both a virtual-channel configuration and an
-/// explicit execution core — the fully general entry point.
-#[must_use]
-pub fn run_simulation_with_lanes_and_engine<R: Router>(
-    router: &R,
-    cfg: &SimConfig,
-    traffic: &TrafficConfig,
-    lanes: &LaneConfig,
-    kind: EngineKind,
-) -> SimResult {
-    let mut engine = Engine::with_lanes(router, cfg, traffic, lanes);
-    engine.set_engine_kind(kind);
-    engine.run()
-}
-
-/// Runs one simulation with the observability layer attached:
-/// worm-lifecycle events, per-channel busy/stalled/idle accounting,
-/// per-lane grant tracking and a delivered-latency histogram, returned
-/// in [`SimResult::obs`]. With `obs.enabled == false` this is exactly
-/// [`run_simulation_with_lanes_and_engine`]: the observer slot stays
-/// `None` and every hook is a single not-taken branch, so there is no
-/// separate disabled path to time. An enabled observer's cost is
-/// `wormbench --trace 1`'s `obs.trace_overhead`.
+/// Runs one simulation on the selected execution core ([`EngineKind`])
+/// with the observability layer attached: worm-lifecycle events,
+/// per-channel busy/stalled/idle accounting, per-lane grant tracking and
+/// a delivered-latency histogram, returned in [`SimResult::obs`].
+///
+/// Both cores are bit-exact — the selector trades per-cycle cost, not
+/// results (see `testutil::differential` and
+/// `tests/fast_forward_replay.rs`), so [`EngineKind::Reference`] exists
+/// for equivalence tests. With [`ObsConfig::disabled`] this is a bare run
+/// on that core: the observer slot stays `None` and every hook is a
+/// single not-taken branch, so there is no separate disabled path to
+/// time. An enabled observer's cost is `wormbench --trace 1`'s
+/// `obs.trace_overhead`.
 #[must_use]
 pub fn run_simulation_observed<R: Router>(
     router: &R,
@@ -174,40 +151,12 @@ pub fn run_simulation_observed<R: Router>(
     engine.run()
 }
 
-/// Like [`sweep_traffic`] but with the given virtual-channel configuration
-/// applied at every point (same per-point seed derivation, so the `L = 1`
-/// sweep reproduces [`sweep_traffic`] exactly).
-///
-/// # Panics
-///
-/// Same as [`sweep_traffic`].
-#[must_use]
-// Panics are the documented contract of the sweep family (see # Panics);
-// callers wanting typed errors validate via `TrafficConfig` first.
-#[allow(clippy::expect_used)]
-pub fn sweep_traffic_with_lanes<R: Router>(
-    router: &R,
-    cfg: &SimConfig,
-    base: &TrafficConfig,
-    lanes: &LaneConfig,
-    flit_loads: &[f64],
-) -> Vec<SimResult> {
-    base.pattern
-        .validate(router.network().num_processors())
-        .expect("destination pattern must fit the machine");
-    run_indexed_parallel(flit_loads.len(), |i| {
-        let point_cfg = cfg.with_seed(point_seed(cfg.seed, i as u64));
-        let traffic = base.at_flit_load(flit_loads[i]).expect("valid sweep load");
-        run_simulation_with_lanes(router, &point_cfg, &traffic, lanes)
-    })
-}
-
-/// Derives the uncorrelated per-point seed used by [`sweep_flit_loads`]
-/// for point `index`: mixing with a splitmix64-style odd constant keeps
-/// the streams uncorrelated while staying reproducible from the base
-/// seed. Public (like [`replication_seed`] and [`saturation_probe_seed`])
-/// so tests and helper crates can reproduce individual runs without
-/// copying the formula.
+/// Derives the uncorrelated per-point seed used by [`sweep_traffic`] for
+/// point `index`: mixing with a splitmix64-style odd constant keeps the
+/// streams uncorrelated while staying reproducible from the base seed.
+/// Public (like [`replication_seed`] and [`saturation_probe_seed`]) so
+/// tests and helper crates can reproduce individual runs without copying
+/// the formula.
 #[must_use]
 pub fn point_seed(base_seed: u64, index: u64) -> u64 {
     base_seed.wrapping_add(index.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
@@ -229,46 +178,35 @@ pub fn saturation_probe_seed(base_seed: u64, index: u64) -> u64 {
     base_seed.wrapping_add(index.wrapping_mul(0x2545_F491_4F6C_DD1D))
 }
 
-/// Runs one simulation per offered flit load, in parallel across OS threads
-/// (std scoped threads; one deterministic seed per point derived from
-/// the base seed via [`point_seed`]), returning results in input order.
-/// Poisson/uniform traffic; see [`sweep_traffic`] to sweep an arbitrary
-/// workload.
+/// Runs one simulation per offered flit load, carrying `base`'s workload
+/// (worm length, pattern and arrival process) to every point with `lanes`
+/// lanes per channel; only the offered load varies. Points run in
+/// parallel across OS threads (std scoped threads; one deterministic seed
+/// per point derived from the base seed via [`point_seed`]) and come back
+/// in input order.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on non-finite/negative loads or zero-flit worms.
-#[must_use]
-// Documented # Panics contract; a zero-load config with a validated worm
-// length only fails on zero flits, which the message names.
-#[allow(clippy::expect_used)]
-pub fn sweep_flit_loads<R: Router>(
-    router: &R,
-    cfg: &SimConfig,
-    worm_flits: u32,
-    flit_loads: &[f64],
-) -> Vec<SimResult> {
-    let base = TrafficConfig::from_flit_load(0.0, worm_flits).expect("valid worm length");
-    sweep_traffic(router, cfg, &base, flit_loads)
-}
-
-/// Like [`sweep_flit_loads`] but carrying `base`'s full workload (pattern
-/// and arrival process) to every point; only the offered load varies.
-///
-/// # Panics
-///
-/// Panics on non-finite/negative loads, or when `base`'s destination
-/// pattern cannot address this router's machine (checked up front on the
-/// calling thread, so the failure is a clear message rather than a
-/// worker-thread abort).
-#[must_use]
+/// Checked on the calling thread before any worker starts:
+/// [`WorkloadError::Pattern`] when `base`'s destination pattern cannot
+/// address this router's machine, and [`WorkloadError::InvalidParameter`]
+/// on a non-finite or negative load or a zero-flit worm.
 pub fn sweep_traffic<R: Router>(
     router: &R,
     cfg: &SimConfig,
     base: &TrafficConfig,
+    lanes: &LaneConfig,
     flit_loads: &[f64],
-) -> Vec<SimResult> {
-    sweep_traffic_with_lanes(router, cfg, base, &LaneConfig::single(), flit_loads)
+) -> Result<Vec<SimResult>, WorkloadError> {
+    base.pattern.validate(router.network().num_processors())?;
+    let points = flit_loads
+        .iter()
+        .map(|&load| base.at_flit_load(load))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(run_indexed_parallel(points.len(), |i| {
+        let point_cfg = cfg.with_seed(point_seed(cfg.seed, i as u64));
+        run_simulation_with_lanes(router, &point_cfg, &points[i], lanes)
+    }))
 }
 
 /// Worker count for a parallel batch of `jobs` independent simulations:
@@ -346,15 +284,28 @@ pub struct ReplicatedResult {
 }
 
 /// Runs `replications` independent simulations of one operating point in
-/// parallel, with seeds `base_seed + 1..=replications` mixed splitmix-style.
-#[must_use]
+/// parallel, seeded by [`replication_seed`].
+///
+/// # Errors
+///
+/// Checked on the calling thread before any worker starts:
+/// [`WorkloadError::InvalidParameter`] when `replications` is 0, and
+/// [`WorkloadError::Pattern`] when `traffic`'s destination pattern cannot
+/// address this router's machine.
 pub fn replicate<R: Router>(
     router: &R,
     cfg: &SimConfig,
     traffic: &TrafficConfig,
     replications: usize,
-) -> ReplicatedResult {
-    assert!(replications >= 1);
+) -> Result<ReplicatedResult, WorkloadError> {
+    if replications == 0 {
+        return Err(WorkloadError::InvalidParameter(
+            "replicate needs at least one replication".into(),
+        ));
+    }
+    traffic
+        .pattern
+        .validate(router.network().num_processors())?;
     let runs = run_indexed_parallel(replications, |i| {
         let seed = replication_seed(cfg.seed, i as u64);
         run_simulation(router, &cfg.with_seed(seed), traffic)
@@ -369,50 +320,68 @@ pub fn replicate<R: Router>(
     } else {
         0.0
     };
-    ReplicatedResult {
+    Ok(ReplicatedResult {
         mean_latency,
         between_rep_std: var.sqrt(),
         any_saturated: runs.iter().any(|r| r.saturated),
         runs,
-    }
+    })
 }
 
-/// Scans flit loads upward until the simulator reports saturation,
-/// returning `(last_stable_load, first_saturated_load)`; the second element
-/// is `None` when even the largest probed load stayed stable.
-#[must_use]
-// Documented # Panics contract on degenerate probe parameters; the probe
-// loads themselves are finite by construction of the scan.
-#[allow(clippy::expect_used)]
+/// Scans flit loads `start_load, start_load + step, …` up to `max_load`
+/// until the simulator reports saturation, returning
+/// `(last_stable_load, first_saturated_load)`; the second element is
+/// `None` when even the largest probed load stayed stable. Each probe
+/// carries `base`'s workload at its load, with `lanes` lanes per channel
+/// and a seed from [`saturation_probe_seed`].
+///
+/// # Errors
+///
+/// [`WorkloadError::InvalidParameter`] on a non-finite or negative
+/// `start_load`, a non-finite or non-positive `step`, or a zero-flit
+/// worm; [`WorkloadError::Pattern`] when `base`'s destination pattern
+/// cannot address this router's machine.
 pub fn find_saturation<R: Router>(
     router: &R,
     cfg: &SimConfig,
-    worm_flits: u32,
+    base: &TrafficConfig,
+    lanes: &LaneConfig,
     start_load: f64,
     step: f64,
     max_load: f64,
-) -> (f64, Option<f64>) {
-    assert!(step > 0.0 && start_load >= 0.0);
+) -> Result<(f64, Option<f64>), WorkloadError> {
+    if !(start_load.is_finite() && start_load >= 0.0) {
+        return Err(WorkloadError::InvalidParameter(format!(
+            "saturation scan start {start_load} must be finite and non-negative"
+        )));
+    }
+    if !(step.is_finite() && step > 0.0) {
+        return Err(WorkloadError::InvalidParameter(format!(
+            "saturation scan step {step} must be finite and positive"
+        )));
+    }
+    base.pattern.validate(router.network().num_processors())?;
     let mut last_stable = 0.0;
     let mut load = start_load;
     let mut idx = 0u64;
     while load <= max_load {
         let seed = saturation_probe_seed(cfg.seed, idx);
-        let traffic = TrafficConfig::from_flit_load(load, worm_flits).expect("valid probe load");
-        let result = run_simulation(router, &cfg.with_seed(seed), &traffic);
+        let traffic = base.at_flit_load(load)?;
+        let result = run_simulation_with_lanes(router, &cfg.with_seed(seed), &traffic, lanes);
         if result.saturated {
-            return (last_stable, Some(load));
+            return Ok((last_stable, Some(load)));
         }
         last_stable = load;
         load += step;
         idx += 1;
     }
-    (last_stable, None)
+    Ok((last_stable, None))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DestinationPattern;
     use crate::router::BftRouter;
     use wormsim_topology::bft::{BftParams, ButterflyFatTree};
 
@@ -460,7 +429,9 @@ mod tests {
         let tree = ButterflyFatTree::new(BftParams::paper(64).unwrap());
         let router = BftRouter::new(&tree);
         let loads = [0.002, 0.01, 0.025];
-        let results = sweep_flit_loads(&router, &quick_cfg(), 16, &loads);
+        let base = TrafficConfig::new(0.0, 16).unwrap();
+        let results =
+            sweep_traffic(&router, &quick_cfg(), &base, &LaneConfig::single(), &loads).unwrap();
         assert_eq!(results.len(), 3);
         for (i, r) in results.iter().enumerate() {
             assert!((r.offered_flit_load - loads[i]).abs() < 1e-12);
@@ -516,39 +487,65 @@ mod tests {
         let tree = ButterflyFatTree::new(BftParams::paper(16).unwrap());
         let router = BftRouter::new(&tree);
         let traffic = TrafficConfig::from_flit_load(0.03, 16).unwrap();
-        let rep = replicate(&router, &quick_cfg(), &traffic, 4);
+        let rep = replicate(&router, &quick_cfg(), &traffic, 4).unwrap();
         assert_eq!(rep.runs.len(), 4);
         assert!(!rep.any_saturated);
         assert!(rep.between_rep_std > 0.0, "independent seeds must differ");
         // Between-replication spread is small at a stable operating point.
         assert!(rep.between_rep_std / rep.mean_latency < 0.02);
         // Re-running gives identical output (derived seeds are deterministic).
-        let rep2 = replicate(&router, &quick_cfg(), &traffic, 4);
+        let rep2 = replicate(&router, &quick_cfg(), &traffic, 4).unwrap();
         assert_eq!(rep.mean_latency.to_bits(), rep2.mean_latency.to_bits());
         // Single replication works.
-        let one = replicate(&router, &quick_cfg(), &traffic, 1);
+        let one = replicate(&router, &quick_cfg(), &traffic, 1).unwrap();
         assert_eq!(one.between_rep_std, 0.0);
     }
 
     #[test]
-    #[should_panic(expected = "pattern must fit")]
-    fn sweep_rejects_patterns_that_do_not_fit_the_machine() {
+    fn batch_runners_reject_bad_inputs_with_typed_errors() {
+        // Every case is refused on the calling thread, before any
+        // simulation runs.
         let tree = ButterflyFatTree::new(BftParams::paper(16).unwrap());
         let router = BftRouter::new(&tree);
-        let base = TrafficConfig::new(0.001, 16).unwrap().with_pattern(
-            crate::config::DestinationPattern::HotSpot {
-                fraction: 0.1,
-                target: 9999,
-            },
-        );
-        let _ = sweep_traffic(&router, &quick_cfg(), &base, &[0.01]);
+        let (cfg, one) = (quick_cfg(), LaneConfig::single());
+        let base = TrafficConfig::new(0.0, 16).unwrap();
+        let mut zero_flits = base;
+        zero_flits.worm_flits = 0;
+        // A NaN sweep load, zero replications, a zero scan step, a NaN scan
+        // start and zero-flit worms.
+        let invalid = [
+            sweep_traffic(&router, &cfg, &base, &one, &[0.01, f64::NAN]).map(drop),
+            replicate(&router, &cfg, &base, 0).map(drop),
+            find_saturation(&router, &cfg, &base, &one, 0.02, 0.0, 0.4).map(drop),
+            find_saturation(&router, &cfg, &base, &one, f64::NAN, 0.02, 0.4).map(drop),
+            find_saturation(&router, &cfg, &zero_flits, &one, 0.02, 0.02, 0.4).map(drop),
+        ];
+        for (case, got) in invalid.iter().enumerate() {
+            let ok = matches!(got, Err(WorkloadError::InvalidParameter(_)));
+            assert!(ok, "invalid-parameter case {case}: {got:?}");
+        }
+        // A hot spot outside the machine.
+        let misfit = base.with_pattern(DestinationPattern::HotSpot {
+            fraction: 0.1,
+            target: 9999,
+        });
+        let misfits = [
+            sweep_traffic(&router, &cfg, &misfit, &one, &[0.01]).map(drop),
+            replicate(&router, &cfg, &misfit, 2).map(drop),
+        ];
+        for (case, got) in misfits.iter().enumerate() {
+            let ok = matches!(got, Err(WorkloadError::Pattern(_)));
+            assert!(ok, "pattern case {case}: {got:?}");
+        }
     }
 
     #[test]
     fn find_saturation_brackets_the_knee() {
         let tree = ButterflyFatTree::new(BftParams::paper(16).unwrap());
         let router = BftRouter::new(&tree);
-        let (stable, saturated) = find_saturation(&router, &quick_cfg(), 16, 0.02, 0.02, 0.4);
+        let (base, one) = (TrafficConfig::new(0.0, 16).unwrap(), LaneConfig::single());
+        let scan = find_saturation(&router, &quick_cfg(), &base, &one, 0.02, 0.02, 0.4);
+        let (stable, saturated) = scan.unwrap();
         assert!(stable > 0.0);
         let first_bad = saturated.expect("a 16-PE tree must saturate below 0.4");
         assert!(first_bad > stable);

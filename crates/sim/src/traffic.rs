@@ -92,8 +92,10 @@ impl TrafficGenerator {
     /// Panics when `num_pes < 2` or the destination pattern cannot address
     /// this machine (see `DestinationPattern::validate`).
     #[must_use]
-    // Documented # Panics contract; `run_simulation` validates the pattern
-    // up front so this fires only on direct misuse.
+    // Documented # Panics contract; the batch runners (`sweep_traffic`,
+    // `replicate`, `find_saturation`) validate the pattern up front and
+    // return a typed error, so this fires only on a single run or a direct
+    // engine build with a pattern that does not fit.
     #[allow(clippy::expect_used)]
     pub fn new(num_pes: usize, traffic: &TrafficConfig, rng: &mut SmallRng) -> Self {
         assert!(num_pes >= 2, "traffic needs at least two PEs");

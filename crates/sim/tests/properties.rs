@@ -2,7 +2,7 @@
 //! conservation laws for arbitrary small topologies, loads and seeds.
 
 use proptest::prelude::*;
-use wormsim_sim::config::{SimConfig, TrafficConfig, TrafficPattern};
+use wormsim_sim::config::{LaneConfig, SimConfig, TrafficConfig, TrafficPattern};
 use wormsim_sim::engine::Engine;
 use wormsim_sim::router::{BftRouter, HypercubeRouter, MeshRouter};
 use wormsim_sim::runner::run_simulation;
@@ -47,7 +47,7 @@ proptest! {
             batches: 4,
         };
         let traffic = TrafficConfig::from_flit_load(load, flits).unwrap().with_pattern(pat);
-        let mut engine = Engine::new(&router, &cfg, &traffic);
+        let mut engine = Engine::with_lanes(&router, &cfg, &traffic, &LaneConfig::single());
         for _ in 0..8 {
             engine.step_many(400);
             engine.check_invariants().map_err(|e| {
@@ -123,13 +123,13 @@ proptest! {
 
         let cube = Hypercube::new(dim).unwrap();
         let router = HypercubeRouter::new(&cube);
-        let mut engine = Engine::new(&router, &cfg, &traffic);
+        let mut engine = Engine::with_lanes(&router, &cfg, &traffic, &LaneConfig::single());
         engine.step_many(2_000);
         engine.check_invariants().map_err(TestCaseError::fail)?;
 
         let mesh = Mesh::new(3, 2).unwrap();
         let router = MeshRouter::new(&mesh);
-        let mut engine = Engine::new(&router, &cfg, &traffic);
+        let mut engine = Engine::with_lanes(&router, &cfg, &traffic, &LaneConfig::single());
         engine.step_many(2_000);
         engine.check_invariants().map_err(TestCaseError::fail)?;
     }

@@ -19,9 +19,7 @@
 
 use wormsim_sim::config::{EngineKind, LaneConfig, ObsConfig, SimConfig, TrafficConfig};
 use wormsim_sim::router::Router;
-use wormsim_sim::runner::{
-    run_simulation_observed, run_simulation_with_lanes_and_engine, SimResult,
-};
+use wormsim_sim::runner::{run_simulation_observed, SimResult};
 
 /// Field-by-field bit comparison of two simulation results.
 ///
@@ -130,11 +128,11 @@ pub fn assert_engine_equivalence<R: Router>(
     kinds: &[EngineKind],
     label: &str,
 ) -> SimResult {
-    let oracle =
-        run_simulation_with_lanes_and_engine(router, cfg, traffic, lanes, EngineKind::Reference);
+    let bare = ObsConfig::disabled();
+    let oracle = run_simulation_observed(router, cfg, traffic, lanes, EngineKind::Reference, &bare);
     assert_eq!(oracle.cycles_skipped, 0, "{label}: the oracle never skips");
     for &kind in kinds {
-        let got = run_simulation_with_lanes_and_engine(router, cfg, traffic, lanes, kind);
+        let got = run_simulation_observed(router, cfg, traffic, lanes, kind, &bare);
         assert_sim_results_identical(
             &got,
             &oracle,
@@ -169,6 +167,7 @@ pub fn assert_observation_transparent<R: Router>(
     obs: &ObsConfig,
     label: &str,
 ) -> SimResult {
+    let disabled = ObsConfig::disabled();
     let oracle_observed =
         run_simulation_observed(router, cfg, traffic, lanes, EngineKind::Reference, obs);
     let oracle_snap = oracle_observed
@@ -179,7 +178,7 @@ pub fn assert_observation_transparent<R: Router>(
         .check_conservation()
         .unwrap_or_else(|e| panic!("{label}: oracle conservation: {e}"));
     for &kind in std::iter::once(&EngineKind::Reference).chain(kinds) {
-        let bare = run_simulation_with_lanes_and_engine(router, cfg, traffic, lanes, kind);
+        let bare = run_simulation_observed(router, cfg, traffic, lanes, kind, &disabled);
         let observed = run_simulation_observed(router, cfg, traffic, lanes, kind, obs);
         let snap = observed
             .obs

@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use wormsim_topology::bft::{ButterflyFatTree, RouteChoice};
 use wormsim_topology::graph::{ChannelNetwork, NodeKind};
 use wormsim_topology::hypercube::Hypercube;
-use wormsim_topology::ids::{ChannelId, NodeId, StationId};
+use wormsim_topology::ids::{ChannelId, NodeId};
 use wormsim_topology::mesh::Mesh;
 
 /// One routing step as seen by the flow propagation.
@@ -281,28 +281,12 @@ impl FlowVector {
         self.unit_flows[ch.index()]
     }
 
-    /// Worm arrival rate on channel `ch` at per-PE message rate `lambda0`.
-    #[must_use]
-    pub fn channel_rate(&self, ch: ChannelId, lambda0: f64) -> f64 {
-        self.unit_flows[ch.index()] * lambda0
-    }
-
     /// Sum of all per-channel unit flows. Flow conservation pins this to
     /// `num_pes · avg_distance`: every message traverses `D̄` channels on
     /// average and each PE offers one message per unit time.
     #[must_use]
     pub fn sum_unit_flows(&self) -> f64 {
         self.unit_flows.iter().sum()
-    }
-
-    /// Combined unit flow of a station (all member channels).
-    #[must_use]
-    pub fn station_unit_flow(&self, net: &ChannelNetwork, station: StationId) -> f64 {
-        net.station(station)
-            .channels
-            .iter()
-            .map(|&ch| self.unit_flows[ch.index()])
-            .sum()
     }
 
     /// Continuation weights of channel `ch`: `(next channel, weight)`

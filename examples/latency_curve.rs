@@ -11,7 +11,7 @@ use wormsim::experiments::ascii_plot::{plot, Series};
 use wormsim::prelude::*;
 use wormsim::sim::config::SimConfig;
 use wormsim::sim::router::BftRouter;
-use wormsim::sim::runner::sweep_flit_loads;
+use wormsim::sim::runner::sweep_traffic;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -33,7 +33,9 @@ fn main() {
         measure_cycles: 30_000,
         ..SimConfig::quick()
     };
-    let results = sweep_flit_loads(&router, &cfg, s, &loads);
+    let base = TrafficConfig::new(0.0, s).expect("worms need at least one flit");
+    let results =
+        sweep_traffic(&router, &cfg, &base, &LaneConfig::single(), &loads).expect("valid sweep");
 
     println!("{:>8}  {:>9}  {:>9}  {:>7}", "load", "model", "sim", "err%");
     let mut model_pts = Vec::new();

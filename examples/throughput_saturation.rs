@@ -19,7 +19,7 @@ fn main() {
     let params = BftParams::paper(n).expect("N must be a power of 4");
     let tree = ButterflyFatTree::new(params);
     let router = BftRouter::new(&tree);
-    let cfg = SimConfig::quick();
+    let (cfg, one) = (SimConfig::quick(), LaneConfig::single());
 
     println!("N={n}: saturation points (flits/cycle/PE)\n");
     println!(
@@ -29,8 +29,10 @@ fn main() {
     for s in [16u32, 32, 64] {
         let model = BftModel::new(params, f64::from(s));
         let knee = model.saturation_flit_load().expect("saturates");
-        let (stable, first_bad) =
-            find_saturation(&router, &cfg, s, knee * 0.6, knee * 0.08, knee * 2.5);
+        let base = TrafficConfig::new(0.0, s).expect("worms have flits");
+        let (start, step, max) = (knee * 0.6, knee * 0.08, knee * 2.5);
+        let scan = find_saturation(&router, &cfg, &base, &one, start, step, max);
+        let (stable, first_bad) = scan.expect("valid scan");
         println!(
             "{s:>6}  {knee:>12.4}  {stable:>14.4}  {:>16}",
             first_bad

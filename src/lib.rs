@@ -144,14 +144,10 @@ pub mod prelude {
     };
     pub use wormsim_queueing::{QueueingError, ServiceMoments};
     pub use wormsim_sim::config::{EngineKind, SimConfig, TrafficConfig, TrafficPattern};
-    pub use wormsim_sim::router::{
-        DegradedRoute, FaultedBftRouter, FaultedHypercubeRouter, FaultedMeshRouter,
-    };
+    pub use wormsim_sim::router::{FaultedBftRouter, Route};
     pub use wormsim_sim::runner::{
         find_saturation, replicate, run_simulation, run_simulation_observed,
-        run_simulation_with_engine, run_simulation_with_lanes,
-        run_simulation_with_lanes_and_engine, sweep_flit_loads, sweep_traffic,
-        sweep_traffic_with_lanes, SimResult,
+        run_simulation_with_lanes, sweep_traffic, SimResult,
     };
     pub use wormsim_topology::bft::{BftParams, ButterflyFatTree};
     pub use wormsim_topology::{ChannelClass, ChannelNetwork};

@@ -4,7 +4,7 @@ use wormsim::prelude::*;
 use wormsim::sim::config::{SimConfig, TrafficConfig};
 use wormsim::sim::engine::Engine;
 use wormsim::sim::router::BftRouter;
-use wormsim::sim::runner::{run_simulation, sweep_flit_loads};
+use wormsim::sim::runner::{run_simulation, sweep_traffic};
 use wormsim_testutil::{mix_seed, quick_sim_config, test_traffic, TEST_SEED};
 
 /// Exact, total encoding of a [`SimResult`] — every field, floats by bit
@@ -196,7 +196,8 @@ fn parallel_sweep_equals_sequential_runs() {
     let router = BftRouter::new(&tree);
     let cfg = SimConfig::quick().with_seed(7);
     let loads = [0.01, 0.03, 0.06];
-    let swept = sweep_flit_loads(&router, &cfg, 16, &loads);
+    let base = TrafficConfig::new(0.0, 16).unwrap();
+    let swept = sweep_traffic(&router, &cfg, &base, &LaneConfig::single(), &loads).unwrap();
     for (i, &load) in loads.iter().enumerate() {
         // testutil's mix_seed encodes the same derivation the sweep uses.
         let seed = mix_seed(cfg.seed, i as u64);
@@ -218,7 +219,7 @@ fn engine_invariants_hold_under_load() {
     let router = BftRouter::new(&tree);
     let cfg = SimConfig::quick().with_seed(57);
     let traffic = TrafficConfig::from_flit_load(0.12, 24).unwrap(); // near/over knee
-    let mut engine = Engine::new(&router, &cfg, &traffic);
+    let mut engine = Engine::with_lanes(&router, &cfg, &traffic, &LaneConfig::single());
     for round in 0..40 {
         engine.step_many(250);
         engine

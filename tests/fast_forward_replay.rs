@@ -14,7 +14,7 @@
 
 use wormsim::faults::link_faults;
 use wormsim::prelude::*;
-use wormsim::sim::router::{BftRouter, HypercubeRouter, MeshRouter};
+use wormsim::sim::router::{BftRouter, HypercubeRouter, MeshRouter, Router};
 use wormsim::topology::hypercube::Hypercube;
 use wormsim::topology::mesh::Mesh;
 // The field-by-field comparison lives in testutil so every replay/
@@ -23,6 +23,12 @@ use wormsim_testutil::{
     assert_engine_equivalence, assert_sim_results_identical as assert_bit_identical,
     quick_sim_config,
 };
+
+/// One bare single-lane run on the reference oracle.
+fn run_reference<R: Router>(router: &R, cfg: &SimConfig, traffic: &TrafficConfig) -> SimResult {
+    let (lanes, obs) = (LaneConfig::single(), ObsConfig::disabled());
+    run_simulation_observed(router, cfg, traffic, &lanes, EngineKind::Reference, &obs)
+}
 
 /// Same orchestration parameters as the `lanes_regression` pins.
 fn pin_cfg(seed: u64) -> SimConfig {
@@ -69,8 +75,7 @@ fn fast_forward_is_bit_exact_across_workloads_and_loads() {
                 .unwrap()
                 .with_workload(workload);
             let fast = run_simulation(&router, &cfg, &traffic);
-            let reference =
-                run_simulation_with_engine(&router, &cfg, &traffic, EngineKind::Reference);
+            let reference = run_reference(&router, &cfg, &traffic);
             assert_bit_identical(&fast, &reference, &format!("{name}@{load}"));
             assert_eq!(reference.cycles_skipped, 0, "{name}: reference skips");
             assert!(
@@ -92,7 +97,7 @@ fn fast_forward_is_bit_exact_on_a_larger_machine_near_the_knee() {
     for load in [0.01, 0.12] {
         let traffic = TrafficConfig::from_flit_load(load, 16).unwrap();
         let fast = run_simulation(&router, &cfg, &traffic);
-        let reference = run_simulation_with_engine(&router, &cfg, &traffic, EngineKind::Reference);
+        let reference = run_reference(&router, &cfg, &traffic);
         assert_bit_identical(&fast, &reference, &format!("n64@{load}"));
     }
 }
@@ -104,7 +109,7 @@ fn fast_forward_skips_almost_everything_at_vanishing_load() {
     let cfg = quick_sim_config(47);
     let traffic = TrafficConfig::new(0.00002, 16).unwrap();
     let fast = run_simulation(&router, &cfg, &traffic);
-    let reference = run_simulation_with_engine(&router, &cfg, &traffic, EngineKind::Reference);
+    let reference = run_reference(&router, &cfg, &traffic);
     assert_bit_identical(&fast, &reference, "vanishing");
     assert!(
         fast.cycles_skipped as f64 > 0.9 * fast.cycles_run as f64,
@@ -122,14 +127,14 @@ fn fast_forward_handles_zero_rate_and_saturation_edges() {
     // Zero rate: the whole run is one idle span.
     let silent = TrafficConfig::new(0.0, 16).unwrap();
     let fast = run_simulation(&router, &cfg, &silent);
-    let reference = run_simulation_with_engine(&router, &cfg, &silent, EngineKind::Reference);
+    let reference = run_reference(&router, &cfg, &silent);
     assert_bit_identical(&fast, &reference, "zero-rate");
     assert_eq!(fast.cycles_run, cfg.warmup_cycles + cfg.measure_cycles);
     // Far past saturation: no idle spans to skip, but the accounting (drain
     // cap, incomplete messages) must still agree exactly.
     let overload = TrafficConfig::from_flit_load(0.5, 16).unwrap();
     let fast = run_simulation(&router, &cfg, &overload);
-    let reference = run_simulation_with_engine(&router, &cfg, &overload, EngineKind::Reference);
+    let reference = run_reference(&router, &cfg, &overload);
     assert_bit_identical(&fast, &reference, "overload");
     assert!(fast.saturated);
 }
@@ -143,7 +148,7 @@ fn sweeps_and_replications_reproduce_sequential_runs() {
     let cfg = quick_sim_config(59);
     let loads = [0.003, 0.01, 0.02, 0.04, 0.06];
     let base = TrafficConfig::from_flit_load(loads[0], 16).unwrap();
-    let swept = sweep_traffic(&router, &cfg, &base, &loads);
+    let swept = sweep_traffic(&router, &cfg, &base, &LaneConfig::single(), &loads).unwrap();
     assert_eq!(swept.len(), loads.len());
     for (i, (r, &load)) in swept.iter().zip(&loads).enumerate() {
         let seed = wormsim::sim::runner::point_seed(cfg.seed, i as u64);
@@ -154,7 +159,7 @@ fn sweeps_and_replications_reproduce_sequential_runs() {
         );
         assert_bit_identical(r, &solo, &format!("sweep point {i}"));
     }
-    let reps = replicate(&router, &cfg, &base, 3);
+    let reps = replicate(&router, &cfg, &base, 3).unwrap();
     for (i, r) in reps.runs.iter().enumerate() {
         let seed = wormsim::sim::runner::replication_seed(cfg.seed, i as u64);
         let solo = run_simulation(&router, &cfg.with_seed(seed), &base);

@@ -18,8 +18,10 @@ fn model_knee_is_near_simulated_stability_boundary() {
     let model = BftModel::new(params, 16.0);
     let knee = model.saturation_flit_load().unwrap();
     let cfg = SimConfig::quick().with_seed(31);
-    let (stable, first_bad) =
-        find_saturation(&router, &cfg, 16, knee * 0.6, knee * 0.08, knee * 2.5);
+    let (base, one) = (TrafficConfig::new(0.0, 16).unwrap(), LaneConfig::single());
+    let (start, step, max) = (knee * 0.6, knee * 0.08, knee * 2.5);
+    let scan = find_saturation(&router, &cfg, &base, &one, start, step, max);
+    let (stable, first_bad) = scan.unwrap();
     let bad = first_bad.expect("the tree must saturate");
     // The knee must be within 25% of the simulator's bracket.
     let lo = stable.min(bad) * 0.75;
