@@ -26,6 +26,7 @@ use crate::error::ModelError;
 use crate::options::ModelOptions;
 use crate::throughput::{self, SaturationPoint};
 use crate::Result;
+use wormsim_queueing::wormhole::wormhole_scv;
 use wormsim_queueing::{mg1, mgm};
 use wormsim_topology::bft::BftParams;
 
@@ -133,9 +134,9 @@ impl BftModel {
         self.lambda_up(l - 1, lambda0)
     }
 
-    /// Wormhole SCV per the configured mode.
+    /// Wormhole service SCV (Eq. 5).
     fn scv(&self, mean: f64) -> f64 {
-        self.options.scv.scv(mean, self.worm_flits)
+        wormhole_scv(mean, self.worm_flits)
     }
 
     /// M/G/1 wait tagged with its channel class on error.
@@ -387,7 +388,6 @@ impl BftModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::ScvMode;
 
     fn paper_model(n_procs: usize, s: f64) -> BftModel {
         BftModel::new(BftParams::paper(n_procs).unwrap(), s)
@@ -572,28 +572,6 @@ mod tests {
             paper.total
         );
         assert!(prior.total >= a1.total.max(a2.total) * 0.999);
-    }
-
-    #[test]
-    fn scv_modes_order_waiting() {
-        let params = BftParams::paper(256).unwrap();
-        let mk = |scv| {
-            BftModel::with_options(
-                params,
-                32.0,
-                ModelOptions {
-                    scv,
-                    ..ModelOptions::paper()
-                },
-            )
-        };
-        let det = mk(ScvMode::Deterministic)
-            .latency_at_flit_load(0.02)
-            .unwrap();
-        let worm = mk(ScvMode::Wormhole).latency_at_flit_load(0.02).unwrap();
-        let exp = mk(ScvMode::Exponential).latency_at_flit_load(0.02).unwrap();
-        assert!(det.total <= worm.total);
-        assert!(worm.total <= exp.total);
     }
 
     #[test]

@@ -419,7 +419,7 @@ mod tests {
         // left its own block: 48/60 at N=64), where Eq. 12 uses the
         // unconditional per-level ratio (48/63). Agreement is therefore
         // very close but not bit-exact; bit-exact Figure 2/3 reproduction
-        // is the job of `bft_spec_with_rates` + `BftLevelRates`.
+        // is the job of `BftModel` (and `framework::bft_spec`).
         for n in [16usize, 64, 256] {
             let params = BftParams::paper(n).unwrap();
             let tree = ButterflyFatTree::new(params);

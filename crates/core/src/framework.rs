@@ -41,6 +41,7 @@ use wormsim_obs::{LadderSample, ModelTelemetry, OutcomeKind, SolverTrace, Statio
 use wormsim_queueing::solver::{
     fixed_point, fixed_point_accelerated, AccelerationConfig, FixedPointConfig,
 };
+use wormsim_queueing::wormhole::wormhole_scv;
 use wormsim_queueing::{mg1, mgm, QueueingError};
 
 /// Reusable warm-start state for solving a *family* of related specs — a
@@ -347,7 +348,7 @@ impl NetworkSpec {
     /// original code path).
     fn station_wait(&self, j: usize, x: f64, options: &ModelOptions) -> Result<f64> {
         let class = &self.classes[j];
-        let scv = options.scv.scv(x, self.worm_flits);
+        let scv = wormhole_scv(x, self.worm_flits);
         let res = if options.lanes > 1 {
             if class.servers > 1 && options.multi_server_up {
                 mgm::waiting_time(
@@ -872,139 +873,22 @@ impl NetworkSpec {
     }
 }
 
-/// Per-level channel arrival rates of a butterfly fat-tree, the rate
-/// input of [`bft_spec_with_rates`].
-///
-/// Index conventions follow [`crate::bft::ChannelAudit`]: `lambda_down[l]`
-/// is the per-channel rate of class `⟨l, l−1⟩` for `l ∈ [1, n]`
-/// (`lambda_down[0]` unused), `lambda_up[l]` of `⟨l, l+1⟩` for
-/// `l ∈ [0, n−1]` (`lambda_up[0]` is the injection channel).
-///
-/// Two constructors cover the two sides of the generalization:
-/// [`BftLevelRates::closed_form`] evaluates the paper's Eq. 14 (uniform
-/// traffic — reproduces the historical `bft_spec` numbers bit-for-bit),
-/// while [`BftLevelRates::from_flows`] aggregates a routing-induced
-/// [`FlowVector`](wormsim_workload::FlowVector) by symmetry class.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BftLevelRates {
-    /// Per-channel rate of up class `⟨l, l+1⟩` at index `l` (length `n`).
-    pub lambda_up: Vec<f64>,
-    /// Per-channel rate of down class `⟨l, l−1⟩` at index `l`
-    /// (length `n + 1`, index 0 unused).
-    pub lambda_down: Vec<f64>,
-    /// Average message distance `D̄` under the workload that produced the
-    /// rates.
-    pub avg_distance: f64,
-}
-
-impl BftLevelRates {
-    /// The paper's uniform-traffic rates (Eq. 14) at source rate
-    /// `lambda0`, with the closed-form `D̄`.
-    #[must_use]
-    pub fn closed_form(params: &wormsim_topology::bft::BftParams, lambda0: f64) -> Self {
-        // Worm length does not enter the rate formulas; any positive value
-        // yields the same model object for this purpose.
-        let model = crate::bft::BftModel::new(*params, 1.0);
-        let n = params.levels() as usize;
-        Self {
-            lambda_up: (0..n).map(|l| model.lambda_up(l as u32, lambda0)).collect(),
-            lambda_down: (0..=n)
-                .map(|l| {
-                    if l == 0 {
-                        0.0
-                    } else {
-                        model.lambda_down(l as u32, lambda0)
-                    }
-                })
-                .collect(),
-            avg_distance: params.average_distance(),
-        }
-    }
-
-    /// Symmetry-class aggregation of a per-channel flow vector: each
-    /// level's rate is the mean over its channels, scaled by `lambda0`.
-    ///
-    /// Exact for workloads that are symmetric across each level (uniform,
-    /// and any pattern whose flows happen to respect the tree symmetry);
-    /// an averaged approximation otherwise — use
-    /// [`crate::flows::model_from_flows`] for per-station fidelity.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::Spec`] when the flow vector was built for a different
-    /// network shape.
-    pub fn from_flows(
-        tree: &wormsim_topology::bft::ButterflyFatTree,
-        flows: &wormsim_workload::FlowVector,
-        lambda0: f64,
-    ) -> Result<Self> {
-        use wormsim_topology::graph::ChannelClass;
-        let params = tree.params();
-        let n = params.levels() as usize;
-        if flows.num_pes() != params.num_processors()
-            || flows.num_channels() != tree.network().num_channels()
-        {
-            return Err(ModelError::Spec(format!(
-                "flow vector shape ({} PEs, {} channels) does not match the tree",
-                flows.num_pes(),
-                flows.num_channels()
-            )));
-        }
-        let mut lambda_up = vec![0.0; n];
-        let mut lambda_down = vec![0.0; n + 1];
-        for (class, mean, _count) in flows.class_mean_unit_flows(tree.network()) {
-            match class {
-                ChannelClass::Injection => lambda_up[0] = mean * lambda0,
-                ChannelClass::Ejection => lambda_down[1] = mean * lambda0,
-                ChannelClass::Up { from } => lambda_up[from as usize] = mean * lambda0,
-                ChannelClass::Down { from } => lambda_down[from as usize] = mean * lambda0,
-                ChannelClass::Dimension { .. } => {
-                    return Err(ModelError::Spec(
-                        "dimension channels cannot appear in a butterfly fat-tree".into(),
-                    ))
-                }
-            }
-        }
-        Ok(Self {
-            lambda_up,
-            lambda_down,
-            avg_distance: flows.avg_distance(),
-        })
-    }
-}
-
 /// Builds the butterfly fat-tree class specification at source rate
-/// `lambda0`, mirroring paper §3 — used to cross-validate the general
-/// framework against the closed-form recurrences of [`crate::bft`].
-///
-/// Equivalent to [`bft_spec_with_rates`] with
-/// [`BftLevelRates::closed_form`], the paper's uniform-workload rates.
+/// `lambda0`, mirroring paper §3 with the uniform-traffic rates of Eq. 14
+/// — used to cross-validate the general framework against the
+/// closed-form recurrences of [`crate::bft`], and the model
+/// [`crate::bft::BftModel`] solves at `L > 1` lanes.
 #[must_use]
 pub fn bft_spec(
     params: &wormsim_topology::bft::BftParams,
     worm_flits: f64,
     lambda0: f64,
 ) -> NetworkSpec {
-    bft_spec_with_rates(
-        params,
-        worm_flits,
-        &BftLevelRates::closed_form(params, lambda0),
-    )
-}
-
-/// Builds the butterfly fat-tree class specification from explicit
-/// per-level rates — the generalized pipeline through which any workload's
-/// flow vector (aggregated by level symmetry) reaches the Eq. 11 solver.
-#[must_use]
-pub fn bft_spec_with_rates(
-    params: &wormsim_topology::bft::BftParams,
-    worm_flits: f64,
-    rates: &BftLevelRates,
-) -> NetworkSpec {
+    // Worm length does not enter the rate formulas; any positive value
+    // yields the same rates.
+    let rates = crate::bft::BftModel::new(*params, 1.0);
     let n = params.levels() as usize;
     let c = params.children() as f64;
-    assert_eq!(rates.lambda_up.len(), n, "one up rate per level");
-    assert_eq!(rates.lambda_down.len(), n + 1, "one down rate per level");
 
     // Class layout: down[l] for l in 1..=n at indices l-1 (⟨l, l−1⟩),
     // up[l] for l in 0..n at indices n + l (⟨l, l+1⟩; l = 0 is injection).
@@ -1030,7 +914,7 @@ pub fn bft_spec_with_rates(
         };
         classes.push(ClassSpec {
             name: format!("<{},{}>", l, l - 1),
-            lambda: rates.lambda_down[l],
+            lambda: rates.lambda_down(l as u32, lambda0),
             servers: 1,
             body,
         });
@@ -1057,7 +941,7 @@ pub fn bft_spec_with_rates(
             } else {
                 format!("<{},{}>", l, l + 1)
             },
-            lambda: rates.lambda_up[l],
+            lambda: rates.lambda_up(lu, lambda0),
             servers: if l == 0 { 1 } else { params.parents() as u32 },
             body: ClassBody::Interior { forwards },
         });
@@ -1067,7 +951,7 @@ pub fn bft_spec_with_rates(
         classes,
         worm_flits,
         injection: up_idx(0),
-        avg_distance: rates.avg_distance,
+        avg_distance: params.average_distance(),
     }
 }
 
@@ -1262,73 +1146,6 @@ mod tests {
                             ),
                         }
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn closed_form_rates_reproduce_bft_spec_bit_for_bit() {
-        // `bft_spec` is now a thin wrapper over `bft_spec_with_rates` with
-        // Eq. 14 rates; both paths must agree to the last bit so the
-        // Figure 2/3 numbers are untouched by the generalization.
-        for n_procs in [16usize, 64, 1024] {
-            let params = BftParams::paper(n_procs).unwrap();
-            for lambda0 in [0.0, 0.0008, 0.0021] {
-                let via_rates = bft_spec_with_rates(
-                    &params,
-                    32.0,
-                    &BftLevelRates::closed_form(&params, lambda0),
-                );
-                let direct = bft_spec(&params, 32.0, lambda0);
-                for (a, b) in direct.classes.iter().zip(&via_rates.classes) {
-                    assert_eq!(a.lambda.to_bits(), b.lambda.to_bits(), "{}", a.name);
-                }
-                let la = direct.latency(&ModelOptions::paper(), None);
-                let lb = via_rates.latency(&ModelOptions::paper(), None);
-                match (la, lb) {
-                    (Ok(a), Ok(b)) => assert_eq!(a.total.to_bits(), b.total.to_bits()),
-                    (Err(_), Err(_)) => {}
-                    other => panic!("paths disagree: {other:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn uniform_workload_rates_reproduce_figure23_numbers() {
-        // The generalized pipeline — routing-induced flow vector,
-        // aggregated by level symmetry, through the same spec builder —
-        // must land on the closed-form Eq. 14 rates and latencies to
-        // floating-point rounding under the uniform workload.
-        use wormsim_topology::bft::ButterflyFatTree;
-        use wormsim_workload::{DestinationPattern, FlowVector};
-        for n_procs in [16usize, 64, 256] {
-            let params = BftParams::paper(n_procs).unwrap();
-            let tree = ButterflyFatTree::new(params);
-            let flows = FlowVector::build(&tree, &DestinationPattern::Uniform).unwrap();
-            for lambda0 in [0.0, 0.0005, 0.002] {
-                let from_flows = BftLevelRates::from_flows(&tree, &flows, lambda0).unwrap();
-                let closed = BftLevelRates::closed_form(&params, lambda0);
-                for (a, b) in from_flows.lambda_up.iter().zip(&closed.lambda_up) {
-                    assert!((a - b).abs() <= 1e-11 * (1.0 + b.abs()), "up {a} vs {b}");
-                }
-                for (a, b) in from_flows.lambda_down.iter().zip(&closed.lambda_down) {
-                    assert!((a - b).abs() <= 1e-11 * (1.0 + b.abs()), "down {a} vs {b}");
-                }
-                assert!((from_flows.avg_distance - closed.avg_distance).abs() < 1e-9);
-                let a = bft_spec_with_rates(&params, 16.0, &from_flows)
-                    .latency(&ModelOptions::paper(), None);
-                let b = bft_spec(&params, 16.0, lambda0).latency(&ModelOptions::paper(), None);
-                match (a, b) {
-                    (Ok(a), Ok(b)) => assert!(
-                        (a.total - b.total).abs() < 1e-9 * (1.0 + b.total),
-                        "N={n_procs} λ0={lambda0}: {} vs {}",
-                        a.total,
-                        b.total
-                    ),
-                    (Err(_), Err(_)) => {}
-                    other => panic!("pipelines disagree: {other:?}"),
                 }
             }
         }

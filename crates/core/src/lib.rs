@@ -73,7 +73,7 @@ pub mod options;
 pub mod throughput;
 
 pub use error::ModelError;
-pub use options::{ModelOptions, ScvMode};
+pub use options::ModelOptions;
 
 /// Result alias for model computations.
 pub type Result<T> = std::result::Result<T, ModelError>;

@@ -1,32 +1,7 @@
 //! Model configuration: the paper's choices and their ablations.
 
-/// How the service-time squared coefficient of variation is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScvMode {
-    /// The paper's Eq. 5: `C_b² = (x̄ − s/f)²/x̄²` (Draper–Ghosh surrogate).
-    #[default]
-    Wormhole,
-    /// Deterministic service (`C_b² = 0`): assumes no blocking variance at
-    /// all; underestimates waiting under contention.
-    Deterministic,
-    /// Exponential service (`C_b² = 1`): the classic M/M/· pessimism.
-    Exponential,
-}
-
-impl ScvMode {
-    /// Evaluates the SCV for a channel with mean service `mean` and worm
-    /// length `worm_flits`.
-    #[must_use]
-    pub fn scv(self, mean: f64, worm_flits: f64) -> f64 {
-        match self {
-            ScvMode::Wormhole => wormsim_queueing::wormhole::wormhole_scv(mean, worm_flits),
-            ScvMode::Deterministic => 0.0,
-            ScvMode::Exponential => 1.0,
-        }
-    }
-}
-
-/// Switches for the paper's two novel ingredients plus the SCV choice.
+/// Switches for the paper's two novel ingredients, plus the lane count.
+/// The service-time SCV is always the paper's Eq. 5 wormhole surrogate.
 ///
 /// The default is the paper's model. The ablation constructors produce the
 /// configurations studied in EXPERIMENTS.md.
@@ -39,8 +14,6 @@ pub struct ModelOptions {
     /// Apply the Eq. 10 blocking-probability correction (paper, novelty 2).
     /// When `false`, `P(i|j) = 1` everywhere.
     pub blocking_correction: bool,
-    /// Service-variance model (paper: Eq. 5 wormhole surrogate).
-    pub scv: ScvMode,
     /// Virtual-channel lanes per physical channel (the multi-lane
     /// extension; see `wormsim_queueing::lanes`). The paper's model is
     /// `lanes = 1`, where the solver takes the exact single-lane code
@@ -56,13 +29,12 @@ impl Default for ModelOptions {
 
 impl ModelOptions {
     /// The paper's configuration: M/G/2 up-links, blocking correction on,
-    /// wormhole SCV.
+    /// single-lane channels.
     #[must_use]
     pub fn paper() -> Self {
         Self {
             multi_server_up: true,
             blocking_correction: true,
-            scv: ScvMode::Wormhole,
             lanes: 1,
         }
     }
@@ -99,7 +71,6 @@ impl ModelOptions {
         Self {
             multi_server_up: false,
             blocking_correction: false,
-            scv: ScvMode::Wormhole,
             lanes: 1,
         }
     }
@@ -115,7 +86,6 @@ mod tests {
         let p = ModelOptions::paper();
         assert!(p.multi_server_up);
         assert!(p.blocking_correction);
-        assert_eq!(p.scv, ScvMode::Wormhole);
     }
 
     #[test]
@@ -139,14 +109,5 @@ mod tests {
         assert_eq!(o.lanes, 4);
         assert!(o.multi_server_up, "with_lanes must not disturb other knobs");
         assert_eq!(o.with_lanes(1), ModelOptions::paper());
-    }
-
-    #[test]
-    fn scv_modes() {
-        assert_eq!(ScvMode::Deterministic.scv(20.0, 16.0), 0.0);
-        assert_eq!(ScvMode::Exponential.scv(20.0, 16.0), 1.0);
-        let w = ScvMode::Wormhole.scv(20.0, 16.0);
-        assert!((w - (4.0f64 / 20.0).powi(2)).abs() < 1e-15);
-        assert_eq!(ScvMode::default(), ScvMode::Wormhole);
     }
 }

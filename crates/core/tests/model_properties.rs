@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use wormsim_core::bft::BftModel;
 use wormsim_core::framework::bft_spec;
-use wormsim_core::options::{ModelOptions, ScvMode};
+use wormsim_core::options::ModelOptions;
 use wormsim_topology::bft::BftParams;
 
 fn params() -> impl Strategy<Value = BftParams> {
@@ -13,14 +13,9 @@ fn params() -> impl Strategy<Value = BftParams> {
 }
 
 fn options() -> impl Strategy<Value = ModelOptions> {
-    (any::<bool>(), any::<bool>(), 0u8..3, 1u32..=4).prop_map(|(ms, bc, scv, lanes)| ModelOptions {
+    (any::<bool>(), any::<bool>(), 1u32..=4).prop_map(|(ms, bc, lanes)| ModelOptions {
         multi_server_up: ms,
         blocking_correction: bc,
-        scv: match scv {
-            0 => ScvMode::Wormhole,
-            1 => ScvMode::Deterministic,
-            _ => ScvMode::Exponential,
-        },
         lanes,
     })
 }

@@ -20,6 +20,7 @@ use crate::error::ExperimentError;
 use crate::table::{num, Table};
 use wormsim_core::bft::BftModel;
 use wormsim_queueing::gg1;
+use wormsim_queueing::wormhole::wormhole_scv;
 use wormsim_sim::config::{ArrivalProcess, MmppProfile, TrafficConfig};
 use wormsim_sim::router::BftRouter;
 use wormsim_sim::runner::run_simulation;
@@ -47,7 +48,7 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
     let audit = model.audit_at_message_rate(lambda0)?;
     let x01 = audit.x_up[0];
     let w01 = audit.w_up[0];
-    let scv01 = model.options().scv.scv(x01, f64::from(s));
+    let scv01 = wormhole_scv(x01, f64::from(s));
 
     out.section(format!(
         "Bursty MMPP sources — butterfly fat-tree N={n_procs}, s={s} flits, mean flit \

@@ -10,43 +10,25 @@
 //!   `can(s,d) = (d ∈ subtree(s) ∧ down_ok(s,d)) ∨ ∃k: alive(up_k) ∧
 //!   can(parent_k, d)`. Computed top-down from the roots.
 //!
-//! [`FaultedBft::route`] only sends a worm down when the whole descent is
-//! alive, and only up through parents with `can = true` — so routes stay
-//! monotone up-then-down (deadlock-free, exactly like the pristine tree)
-//! and a worm that was admitted at its source can never reach a switch
-//! with no onward choice. Unroutability is decided once, at injection
-//! time, by [`FaultedBft::source_ok`].
+//! Its [`FlowRouting::route`] only sends a worm down when the whole
+//! descent is alive ([`Route::Channel`]), and only up through parents with
+//! `can = true` ([`Route::Bundle`] with those parents' bits set) — so
+//! routes stay monotone up-then-down (deadlock-free, exactly like the
+//! pristine tree) and a worm that was admitted at its source can never
+//! reach a switch with no onward choice. Unroutability is decided once, at
+//! injection time, by [`FaultedBft::source_ok`] (the trait's `reachable`).
 //!
-//! The type also implements
-//! [`FlowRouting`] so the analytical
-//! model re-prices the degraded fabric through the ordinary
-//! `FlowVector` → `model_from_flows` pipeline: adaptive up-hops return
-//! exactly the surviving, still-useful subset of the bundle.
+//! The simulator's `FaultedBftRouter` routes through this type, and the
+//! analytical model re-prices the degraded fabric through the ordinary
+//! `FlowVector` → `model_from_flows` pipeline over the very same routing
+//! call.
 
 use crate::error::FaultError;
 use crate::plan::FaultPlan;
 use wormsim_topology::bft::ButterflyFatTree;
-use wormsim_topology::graph::{ChannelNetwork, NodeKind};
-use wormsim_topology::ids::{ChannelId, NodeId, StationId};
-use wormsim_workload::{FlowHop, FlowRouting};
-
-/// Routing decision at a switch of a degraded butterfly fat-tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DegradedChoice {
-    /// Take this down channel: the whole descent to the leaf is alive.
-    Down(ChannelId),
-    /// Go up through any member of `station` whose bit is set in `mask`
-    /// (bit `k` = parent port `k`): those parents can still reach the
-    /// destination through alive channels.
-    Up {
-        /// The up-link arbitration station.
-        station: StationId,
-        /// Allowed-member bitmask over the station's channel list.
-        mask: u16,
-    },
-    /// No surviving route from this switch to the destination.
-    Unreachable,
-}
+use wormsim_topology::graph::ChannelNetwork;
+use wormsim_topology::ids::NodeId;
+use wormsim_workload::{FlowRouting, Route};
 
 /// A butterfly fat-tree with a fault plan applied and reachability
 /// precomputed.
@@ -58,9 +40,6 @@ pub struct FaultedBft<'a> {
     can: Vec<bool>,
     /// `down_ok[slot·N + d]`: the full descent to `d` is alive.
     down_ok: Vec<bool>,
-    /// `up_subsets[slot][mask]`: the up channels selected by `mask`, for
-    /// the flow model's borrowed adaptive bundles.
-    up_subsets: Vec<Vec<Vec<ChannelId>>>,
     num_pes: usize,
 }
 
@@ -71,7 +50,7 @@ impl<'a> FaultedBft<'a> {
     ///
     /// [`FaultError::ShapeMismatch`] when the plan was built for a
     /// different network; [`FaultError::TooManyParents`] when `p > 8`
-    /// (the adaptive mask is a bitmask).
+    /// (the up-bundle's member mask is a bitmask).
     pub fn new(tree: &'a ButterflyFatTree, plan: FaultPlan) -> Result<Self, FaultError> {
         plan.check_shape(tree.network())?;
         let p = tree.params().parents();
@@ -121,33 +100,11 @@ impl<'a> FaultedBft<'a> {
             }
         }
 
-        // Adaptive-bundle subsets for the flow model, one slice per mask.
-        let up_subsets: Vec<Vec<Vec<ChannelId>>> = (0..n_sw)
-            .map(|s| {
-                let node = NodeId(n_pe + s);
-                let ups = tree.up_channels_of(node);
-                if ups.is_empty() {
-                    Vec::new()
-                } else {
-                    (0..1usize << ups.len())
-                        .map(|mask| {
-                            ups.iter()
-                                .enumerate()
-                                .filter(|&(k, _)| mask & (1 << k) != 0)
-                                .map(|(_, &ch)| ch)
-                                .collect()
-                        })
-                        .collect()
-                }
-            })
-            .collect();
-
         Ok(Self {
             tree,
             plan,
             can,
             down_ok,
-            up_subsets,
             num_pes: n_pe,
         })
     }
@@ -187,32 +144,6 @@ impl<'a> FaultedBft<'a> {
         self.can_reach(entry, dest)
     }
 
-    /// Fault-aware routing decision at switch `node` for destination
-    /// `dest`. For a worm admitted by [`Self::source_ok`] and steered only
-    /// through allowed choices this never returns
-    /// [`DegradedChoice::Unreachable`].
-    #[must_use]
-    pub fn route(&self, node: NodeId, dest: usize) -> DegradedChoice {
-        let (l, a) = self.tree.switch_coords(node);
-        let s = self.slot(node);
-        if self.tree.subtree_contains(l, a, dest) && self.down_ok[s * self.num_pes + dest] {
-            let port = self.tree.child_port_for(l, dest);
-            return DegradedChoice::Down(self.tree.down_channels_of(node)[port]);
-        }
-        let mut mask = 0u16;
-        for (k, &up) in self.tree.up_channels_of(node).iter().enumerate() {
-            if !self.plan.channel_dead(up)
-                && self.can[self.slot(self.tree.network().channel(up).dst) * self.num_pes + dest]
-            {
-                mask |= 1 << k;
-            }
-        }
-        match (mask, self.tree.up_station_of(node)) {
-            (0, _) | (_, None) => DegradedChoice::Unreachable,
-            (_, Some(station)) => DegradedChoice::Up { station, mask },
-        }
-    }
-
     /// Whether every ordered source–destination pair is still routable.
     /// Fault experiments use this to pick seeds whose knockouts degrade
     /// the fabric without partitioning it.
@@ -241,29 +172,29 @@ impl FlowRouting for FaultedBft<'_> {
         self.tree.network()
     }
 
-    fn flow_hop(&self, node: NodeId, dest: usize) -> FlowHop<'_> {
-        const EMPTY: &[ChannelId] = &[];
-        match self.route(node, dest) {
-            DegradedChoice::Down(ch) => {
-                if matches!(
-                    self.tree
-                        .network()
-                        .node(self.tree.network().channel(ch).dst)
-                        .kind,
-                    NodeKind::Processor { .. }
-                ) {
-                    FlowHop::Eject
-                } else {
-                    FlowHop::Deterministic(ch)
-                }
+    /// Fault-aware routing at switch `node` for destination `dest`: down
+    /// when the whole descent is alive, else up through the parents that
+    /// can still reach `dest`. For a worm admitted by
+    /// [`FaultedBft::source_ok`] and steered only through allowed members
+    /// this never returns [`Route::Unreachable`].
+    fn route(&self, node: NodeId, dest: usize) -> Route {
+        let (l, a) = self.tree.switch_coords(node);
+        let s = self.slot(node);
+        if self.tree.subtree_contains(l, a, dest) && self.down_ok[s * self.num_pes + dest] {
+            let port = self.tree.child_port_for(l, dest);
+            return Route::Channel(self.tree.down_channels_of(node)[port]);
+        }
+        let mut mask = 0u16;
+        for (k, &up) in self.tree.up_channels_of(node).iter().enumerate() {
+            if !self.plan.channel_dead(up)
+                && self.can[self.slot(self.tree.network().channel(up).dst) * self.num_pes + dest]
+            {
+                mask |= 1 << k;
             }
-            DegradedChoice::Up { station: _, mask } => {
-                FlowHop::Adaptive(&self.up_subsets[self.slot(node)][mask as usize])
-            }
-            // Unreachable pairs are rejected up front by `reachable`; a
-            // defensive empty bundle turns any residual call into a typed
-            // routing error rather than a panic.
-            DegradedChoice::Unreachable => FlowHop::Adaptive(EMPTY),
+        }
+        match (mask, self.tree.up_station_of(node)) {
+            (0, _) | (_, None) => Route::Unreachable,
+            (_, Some(station)) => Route::Bundle(station, mask),
         }
     }
 
@@ -277,6 +208,9 @@ mod tests {
     use super::*;
     use crate::plan::FaultSpec;
     use wormsim_topology::bft::{BftParams, RouteChoice};
+    use wormsim_topology::graph::NodeKind;
+    use wormsim_topology::ids::ChannelId;
+    use wormsim_workload::member_allowed;
 
     fn bft(n: usize) -> ButterflyFatTree {
         ButterflyFatTree::new(BftParams::paper(n).unwrap())
@@ -301,8 +235,8 @@ mod tests {
         for (_, _, node) in tree.switches() {
             for dest in [0usize, 13, 42, 63] {
                 match (tree.route(node, dest), faulted.route(node, dest)) {
-                    (RouteChoice::Down(a), DegradedChoice::Down(b)) => assert_eq!(a, b),
-                    (RouteChoice::Up(st), DegradedChoice::Up { station, mask }) => {
+                    (RouteChoice::Down(a), Route::Channel(b)) => assert_eq!(a, b),
+                    (RouteChoice::Up(st), Route::Bundle(station, mask)) => {
                         assert_eq!(st, station);
                         assert_eq!(mask, full_mask, "empty plan allows every parent");
                     }
@@ -323,7 +257,7 @@ mod tests {
         let faulted = FaultedBft::new(&tree, plan).unwrap();
         assert!(faulted.fully_connected(), "p=2 survives one dead up link");
         match faulted.route(node, 15) {
-            DegradedChoice::Up { mask, .. } => assert_eq!(mask, 0b10),
+            Route::Bundle(_, mask) => assert_eq!(mask, 0b10),
             other => panic!("expected masked up hop, got {other:?}"),
         }
     }
@@ -350,7 +284,7 @@ mod tests {
         // S(2,0) can no longer serve leaf 0 at all (its roots descend to
         // leaf 0 only through it), so it reports Unreachable...
         assert!(!faulted.can_reach(s20, 0));
-        assert_eq!(faulted.route(s20, 0), DegradedChoice::Unreachable);
+        assert_eq!(faulted.route(s20, 0), Route::Unreachable);
         // ...and every level-1 switch outside leaf 0's block masks S(2,0)
         // out of its up bundle when routing there, which is why no
         // admitted worm ever strands at S(2,0).
@@ -361,7 +295,7 @@ mod tests {
             .map(|&up| net.channel(up).dst == s20)
             .collect();
         match faulted.route(s11, 0) {
-            DegradedChoice::Up { mask, .. } => {
+            Route::Bundle(_, mask) => {
                 for (k, &is_bad) in bad_parent.iter().enumerate() {
                     assert_eq!(mask & (1 << k) == 0, is_bad, "parent {k}");
                 }
@@ -369,7 +303,7 @@ mod tests {
             other => panic!("expected a masked up hop, got {other:?}"),
         }
         // From S(1,0) itself the descent (= ejection) is intact.
-        assert!(matches!(faulted.route(s10, 0), DegradedChoice::Down(_)));
+        assert!(matches!(faulted.route(s10, 0), Route::Channel(_)));
     }
 
     #[test]
@@ -451,20 +385,20 @@ mod tests {
                             hops += 1;
                             assert!(hops <= 4 * tree.num_levels() as usize, "routing loop");
                             let ch = match faulted.route(cur, dest) {
-                                DegradedChoice::Down(ch) => ch,
-                                DegradedChoice::Up { station, mask } => {
+                                Route::Channel(ch) => ch,
+                                Route::Bundle(station, mask) => {
                                     assert_ne!(mask, 0);
                                     let members = &net.station(station).channels;
                                     let allowed: Vec<ChannelId> = members
                                         .iter()
                                         .enumerate()
-                                        .filter(|&(k, _)| mask & (1 << k) != 0)
+                                        .filter(|&(k, _)| member_allowed(mask, k))
                                         .map(|(_, &c)| c)
                                         .collect();
                                     let pick = (mix(&mut walk_rng) as usize) % allowed.len();
                                     allowed[pick]
                                 }
-                                DegradedChoice::Unreachable => {
+                                Route::Unreachable => {
                                     panic!("admitted worm {src}->{dest} stranded at {cur}")
                                 }
                             };

@@ -7,14 +7,14 @@
 //!   switch knockouts over any [`ChannelNetwork`], plus explicit
 //!   single-element knockouts for targeted experiments. The same spec
 //!   and network shape always produce the same plan.
-//! * [`FaultedBft`] — fault-aware butterfly fat-tree routing: adaptive
-//!   up-bundles shrink to their surviving useful members, broken descents
-//!   detour through alternate parents, and unroutability is decided
-//!   once, at injection time, from precomputed exact reachability —
-//!   never by a stranded worm.
-//! * a [`FlowRouting`](wormsim_workload::FlowRouting) implementation so
-//!   the analytical model re-prices the degraded fabric through the
-//!   ordinary flow-vector pipeline, with
+//! * [`FaultedBft`] — fault-aware butterfly fat-tree routing, as a
+//!   [`FlowRouting`](wormsim_workload::FlowRouting) implementation:
+//!   adaptive up-bundles shrink to their surviving useful members, broken
+//!   descents detour through alternate parents, and unroutability is
+//!   decided once, at injection time, from precomputed exact reachability
+//!   — never by a stranded worm. The simulator and the analytical model
+//!   follow the same routing call, so the model re-prices the degraded
+//!   fabric through the ordinary flow-vector pipeline, with
 //!   [`FaultPlan::alive_servers`] feeding the surviving M/G/m server
 //!   counts.
 //!
@@ -48,7 +48,7 @@ pub mod bft;
 pub mod error;
 pub mod plan;
 
-pub use bft::{DegradedChoice, FaultedBft};
+pub use bft::FaultedBft;
 pub use error::FaultError;
 pub use plan::{FaultPlan, FaultSpec};
 

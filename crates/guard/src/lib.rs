@@ -37,8 +37,6 @@
 
 use std::fmt;
 
-use wormsim_queueing::QueueingError;
-
 // ---------------------------------------------------------------------------
 // Typed outcomes
 // ---------------------------------------------------------------------------
@@ -252,18 +250,6 @@ pub fn escalate<T, E>(
     unreachable!("Rung::LADDER is non-empty; every iteration of the final rung returns")
 }
 
-/// The retry policy for [`QueueingError`]s: iteration failures
-/// (`NoConvergence`, `Diverged`) are worth a stronger rung — heavier
-/// damping or Aitken acceleration genuinely rescues marginal loads —
-/// while `Saturated` and input-validation errors are definitive.
-#[must_use]
-pub fn queueing_retryable(e: &QueueingError) -> bool {
-    matches!(
-        e,
-        QueueingError::NoConvergence { .. } | QueueingError::Diverged { .. }
-    )
-}
-
 // ---------------------------------------------------------------------------
 // Knee bracketing
 // ---------------------------------------------------------------------------
@@ -435,6 +421,16 @@ pub fn bracket_knee(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wormsim_queueing::QueueingError;
+
+    /// The ladder tests' retry policy: iteration failures are worth a
+    /// stronger rung, while saturation and invalid input are definitive.
+    fn retryable(e: &QueueingError) -> bool {
+        matches!(
+            e,
+            QueueingError::NoConvergence { .. } | QueueingError::Diverged { .. }
+        )
+    }
 
     #[test]
     fn outcome_accessors_and_labels() {
@@ -468,7 +464,7 @@ mod tests {
 
     #[test]
     fn ladder_returns_first_success_without_extra_attempts() {
-        let out = escalate::<_, QueueingError>(|_| Ok(42), queueing_retryable);
+        let out = escalate::<_, QueueingError>(|_| Ok(42), retryable);
         assert_eq!(
             out,
             LadderOutcome::Solved {
@@ -494,7 +490,7 @@ mod tests {
                     })
                 }
             },
-            queueing_retryable,
+            retryable,
         );
         assert_eq!(
             calls,
@@ -518,7 +514,7 @@ mod tests {
                 calls += 1;
                 Err(QueueingError::Saturated { utilization: 1.3 })
             },
-            queueing_retryable,
+            retryable,
         );
         assert_eq!(calls, 1, "a definitive diagnosis must not be retried");
         assert!(matches!(
@@ -544,7 +540,7 @@ mod tests {
                     residual: 1.0,
                 })
             },
-            queueing_retryable,
+            retryable,
         );
         match out {
             LadderOutcome::Exhausted {
@@ -556,27 +552,6 @@ mod tests {
             }
             other => panic!("expected Exhausted, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn retry_policy_classifies_queueing_errors() {
-        assert!(queueing_retryable(&QueueingError::NoConvergence {
-            iterations: 5,
-            residual: 1.0
-        }));
-        assert!(queueing_retryable(&QueueingError::Diverged {
-            iterations: 41,
-            residual: 1e9
-        }));
-        assert!(!queueing_retryable(&QueueingError::Saturated {
-            utilization: 1.1
-        }));
-        assert!(!queueing_retryable(&QueueingError::InvalidRate {
-            rate: -1.0
-        }));
-        assert!(!queueing_retryable(&QueueingError::Numerical {
-            value: f64::NAN
-        }));
     }
 
     #[test]

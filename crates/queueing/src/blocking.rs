@@ -76,38 +76,6 @@ pub fn blocking_probability(
     Ok(raw.clamp(0.0, 1.0))
 }
 
-/// Unclamped variant of [`blocking_probability`], exposed for diagnostics
-/// and for studying where the approximation leaves its domain of validity.
-///
-/// # Errors
-///
-/// Same validation as [`blocking_probability`].
-pub fn blocking_probability_raw(
-    servers: u32,
-    lambda_in: f64,
-    lambda_out: f64,
-    routing_probability: f64,
-) -> Result<f64> {
-    if servers == 0 {
-        return Err(QueueingError::InvalidServerCount);
-    }
-    if !lambda_in.is_finite() || lambda_in < 0.0 {
-        return Err(QueueingError::InvalidRate { rate: lambda_in });
-    }
-    if !lambda_out.is_finite() || lambda_out < 0.0 {
-        return Err(QueueingError::InvalidRate { rate: lambda_out });
-    }
-    if !routing_probability.is_finite() || !(0.0..=1.0).contains(&routing_probability) {
-        return Err(QueueingError::InvalidProbability {
-            probability: routing_probability,
-        });
-    }
-    if lambda_out == 0.0 {
-        return Ok(1.0);
-    }
-    Ok(1.0 - f64::from(servers) * (lambda_in / lambda_out) * routing_probability)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,8 +119,6 @@ mod tests {
     fn clamping_keeps_result_in_unit_interval() {
         // Extreme single-input case: all of j's traffic comes from i over
         // m=2 servers; raw value is negative, clamped to 0.
-        let raw = blocking_probability_raw(2, 1.0, 1.0, 1.0).unwrap();
-        assert!(raw < 0.0);
         let p = blocking_probability(2, 1.0, 1.0, 1.0).unwrap();
         assert_eq!(p, 0.0);
     }
@@ -160,7 +126,6 @@ mod tests {
     #[test]
     fn zero_outgoing_rate_defaults_to_one() {
         assert_eq!(blocking_probability(1, 0.1, 0.0, 0.5).unwrap(), 1.0);
-        assert_eq!(blocking_probability_raw(1, 0.1, 0.0, 0.5).unwrap(), 1.0);
     }
 
     #[test]

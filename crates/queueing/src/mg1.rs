@@ -12,7 +12,6 @@
 //! single physical link: ejection channels, down-links, and the injection
 //! channel (paper Eqs. 17, 19 and 24).
 
-use crate::distribution::ServiceMoments;
 use crate::error::{check_rate, check_scv, check_service_time, check_wait};
 use crate::{QueueingError, Result};
 
@@ -62,42 +61,6 @@ pub fn waiting_time_or_inf(lambda: f64, mean_service: f64, scv: f64) -> f64 {
     }
 }
 
-/// Mean waiting time with the service law given as [`ServiceMoments`].
-///
-/// # Errors
-///
-/// Same as [`waiting_time`].
-pub fn waiting_time_moments(lambda: f64, service: ServiceMoments) -> Result<f64> {
-    waiting_time(lambda, service.mean(), service.scv())
-}
-
-/// Mean residence time (wait + service) of an M/G/1 station.
-///
-/// # Errors
-///
-/// Same as [`waiting_time`].
-pub fn residence_time(lambda: f64, mean_service: f64, scv: f64) -> Result<f64> {
-    Ok(waiting_time(lambda, mean_service, scv)? + mean_service)
-}
-
-/// Mean number of customers waiting in queue (Little's law: `L_q = λ·W`).
-///
-/// # Errors
-///
-/// Same as [`waiting_time`].
-pub fn queue_length(lambda: f64, mean_service: f64, scv: f64) -> Result<f64> {
-    Ok(lambda * waiting_time(lambda, mean_service, scv)?)
-}
-
-/// Mean number of customers in the system (`L = λ·(W + x̄)`).
-///
-/// # Errors
-///
-/// Same as [`waiting_time`].
-pub fn system_length(lambda: f64, mean_service: f64, scv: f64) -> Result<f64> {
-    Ok(lambda * residence_time(lambda, mean_service, scv)?)
-}
-
 /// Mean waiting time of an M/M/1 queue (`C_b² = 1`): `W = ρ·x̄/(1 − ρ)`.
 ///
 /// # Errors
@@ -107,18 +70,10 @@ pub fn mm1_waiting_time(lambda: f64, mean_service: f64) -> Result<f64> {
     waiting_time(lambda, mean_service, 1.0)
 }
 
-/// Mean waiting time of an M/D/1 queue (`C_b² = 0`): `W = ρ·x̄/(2(1 − ρ))`.
-///
-/// # Errors
-///
-/// Same as [`waiting_time`].
-pub fn md1_waiting_time(lambda: f64, mean_service: f64) -> Result<f64> {
-    waiting_time(lambda, mean_service, 0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distribution::ServiceMoments;
 
     const TOL: f64 = 1e-12;
 
@@ -132,13 +87,6 @@ mod tests {
         // λ=0.05, x̄=10 ⇒ ρ=0.5, W = 0.5·10/0.5 = 10.
         let w = mm1_waiting_time(0.05, 10.0).unwrap();
         assert!((w - 10.0).abs() < TOL);
-    }
-
-    #[test]
-    fn md1_is_half_of_mm1() {
-        let wm = mm1_waiting_time(0.04, 12.0).unwrap();
-        let wd = md1_waiting_time(0.04, 12.0).unwrap();
-        assert!((wd - wm / 2.0).abs() < TOL);
     }
 
     #[test]
@@ -173,25 +121,6 @@ mod tests {
         let w_low = waiting_time(0.05, 10.0, 0.0).unwrap();
         let w_high = waiting_time(0.05, 10.0, 2.0).unwrap();
         assert!(w_high > w_low, "W must increase with C_b²");
-    }
-
-    #[test]
-    fn littles_law_consistency() {
-        let (lambda, x, scv) = (0.03, 15.0, 0.3);
-        let w = waiting_time(lambda, x, scv).unwrap();
-        let lq = queue_length(lambda, x, scv).unwrap();
-        let l = system_length(lambda, x, scv).unwrap();
-        assert!((lq - lambda * w).abs() < TOL);
-        assert!((l - lambda * (w + x)).abs() < TOL);
-        assert!((residence_time(lambda, x, scv).unwrap() - (w + x)).abs() < TOL);
-    }
-
-    #[test]
-    fn moments_wrapper_agrees_with_raw_call() {
-        let m = ServiceMoments::new(9.0, 0.25).unwrap();
-        let a = waiting_time_moments(0.02, m).unwrap();
-        let b = waiting_time(0.02, 9.0, 0.25).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

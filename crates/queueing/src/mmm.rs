@@ -89,38 +89,6 @@ pub fn waiting_time_or_inf(servers: u32, lambda: f64, mean_service: f64) -> f64 
     }
 }
 
-/// Probability that an M/M/m system is empty (`p₀`), from the standard
-/// series; exposed mainly for tests and diagnostics.
-///
-/// # Errors
-///
-/// Same domain as [`erlang_c`].
-pub fn probability_empty(servers: u32, offered_load: f64) -> Result<f64> {
-    if servers == 0 {
-        return Err(QueueingError::InvalidServerCount);
-    }
-    if !offered_load.is_finite() || offered_load < 0.0 {
-        return Err(QueueingError::InvalidRate { rate: offered_load });
-    }
-    let m = f64::from(servers);
-    if offered_load >= m {
-        return Err(QueueingError::Saturated {
-            utilization: offered_load / m,
-        });
-    }
-    // Σ_{k<m} a^k/k! + a^m/(m!·(1−ρ)), accumulated with a running term to
-    // avoid explicit factorials.
-    let mut term = 1.0; // a^0/0!
-    let mut sum = 1.0;
-    for k in 1..servers {
-        term *= offered_load / f64::from(k);
-        sum += term;
-    }
-    term *= offered_load / m; // a^m/m!
-    sum += term / (1.0 - offered_load / m);
-    Ok(1.0 / sum)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,30 +174,6 @@ mod tests {
         assert!(erlang_c(2, 2.0).is_err());
         assert_eq!(waiting_time_or_inf(2, 0.2, 10.0), f64::INFINITY);
         assert!(waiting_time_or_inf(0, 0.1, 1.0).is_nan());
-    }
-
-    #[test]
-    fn probability_empty_matches_mm1() {
-        // For M/M/1, p0 = 1 − ρ.
-        for rho in [0.1, 0.4, 0.8] {
-            let p0 = probability_empty(1, rho).unwrap();
-            assert!((p0 - (1.0 - rho)).abs() < TOL);
-        }
-    }
-
-    #[test]
-    fn probability_empty_consistent_with_erlang_c() {
-        // C(m,a) = a^m/(m!(1−ρ)) · p0 ; verify via independent computation.
-        let (m, a) = (3u32, 2.0);
-        let p0 = probability_empty(m, a).unwrap();
-        let mut fact = 1.0;
-        for k in 1..=m {
-            fact *= f64::from(k);
-        }
-        let rho = a / f64::from(m);
-        let c_direct = a.powi(m as i32) / (fact * (1.0 - rho)) * p0;
-        let c = erlang_c(m, a).unwrap();
-        assert!((c - c_direct).abs() < 1e-12);
     }
 
     #[test]

@@ -6,13 +6,17 @@
 //!    queues; a PE with no worm currently contending for its injection
 //!    channel activates its queue head.
 //! 2. **Requests** — every worm whose head reached a new node last cycle
-//!    (or was just activated) joins the FCFS queue of the station chosen by
-//!    the router ([`Router::route`], which also names the members the worm
-//!    may be granted). Same-cycle requesters are enqueued in random order
-//!    (random tie-break, earlier requesters always keep priority).
-//! 3. **Grants** — each station with waiting worms hands free allowed
-//!    member channels to queue heads (random member when several are free
-//!    — the paper's random up-link choice).
+//!    (or was just activated) joins the FCFS queue of the station the
+//!    router's [`FlowRouting::route`](wormsim_workload::FlowRouting::route)
+//!    names: a [`Route::Channel`] queues on that channel's station with
+//!    every member allowed, a [`Route::Bundle`] on its station with its
+//!    member mask. A fresh worm requests its injection channel. Same-cycle
+//!    requesters are enqueued in random order (random tie-break, earlier
+//!    requesters always keep priority).
+//! 3. **Grants** — each station with waiting worms hands free member
+//!    channels that the queue head's mask allows ([`member_allowed`]) to
+//!    queue heads (random member when several are free — the paper's
+//!    random up-link choice).
 //! 4. **Advance** — granted worms advance one hop: the head flit traverses
 //!    the new channel this cycle and every in-network flit behind moves up
 //!    one channel (rigid chain). Worms whose head already ejected drain one
@@ -75,7 +79,7 @@
 //! message.
 
 use crate::config::{EngineKind, SimConfig, TrafficConfig};
-use crate::router::{Route, Router};
+use crate::router::Router;
 use crate::runner::SimResult;
 use crate::stats::{BatchMeans, ClassAudit, Percentiles, Welford};
 use crate::traffic::{Arrival, TrafficGenerator};
@@ -87,6 +91,7 @@ use wormsim_lanes::{LaneAudit, LaneConfig, LaneTable};
 use wormsim_obs::{ObsConfig, SimTrace, StallCause};
 use wormsim_topology::graph::NodeKind;
 use wormsim_topology::ids::{ChannelId, StationId};
+use wormsim_workload::{member_allowed, Route};
 
 /// Dense worm index into the engine's slab.
 type WormIdx = u32;
@@ -139,10 +144,9 @@ struct Worm {
     request_time: u64,
     /// Whether this message belongs to the measured population.
     measured: bool,
-    /// Allowed-member bitmask of the requested station (bit `k` = member
-    /// position `k`), set per request from the router's [`Route`].
-    /// All-ones for an open route; members beyond bit 15 are always
-    /// allowed (only the fat-tree router restricts, and it guards `p ≤ 8`).
+    /// Member mask of the requested station, set per request from the
+    /// router's [`Route`] and read through [`member_allowed`]. All-ones
+    /// for a [`Route::Channel`] request.
     route_mask: u16,
 }
 
@@ -426,14 +430,16 @@ impl<'a, R: Router> Engine<'a, R> {
 
     /// Turns the head of a PE's source queue into a worm contending for the
     /// injection channel. Messages whose destination the surviving fabric
-    /// cannot reach ([`Router::source_can_reach`]) are dropped here
+    /// cannot reach
+    /// ([`FlowRouting::reachable`](wormsim_workload::FlowRouting::reachable))
+    /// are dropped here
     /// (counted as unroutable, never becoming worms) and the next queued
     /// message gets its turn — graceful degradation instead of a
     /// head-of-line hang.
     fn activate_source(&mut self, pe: usize, into_next_cycle: bool) {
         debug_assert!(!self.sources[pe].worm_waiting);
         while let Some((dest, gen)) = self.sources[pe].pending.pop_front() {
-            if !self.router.source_can_reach(pe, dest as usize) {
+            if !self.router.reachable(pe, dest as usize) {
                 self.record_unroutable(gen);
                 continue;
             }
@@ -760,21 +766,18 @@ impl<'a, R: Router> Engine<'a, R> {
             };
             let route = match head {
                 // Injection request: the source PE's injection channel
-                // (single member; its aliveness was checked at admission).
-                None => {
-                    let ports = self.router.network().processors()[src];
-                    Route::Open(self.router.network().channel(ports.inject).station)
-                }
+                // (its aliveness was checked at admission).
+                None => Route::Channel(self.router.network().processors()[src].inject),
                 // Switch hop: route from the head's node.
                 Some(node) => self.router.route(node, dest),
             };
-            // The route's allowed-member mask is what the grant phase
-            // respects; a dead-end head (impossible for the shipped
-            // routers) degrades to an accounted kill.
+            // The route's member mask is what the grant phase respects; a
+            // dead-end head (impossible for the shipped routers) degrades
+            // to an accounted kill.
             let (station, mask) = match route {
-                Route::Open(st) => (st, u16::MAX),
-                Route::Restricted(st, m) => {
-                    debug_assert_ne!(m, 0, "restricted route with no allowed member");
+                Route::Channel(ch) => (self.router.network().channel(ch).station, u16::MAX),
+                Route::Bundle(st, m) => {
+                    debug_assert_ne!(m, 0, "bundle route with no allowed member");
                     (st, m)
                 }
                 Route::Unreachable => {
@@ -800,12 +803,11 @@ impl<'a, R: Router> Engine<'a, R> {
         while i < self.ready_stations.len() {
             let st = self.ready_stations[i];
             let mut exhausted_free = false;
-            // FCFS: the queue head's allowed-member mask (all-ones for an
-            // open route) restricts which members it may be granted; a
-            // restricted head whose allowed members are all busy blocks
-            // the queue exactly like an exhausted station (its allowed
-            // members are alive by construction, so a release re-arms the
-            // station — no hang).
+            // FCFS: the queue head's member mask (all-ones for a channel
+            // route) restricts which members it may be granted; a head
+            // whose allowed members are all busy blocks the queue exactly
+            // like an exhausted station (its allowed members are alive by
+            // construction, so a release re-arms the station — no hang).
             while let Some(&head_worm) = self.station_queue[st.index()].front() {
                 let wmask = self.worms[head_worm as usize].route_mask;
                 // Collect member channels with a free lane. A channel with
@@ -815,9 +817,7 @@ impl<'a, R: Router> Engine<'a, R> {
                 let members = &self.router.network().station(st).channels;
                 self.free_members.clear();
                 for (pos, &ch) in members.iter().enumerate() {
-                    // Members beyond the mask width are always allowed
-                    // (restricting routers guarantee ≤ 16 members).
-                    if pos < 16 && wmask & (1 << pos) == 0 {
+                    if !member_allowed(wmask, pos) {
                         continue;
                     }
                     if self.lane_table.has_free(ch.index()) {

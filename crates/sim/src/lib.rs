@@ -35,13 +35,16 @@
 //!   channel occupancy, worm lifecycle. Two bit-exact execution cores
 //!   ([`config::EngineKind`]): the reference walk (the oracle) and
 //!   idle-span fast-forwarding (the default).
-//! * [`router`] — per-topology routing logic behind one trait
-//!   ([`router::Router`], one [`router::Route`] per hop): butterfly
-//!   fat-tree, hypercube (e-cube), k-ary n-mesh (dimension order). The
-//!   hypercube and mesh routers and [`router::FaultedBftRouter`] route
-//!   around a `wormsim_faults::FaultPlan`, report unroutable messages
-//!   instead of wedging, and are bit-for-bit the pristine topology's
-//!   routing under an empty plan.
+//! * [`router`] — the per-topology routers: butterfly fat-tree, hypercube
+//!   (e-cube), k-ary n-mesh (dimension order). A [`router::Router`] is a
+//!   [`wormsim_workload::FlowRouting`] plus a label and a fault plan, so
+//!   the engine makes the same one routing call per hop
+//!   ([`wormsim_workload::FlowRouting::route`]) that the model's flow
+//!   vectors follow. The hypercube and mesh routers and
+//!   [`router::FaultedBftRouter`] route around a
+//!   `wormsim_faults::FaultPlan`, report unroutable messages instead of
+//!   wedging, and are bit-for-bit the pristine topology's routing under
+//!   an empty plan.
 //! * [`traffic`] — Poisson or MMPP-modulated sources on a continuous
 //!   clock, merged through a binary heap so per-cycle cost scales with
 //!   arrivals, not PEs; destinations sampled from the workload's pattern.
@@ -92,5 +95,5 @@ pub mod stats;
 pub mod traffic;
 
 pub use config::{EngineKind, SimConfig, SimConfigError, TrafficConfig};
-pub use router::{BftRouter, FaultedBftRouter, HypercubeRouter, MeshRouter, Route, Router};
+pub use router::{BftRouter, FaultedBftRouter, HypercubeRouter, MeshRouter, Router};
 pub use runner::{run_simulation, run_simulation_observed, run_simulation_with_lanes, SimResult};

@@ -1,60 +1,34 @@
-//! Per-topology routing logic behind one trait.
+//! The simulator's routers: each topology's [`FlowRouting`] plus a label
+//! and an optional fault plan.
 //!
 //! The engine is topology-agnostic: at each hop it asks the router one
-//! question ([`Router::route`]) — which arbitration *station* the worm's
-//! head requests next, and which of its members it may be granted.
-//! Single-channel stations model deterministic routes (down-links,
-//! dimension-order hops); the butterfly fat-tree's up-link bundles are
-//! multi-channel stations and the engine picks a random free allowed
-//! member on grant (the paper's adaptive up-link rule). Every router
-//! except [`BftRouter`] owns a [`FaultPlan`], possibly empty, and routes
-//! around it; under an empty plan it routes exactly as the pristine
-//! topology does.
+//! question ([`FlowRouting::route`], the same call the analytical model's
+//! flow vectors follow) — which channel the worm's head takes next
+//! ([`Route::Channel`], a single-channel station: down-links,
+//! dimension-order hops, ejections) or which members of a multi-channel
+//! station it may be granted ([`Route::Bundle`]: the butterfly fat-tree's
+//! up-link bundles, where the engine picks a random free allowed member —
+//! the paper's adaptive up-link rule). Every router except [`BftRouter`]
+//! owns a [`FaultPlan`], possibly empty, and routes around it; under an
+//! empty plan it routes exactly as the pristine topology does. Since
+//! every router is a [`FlowRouting`], `FlowVector::build(&router, …)`
+//! prices exactly what the engine routes.
 
-use wormsim_faults::{DegradedChoice, FaultError, FaultPlan, FaultedBft};
-use wormsim_topology::bft::{ButterflyFatTree, RouteChoice};
-use wormsim_topology::graph::ChannelNetwork;
+use wormsim_faults::{FaultError, FaultPlan, FaultedBft};
+use wormsim_topology::bft::ButterflyFatTree;
+use wormsim_topology::graph::{ChannelNetwork, NodeKind};
 use wormsim_topology::hypercube::Hypercube;
-use wormsim_topology::ids::{ChannelId, NodeId, StationId};
+use wormsim_topology::ids::NodeId;
 use wormsim_topology::mesh::Mesh;
+use wormsim_workload::{FlowRouting, Route};
 
-/// One routing decision (see [`Router::route`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Route {
-    /// Request this station; every member channel may be granted.
-    Open(StationId),
-    /// Request this station, but only members whose bit is set in the
-    /// mask (bit `k` = member position `k` in the station's channel list)
-    /// may be granted — the others are dead or lead into dead fabric.
-    /// The mask is never 0 (that case is [`Route::Unreachable`]).
-    Restricted(StationId, u16),
-    /// No surviving route from this node to the destination.
-    Unreachable,
-}
-
-/// Topology-specific routing decisions over a shared channel network.
-pub trait Router: Sync {
-    /// The network being routed on.
-    fn network(&self) -> &ChannelNetwork;
-
-    /// The station a worm headed for processor `dest` requests from switch
-    /// `node`, and which of its members it may be granted — the engine's
-    /// only per-hop routing call. Ejection channels are stations like any
-    /// other; the engine detects arrival by the granted channel's endpoint
-    /// being a PE.
-    fn route(&self, node: NodeId, dest: usize) -> Route;
-
+/// A [`FlowRouting`] the simulator can run: the routing itself, a report
+/// label, and the fault plan it routes around. Admission asks
+/// [`FlowRouting::reachable`]: messages whose every route is dead are
+/// counted as unroutable instead of becoming worms.
+pub trait Router: FlowRouting + Sync {
     /// Short topology label for reports.
     fn label(&self) -> String;
-
-    /// Whether a message from processor `src` can reach processor `dest`
-    /// at all through the surviving fabric. Asked at injection time:
-    /// messages whose every route is dead are counted as unroutable
-    /// instead of becoming worms.
-    fn source_can_reach(&self, src: usize, dest: usize) -> bool {
-        let _ = (src, dest);
-        true
-    }
 
     /// The fault plan this router routes around, if any. The engine reads
     /// it once, at construction, to take every lane of a dead channel out
@@ -79,43 +53,41 @@ fn fault_suffix(plan: &FaultPlan) -> String {
     }
 }
 
-/// The route of a unique-path router (e-cube, dimension order) over
-/// channel `ch`: unique paths leave nothing to route *around*, so a dead
+/// The route of a unique-path topology (e-cube, dimension order) around
+/// `plan`: unique paths leave nothing to route *around*, so a dead next
 /// channel makes the destination unreachable.
-fn open_unless_dead(net: &ChannelNetwork, plan: &FaultPlan, ch: ChannelId) -> Route {
-    if plan.channel_dead(ch) {
-        Route::Unreachable
-    } else {
-        Route::Open(net.channel(ch).station)
+fn unique_path_route<T: FlowRouting>(
+    topo: &T,
+    plan: &FaultPlan,
+    node: NodeId,
+    dest: usize,
+) -> Route {
+    match topo.route(node, dest) {
+        Route::Channel(ch) if plan.channel_dead(ch) => Route::Unreachable,
+        route => route,
     }
 }
 
-/// Whether the unique path from `src` to `dest` (injection and ejection
-/// included) is fully alive, where `next_hop` gives a switch's next
-/// channel toward `dest` (`None` at the destination's switch). An empty
-/// plan answers `true` without walking the path.
-fn path_alive(
-    net: &ChannelNetwork,
-    plan: &FaultPlan,
-    src: usize,
-    dest: usize,
-    next_hop: impl Fn(NodeId) -> Option<ChannelId>,
-) -> bool {
+/// Whether the unique path of `topo` from `src` to `dest` (injection and
+/// ejection included) is fully alive under `plan`. An empty plan answers
+/// `true` without walking the path.
+fn path_alive<T: FlowRouting>(topo: &T, plan: &FaultPlan, src: usize, dest: usize) -> bool {
     if plan.is_empty() {
         return true;
     }
-    let ports = net.processors();
-    if plan.channel_dead(ports[src].inject) || plan.channel_dead(ports[dest].eject) {
+    let net = topo.network();
+    let inject = net.processors()[src].inject;
+    if plan.channel_dead(inject) {
         return false;
     }
-    let mut node = net.channel(ports[src].inject).dst;
-    while let Some(ch) = next_hop(node) {
-        if plan.channel_dead(ch) {
-            return false;
-        }
+    let mut node = net.channel(inject).dst;
+    while let Route::Channel(ch) = unique_path_route(topo, plan, node, dest) {
         node = net.channel(ch).dst;
+        if matches!(net.node(node).kind, NodeKind::Processor { .. }) {
+            return true;
+        }
     }
-    true
+    false
 }
 
 /// Butterfly fat-tree routing: up through the `p`-server bundle while the
@@ -140,18 +112,17 @@ impl<'a> BftRouter<'a> {
     }
 }
 
-impl Router for BftRouter<'_> {
+impl FlowRouting for BftRouter<'_> {
     fn network(&self) -> &ChannelNetwork {
         self.tree.network()
     }
 
     fn route(&self, node: NodeId, dest: usize) -> Route {
-        Route::Open(match self.tree.route(node, dest) {
-            RouteChoice::Down(ch) => self.tree.network().channel(ch).station,
-            RouteChoice::Up(st) => st,
-        })
+        FlowRouting::route(self.tree, node, dest)
     }
+}
 
+impl Router for BftRouter<'_> {
     fn label(&self) -> String {
         let p = self.tree.params();
         format!(
@@ -194,32 +165,27 @@ impl<'a> HypercubeRouter<'a> {
     }
 }
 
-impl Router for HypercubeRouter<'_> {
+impl FlowRouting for HypercubeRouter<'_> {
     fn network(&self) -> &ChannelNetwork {
         self.cube.network()
     }
 
     fn route(&self, node: NodeId, dest: usize) -> Route {
-        let net = self.cube.network();
-        let ch = self
-            .cube
-            .route(node, dest)
-            .unwrap_or_else(|| net.processors()[self.cube.switch_address(node)].eject);
-        open_unless_dead(net, &self.plan, ch)
+        unique_path_route(self.cube, &self.plan, node, dest)
     }
 
+    fn reachable(&self, src: usize, dest: usize) -> bool {
+        path_alive(self.cube, &self.plan, src, dest)
+    }
+}
+
+impl Router for HypercubeRouter<'_> {
     fn label(&self) -> String {
         format!(
             "hypercube(d={}){}",
             self.cube.dim(),
             fault_suffix(&self.plan)
         )
-    }
-
-    fn source_can_reach(&self, src: usize, dest: usize) -> bool {
-        path_alive(self.cube.network(), &self.plan, src, dest, |node| {
-            self.cube.route(node, dest)
-        })
     }
 
     fn fault_plan(&self) -> Option<&FaultPlan> {
@@ -258,20 +224,21 @@ impl<'a> MeshRouter<'a> {
     }
 }
 
-impl Router for MeshRouter<'_> {
+impl FlowRouting for MeshRouter<'_> {
     fn network(&self) -> &ChannelNetwork {
         self.mesh.network()
     }
 
     fn route(&self, node: NodeId, dest: usize) -> Route {
-        let net = self.mesh.network();
-        let ch = self
-            .mesh
-            .route(node, dest)
-            .unwrap_or_else(|| net.processors()[self.mesh.switch_address(node)].eject);
-        open_unless_dead(net, &self.plan, ch)
+        unique_path_route(self.mesh, &self.plan, node, dest)
     }
 
+    fn reachable(&self, src: usize, dest: usize) -> bool {
+        path_alive(self.mesh, &self.plan, src, dest)
+    }
+}
+
+impl Router for MeshRouter<'_> {
     fn label(&self) -> String {
         format!(
             "mesh(k={},n={}){}",
@@ -279,12 +246,6 @@ impl Router for MeshRouter<'_> {
             self.mesh.dims(),
             fault_suffix(&self.plan)
         )
-    }
-
-    fn source_can_reach(&self, src: usize, dest: usize) -> bool {
-        path_alive(self.mesh.network(), &self.plan, src, dest, |node| {
-            self.mesh.route(node, dest)
-        })
     }
 
     fn fault_plan(&self) -> Option<&FaultPlan> {
@@ -297,7 +258,8 @@ impl Router for MeshRouter<'_> {
 /// descents taken only when fully alive (see [`wormsim_faults::FaultedBft`]
 /// for the reachability computation). With an empty plan this router is
 /// bit-for-bit interchangeable with [`BftRouter`] — same label, same
-/// stations, same RNG draws (its up-bundle masks then allow every member).
+/// channels and stations, same RNG draws (its up-bundle masks then allow
+/// every member).
 #[derive(Debug, Clone)]
 pub struct FaultedBftRouter<'a> {
     bft: FaultedBft<'a>,
@@ -323,26 +285,24 @@ impl<'a> FaultedBftRouter<'a> {
     }
 }
 
-impl Router for FaultedBftRouter<'_> {
+impl FlowRouting for FaultedBftRouter<'_> {
     fn network(&self) -> &ChannelNetwork {
-        self.bft.tree().network()
+        self.bft.network()
     }
 
     fn route(&self, node: NodeId, dest: usize) -> Route {
-        match self.bft.route(node, dest) {
-            DegradedChoice::Down(ch) => Route::Open(self.bft.tree().network().channel(ch).station),
-            DegradedChoice::Up { station, mask } => Route::Restricted(station, mask),
-            DegradedChoice::Unreachable => Route::Unreachable,
-        }
+        self.bft.route(node, dest)
     }
 
+    fn reachable(&self, src: usize, dest: usize) -> bool {
+        self.bft.reachable(src, dest)
+    }
+}
+
+impl Router for FaultedBftRouter<'_> {
     fn label(&self) -> String {
         let pristine = BftRouter::new(self.bft.tree()).label();
         format!("{pristine}{}", fault_suffix(self.bft.plan()))
-    }
-
-    fn source_can_reach(&self, src: usize, dest: usize) -> bool {
-        self.bft.source_ok(src, dest)
     }
 
     fn fault_plan(&self) -> Option<&FaultPlan> {
@@ -354,25 +314,28 @@ impl Router for FaultedBftRouter<'_> {
 mod tests {
     use super::*;
     use wormsim_topology::bft::BftParams;
-    use wormsim_topology::graph::NodeKind;
+    use wormsim_topology::ids::StationId;
 
-    /// The station of an unrestricted route.
-    fn open_station(route: Route) -> StationId {
+    /// The station every member of which a bundle route allows.
+    fn open_bundle(route: Route) -> StationId {
         match route {
-            Route::Open(st) => st,
-            other => panic!("expected an open route, got {other:?}"),
+            Route::Bundle(st, u16::MAX) => st,
+            other => panic!("expected an open bundle, got {other:?}"),
         }
     }
 
-    /// Walks from PE `src` to PE `dest`, always taking the first channel
-    /// of the requested station; returns the channels crossed, injection
-    /// and ejection included.
+    /// Walks from PE `src` to PE `dest`, taking the routed channel or the
+    /// first member of an open bundle; returns the channels crossed,
+    /// injection and ejection included.
     fn walk<R: Router>(router: &R, src: usize, dest: usize) -> usize {
         let net = router.network();
         let mut node = net.channel(net.processors()[src].inject).dst;
         for hops in 2..=16 {
-            let st = open_station(router.route(node, dest));
-            node = net.channel(net.station(st).channels[0]).dst;
+            let ch = match router.route(node, dest) {
+                Route::Channel(ch) => ch,
+                route => net.station(open_bundle(route)).channels[0],
+            };
+            node = net.channel(ch).dst;
             if let NodeKind::Processor { index } = net.node(node).kind {
                 assert_eq!(index, dest);
                 return hops;
@@ -395,7 +358,7 @@ mod tests {
         let router = BftRouter::new(&tree);
         let net = router.network();
         let s10 = tree.switch(1, 0);
-        let st = open_station(router.route(s10, 63)); // 63 outside S(1,0)'s subtree
+        let st = open_bundle(router.route(s10, 63)); // 63 outside S(1,0)'s subtree
         assert_eq!(net.station(st).servers(), 2);
     }
 

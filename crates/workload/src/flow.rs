@@ -8,16 +8,19 @@
 //! flow matrix through the router's path logic and read the rates off
 //! the channels.
 //!
-//! [`FlowVector::build`] does this for any topology implementing
-//! [`FlowRouting`]:
+//! [`FlowRouting::route`] is the one routing decision of the whole
+//! workspace: [`FlowVector::build`] follows it here, and the simulator's
+//! engine makes the same call at every hop. Its [`Route`] is either
 //!
-//! * deterministic hops (down-links, dimension-order steps) carry the full
-//!   pair flow;
-//! * adaptive hops (the fat-tree's `p`-wide up-link bundles) split the
-//!   flow evenly across the bundle, matching the simulator's
-//!   random-free-member rule in expectation;
-//! * ejection is verified to land at the destination's switch, and routing
-//!   loops are detected by a hop cap.
+//! * one channel ([`Route::Channel`]: a down-link, a dimension hop or an
+//!   ejection), which carries the full pair flow, or
+//! * a bundle ([`Route::Bundle`]: the fat-tree's `p`-wide up-links) whose
+//!   allowed members ([`member_allowed`]) split the flow evenly, matching
+//!   the simulator's random-free-member rule in expectation.
+//!
+//! An ejection must leave the switch the flow stands at and land at the
+//! destination, and routing loops are detected by a hop cap; each is a
+//! typed [`WorkloadError::Routing`].
 //!
 //! Flows are stored per **unit per-PE message rate**, so one propagation
 //! (`O(N² · distance)`) serves a whole load sweep: `λ_c = unit_flow(c) · λ₀`.
@@ -29,34 +32,49 @@ use std::collections::HashMap;
 use wormsim_topology::bft::{ButterflyFatTree, RouteChoice};
 use wormsim_topology::graph::{ChannelNetwork, NodeKind};
 use wormsim_topology::hypercube::Hypercube;
-use wormsim_topology::ids::{ChannelId, NodeId};
+use wormsim_topology::ids::{ChannelId, NodeId, StationId};
 use wormsim_topology::mesh::Mesh;
 
-/// One routing step as seen by the flow propagation.
-#[derive(Debug, Clone, Copy)]
-pub enum FlowHop<'a> {
-    /// The destination attaches to this switch: take its ejection channel.
-    Eject,
-    /// The unique next channel (deterministic routing).
-    Deterministic(ChannelId),
-    /// Any member of this bundle, chosen uniformly (adaptive routing).
-    Adaptive(&'a [ChannelId]),
+/// One routing decision: where a worm headed for a destination goes next
+/// (see [`FlowRouting::route`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// The unique next channel: a down-link, a dimension hop or an
+    /// ejection. The simulator requests the channel's station with every
+    /// member allowed, so the channel must be its station's only member,
+    /// as every such channel of the shipped topologies is.
+    Channel(ChannelId),
+    /// Any allowed member of this station under the mask (see
+    /// [`member_allowed`]); `u16::MAX` allows every member.
+    Bundle(StationId, u16),
+    /// No surviving route from this node to the destination.
+    Unreachable,
 }
 
-/// Topologies whose routing the flow propagation can follow.
+/// Whether the member at position `pos` of a station's channel list is
+/// allowed under a [`Route::Bundle`] mask: bit `k` is member `k`, and
+/// members past bit 15 are always allowed.
+#[inline]
+#[must_use]
+pub fn member_allowed(mask: u16, pos: usize) -> bool {
+    pos >= 16 || mask & (1 << pos) != 0
+}
+
+/// Topologies and routers whose routing both the flow propagation and the
+/// simulator follow.
 pub trait FlowRouting {
     /// The channel network being routed on.
     fn network(&self) -> &ChannelNetwork;
 
-    /// The hop a worm headed for processor `dest` takes from switch
-    /// `node`.
-    fn flow_hop(&self, node: NodeId, dest: usize) -> FlowHop<'_>;
+    /// Where a worm headed for processor `dest` goes from switch `node`.
+    fn route(&self, node: NodeId, dest: usize) -> Route;
 
     /// Whether a message from `src` can reach `dest` at all. Pristine
     /// topologies are fully connected (the default); fault-degraded
     /// routers override this so [`FlowVector::build`] reports partition
     /// as a typed [`WorkloadError::Disconnected`] instead of failing
-    /// mid-propagation.
+    /// mid-propagation, and the simulator counts the message unroutable
+    /// instead of admitting it.
     fn reachable(&self, src: usize, dest: usize) -> bool {
         let _ = (src, dest);
         true
@@ -65,50 +83,40 @@ pub trait FlowRouting {
 
 impl FlowRouting for ButterflyFatTree {
     fn network(&self) -> &ChannelNetwork {
-        self.network()
+        ButterflyFatTree::network(self)
     }
 
-    fn flow_hop(&self, node: NodeId, dest: usize) -> FlowHop<'_> {
-        match self.route(node, dest) {
-            RouteChoice::Down(ch) => {
-                // Level-1 "down" channels are the ejection channels.
-                if matches!(
-                    self.network().node(self.network().channel(ch).dst).kind,
-                    NodeKind::Processor { .. }
-                ) {
-                    FlowHop::Eject
-                } else {
-                    FlowHop::Deterministic(ch)
-                }
-            }
-            RouteChoice::Up(st) => FlowHop::Adaptive(&self.network().station(st).channels),
+    fn route(&self, node: NodeId, dest: usize) -> Route {
+        match ButterflyFatTree::route(self, node, dest) {
+            RouteChoice::Down(ch) => Route::Channel(ch),
+            RouteChoice::Up(st) => Route::Bundle(st, u16::MAX),
         }
     }
 }
 
 impl FlowRouting for Hypercube {
     fn network(&self) -> &ChannelNetwork {
-        self.network()
+        Hypercube::network(self)
     }
 
-    fn flow_hop(&self, node: NodeId, dest: usize) -> FlowHop<'_> {
-        match self.route(node, dest) {
-            Some(ch) => FlowHop::Deterministic(ch),
-            None => FlowHop::Eject,
-        }
+    fn route(&self, node: NodeId, dest: usize) -> Route {
+        Route::Channel(Hypercube::route(self, node, dest).unwrap_or_else(|| {
+            Hypercube::network(self).processors()[self.switch_address(node)].eject
+        }))
     }
 }
 
 impl FlowRouting for Mesh {
     fn network(&self) -> &ChannelNetwork {
-        self.network()
+        Mesh::network(self)
     }
 
-    fn flow_hop(&self, node: NodeId, dest: usize) -> FlowHop<'_> {
-        match self.route(node, dest) {
-            Some(ch) => FlowHop::Deterministic(ch),
-            None => FlowHop::Eject,
-        }
+    fn route(&self, node: NodeId, dest: usize) -> Route {
+        Route::Channel(
+            Mesh::route(self, node, dest).unwrap_or_else(|| {
+                Mesh::network(self).processors()[self.switch_address(node)].eject
+            }),
+        )
     }
 }
 
@@ -193,59 +201,41 @@ impl FlowVector {
                                 "route {src}->{dst} exceeded {hop_cap} hops: routing loop?"
                             )));
                         }
-                        match routing.flow_hop(f.node, dst) {
-                            FlowHop::Eject => {
-                                let eject = net.processors()[dst].eject;
-                                if net.channel(eject).src != f.node {
-                                    return Err(WorkloadError::Routing(format!(
-                                        "route {src}->{dst} ejected at the wrong switch"
-                                    )));
-                                }
-                                advance(
-                                    net,
-                                    eject,
-                                    f,
-                                    f.frac,
-                                    dst,
-                                    &mut unit_flows,
-                                    &mut transitions,
-                                    &mut weighted_hops,
-                                    &mut next,
-                                )?;
+                        let route = routing.route(f.node, dst);
+                        let (members, mask) = match &route {
+                            Route::Channel(ch) => (std::slice::from_ref(ch), u16::MAX),
+                            Route::Bundle(st, mask) => {
+                                (net.station(*st).channels.as_slice(), *mask)
                             }
-                            FlowHop::Deterministic(ch) => {
+                            Route::Unreachable => {
+                                return Err(WorkloadError::Routing(format!(
+                                    "route {src}->{dst}: no route from {}",
+                                    f.node
+                                )))
+                            }
+                        };
+                        let allowed = (0..members.len())
+                            .filter(|&k| member_allowed(mask, k))
+                            .count();
+                        if allowed == 0 {
+                            return Err(WorkloadError::Routing(format!(
+                                "route {src}->{dst}: no allowed bundle member"
+                            )));
+                        }
+                        let share = f.frac / allowed as f64;
+                        for (k, &ch) in members.iter().enumerate() {
+                            if member_allowed(mask, k) {
                                 advance(
                                     net,
                                     ch,
                                     f,
-                                    f.frac,
+                                    share,
                                     dst,
                                     &mut unit_flows,
                                     &mut transitions,
                                     &mut weighted_hops,
                                     &mut next,
                                 )?;
-                            }
-                            FlowHop::Adaptive(members) => {
-                                if members.is_empty() {
-                                    return Err(WorkloadError::Routing(format!(
-                                        "route {src}->{dst}: empty adaptive bundle"
-                                    )));
-                                }
-                                let share = f.frac / members.len() as f64;
-                                for &ch in members {
-                                    advance(
-                                        net,
-                                        ch,
-                                        f,
-                                        share,
-                                        dst,
-                                        &mut unit_flows,
-                                        &mut transitions,
-                                        &mut weighted_hops,
-                                        &mut next,
-                                    )?;
-                                }
                             }
                         }
                     }
@@ -346,7 +336,8 @@ impl FlowVector {
 
 /// Pushes `share` of front `f` across channel `ch`, recording the flow,
 /// the transition from the previous channel, and either terminating at the
-/// destination PE or extending the frontier.
+/// destination PE (an ejection must leave the front's switch) or extending
+/// the frontier.
 #[allow(clippy::too_many_arguments)]
 fn advance(
     net: &ChannelNetwork,
@@ -364,6 +355,13 @@ fn advance(
     let to = net.channel(ch).dst;
     match net.node(to).kind {
         NodeKind::Processor { index } => {
+            if net.channel(ch).src != f.node {
+                return Err(WorkloadError::Routing(format!(
+                    "flow for destination {dst} ejected at {}, not at {}",
+                    net.channel(ch).src,
+                    f.node
+                )));
+            }
             if index != dst {
                 return Err(WorkloadError::Routing(format!(
                     "flow for destination {dst} delivered to processor {index}"
@@ -563,14 +561,17 @@ mod tests {
         );
     }
 
-    /// A mesh whose routing is broken in one of three ways.
+    /// A mesh whose routing is broken in one of four ways.
     enum Broken {
         /// Never ejects: always hops to the first neighbouring switch.
         NeverEjects,
-        /// Ejects at every switch, including the source's own.
+        /// Takes the destination's ejection channel from every switch,
+        /// including the source's own.
         EjectsEverywhere,
-        /// Offers an adaptive bundle with no members.
+        /// Offers a bundle whose mask allows no member.
         EmptyBundle,
+        /// Admits every pair, then finds no route.
+        Unreachable,
     }
 
     struct BrokenMesh(Mesh, Broken);
@@ -580,17 +581,19 @@ mod tests {
             self.0.network()
         }
 
-        fn flow_hop(&self, node: NodeId, _dest: usize) -> FlowHop<'_> {
+        fn route(&self, node: NodeId, dest: usize) -> Route {
             let net = self.0.network();
+            let out = &net.node(node).out_channels;
             match self.1 {
                 Broken::NeverEjects => {
-                    let to_switch = net.node(node).out_channels.iter().copied().find(|&ch| {
+                    let to_switch = out.iter().copied().find(|&ch| {
                         matches!(net.node(net.channel(ch).dst).kind, NodeKind::Switch { .. })
                     });
-                    FlowHop::Deterministic(to_switch.unwrap())
+                    Route::Channel(to_switch.unwrap())
                 }
-                Broken::EjectsEverywhere => FlowHop::Eject,
-                Broken::EmptyBundle => FlowHop::Adaptive(&[]),
+                Broken::EjectsEverywhere => Route::Channel(net.processors()[dest].eject),
+                Broken::EmptyBundle => Route::Bundle(net.channel(out[0]).station, 0),
+                Broken::Unreachable => Route::Unreachable,
             }
         }
     }
@@ -618,10 +621,12 @@ mod tests {
 
     #[test]
     fn empty_adaptive_bundle_is_a_typed_routing_error() {
-        assert!(matches!(
-            build_broken(Broken::EmptyBundle),
-            Err(WorkloadError::Routing(_))
-        ));
+        for fault in [Broken::EmptyBundle, Broken::Unreachable] {
+            assert!(matches!(
+                build_broken(fault),
+                Err(WorkloadError::Routing(_))
+            ));
+        }
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   length;
 //! * [`flow::FlowVector`] — the routing-induced per-channel flow vector
 //!   `λ_c`, computed by pushing the source→destination flow matrix through
-//!   each router's deterministic/adaptive path logic over any
+//!   [`flow::FlowRouting::route`], the one routing decision that the
+//!   simulator's engine also makes at every hop, over any
 //!   `wormsim-topology` channel graph;
 //! * [`workload::Workload`] — the pairing of the two, used end-to-end.
 //!
@@ -52,7 +53,7 @@ pub mod workload;
 
 pub use arrival::{ArrivalProcess, MmppProfile};
 pub use error::WorkloadError;
-pub use flow::{FlowHop, FlowRouting, FlowVector};
+pub use flow::{member_allowed, FlowRouting, FlowVector, Route};
 pub use pattern::DestinationPattern;
 pub use workload::Workload;
 

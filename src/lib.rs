@@ -6,7 +6,7 @@
 //! > Wormhole Routed Networks with Application to Butterfly Fat-Trees*,
 //! > Proc. ICPP 1997, pp. 44–48.
 //!
-//! It bundles five subsystems behind one facade:
+//! It bundles ten subsystems behind one facade:
 //!
 //! * [`queueing`] — M/G/1, M/M/m and M/G/m queueing theory plus the paper's
 //!   wormhole corrections (service-variance surrogate, blocking probability)
@@ -17,10 +17,13 @@
 //!   simulator: destination patterns (uniform, bit-complement, half-shift,
 //!   hot-spot(β, target), transpose, tornado, nearest-neighbor), Poisson and
 //!   MMPP bursty arrival processes, and routing-induced per-channel flow
-//!   vectors.
+//!   vectors built over the one routing call (`FlowRouting::route`) that
+//!   the simulator's engine also makes at every hop.
 //! * [`model`] — the paper's analytical model: the general framework of §2,
 //!   the closed-form butterfly fat-tree instantiation of §3, baseline models,
 //!   ablations, and the workload-driven per-station generalization.
+//! * [`guard`] — saturation-aware solving: typed solve outcomes, an
+//!   escalation ladder for marginal loads, and knee bracketing.
 //! * [`sim`] — a cycle-accurate flit-level wormhole-routing simulator used
 //!   to validate the model exactly as the paper does.
 //! * [`lanes`] — virtual-channel (multi-lane) channels: validated lane
@@ -130,11 +133,11 @@ pub use wormsim_workload as workload;
 pub mod prelude {
     pub use wormsim_core::bft::{BftModel, ChannelAudit, LatencyBreakdown};
     pub use wormsim_core::flows::{model_from_flows, FlowModelSweep, StationModel};
-    pub use wormsim_core::framework::{bft_spec_with_rates, ring_spec, BftLevelRates, WarmStart};
-    pub use wormsim_core::options::{ModelOptions, ScvMode};
+    pub use wormsim_core::framework::{ring_spec, WarmStart};
+    pub use wormsim_core::options::ModelOptions;
     pub use wormsim_core::throughput::SaturationPoint;
     pub use wormsim_core::ModelError;
-    pub use wormsim_faults::{DegradedChoice, FaultError, FaultPlan, FaultSpec, FaultedBft};
+    pub use wormsim_faults::{FaultError, FaultPlan, FaultSpec, FaultedBft};
     pub use wormsim_guard::{Knee, KneeConfig, KneeError, Rung, SolveOutcome};
     pub use wormsim_lanes::{LaneAllocatorKind, LaneConfig, LaneError, LaneStats};
     pub use wormsim_obs::{
@@ -144,7 +147,7 @@ pub mod prelude {
     };
     pub use wormsim_queueing::{QueueingError, ServiceMoments};
     pub use wormsim_sim::config::{EngineKind, SimConfig, TrafficConfig, TrafficPattern};
-    pub use wormsim_sim::router::{FaultedBftRouter, Route};
+    pub use wormsim_sim::router::FaultedBftRouter;
     pub use wormsim_sim::runner::{
         find_saturation, replicate, run_simulation, run_simulation_observed,
         run_simulation_with_lanes, sweep_traffic, SimResult,
@@ -152,7 +155,7 @@ pub mod prelude {
     pub use wormsim_topology::bft::{BftParams, ButterflyFatTree};
     pub use wormsim_topology::{ChannelClass, ChannelNetwork};
     pub use wormsim_workload::{
-        ArrivalProcess, DestinationPattern, FlowRouting, FlowVector, MmppProfile, Workload,
+        ArrivalProcess, DestinationPattern, FlowRouting, FlowVector, MmppProfile, Route, Workload,
         WorkloadError,
     };
 }

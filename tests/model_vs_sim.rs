@@ -213,7 +213,7 @@ fn bursty_workload_inflates_latency_beyond_poisson_model() {
     let poisson = model.latency_at_message_rate(lambda0).unwrap();
     let audit = model.audit_at_message_rate(lambda0).unwrap();
     let iod = ArrivalProcess::Mmpp(profile).index_of_dispersion(lambda0);
-    let scv = model.options().scv.scv(audit.x_up[0], 16.0);
+    let scv = wormsim::queueing::wormhole::wormhole_scv(audit.x_up[0], 16.0);
     let w01_burst = wormsim::queueing::gg1::waiting_time(lambda0, audit.x_up[0], scv, iod).unwrap();
     let corrected = poisson.total - audit.w_up[0] + w01_burst;
 

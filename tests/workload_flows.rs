@@ -1,10 +1,12 @@
 //! Workload-layer invariants across the whole stack: flow conservation,
-//! destination-distribution validity, and the uniform-workload regression
-//! against the paper's closed-form numbers.
+//! destination-distribution validity, and the simulator's routers driving
+//! the flow model bit for bit.
 
 use wormsim::prelude::*;
+use wormsim::sim::router::{BftRouter, HypercubeRouter, MeshRouter};
 use wormsim::topology::hypercube::Hypercube;
 use wormsim::topology::mesh::Mesh;
+use wormsim::topology::ChannelId;
 use wormsim_testutil::assert_relative_close;
 
 /// Patterns exercised everywhere (transpose added when N is square).
@@ -100,36 +102,83 @@ fn destination_distributions_are_valid() {
     }
 }
 
-#[test]
-fn uniform_workload_reproduces_closed_form_model_numbers() {
-    // The Figure 2/3 regression: pushing the uniform workload through the
-    // generalized rate pipeline (flow vector → per-level rates → the same
-    // spec builder) lands on the historical model numbers.
-    for n in [64usize, 256] {
-        let params = BftParams::paper(n).unwrap();
-        let tree = ButterflyFatTree::new(params);
-        let flows = FlowVector::build(&tree, &DestinationPattern::Uniform).unwrap();
-        for s in [16.0, 32.0, 64.0] {
-            let closed = BftModel::new(params, s);
-            for flit_load in [0.0, 0.01, 0.02] {
-                let lambda0 = flit_load / s;
-                let rates = BftLevelRates::from_flows(&tree, &flows, lambda0).unwrap();
-                let a =
-                    bft_spec_with_rates(&params, s, &rates).latency(&ModelOptions::paper(), None);
-                let b = closed.latency_at_message_rate(lambda0);
-                match (a, b) {
-                    (Ok(a), Ok(b)) => assert_relative_close(
-                        a.total,
-                        b.total,
-                        1e-9,
-                        &format!("N={n} s={s} load={flit_load}"),
-                    ),
-                    (Err(_), Err(_)) => {}
-                    other => panic!("pipelines disagree at N={n} s={s}: {other:?}"),
-                }
-            }
-        }
+/// Asserts that two flow vectors agree to the bit: every unit flow, every
+/// transition entry and `D̄`.
+fn assert_flows_bit_identical(a: &FlowVector, b: &FlowVector, what: &str) {
+    assert_eq!(a.num_channels(), b.num_channels(), "{what}: channel count");
+    let transition_bits = |f: &FlowVector, ch| -> Vec<(usize, u64)> {
+        f.transitions(ch)
+            .iter()
+            .map(|&(to, w)| (to, w.to_bits()))
+            .collect()
+    };
+    for c in 0..a.num_channels() {
+        let ch = ChannelId(c);
+        assert_eq!(
+            a.unit_flow(ch).to_bits(),
+            b.unit_flow(ch).to_bits(),
+            "{what}: unit flow of channel {c}"
+        );
+        assert_eq!(
+            transition_bits(a, ch),
+            transition_bits(b, ch),
+            "{what}: transitions of channel {c}"
+        );
     }
+    assert_eq!(
+        a.avg_distance().to_bits(),
+        b.avg_distance().to_bits(),
+        "{what}: D̄"
+    );
+}
+
+#[test]
+fn simulator_routers_drive_the_flow_model_bit_for_bit() {
+    // Every simulator router is a `FlowRouting`, so the flow model can be
+    // built over exactly what the engine routes; each must price its
+    // fabric bit for bit as the topology (or fault-aware tree) it wraps.
+    let hot = DestinationPattern::hot_spot();
+    let build = |routing: &dyn FlowRouting| FlowVector::build(routing, &hot).unwrap();
+
+    let tree = ButterflyFatTree::new(BftParams::paper(64).unwrap());
+    let net = tree.network();
+    let pristine = build(&tree);
+    assert_flows_bit_identical(&build(&BftRouter::new(&tree)), &pristine, "BftRouter");
+    let empty = FaultedBftRouter::new(&tree, FaultPlan::none(net)).unwrap();
+    assert_flows_bit_identical(&build(&empty), &pristine, "empty-plan FaultedBftRouter");
+
+    let degraded = (0..256u64)
+        .map(|seed| {
+            let plan = FaultPlan::build(net, &FaultSpec::links(0.05, seed).unwrap());
+            FaultedBftRouter::new(&tree, plan).unwrap()
+        })
+        .find(|router| router.bft().fully_connected())
+        .expect("a connected 5% link knockout of N=64");
+    assert!(!degraded.bft().plan().is_empty());
+    assert_flows_bit_identical(
+        &build(&degraded),
+        &build(degraded.bft()),
+        "5% FaultedBftRouter vs its FaultedBft",
+    );
+
+    let mesh = Mesh::new(4, 2).unwrap();
+    assert_flows_bit_identical(&build(&MeshRouter::new(&mesh)), &build(&mesh), "MeshRouter");
+    let cube = Hypercube::new(4).unwrap();
+    assert_flows_bit_identical(
+        &build(&HypercubeRouter::new(&cube)),
+        &build(&cube),
+        "HypercubeRouter",
+    );
+
+    // A unique-path router prices its faults too: with PE 7's switch dead,
+    // the first pair that needs it is PE 0's message to PE 7.
+    let mut plan = FaultPlan::none(mesh.network());
+    plan.kill_switch(mesh.network(), mesh.switch(7)).unwrap();
+    let cut = MeshRouter::with_faults(&mesh, plan).unwrap();
+    assert!(matches!(
+        FlowVector::build(&cut, &DestinationPattern::Uniform),
+        Err(WorkloadError::Disconnected { src: 0, dest: 7 })
+    ));
 }
 
 #[test]
@@ -182,7 +231,6 @@ fn workload_sampling_matches_flow_probabilities_end_to_end() {
 fn mmpp_workload_degrades_latency_at_equal_mean_load() {
     // End-to-end burstiness check (statistical, generous tolerance): the
     // same mean rate hurts more when clumped into bursts.
-    use wormsim::sim::router::BftRouter;
     let params = BftParams::paper(16).unwrap();
     let tree = ButterflyFatTree::new(params);
     let router = BftRouter::new(&tree);
