@@ -1123,8 +1123,10 @@ impl<'a, R: Router> Engine<'a, R> {
     /// Invariant checker used by tests: every held lane's holder exists and
     /// holds it on its path, lane occupancy is conserved (each live worm's
     /// unreleased hops hold exactly their lanes, and nothing else is held
-    /// — no lane double-grant, no leaked lane), every queued worm appears
-    /// in exactly one queue, and every stalled worm in the stall list.
+    /// — no lane double-grant, no leaked lane), each live worm's path is a
+    /// walk from its source's injection channel that can only end at its
+    /// destination, every queued worm appears in exactly one queue, and
+    /// every stalled worm in the stall list.
     ///
     /// # Errors
     ///
@@ -1174,7 +1176,39 @@ impl<'a, R: Router> Engine<'a, R> {
             if w.state == WormState::Free {
                 continue;
             }
-            for (i, hop) in self.paths[wi].iter().enumerate() {
+            // The path is a walk: hop 0 is the source's injection channel,
+            // each later hop leaves the node the previous one enters, and
+            // a path that reaches a processor reaches the destination.
+            let path = &self.paths[wi];
+            if let Some(first) = path.first() {
+                let inject = net.processors()[w.src as usize].inject;
+                if first.ch != inject {
+                    return Err(format!(
+                        "worm {wi} starts on {}, not PE {}'s injection {inject}",
+                        first.ch, w.src
+                    ));
+                }
+            }
+            for (i, pair) in path.windows(2).enumerate() {
+                let (enters, leaves) = (net.channel(pair[0].ch).dst, net.channel(pair[1].ch).src);
+                if leaves != enters {
+                    return Err(format!(
+                        "worm {wi}'s hop {} leaves {leaves}, not {enters} where hop {i} ends",
+                        i + 1
+                    ));
+                }
+            }
+            if let Some(last) = path.last() {
+                if let NodeKind::Processor { index } = net.node(net.channel(last.ch).dst).kind {
+                    if index != w.dest as usize {
+                        return Err(format!(
+                            "worm {wi} for PE {} delivered to PE {index}",
+                            w.dest
+                        ));
+                    }
+                }
+            }
+            for (i, hop) in path.iter().enumerate() {
                 let released = w.advancements as usize >= w.len_flits as usize + i;
                 let holder = self.lane_holder[hop.ch.index() * lanes + hop.lane as usize];
                 if released && holder == wi as WormIdx {

@@ -5,10 +5,14 @@
 use wormsim_sim::config::{
     EngineKind, LaneConfig, ObsConfig, SimConfig, TrafficConfig, TrafficPattern,
 };
-use wormsim_sim::router::BftRouter;
+use wormsim_sim::engine::Engine;
+use wormsim_sim::router::{BftRouter, Router};
 use wormsim_sim::runner::{run_simulation, run_simulation_observed};
 use wormsim_topology::bft::{BftParams, ButterflyFatTree};
-use wormsim_topology::graph::ChannelClass;
+use wormsim_topology::graph::{ChannelClass, ChannelNetwork, NodeKind};
+use wormsim_topology::ids::NodeId;
+use wormsim_topology::mesh::Mesh;
+use wormsim_workload::{FlowRouting, Route};
 
 fn tiny_cfg(seed: u64) -> SimConfig {
     SimConfig {
@@ -200,4 +204,53 @@ fn grants_spread_over_every_member_of_a_wide_up_bundle() {
             "bundle position {pos} busy {b} cycles vs mean {mean}: {busy:?}"
         );
     }
+}
+
+/// A 3×3 mesh router that, from every other switch, takes a channel into
+/// the destination's switch, wherever that channel starts, and ejects
+/// there: its worms jump between unconnected switches.
+struct Teleporting(Mesh);
+
+impl FlowRouting for Teleporting {
+    fn network(&self) -> &ChannelNetwork {
+        self.0.network()
+    }
+
+    fn route(&self, node: NodeId, dest: usize) -> Route {
+        let net = self.0.network();
+        let target = self.0.switch(dest);
+        if node == target {
+            return Route::Channel(net.processors()[dest].eject);
+        }
+        let into = net
+            .node(target)
+            .in_channels
+            .iter()
+            .copied()
+            .find(|&ch| matches!(net.node(net.channel(ch).src).kind, NodeKind::Switch { .. }));
+        Route::Channel(into.expect("a mesh switch has switch neighbours"))
+    }
+}
+
+impl Router for Teleporting {
+    fn label(&self) -> String {
+        "teleporting 3x3 mesh".to_string()
+    }
+}
+
+#[test]
+fn invariants_catch_a_worm_path_that_skips_a_link() {
+    // The engine takes every routed channel on trust; the invariant
+    // checker is what notices a path that is not a walk of the network.
+    let router = Teleporting(Mesh::new(3, 2).unwrap());
+    let cfg = tiny_cfg(3);
+    let traffic = TrafficConfig::from_flit_load(0.05, 4).unwrap();
+    let mut engine = Engine::with_lanes(&router, &cfg, &traffic, &LaneConfig::single());
+    let mut broken = None;
+    while broken.is_none() && engine.now() < 1_500 {
+        engine.step_many(1);
+        broken = engine.check_invariants().err();
+    }
+    let err = broken.expect("a teleporting path must break an invariant");
+    assert!(err.contains("leaves"), "{err}");
 }

@@ -18,12 +18,44 @@
 //!   allowed members ([`member_allowed`]) split the flow evenly, matching
 //!   the simulator's random-free-member rule in expectation.
 //!
-//! An ejection must leave the switch the flow stands at and land at the
-//! destination, and routing loops are detected by a hop cap; each is a
-//! typed [`WorkloadError::Routing`].
+//! # The walk
+//!
+//! [`FlowVector::build`] routes every (source, destination) pair on its
+//! own, source-major and destination-minor. A pair's flow enters on the
+//! source's injection channel and is walked breadth first: the branches
+//! of one depth, in the order the previous depth created them, each ask
+//! the router where to go and split evenly over the allowed members
+//! (`share = frac / allowed`). A hop adds its share to the channel's flow
+//! and to the transition weight from the channel the branch came in on;
+//! a delivery adds `share · (hops + 1)` to the distance sum behind `D̄`.
+//!
+//! That order is the builder's contract. Floating-point sums depend on
+//! their order, and the benchmark pins model digests that hash these flows
+//! to the bit. Pushing all sources' demand through each destination's
+//! routing DAG at once would be far cheaper, but it re-orders the sums.
+//! What the walk does own is its bookkeeping: it reads a dense per-channel
+//! table instead of the network, and every channel owns one transition
+//! slot per channel leaving the node it enters, so a hop costs array
+//! indexing. The cost is `O(N² · branches per pair)`, counting a branch
+//! once per hop: the distance on unique-path topologies, and more on the
+//! fat-tree, whose up-bundles fork the walk.
+//!
+//! # Routing errors
+//!
+//! Each of these is a typed [`WorkloadError::Routing`]:
+//!
+//! * a routed channel that does not leave the node the flow stands at;
+//! * a delivery to a processor other than the destination;
+//! * [`Route::Unreachable`], or a bundle with no allowed member;
+//! * a loop: a route longer than four times the node count, or one depth
+//!   holding more branches than the network has channels. A loop through
+//!   a bundle doubles the branches on every pass and trips the second
+//!   bound long before the first. No loop-free route of a shipped
+//!   topology comes near it: the widest, the fat-tree's `p^(n−1)`
+//!   branches, stays below its `c·p^(n−1)` up-links from level `n − 1`.
 //!
 //! Flows are stored per **unit per-PE message rate**, so one propagation
-//! (`O(N² · distance)`) serves a whole load sweep: `λ_c = unit_flow(c) · λ₀`.
+//! serves a whole load sweep: `λ_c = unit_flow(c) · λ₀`.
 
 use crate::error::WorkloadError;
 use crate::pattern::DestinationPattern;
@@ -40,9 +72,10 @@ use wormsim_topology::mesh::Mesh;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
     /// The unique next channel: a down-link, a dimension hop or an
-    /// ejection. The simulator requests the channel's station with every
-    /// member allowed, so the channel must be its station's only member,
-    /// as every such channel of the shipped topologies is.
+    /// ejection. It must leave `node`. The simulator requests the
+    /// channel's station with every member allowed, so the channel must be
+    /// its station's only member, as every such channel of the shipped
+    /// topologies is.
     Channel(ChannelId),
     /// Any allowed member of this station under the mask (see
     /// [`member_allowed`]); `u16::MAX` allows every member.
@@ -67,6 +100,7 @@ pub trait FlowRouting {
     fn network(&self) -> &ChannelNetwork;
 
     /// Where a worm headed for processor `dest` goes from switch `node`.
+    /// Every channel the route names must leave `node`.
     fn route(&self, node: NodeId, dest: usize) -> Route;
 
     /// Whether a message from `src` can reach `dest` at all. Pristine
@@ -127,9 +161,12 @@ pub struct FlowVector {
     /// `unit_flows[c]` = worms/cycle on channel `c` when every PE offers
     /// one message per cycle.
     unit_flows: Vec<f64>,
-    /// `transitions[c]` = (next channel, weight) continuation counts, in
-    /// channel order. Terminal channels (ejections) have none.
-    transitions: Vec<Vec<(usize, f64)>>,
+    /// Every channel's (next channel, weight) continuation counts, channel
+    /// after channel, each channel's run in channel order. Terminal
+    /// channels (ejections) have none.
+    transitions: Vec<(usize, f64)>,
+    /// Channel `c`'s run is `transitions[transition_start[c]..transition_start[c + 1]]`.
+    transition_start: Vec<usize>,
     /// Pattern-weighted average message distance `D̄` in channels
     /// (injection and ejection included).
     avg_distance: f64,
@@ -137,13 +174,68 @@ pub struct FlowVector {
     pattern: DestinationPattern,
 }
 
-/// One branch of a partially routed pair flow.
+/// [`Link::delivers`] of a channel that ends at a switch.
+const NO_PE: u32 = u32::MAX;
+
+/// One channel as the walk reads it, so a hop costs array indexing instead
+/// of `Channel` and `Node` reads.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    src: u32,
+    dst: u32,
+    /// The processor this channel delivers to, or [`NO_PE`].
+    delivers: u32,
+    /// First of this channel's transition slots: one per channel leaving
+    /// `dst`, in `out_channels` order.
+    first_slot: u32,
+    /// This channel's position in its source node's `out_channels`.
+    pos: u32,
+}
+
+/// The [`Link`] of every channel, in id order, and the total slot count.
+fn link_table(net: &ChannelNetwork) -> Result<(Vec<Link>, usize)> {
+    let out_degree = |node: NodeId| net.node(node).out_channels.len();
+    let slots: usize = net.channels().iter().map(|ch| out_degree(ch.dst)).sum();
+    // Every index a `Link` or `Front` stores is below one of these counts,
+    // so once they fit below `NO_PE` the `as u32` casts are lossless.
+    let largest = slots.max(net.num_nodes()).max(net.num_channels());
+    if largest >= NO_PE as usize {
+        return Err(WorkloadError::Routing(format!(
+            "network too large to route: {largest} nodes, channels or slots"
+        )));
+    }
+    let mut pos = vec![0u32; net.num_channels()];
+    for node in net.nodes() {
+        for (k, ch) in node.out_channels.iter().enumerate() {
+            pos[ch.index()] = k as u32;
+        }
+    }
+    let mut links = Vec::with_capacity(net.num_channels());
+    let mut first_slot = 0;
+    for (ch, pos) in net.channels().iter().zip(pos) {
+        links.push(Link {
+            src: ch.src.index() as u32,
+            dst: ch.dst.index() as u32,
+            delivers: match net.node(ch.dst).kind {
+                NodeKind::Processor { index } => index as u32,
+                NodeKind::Switch { .. } => NO_PE,
+            },
+            first_slot,
+            pos,
+        });
+        first_slot += out_degree(ch.dst) as u32;
+    }
+    Ok((links, slots))
+}
+
+/// One branch of a partially routed pair flow: it stands at `node`, having
+/// entered it over channel `via` as its `hops`-th channel.
 #[derive(Debug, Clone, Copy)]
 struct Front {
-    node: NodeId,
-    via: usize,
+    node: u32,
+    via: u32,
+    hops: u32,
     frac: f64,
-    hops: usize,
 }
 
 impl FlowVector {
@@ -152,9 +244,11 @@ impl FlowVector {
     /// # Errors
     ///
     /// [`WorkloadError::Pattern`] when the pattern does not fit the
-    /// machine, [`WorkloadError::Routing`] on routing loops or misrouted
-    /// ejections, [`WorkloadError::Disconnected`] when the pattern
-    /// demands a pair the (degraded) topology can no longer route.
+    /// machine, [`WorkloadError::Routing`] on routing loops, channels
+    /// taken from a node the flow does not stand at, empty bundles or
+    /// deliveries to the wrong processor, [`WorkloadError::Disconnected`]
+    /// when the pattern demands a pair the (degraded) topology can no
+    /// longer route.
     pub fn build<R: FlowRouting + ?Sized>(
         routing: &R,
         pattern: &DestinationPattern,
@@ -164,15 +258,19 @@ impl FlowVector {
         pattern.validate(n_pe)?;
 
         let n_ch = net.num_channels();
+        let (links, n_slots) = link_table(net)?;
         let mut unit_flows = vec![0.0f64; n_ch];
-        let mut transitions: Vec<HashMap<usize, f64>> = vec![HashMap::new(); n_ch];
+        let mut slot_weight = vec![0.0f64; n_slots];
+        let mut slot_hit = vec![false; n_slots];
         let mut weighted_hops = 0.0f64;
-        let hop_cap = 4 * net.num_nodes();
+        // Below `u32::MAX`, so a branch's `hops + 1` cannot overflow.
+        let hop_cap = u32::try_from(4 * net.num_nodes()).unwrap_or(u32::MAX - 1);
 
         let mut frontier: Vec<Front> = Vec::with_capacity(16);
         let mut next: Vec<Front> = Vec::with_capacity(16);
 
         for src in 0..n_pe {
+            let inject = net.processors()[src].inject.index();
             for dst in 0..n_pe {
                 if dst == src {
                     continue;
@@ -184,14 +282,13 @@ impl FlowVector {
                 if !routing.reachable(src, dst) {
                     return Err(WorkloadError::Disconnected { src, dest: dst });
                 }
-                let inject = net.processors()[src].inject;
-                unit_flows[inject.index()] += pair;
+                unit_flows[inject] += pair;
                 frontier.clear();
                 frontier.push(Front {
-                    node: net.channel(inject).dst,
-                    via: inject.index(),
-                    frac: pair,
+                    node: links[inject].dst,
+                    via: inject as u32,
                     hops: 1,
+                    frac: pair,
                 });
                 while !frontier.is_empty() {
                     next.clear();
@@ -201,7 +298,8 @@ impl FlowVector {
                                 "route {src}->{dst} exceeded {hop_cap} hops: routing loop?"
                             )));
                         }
-                        let route = routing.route(f.node, dst);
+                        let node = NodeId(f.node as usize);
+                        let route = routing.route(node, dst);
                         let (members, mask) = match &route {
                             Route::Channel(ch) => (std::slice::from_ref(ch), u16::MAX),
                             Route::Bundle(st, mask) => {
@@ -209,8 +307,7 @@ impl FlowVector {
                             }
                             Route::Unreachable => {
                                 return Err(WorkloadError::Routing(format!(
-                                    "route {src}->{dst}: no route from {}",
-                                    f.node
+                                    "route {src}->{dst}: no route from {node}"
                                 )))
                             }
                         };
@@ -223,21 +320,46 @@ impl FlowVector {
                             )));
                         }
                         let share = f.frac / allowed as f64;
+                        let slots = links[f.via as usize].first_slot as usize;
                         for (k, &ch) in members.iter().enumerate() {
-                            if member_allowed(mask, k) {
-                                advance(
-                                    net,
-                                    ch,
-                                    f,
-                                    share,
-                                    dst,
-                                    &mut unit_flows,
-                                    &mut transitions,
-                                    &mut weighted_hops,
-                                    &mut next,
-                                )?;
+                            if !member_allowed(mask, k) {
+                                continue;
+                            }
+                            let c = ch.index();
+                            let link = links[c];
+                            if link.src != f.node {
+                                return Err(WorkloadError::Routing(format!(
+                                    "route {src}->{dst}: {ch} leaves {}, not {node}",
+                                    NodeId(link.src as usize)
+                                )));
+                            }
+                            unit_flows[c] += share;
+                            let slot = slots + link.pos as usize;
+                            slot_weight[slot] += share;
+                            slot_hit[slot] = true;
+                            if link.delivers == NO_PE {
+                                next.push(Front {
+                                    node: link.dst,
+                                    via: c as u32,
+                                    hops: f.hops + 1,
+                                    frac: share,
+                                });
+                            } else if link.delivers as usize == dst {
+                                weighted_hops += share * f64::from(f.hops + 1);
+                            } else {
+                                return Err(WorkloadError::Routing(format!(
+                                    "flow for destination {dst} delivered to processor {}",
+                                    link.delivers
+                                )));
                             }
                         }
+                    }
+                    if next.len() > n_ch {
+                        return Err(WorkloadError::Routing(format!(
+                            "route {src}->{dst}: {} branches after {} hops: routing loop?",
+                            next.len(),
+                            next[0].hops
+                        )));
                     }
                     std::mem::swap(&mut frontier, &mut next);
                 }
@@ -247,18 +369,26 @@ impl FlowVector {
         // Total unit message rate is one message per PE per cycle.
         let avg_distance = weighted_hops / n_pe as f64;
 
-        let transitions = transitions
-            .into_iter()
-            .map(|m| {
-                let mut v: Vec<(usize, f64)> = m.into_iter().collect();
-                v.sort_unstable_by_key(|&(to, _)| to);
-                v
-            })
-            .collect();
+        let mut transitions = Vec::new();
+        let mut transition_start = Vec::with_capacity(n_ch + 1);
+        transition_start.push(0);
+        for link in &links {
+            let run = transitions.len();
+            let first = link.first_slot as usize;
+            let outs = &net.node(NodeId(link.dst as usize)).out_channels;
+            for (slot, ch) in (first..).zip(outs) {
+                if slot_hit[slot] {
+                    transitions.push((ch.index(), slot_weight[slot]));
+                }
+            }
+            transitions[run..].sort_unstable_by_key(|&(to, _)| to);
+            transition_start.push(transitions.len());
+        }
 
         Ok(FlowVector {
             unit_flows,
             transitions,
+            transition_start,
             avg_distance,
             num_pes: n_pe,
             pattern: *pattern,
@@ -283,7 +413,8 @@ impl FlowVector {
     /// pairs in channel order; empty for terminal (ejection) channels.
     #[must_use]
     pub fn transitions(&self, ch: ChannelId) -> &[(usize, f64)] {
-        &self.transitions[ch.index()]
+        let c = ch.index();
+        &self.transitions[self.transition_start[c]..self.transition_start[c + 1]]
     }
 
     /// Pattern-weighted average message distance `D̄` in channels.
@@ -331,54 +462,6 @@ impl FlowVector {
             .collect();
         out.sort_by_key(|&(class, _, _)| class);
         out
-    }
-}
-
-/// Pushes `share` of front `f` across channel `ch`, recording the flow,
-/// the transition from the previous channel, and either terminating at the
-/// destination PE (an ejection must leave the front's switch) or extending
-/// the frontier.
-#[allow(clippy::too_many_arguments)]
-fn advance(
-    net: &ChannelNetwork,
-    ch: ChannelId,
-    f: &Front,
-    share: f64,
-    dst: usize,
-    unit_flows: &mut [f64],
-    transitions: &mut [HashMap<usize, f64>],
-    weighted_hops: &mut f64,
-    next: &mut Vec<Front>,
-) -> Result<()> {
-    unit_flows[ch.index()] += share;
-    *transitions[f.via].entry(ch.index()).or_insert(0.0) += share;
-    let to = net.channel(ch).dst;
-    match net.node(to).kind {
-        NodeKind::Processor { index } => {
-            if net.channel(ch).src != f.node {
-                return Err(WorkloadError::Routing(format!(
-                    "flow for destination {dst} ejected at {}, not at {}",
-                    net.channel(ch).src,
-                    f.node
-                )));
-            }
-            if index != dst {
-                return Err(WorkloadError::Routing(format!(
-                    "flow for destination {dst} delivered to processor {index}"
-                )));
-            }
-            *weighted_hops += share * (f.hops + 1) as f64;
-            Ok(())
-        }
-        NodeKind::Switch { .. } => {
-            next.push(Front {
-                node: to,
-                via: ch.index(),
-                frac: share,
-                hops: f.hops + 1,
-            });
-            Ok(())
-        }
     }
 }
 
@@ -561,13 +644,16 @@ mod tests {
         );
     }
 
-    /// A mesh whose routing is broken in one of four ways.
+    /// A mesh whose routing is broken in one of five ways.
     enum Broken {
         /// Never ejects: always hops to the first neighbouring switch.
         NeverEjects,
         /// Takes the destination's ejection channel from every switch,
         /// including the source's own.
         EjectsEverywhere,
+        /// From every other switch, takes a channel into the destination's
+        /// switch, wherever that channel starts; ejects there.
+        Teleports,
         /// Offers a bundle whose mask allows no member.
         EmptyBundle,
         /// Admits every pair, then finds no route.
@@ -592,6 +678,16 @@ mod tests {
                     Route::Channel(to_switch.unwrap())
                 }
                 Broken::EjectsEverywhere => Route::Channel(net.processors()[dest].eject),
+                Broken::Teleports => {
+                    let target = self.0.switch(dest);
+                    if node == target {
+                        return Route::Channel(net.processors()[dest].eject);
+                    }
+                    let into = net.node(target).in_channels.iter().copied().find(|&ch| {
+                        matches!(net.node(net.channel(ch).src).kind, NodeKind::Switch { .. })
+                    });
+                    Route::Channel(into.unwrap())
+                }
                 Broken::EmptyBundle => Route::Bundle(net.channel(out[0]).station, 0),
                 Broken::Unreachable => Route::Unreachable,
             }
@@ -617,6 +713,45 @@ mod tests {
             build_broken(Broken::EjectsEverywhere),
             Err(WorkloadError::Routing(_))
         ));
+    }
+
+    #[test]
+    fn teleporting_router_is_a_typed_routing_error() {
+        // A channel that does not leave the switch the flow stands at
+        // prices a hop no worm could take.
+        assert!(matches!(
+            build_broken(Broken::Teleports),
+            Err(WorkloadError::Routing(_))
+        ));
+    }
+
+    /// A fat-tree that climbs through the full up-bundle from every
+    /// non-root switch and drops to child port 0 from the root, so each
+    /// climb doubles the frontier and the route never ends.
+    struct LoopingTree(ButterflyFatTree);
+
+    impl FlowRouting for LoopingTree {
+        fn network(&self) -> &ChannelNetwork {
+            self.0.network()
+        }
+
+        fn route(&self, node: NodeId, _dest: usize) -> Route {
+            match self.0.up_station_of(node) {
+                Some(up) => Route::Bundle(up, u16::MAX),
+                None => Route::Channel(self.0.down_channels_of(node)[0]),
+            }
+        }
+    }
+
+    #[test]
+    fn looping_adaptive_router_is_a_typed_routing_error() {
+        // The frontier doubles every second hop, so the hop cap alone
+        // would be reached only after exhausting memory.
+        let looping = LoopingTree(bft(16));
+        match FlowVector::build(&looping, &DestinationPattern::Uniform) {
+            Err(WorkloadError::Routing(msg)) => assert!(msg.contains("branches"), "{msg}"),
+            other => panic!("expected a typed routing error, got {other:?}"),
+        }
     }
 
     #[test]

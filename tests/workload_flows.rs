@@ -2,6 +2,7 @@
 //! destination-distribution validity, and the simulator's routers driving
 //! the flow model bit for bit.
 
+use wormsim::faults::link_faults;
 use wormsim::prelude::*;
 use wormsim::sim::router::{BftRouter, HypercubeRouter, MeshRouter};
 use wormsim::topology::hypercube::Hypercube;
@@ -179,6 +180,88 @@ fn simulator_routers_drive_the_flow_model_bit_for_bit() {
         FlowVector::build(&cut, &DestinationPattern::Uniform),
         Err(WorkloadError::Disconnected { src: 0, dest: 7 })
     ));
+}
+
+/// FNV-1a 64 over the little-endian bytes of every unit flow, every
+/// `(to, weight)` transition entry (channels in id order) and `D̄`.
+fn flow_fingerprint(f: &FlowVector) -> u64 {
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    let mut eat = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01B3);
+        }
+    };
+    for c in 0..f.num_channels() {
+        let ch = ChannelId(c);
+        eat(f.unit_flow(ch).to_bits());
+        for &(to, w) in f.transitions(ch) {
+            eat(to as u64);
+            eat(w.to_bits());
+        }
+    }
+    eat(f.avg_distance().to_bits());
+    hash
+}
+
+#[test]
+fn flow_vectors_are_pinned_to_the_bit() {
+    // Any change to the flow builder's summation order moves these bits,
+    // and with them every model number downstream: the fingerprints pin
+    // the builder's output across topologies, patterns and a faulted tree.
+    let hot = |target| DestinationPattern::HotSpot {
+        fraction: 0.125,
+        target,
+    };
+    let uniform = DestinationPattern::Uniform;
+    let bft64 = ButterflyFatTree::new(BftParams::paper(64).unwrap());
+    let bft256 = ButterflyFatTree::new(BftParams::paper(256).unwrap());
+    let faulted = FaultedBft::new(&bft64, link_faults(bft64.network(), 0.05, 1).unwrap()).unwrap();
+    assert!(
+        faulted.fully_connected(),
+        "seed 1 leaves paper(64) connected"
+    );
+    let mesh = Mesh::new(8, 2).unwrap();
+    let cube = Hypercube::new(6).unwrap();
+    let cases: [(&str, &dyn FlowRouting, DestinationPattern, u64); 9] = [
+        ("bft64 uniform", &bft64, uniform, 0x3c62_80b3_faac_3bbb),
+        ("bft64 hot 21", &bft64, hot(21), 0x7038_2d91_471a_092a),
+        ("bft256 hot 85", &bft256, hot(85), 0x5cff_6fd9_3ba9_e4b6),
+        (
+            "faulted bft64 uniform",
+            &faulted,
+            uniform,
+            0x6c15_f094_ddea_29b2,
+        ),
+        (
+            "faulted bft64 hot 9",
+            &faulted,
+            hot(9),
+            0xdec9_e699_a66a_a92d,
+        ),
+        ("mesh8x8 uniform", &mesh, uniform, 0x1819_0177_9f90_ae35),
+        (
+            "mesh8x8 transpose",
+            &mesh,
+            DestinationPattern::Transpose,
+            0x1cfc_fc8a_544c_1870,
+        ),
+        ("cube64 uniform", &cube, uniform, 0x23dd_5331_eae4_0aae),
+        (
+            "cube64 bit-complement",
+            &cube,
+            DestinationPattern::BitComplement,
+            0x29c4_2129_ac0a_11d5,
+        ),
+    ];
+    for (name, routing, pattern, expect) in cases {
+        let flows = FlowVector::build(routing, &pattern).unwrap();
+        assert_eq!(
+            flow_fingerprint(&flows),
+            expect,
+            "{name}: fingerprint {:#018x}",
+            flow_fingerprint(&flows)
+        );
+    }
 }
 
 #[test]
