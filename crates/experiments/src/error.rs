@@ -38,8 +38,6 @@ pub enum ExperimentError {
     Fault(wormsim_faults::FaultError),
     /// A virtual-channel lane configuration was invalid.
     Lane(wormsim_sim::config::LaneError),
-    /// A simulation configuration was invalid.
-    Config(wormsim_sim::SimConfigError),
     /// Knee bracketing could not produce a bracket.
     Knee(wormsim_guard::KneeError),
     /// An artifact read/write failed.
@@ -67,7 +65,6 @@ impl fmt::Display for ExperimentError {
             ExperimentError::Workload(e) => write!(f, "invalid workload: {e}"),
             ExperimentError::Fault(e) => write!(f, "invalid fault plan: {e}"),
             ExperimentError::Lane(e) => write!(f, "invalid lane configuration: {e}"),
-            ExperimentError::Config(e) => write!(f, "invalid simulation configuration: {e}"),
             ExperimentError::Knee(e) => write!(f, "knee bracketing failed: {e}"),
             ExperimentError::Io { path, source } => {
                 write!(f, "I/O on {} failed: {source}", path.display())
@@ -87,7 +84,6 @@ impl std::error::Error for ExperimentError {
             ExperimentError::Workload(e) => Some(e),
             ExperimentError::Fault(e) => Some(e),
             ExperimentError::Lane(e) => Some(e),
-            ExperimentError::Config(e) => Some(e),
             ExperimentError::Knee(e) => Some(e),
             ExperimentError::Io { source, .. } => Some(source),
             ExperimentError::UnknownExperiment { .. } | ExperimentError::Invalid(_) => None,
@@ -134,12 +130,6 @@ impl From<wormsim_faults::FaultError> for ExperimentError {
 impl From<wormsim_sim::config::LaneError> for ExperimentError {
     fn from(e: wormsim_sim::config::LaneError) -> Self {
         ExperimentError::Lane(e)
-    }
-}
-
-impl From<wormsim_sim::SimConfigError> for ExperimentError {
-    fn from(e: wormsim_sim::SimConfigError) -> Self {
-        ExperimentError::Config(e)
     }
 }
 

@@ -12,7 +12,7 @@
 //!    past it), never a panic, `NaN`, or a hard error.
 //! 2. **Simulation** — a lanes-aware load scan (`find_saturation`)
 //!    brackets the simulator's own delivered-throughput knee on the same
-//!    fabric (same fault plan, same lane allocator), and the model knee is
+//!    fabric (same fault plan, same lane count), and the model knee is
 //!    reported against the sim bracket `(last stable, first saturated)`.
 //!
 //! The emitted CSV (`knee_vs_n_lanes_faults.csv`) carries the

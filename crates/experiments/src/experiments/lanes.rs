@@ -11,8 +11,7 @@
 //!   relative error per point (the ~5% low-to-moderate-load band);
 //! * the past-knee capacity shift (lanes keep delivering after the
 //!   single-lane engine saturates — Stergiou's multi-lane MIN effect);
-//! * hot-spot and bursty workloads across lane counts;
-//! * per-lane occupancy under the three allocation policies.
+//! * hot-spot and bursty workloads across lane counts.
 
 use super::{ExperimentContext, ExperimentOutput};
 use crate::csv::Csv;
@@ -194,42 +193,11 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
     out.section(tbl3.render());
     ctx.write_csv(&csv3, "lanes_workloads.csv", &mut out);
 
-    // ---- Section 4: allocator policies and per-lane occupancy at L=4. ----
-    let alloc_load = 0.6 * knee;
-    let traffic = TrafficConfig::from_flit_load(alloc_load, s)?;
-    let mut tbl4 = Table::new(vec![
-        "allocator",
-        "sim L",
-        "lane0 util",
-        "lane1 util",
-        "lane2 util",
-        "lane3 util",
-    ]);
-    for kind in [
-        LaneAllocatorKind::FirstFree,
-        LaneAllocatorKind::RoundRobin,
-        LaneAllocatorKind::LeastOccupied,
-    ] {
-        let lc = LaneConfig::new(4, kind)?;
-        let r = run_simulation_with_lanes(&router, &cfg, &traffic, &lc);
-        let mut row = vec![format!("{kind:?}"), num(r.avg_latency, 2)];
-        for l in &r.lane_stats {
-            row.push(num(l.utilization, 4));
-        }
-        tbl4.row(row);
-    }
-    out.section(format!(
-        "== lane allocators at L=4, flit load {alloc_load:.4}: per-lane occupancy =="
-    ));
-    out.section(tbl4.render());
-
     out.section(
         "Expected shape: at L = 1 the model reproduces Figure 3 exactly (same engine, \
          same closed form); at L ∈ {2, 4} the model tracks the simulation within a few \
          percent at low-to-moderate load; past the single-lane knee the multi-lane \
-         engine keeps delivering (the saturation knee moves outward with L); and the \
-         allocator table shows first-free concentrating worms on low lanes while \
-         round-robin and least-occupied spread them evenly.",
+         engine keeps delivering (the saturation knee moves outward with L).",
     );
     Ok(out)
 }
@@ -244,7 +212,7 @@ mod tests {
         let out = run(&ctx).unwrap();
         assert!(out.report.contains("model vs simulation"), "{}", out.report);
         assert!(out.report.contains("past the single-lane knee"));
-        assert!(out.report.contains("RoundRobin"));
+        assert!(out.report.contains("workloads across lane counts"));
         assert!(out.report.contains("stable"), "report:\n{}", out.report);
     }
 

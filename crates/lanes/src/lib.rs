@@ -1,27 +1,27 @@
-//! Virtual-channel (multi-lane) machinery shared by the simulator and the
-//! analytical model.
+//! Virtual-channel (multi-lane) configuration and bookkeeping for the
+//! simulator.
 //!
 //! The Greenberg–Guan model (ICPP 1997) assumes single-lane wormhole
 //! channels: one blocked worm stalls the whole physical link. Virtual
 //! channels are the canonical remedy — each physical channel carries
 //! `L ≥ 1` *lanes*, each buffering one worm, with the physical link
 //! flit-multiplexed among the occupied lanes. This crate owns the parts of
-//! that subsystem that are independent of both the cycle engine and the
-//! queueing model:
+//! that subsystem that are independent of the cycle engine (the analytical
+//! model's lane math is `wormsim_queueing::lanes`):
 //!
-//! * [`LaneConfig`] — validated lane count + allocation policy (the
-//!   Result-based constructor is the only way to obtain one, so an engine
-//!   holding a `LaneConfig` never needs to re-check it);
-//! * [`LaneAllocatorKind`] — the pluggable allocation policies: first-free,
-//!   round-robin and the adaptive least-occupied balancer;
-//! * [`LaneTable`] — per-channel lane occupancy state and the policy
-//!   implementation (which lane a grant takes);
+//! * [`LaneConfig`] — the validated lane count (the Result-based
+//!   constructor is the only way to obtain one, so an engine holding a
+//!   `LaneConfig` never needs to re-check it);
+//! * [`LaneTable`] — per-channel free-lane masks: a grant takes the
+//!   lowest-indexed free lane ([`LaneAllocatorKind::FirstFree`]);
 //! * [`LaneAudit`] / [`LaneStats`] — per-lane-index occupancy statistics
 //!   aggregated over a measurement window.
 //!
-//! Every policy is **deterministic** (no RNG): this is what lets the
-//! simulator guarantee that an `L = 1` run is bit-for-bit identical to the
-//! single-lane engine — lane allocation never perturbs the random stream.
+//! Lane choice is **deterministic** (no RNG), so an `L = 1` run is
+//! bit-for-bit the single-lane engine. Which free lane a worm takes never
+//! changes what is simulated: a link is priced by how many of its lanes
+//! are busy, so a different choice would only relabel the lanes in
+//! [`LaneStats`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -46,15 +46,6 @@ pub enum LaneError {
         /// The rejected count.
         lanes: u32,
     },
-    /// The allocator cannot operate at the configured lane count (the
-    /// adaptive policies need at least two lanes to have anything to
-    /// balance).
-    IncompatibleAllocator {
-        /// The rejected policy.
-        allocator: LaneAllocatorKind,
-        /// The lane count it was paired with.
-        lanes: u32,
-    },
 }
 
 impl fmt::Display for LaneError {
@@ -63,10 +54,6 @@ impl fmt::Display for LaneError {
             LaneError::InvalidLaneCount { lanes } => {
                 write!(f, "lane count {lanes} must be in 1..={MAX_LANES}")
             }
-            LaneError::IncompatibleAllocator { allocator, lanes } => write!(
-                f,
-                "allocator {allocator:?} needs at least two lanes, got {lanes}"
-            ),
         }
     }
 }
@@ -74,35 +61,23 @@ impl fmt::Display for LaneError {
 impl std::error::Error for LaneError {}
 
 /// Lane-allocation policy: which free lane of a physical channel a newly
-/// granted worm occupies.
-///
-/// All policies are deterministic — they never draw randomness — so the
-/// simulator's RNG stream is untouched by lane allocation and `L = 1`
-/// runs replay the single-lane engine bit-for-bit.
+/// granted worm occupies. There is one, first-free; [`LaneConfig::new`]
+/// still takes it so that call sites name the policy they get.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LaneAllocatorKind {
-    /// Lowest-indexed free lane. The `L = 1` degenerate policy.
+    /// Lowest-indexed free lane.
     #[default]
     FirstFree,
-    /// Cyclic scan from a per-channel cursor: consecutive grants on a
-    /// channel rotate through its lanes.
-    RoundRobin,
-    /// Adaptive balancer: the free lane that has carried the fewest worms
-    /// so far on this channel (ties break to the lowest index). Requires
-    /// `L ≥ 2` — with a single lane there is nothing to balance.
-    LeastOccupied,
 }
 
-/// A validated virtual-channel configuration: lanes per physical channel
-/// plus the allocation policy.
+/// A validated virtual-channel configuration: lanes per physical channel.
 ///
-/// Fields are private: the only constructors are [`LaneConfig::new`]
+/// The field is private: the only constructors are [`LaneConfig::new`]
 /// (which validates) and [`LaneConfig::single`] (the paper's single-lane
 /// channels), so holding a `LaneConfig` is proof of validity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneConfig {
     lanes: u32,
-    allocator: LaneAllocatorKind,
 }
 
 impl Default for LaneConfig {
@@ -112,32 +87,23 @@ impl Default for LaneConfig {
 }
 
 impl LaneConfig {
-    /// Builds a validated configuration.
+    /// Builds a validated configuration of `lanes` first-free lanes.
     ///
     /// # Errors
     ///
-    /// * [`LaneError::InvalidLaneCount`] when `lanes` is outside
-    ///   `1..=`[`MAX_LANES`].
-    /// * [`LaneError::IncompatibleAllocator`] when an adaptive policy
-    ///   ([`LaneAllocatorKind::LeastOccupied`]) is paired with a single
-    ///   lane.
-    pub fn new(lanes: u32, allocator: LaneAllocatorKind) -> Result<Self, LaneError> {
+    /// [`LaneError::InvalidLaneCount`] when `lanes` is outside
+    /// `1..=`[`MAX_LANES`].
+    pub fn new(lanes: u32, _allocator: LaneAllocatorKind) -> Result<Self, LaneError> {
         if lanes == 0 || lanes > MAX_LANES {
             return Err(LaneError::InvalidLaneCount { lanes });
         }
-        if lanes == 1 && allocator == LaneAllocatorKind::LeastOccupied {
-            return Err(LaneError::IncompatibleAllocator { allocator, lanes });
-        }
-        Ok(Self { lanes, allocator })
+        Ok(Self { lanes })
     }
 
     /// The paper's single-lane channels (always valid).
     #[must_use]
     pub fn single() -> Self {
-        Self {
-            lanes: 1,
-            allocator: LaneAllocatorKind::FirstFree,
-        }
+        Self { lanes: 1 }
     }
 
     /// Lanes per physical channel (`≥ 1`).
@@ -145,31 +111,16 @@ impl LaneConfig {
     pub fn lanes(&self) -> u32 {
         self.lanes
     }
-
-    /// The allocation policy.
-    #[must_use]
-    pub fn allocator(&self) -> LaneAllocatorKind {
-        self.allocator
-    }
 }
 
-/// Per-channel lane occupancy state plus the allocation-policy machinery.
-///
-/// The table tracks which lanes of each physical channel are free and
-/// implements [`LaneAllocatorKind`] deterministically. Who holds a busy
-/// lane is the embedding engine's business — the table only answers "is a
-/// lane free", "take one" and "give one back".
+/// Per-channel lane occupancy: which lanes of each physical channel are
+/// free. Who holds a busy lane is the embedding engine's business — the
+/// table only answers "is a lane free", "take one" and "give one back".
 #[derive(Debug, Clone)]
 pub struct LaneTable {
     lanes: u32,
-    kind: LaneAllocatorKind,
     /// Bitmask of free lanes per channel (bit `l` set ⇔ lane `l` free).
     free: Vec<u64>,
-    /// Round-robin scan cursor per channel.
-    cursor: Vec<u16>,
-    /// Cumulative grants per `(channel, lane)` slot — the least-occupied
-    /// policy's balance metric.
-    grants: Vec<u64>,
 }
 
 impl LaneTable {
@@ -184,10 +135,7 @@ impl LaneTable {
         };
         Self {
             lanes,
-            kind: config.allocator(),
             free: vec![full; num_channels],
-            cursor: vec![0; num_channels],
-            grants: vec![0; num_channels * lanes as usize],
         }
     }
 
@@ -221,48 +169,15 @@ impl LaneTable {
         self.free[ch] & (1u64 << lane) != 0
     }
 
-    /// Allocates a lane on channel `ch` according to the policy, or `None`
-    /// when every lane is busy. Never draws randomness.
-    // Both expects scan a mask already proven non-zero by the early return
-    // above — a local invariant on the per-worm hot path.
-    #[allow(clippy::expect_used)]
+    /// Takes the lowest-indexed free lane of channel `ch`, or `None` when
+    /// every lane is busy.
     pub fn allocate(&mut self, ch: usize) -> Option<u16> {
         let mask = self.free[ch];
         if mask == 0 {
             return None;
         }
-        let lane = match self.kind {
-            LaneAllocatorKind::FirstFree => mask.trailing_zeros() as u16,
-            LaneAllocatorKind::RoundRobin => {
-                // Cyclic scan from the cursor (a 64-bit rotate would drag
-                // bits from outside the low `lanes`-bit window into the
-                // scan when `lanes` does not divide 64).
-                let cur = u32::from(self.cursor[ch]) % self.lanes;
-                let lane = (0..self.lanes)
-                    .map(|i| ((cur + i) % self.lanes) as u16)
-                    .find(|&cand| mask & (1u64 << cand) != 0)
-                    .expect("mask is non-zero");
-                self.cursor[ch] = ((u32::from(lane) + 1) % self.lanes) as u16;
-                lane
-            }
-            LaneAllocatorKind::LeastOccupied => {
-                let base = ch * self.lanes as usize;
-                let mut best = None;
-                for l in 0..self.lanes as u16 {
-                    if mask & (1u64 << l) == 0 {
-                        continue;
-                    }
-                    let count = self.grants[base + l as usize];
-                    match best {
-                        Some((_, c)) if c <= count => {}
-                        _ => best = Some((l, count)),
-                    }
-                }
-                best.expect("mask is non-zero").0
-            }
-        };
+        let lane = mask.trailing_zeros() as u16;
         self.free[ch] &= !(1u64 << lane);
-        self.grants[ch * self.lanes as usize + lane as usize] += 1;
         Some(lane)
     }
 
@@ -275,13 +190,6 @@ impl LaneTable {
     pub fn release(&mut self, ch: usize, lane: u16) {
         debug_assert!(!self.is_free(ch, lane), "release of a free lane");
         self.free[ch] |= 1u64 << lane;
-    }
-
-    /// Cumulative grants on lane `lane` of channel `ch` (the
-    /// least-occupied policy's balance metric; also useful in tests).
-    #[must_use]
-    pub fn grant_count(&self, ch: usize, lane: u16) -> u64 {
-        self.grants[ch * self.lanes as usize + lane as usize]
     }
 }
 
@@ -363,8 +271,6 @@ mod tests {
     #[test]
     fn config_validation_is_result_based() {
         assert!(LaneConfig::new(1, LaneAllocatorKind::FirstFree).is_ok());
-        assert!(LaneConfig::new(4, LaneAllocatorKind::RoundRobin).is_ok());
-        assert!(LaneConfig::new(2, LaneAllocatorKind::LeastOccupied).is_ok());
         assert_eq!(
             LaneConfig::new(0, LaneAllocatorKind::FirstFree),
             Err(LaneError::InvalidLaneCount { lanes: 0 })
@@ -375,28 +281,14 @@ mod tests {
                 lanes: MAX_LANES + 1
             })
         );
-        assert_eq!(
-            LaneConfig::new(1, LaneAllocatorKind::LeastOccupied),
-            Err(LaneError::IncompatibleAllocator {
-                allocator: LaneAllocatorKind::LeastOccupied,
-                lanes: 1
-            })
-        );
         assert_eq!(LaneConfig::default(), LaneConfig::single());
         assert_eq!(LaneConfig::single().lanes(), 1);
-        let cfg = LaneConfig::new(3, LaneAllocatorKind::RoundRobin).unwrap();
+        let cfg = LaneConfig::new(3, LaneAllocatorKind::FirstFree).unwrap();
         assert_eq!(cfg.lanes(), 3);
-        assert_eq!(cfg.allocator(), LaneAllocatorKind::RoundRobin);
         // Errors render.
         assert!(LaneError::InvalidLaneCount { lanes: 0 }
             .to_string()
             .contains("lane count"));
-        assert!(LaneError::IncompatibleAllocator {
-            allocator: LaneAllocatorKind::LeastOccupied,
-            lanes: 1
-        }
-        .to_string()
-        .contains("two lanes"));
     }
 
     #[test]
@@ -411,43 +303,6 @@ mod tests {
         assert!(t.has_free(1));
         t.release(0, 1);
         assert_eq!(t.allocate(0), Some(1));
-    }
-
-    #[test]
-    fn round_robin_rotates_through_lanes() {
-        let cfg = LaneConfig::new(4, LaneAllocatorKind::RoundRobin).unwrap();
-        let mut t = LaneTable::new(1, &cfg);
-        assert_eq!(t.allocate(0), Some(0));
-        t.release(0, 0);
-        assert_eq!(t.allocate(0), Some(1));
-        t.release(0, 1);
-        assert_eq!(t.allocate(0), Some(2));
-        t.release(0, 2);
-        assert_eq!(t.allocate(0), Some(3));
-        t.release(0, 3);
-        // Wraps.
-        assert_eq!(t.allocate(0), Some(0));
-        // Skips busy lanes: 1 is next but make it busy via allocation.
-        assert_eq!(t.allocate(0), Some(1));
-        t.release(0, 0);
-        // Cursor points at 2 now.
-        assert_eq!(t.allocate(0), Some(2));
-    }
-
-    #[test]
-    fn least_occupied_balances_grant_counts() {
-        let cfg = LaneConfig::new(2, LaneAllocatorKind::LeastOccupied).unwrap();
-        let mut t = LaneTable::new(1, &cfg);
-        // First grant: both at 0, tie → lane 0.
-        assert_eq!(t.allocate(0), Some(0));
-        t.release(0, 0);
-        // Lane 0 has 1 grant, lane 1 has 0 → lane 1.
-        assert_eq!(t.allocate(0), Some(1));
-        t.release(0, 1);
-        // Balanced again → lane 0.
-        assert_eq!(t.allocate(0), Some(0));
-        assert_eq!(t.grant_count(0, 0), 2);
-        assert_eq!(t.grant_count(0, 1), 1);
     }
 
     #[test]

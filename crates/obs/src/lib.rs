@@ -7,16 +7,15 @@
 //! workspace (simulator, queueing solver, modeling framework,
 //! experiments) can speak the same telemetry types without cycles.
 //!
-//! # Cost when disabled
+//! # Cost when off
 //!
 //! Instrumentation is opt-in per run. The simulation engine stores an
-//! `Option<Box<SimTrace>>`, and `ObsConfig::disabled()` leaves it `None`:
-//! a disabled observer takes the same code path as an unobserved run,
-//! every hook site a single not-taken branch. There is no separate
-//! disabled path to A/B. What an enabled observer costs is measured end
-//! to end: `wormbench --trace 1` reports a counters-only observer's cost
-//! as `obs.trace_overhead` (see `benchmark/README.md`). The queueing
-//! solver takes an `Option<&mut SolverTrace>` with the same property.
+//! `Option<Box<SimTrace>>` that stays `None` unless an observer is
+//! attached, so an unobserved run pays one not-taken branch per hook
+//! site. What an attached observer costs is measured end to end:
+//! `wormbench --trace 1` reports a counters-only observer's cost as
+//! `obs.trace_overhead` (see `benchmark/README.md`). The queueing solver
+//! takes an `Option<&mut SolverTrace>` with the same property.
 //!
 //! # Neutrality guarantee
 //!

@@ -27,49 +27,34 @@ use crate::events::{EventSink, StallCause, WormEvent};
 use crate::metrics::{Histogram, Registry};
 use crate::timeseries::{TimeSeries, TimeSeriesConfig, TimeSeriesResult};
 
+/// Most events an event log holds; later ones are counted as dropped
+/// ([`SimSnapshot::events_dropped`]).
+const EVENT_CAPACITY: usize = 1 << 20;
+
 /// What the observer records. The default is everything ([`ObsConfig::full`]).
+/// Counters and per-channel / per-lane accounting are always on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Attach an observer at all. When `false` the engine keeps its
-    /// observer slot `None` and every hook is a single not-taken branch.
-    pub enabled: bool,
-    /// Record per-event worm-lifecycle entries into the sink (counters
-    /// and per-channel accounting are always on when `enabled`).
+    /// Record per-event worm-lifecycle entries into the sink (up to 1 Mi
+    /// events; later ones are counted as dropped).
     pub events: bool,
-    /// Maximum number of events held by the sink; later events are
-    /// counted as dropped.
-    pub event_capacity: usize,
     /// Windowed time-series sampling (`None` disables it).
     pub time_series: Option<TimeSeriesConfig>,
 }
 
 impl ObsConfig {
-    /// No observer: the engine runs its pre-instrumentation path.
-    pub fn disabled() -> Self {
-        ObsConfig {
-            enabled: false,
-            events: false,
-            event_capacity: 0,
-            time_series: None,
-        }
-    }
-
     /// Counters and per-channel/per-lane accounting only, no event log.
     pub fn counters_only() -> Self {
         ObsConfig {
-            enabled: true,
             events: false,
-            event_capacity: 0,
             time_series: None,
         }
     }
 
-    /// Counters plus the full event log (default capacity 1 Mi events).
+    /// Counters plus the full event log.
     pub fn full() -> Self {
         ObsConfig {
-            enabled: true,
             events: true,
-            event_capacity: 1 << 20,
             time_series: None,
         }
     }
@@ -130,7 +115,7 @@ pub struct SimTrace {
     delivered: u64,
     unroutable: u64,
     route_decisions: u64,
-    lane_grant_count: u64,
+    grants_total: u64,
     worm_hops: u64,
     stalls: [u64; 4],
     latency: Histogram,
@@ -160,13 +145,13 @@ impl SimTrace {
             delivered: 0,
             unroutable: 0,
             route_decisions: 0,
-            lane_grant_count: 0,
+            grants_total: 0,
             worm_hops: 0,
             stalls: [0; 4],
             latency: Histogram::new(),
             next_worm_id: 0,
             worm_id: Vec::new(),
-            sink: EventSink::with_capacity(if cfg.events { cfg.event_capacity } else { 0 }),
+            sink: EventSink::with_capacity(if cfg.events { EVENT_CAPACITY } else { 0 }),
             ts: cfg
                 .time_series
                 .as_ref()
@@ -229,7 +214,7 @@ impl SimTrace {
         }
         self.grants[channel] += 1;
         self.lane_grants[lane as usize] += 1;
-        self.lane_grant_count += 1;
+        self.grants_total += 1;
         if self.occ[channel] == 0 {
             self.occ_start[channel] = t;
         }
@@ -406,7 +391,7 @@ impl SimTrace {
             delivered: self.delivered,
             unroutable: self.unroutable,
             route_decisions: self.route_decisions,
-            lane_grants: self.lane_grant_count,
+            lane_grants: self.grants_total,
             worm_hops: self.worm_hops,
             stalls_link_busy: self.stalls[StallCause::LinkBusy.index()],
             stalls_no_free_lane: self.stalls[StallCause::NoFreeLane.index()],

@@ -1,19 +1,13 @@
 //! Simulation and traffic configuration.
 //!
-//! Traffic is described by the shared `wormsim-workload` types: a
-//! [`DestinationPattern`] says *where* messages go and an
-//! [`ArrivalProcess`] says *when* they are generated, so one
-//! [`Workload`] value parameterizes the simulator and the analytical
-//! model identically.
+//! Traffic is described by the shared `wormsim-workload` types, held in
+//! one [`TrafficConfig`]: a [`DestinationPattern`] says *where* messages
+//! go and an [`ArrivalProcess`] says *when* they are generated. The
+//! analytical model's flow vectors take the same pattern.
 
 pub use wormsim_lanes::{LaneAllocatorKind, LaneConfig, LaneError};
 pub use wormsim_obs::ObsConfig;
-pub use wormsim_workload::{
-    ArrivalProcess, DestinationPattern, MmppProfile, Workload, WorkloadError,
-};
-
-/// The simulator's historical name for [`DestinationPattern`].
-pub type TrafficPattern = DestinationPattern;
+pub use wormsim_workload::{ArrivalProcess, DestinationPattern, MmppProfile, WorkloadError};
 
 /// Which execution core runs the simulation.
 ///
@@ -163,33 +157,10 @@ impl SimConfig {
         }
         Ok(())
     }
-
-    /// Validating constructor — [`Self::validate`] applied to the given
-    /// fields, mirroring the `Mesh::new` / `Hypercube::new` pattern.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::validate`].
-    pub fn checked(
-        warmup_cycles: u64,
-        measure_cycles: u64,
-        drain_cap_cycles: u64,
-        seed: u64,
-        batches: u32,
-    ) -> Result<Self, SimConfigError> {
-        let cfg = Self {
-            warmup_cycles,
-            measure_cycles,
-            drain_cap_cycles,
-            seed,
-            batches,
-        };
-        cfg.validate()?;
-        Ok(cfg)
-    }
 }
 
-/// Offered traffic description: rate, worm length and workload.
+/// Offered traffic description: rate, worm length, destination pattern
+/// and arrival process.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficConfig {
     /// Mean message generation rate per PE, messages/cycle (the paper's
@@ -265,23 +236,6 @@ impl TrafficConfig {
         self
     }
 
-    /// Returns a copy carrying the given workload (pattern + arrival).
-    #[must_use]
-    pub fn with_workload(mut self, workload: Workload) -> Self {
-        self.pattern = workload.pattern;
-        self.arrival = workload.arrival;
-        self
-    }
-
-    /// The workload (pattern + arrival) this traffic realizes.
-    #[must_use]
-    pub fn workload(&self) -> Workload {
-        Workload {
-            arrival: self.arrival,
-            pattern: self.pattern,
-        }
-    }
-
     /// Returns a copy at a different flit load, keeping worm length,
     /// pattern and arrival process — the sweep primitive.
     ///
@@ -335,17 +289,11 @@ mod tests {
             Err(SimConfigError::TooFewBatches { batches: 1 })
         );
         assert!(one_batch.validate().unwrap_err().to_string().contains("2"));
-        assert_eq!(
-            SimConfig::checked(0, 1000, 2000, 7, 4).unwrap(),
-            SimConfig {
-                warmup_cycles: 0,
-                measure_cycles: 1000,
-                drain_cap_cycles: 2000,
-                seed: 7,
-                batches: 4,
-            }
-        );
-        assert!(SimConfig::checked(0, 0, 2000, 7, 4).is_err());
+        let no_warmup = SimConfig {
+            warmup_cycles: 0,
+            ..SimConfig::default()
+        };
+        assert_eq!(no_warmup.validate(), Ok(()));
     }
 
     #[test]
@@ -365,19 +313,14 @@ mod tests {
             .with_arrival(ArrivalProcess::Mmpp(MmppProfile::default_bursty()));
         assert_eq!(t.pattern, DestinationPattern::BitComplement);
         assert!(matches!(t.arrival, ArrivalProcess::Mmpp(_)));
-        let w = t.workload();
-        assert_eq!(w.pattern, DestinationPattern::BitComplement);
-        let t2 = TrafficConfig::new(0.001, 32)
-            .unwrap()
-            .with_workload(Workload::hot_spot());
-        assert_eq!(t2.pattern, DestinationPattern::hot_spot());
     }
 
     #[test]
     fn at_flit_load_preserves_the_workload() {
         let base = TrafficConfig::from_flit_load(0.02, 16)
             .unwrap()
-            .with_workload(Workload::hot_spot());
+            .with_pattern(DestinationPattern::hot_spot())
+            .with_arrival(ArrivalProcess::Mmpp(MmppProfile::default_bursty()));
         let moved = base.at_flit_load(0.04).unwrap();
         assert_eq!(moved.pattern, base.pattern);
         assert_eq!(moved.arrival, base.arrival);

@@ -10,9 +10,12 @@
 //!    router's [`FlowRouting::route`](wormsim_workload::FlowRouting::route)
 //!    names: a [`Route::Channel`] queues on that channel's station with
 //!    every member allowed, a [`Route::Bundle`] on its station with its
-//!    member mask. A fresh worm requests its injection channel. Same-cycle
-//!    requesters are enqueued in random order (random tie-break, earlier
-//!    requesters always keep priority).
+//!    member mask. A fresh worm requests its injection channel. A route
+//!    whose station is not at the head's node (a misrouting custom
+//!    router) is treated as [`Route::Unreachable`]: the worm is killed and
+//!    counted unroutable, so every path is a walk of the network.
+//!    Same-cycle requesters are enqueued in random order (random
+//!    tie-break, earlier requesters always keep priority).
 //! 3. **Grants** — each station with waiting worms hands free member
 //!    channels that the queue head's mask allows ([`member_allowed`]) to
 //!    queue heads (random member when several are free — the paper's
@@ -57,18 +60,18 @@
 //! Each physical channel carries `L ≥ 1` *lanes*
 //! ([`wormsim_lanes::LaneConfig`]), each buffering one worm. A station
 //! grant hands out a `(channel, lane)` pair: the channel is picked exactly
-//! as before (random free member), the lane within it by the configured
-//! deterministic [`wormsim_lanes::LaneAllocatorKind`] — no RNG draw, so
-//! the random stream is untouched by lane allocation. Occupied lanes of
-//! one physical channel **share its flit bandwidth**: per cycle a channel
-//! transmits at most one flit, and a worm advances only when every channel
-//! of its moving span has a free flit slot this cycle; otherwise it
-//! *stalls* (all flits hold) and retries. Bandwidth priority within a
-//! cycle is draining worms, then previously stalled worms (FCFS), then
-//! freshly granted ones. At `L = 1` a worm owns every channel it occupies,
-//! a span reservation can never fail, and the whole mechanism is bypassed
-//! — `L = 1` runs are bit-for-bit identical to the single-lane engine
-//! (pinned in `tests/lanes_regression.rs`).
+//! as before (random free member), the lane within it is the lowest free
+//! one — no RNG draw, so the random stream is untouched by lane
+//! allocation. Occupied lanes of one physical channel **share its flit
+//! bandwidth**: per cycle a channel transmits at most one flit, and a
+//! worm advances only when every channel of its moving span has a free
+//! flit slot this cycle; otherwise it *stalls* (all flits hold) and
+//! retries. Bandwidth priority within a cycle is draining worms, then
+//! previously stalled worms (FCFS), then freshly granted ones. At `L = 1`
+//! a worm owns every channel it occupies, a span reservation can never
+//! fail, and the whole mechanism is bypassed — `L = 1` runs are
+//! bit-for-bit identical to the single-lane engine (pinned in
+//! `tests/lanes_regression.rs`).
 //!
 //! # Path arena
 //!
@@ -171,7 +174,7 @@ pub struct Engine<'a, R: Router> {
 
     // Network state. Lane-granular occupancy: slot `ch·L + lane` holds the
     // occupying worm (or NO_WORM) and its grant cycle; `lane_table` mirrors
-    // the free/busy masks and implements the allocation policy;
+    // the free/busy masks and picks the lane of a grant;
     // `slot_used` stamps, per physical channel, the last cycle its single
     // flit slot was consumed (only consulted when `L > 1`).
     lane_holder: Vec<WormIdx>,
@@ -227,9 +230,8 @@ pub struct Engine<'a, R: Router> {
     kind: EngineKind,
     cycles_skipped: u64,
 
-    /// Optional observer ([`Engine::set_observer`]). `None` (also what
-    /// `ObsConfig::disabled()` sets) makes every hook site one not-taken
-    /// branch.
+    /// Optional observer ([`Engine::set_observer`]). `None` makes every
+    /// hook site one not-taken branch.
     /// Hooks never draw RNG and never alter control flow, so observed
     /// runs are bit-for-bit identical to bare runs under every kind.
     obs: Option<Box<SimTrace>>,
@@ -355,10 +357,11 @@ impl<'a, R: Router> Engine<'a, R> {
         self.kind = kind;
     }
 
-    /// Attaches (or, with `cfg.enabled == false`, detaches) the
-    /// observability layer: worm-lifecycle events, per-channel busy /
-    /// stalled / idle accounting and per-lane grant tracking
-    /// ([`wormsim_obs`]). Call before the first cycle runs.
+    /// Attaches the observability layer: per-channel busy / stalled /
+    /// idle accounting, per-lane grant tracking and, as `cfg` asks,
+    /// worm-lifecycle events and a time series ([`wormsim_obs`]). Call
+    /// before the first cycle runs; an engine never given an observer
+    /// runs bare.
     ///
     /// Observation is RNG-neutral — hooks never draw from the simulation
     /// RNG and never change control flow — so the run's `SimResult` is
@@ -368,13 +371,11 @@ impl<'a, R: Router> Engine<'a, R> {
     /// which happen in individually-walked cycles under either kind).
     pub fn set_observer(&mut self, cfg: &ObsConfig) {
         debug_assert_eq!(self.now, 0, "attach the observer before running");
-        self.obs = cfg.enabled.then(|| {
-            Box::new(SimTrace::new(
-                self.router.network().num_channels(),
-                self.lane_table.lanes() as usize,
-                cfg,
-            ))
-        });
+        self.obs = Some(Box::new(SimTrace::new(
+            self.router.network().num_channels(),
+            self.lane_table.lanes() as usize,
+            cfg,
+        )));
     }
 
     /// Cycles not individually walked so far: idle spans jumped by
@@ -469,7 +470,8 @@ impl<'a, R: Router> Engine<'a, R> {
     }
 
     /// Defensively removes a worm whose head reached a node with no
-    /// surviving route. The shipped routers make this unreachable —
+    /// surviving route, or whose route does not leave that node. The
+    /// shipped routers make this unreachable —
     /// admission checks plus monotone route masks keep every admitted worm
     /// on surviving fabric (proven by
     /// `admitted_worms_never_strand_under_random_plans`) — but a custom
@@ -488,26 +490,10 @@ impl<'a, R: Router> Engine<'a, R> {
         // Release every hop the tail had not yet cleared (hop `i` was
         // already released iff `advancements ≥ len + i`).
         let path = std::mem::take(&mut self.paths[widx as usize]);
-        for (i, hop) in path.iter().enumerate() {
-            if adv >= len + i {
-                continue;
+        for (i, &hop) in path.iter().enumerate() {
+            if adv < len + i {
+                self.release_hop(widx, hop, t);
             }
-            let slot = self.lane_slot(hop.ch, hop.lane);
-            debug_assert_eq!(self.lane_holder[slot], widx);
-            self.lane_holder[slot] = NO_WORM;
-            self.lane_table.release(hop.ch.index(), hop.lane);
-            let granted_at = self.lane_grant_time[slot];
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.on_release(t, hop.ch.index(), hop.lane, t - granted_at + 1);
-            }
-            if granted_at >= self.window_start && granted_at < self.window_end {
-                let hold = t - granted_at + 1;
-                self.audit
-                    .record_release(self.channel_class_idx[hop.ch.index()] as usize, hold);
-                self.lane_audit.record_release(hop.lane, hold);
-            }
-            let st = self.router.network().channel(hop.ch).station;
-            self.mark_station_ready(st);
         }
         if measured {
             self.outstanding_measured -= 1;
@@ -546,27 +532,30 @@ impl<'a, R: Router> Engine<'a, R> {
         if adv < len {
             return;
         }
-        let idx = (adv - len) as usize;
-        let path = &self.paths[widx as usize];
-        if idx >= path.len() {
-            return;
+        if let Some(&hop) = self.paths[widx as usize].get((adv - len) as usize) {
+            self.release_hop(widx, hop, t);
         }
-        let Hop { ch, lane } = path[idx];
-        let slot = self.lane_slot(ch, lane);
+    }
+
+    /// Frees the worm's lane on `hop` at cycle `t`: audits the hold when
+    /// the lane was granted inside the window, tells the observer, and
+    /// re-arms the channel's station.
+    fn release_hop(&mut self, widx: WormIdx, hop: Hop, t: u64) {
+        let slot = self.lane_slot(hop.ch, hop.lane);
         debug_assert_eq!(self.lane_holder[slot], widx, "release by holder only");
         self.lane_holder[slot] = NO_WORM;
-        self.lane_table.release(ch.index(), lane);
+        self.lane_table.release(hop.ch.index(), hop.lane);
         let granted_at = self.lane_grant_time[slot];
+        let hold = t - granted_at + 1;
         if let Some(o) = self.obs.as_deref_mut() {
-            o.on_release(t, ch.index(), lane, t - granted_at + 1);
+            o.on_release(t, hop.ch.index(), hop.lane, hold);
         }
-        if granted_at >= self.window_start && granted_at < self.window_end {
-            let hold = t - granted_at + 1;
+        if self.in_window(granted_at) {
             self.audit
-                .record_release(self.channel_class_idx[ch.index()] as usize, hold);
-            self.lane_audit.record_release(lane, hold);
+                .record_release(self.channel_class_idx[hop.ch.index()] as usize, hold);
+            self.lane_audit.record_release(hop.lane, hold);
         }
-        let st = self.router.network().channel(ch).station;
+        let st = self.router.network().channel(hop.ch).station;
         self.mark_station_ready(st);
     }
 
@@ -756,34 +745,41 @@ impl<'a, R: Router> Engine<'a, R> {
         let mut pending = std::mem::take(&mut self.pending_requests);
         pending.shuffle(&mut self.rng);
         for widx in pending.drain(..) {
+            let net = self.router.network();
             let (head, dest, src) = {
                 let w = &self.worms[widx as usize];
                 debug_assert_eq!(w.state, WormState::PendingRequest);
                 let head = self.paths[widx as usize]
                     .last()
-                    .map(|h| self.router.network().channel(h.ch).dst);
+                    .map(|h| net.channel(h.ch).dst);
                 (head, w.dest as usize, w.src as usize)
             };
-            let route = match head {
+            let (node, route) = match head {
                 // Injection request: the source PE's injection channel
                 // (its aliveness was checked at admission).
-                None => Route::Channel(self.router.network().processors()[src].inject),
+                None => {
+                    let pe = &net.processors()[src];
+                    (pe.node, Route::Channel(pe.inject))
+                }
                 // Switch hop: route from the head's node.
-                Some(node) => self.router.route(node, dest),
+                Some(node) => (node, self.router.route(node, dest)),
             };
-            // The route's member mask is what the grant phase respects; a
-            // dead-end head (impossible for the shipped routers) degrades
-            // to an accounted kill.
-            let (station, mask) = match route {
-                Route::Channel(ch) => (self.router.network().channel(ch).station, u16::MAX),
+            // The route's member mask is what the grant phase respects. A
+            // dead-end head, or a route that does not leave the head's
+            // node (neither possible for the shipped routers), degrades to
+            // an accounted kill.
+            let target = match route {
+                Route::Channel(ch) => Some((net.channel(ch).station, u16::MAX)),
                 Route::Bundle(st, m) => {
                     debug_assert_ne!(m, 0, "bundle route with no allowed member");
-                    (st, m)
+                    Some((st, m))
                 }
-                Route::Unreachable => {
-                    self.kill_worm(widx, t);
-                    continue;
-                }
+                Route::Unreachable => None,
+            };
+            let Some((station, mask)) = target.filter(|&(st, _)| net.station(st).node == node)
+            else {
+                self.kill_worm(widx, t);
+                continue;
             };
             if let Some(o) = self.obs.as_deref_mut() {
                 let queued_behind = !self.station_queue[station.index()].is_empty();
@@ -813,7 +809,7 @@ impl<'a, R: Router> Engine<'a, R> {
                 // Collect member channels with a free lane. A channel with
                 // several free lanes still counts once — the random pick is
                 // over physical channels (the paper's up-link rule), the
-                // lane within it is the allocator's deterministic choice.
+                // lane within it is the lowest free one.
                 let members = &self.router.network().station(st).channels;
                 self.free_members.clear();
                 for (pos, &ch) in members.iter().enumerate() {

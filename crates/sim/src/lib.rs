@@ -24,7 +24,7 @@
 //! Beyond the paper's assumptions, every physical channel can carry
 //! `L ≥ 1` **virtual-channel lanes** ([`wormsim_lanes::LaneConfig`],
 //! re-exported as [`config::LaneConfig`]): each lane buffers one worm, a
-//! deterministic pluggable allocator picks the lane on grant, and the
+//! grant takes the channel's lowest free lane (no RNG draw), and the
 //! occupied lanes flit-multiplex the physical link (one flit per channel
 //! per cycle; a worm denied its span's bandwidth stalls and retries). At
 //! `L = 1` the engine is bit-for-bit the paper's single-lane simulator.
@@ -40,7 +40,9 @@
 //!   [`wormsim_workload::FlowRouting`] plus a label and a fault plan, so
 //!   the engine makes the same one routing call per hop
 //!   ([`wormsim_workload::FlowRouting::route`]) that the model's flow
-//!   vectors follow. The hypercube and mesh routers and
+//!   vectors follow; a route that does not leave the worm's head node is
+//!   refused and the message counted unroutable. The hypercube and mesh
+//!   routers and
 //!   [`router::FaultedBftRouter`] route around a
 //!   `wormsim_faults::FaultPlan`, report unroutable messages instead of
 //!   wedging, and are bit-for-bit the pristine topology's routing under
@@ -59,7 +61,8 @@
 //! per-channel busy/stalled/idle accounting and stall causes, captured
 //! RNG-neutrally — an observed run's `SimResult` is bit-for-bit the bare
 //! run's, on both engine cores, and the snapshot is identical across
-//! them. Disabled (the default) the hooks are single not-taken branches.
+//! them. Without an observer (the default) the hooks are single
+//! not-taken branches.
 //!
 //! # Example
 //!

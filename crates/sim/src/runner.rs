@@ -1,7 +1,8 @@
 //! Run orchestration: single simulations, parallel load sweeps,
 //! replications and saturation scans. The batch runners validate their
-//! inputs on the calling thread and return [`WorkloadError`] instead of
-//! panicking.
+//! inputs, the [`SimConfig`] included, on the calling thread and return
+//! [`WorkloadError`] instead of panicking or simulating a config whose
+//! statistics mean nothing.
 
 use crate::config::{EngineKind, SimConfig, TrafficConfig};
 use crate::engine::Engine;
@@ -131,11 +132,10 @@ pub fn run_simulation_with_lanes<R: Router>(
 /// Both cores are bit-exact — the selector trades per-cycle cost, not
 /// results (see `testutil::differential` and
 /// `tests/fast_forward_replay.rs`), so [`EngineKind::Reference`] exists
-/// for equivalence tests. With [`ObsConfig::disabled`] this is a bare run
-/// on that core: the observer slot stays `None` and every hook is a
-/// single not-taken branch, so there is no separate disabled path to
-/// time. An enabled observer's cost is `wormbench --trace 1`'s
-/// `obs.trace_overhead`.
+/// for equivalence tests. Observation never changes the other fields of
+/// the result; its cost is `wormbench --trace 1`'s `obs.trace_overhead`.
+/// A bare run on a chosen core is [`Engine::with_lanes`] plus
+/// [`Engine::set_engine_kind`].
 #[must_use]
 pub fn run_simulation_observed<R: Router>(
     router: &R,
@@ -149,6 +149,13 @@ pub fn run_simulation_observed<R: Router>(
     engine.set_engine_kind(kind);
     engine.set_observer(obs);
     engine.run()
+}
+
+/// [`SimConfig::validate`] for the batch runners, its error carried as
+/// [`WorkloadError::InvalidParameter`].
+fn check_config(cfg: &SimConfig) -> Result<(), WorkloadError> {
+    cfg.validate()
+        .map_err(|e| WorkloadError::InvalidParameter(e.to_string()))
 }
 
 /// Derives the uncorrelated per-point seed used by [`sweep_traffic`] for
@@ -190,7 +197,8 @@ pub fn saturation_probe_seed(base_seed: u64, index: u64) -> u64 {
 /// Checked on the calling thread before any worker starts:
 /// [`WorkloadError::Pattern`] when `base`'s destination pattern cannot
 /// address this router's machine, and [`WorkloadError::InvalidParameter`]
-/// on a non-finite or negative load or a zero-flit worm.
+/// on a `cfg` that [`SimConfig::validate`] rejects, a non-finite or
+/// negative load or a zero-flit worm.
 pub fn sweep_traffic<R: Router>(
     router: &R,
     cfg: &SimConfig,
@@ -198,6 +206,7 @@ pub fn sweep_traffic<R: Router>(
     lanes: &LaneConfig,
     flit_loads: &[f64],
 ) -> Result<Vec<SimResult>, WorkloadError> {
+    check_config(cfg)?;
     base.pattern.validate(router.network().num_processors())?;
     let points = flit_loads
         .iter()
@@ -289,15 +298,17 @@ pub struct ReplicatedResult {
 /// # Errors
 ///
 /// Checked on the calling thread before any worker starts:
-/// [`WorkloadError::InvalidParameter`] when `replications` is 0, and
-/// [`WorkloadError::Pattern`] when `traffic`'s destination pattern cannot
-/// address this router's machine.
+/// [`WorkloadError::InvalidParameter`] when `replications` is 0 or
+/// [`SimConfig::validate`] rejects `cfg`, and [`WorkloadError::Pattern`]
+/// when `traffic`'s destination pattern cannot address this router's
+/// machine.
 pub fn replicate<R: Router>(
     router: &R,
     cfg: &SimConfig,
     traffic: &TrafficConfig,
     replications: usize,
 ) -> Result<ReplicatedResult, WorkloadError> {
+    check_config(cfg)?;
     if replications == 0 {
         return Err(WorkloadError::InvalidParameter(
             "replicate needs at least one replication".into(),
@@ -337,7 +348,8 @@ pub fn replicate<R: Router>(
 ///
 /// # Errors
 ///
-/// [`WorkloadError::InvalidParameter`] on a non-finite or negative
+/// [`WorkloadError::InvalidParameter`] on a `cfg` that
+/// [`SimConfig::validate`] rejects, a non-finite or negative
 /// `start_load`, a non-finite or non-positive `step`, or a zero-flit
 /// worm; [`WorkloadError::Pattern`] when `base`'s destination pattern
 /// cannot address this router's machine.
@@ -350,6 +362,7 @@ pub fn find_saturation<R: Router>(
     step: f64,
     max_load: f64,
 ) -> Result<(f64, Option<f64>), WorkloadError> {
+    check_config(cfg)?;
     if !(start_load.is_finite() && start_load >= 0.0) {
         return Err(WorkloadError::InvalidParameter(format!(
             "saturation scan start {start_load} must be finite and non-negative"
@@ -511,14 +524,27 @@ mod tests {
         let base = TrafficConfig::new(0.0, 16).unwrap();
         let mut zero_flits = base;
         zero_flits.worm_flits = 0;
+        let one_batch = SimConfig { batches: 1, ..cfg };
+        let no_window = SimConfig {
+            measure_cycles: 0,
+            ..cfg
+        };
+        let no_drain = SimConfig {
+            drain_cap_cycles: 0,
+            ..cfg
+        };
         // A NaN sweep load, zero replications, a zero scan step, a NaN scan
-        // start and zero-flit worms.
+        // start, zero-flit worms, and a config `SimConfig::validate`
+        // rejects on each runner.
         let invalid = [
             sweep_traffic(&router, &cfg, &base, &one, &[0.01, f64::NAN]).map(drop),
             replicate(&router, &cfg, &base, 0).map(drop),
             find_saturation(&router, &cfg, &base, &one, 0.02, 0.0, 0.4).map(drop),
             find_saturation(&router, &cfg, &base, &one, f64::NAN, 0.02, 0.4).map(drop),
             find_saturation(&router, &cfg, &zero_flits, &one, 0.02, 0.02, 0.4).map(drop),
+            sweep_traffic(&router, &one_batch, &base, &one, &[0.01]).map(drop),
+            replicate(&router, &no_window, &base, 2).map(drop),
+            find_saturation(&router, &no_drain, &base, &one, 0.02, 0.02, 0.4).map(drop),
         ];
         for (case, got) in invalid.iter().enumerate() {
             let ok = matches!(got, Err(WorkloadError::InvalidParameter(_)));

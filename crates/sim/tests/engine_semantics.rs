@@ -3,7 +3,7 @@
 //! closed form.
 
 use wormsim_sim::config::{
-    EngineKind, LaneConfig, ObsConfig, SimConfig, TrafficConfig, TrafficPattern,
+    DestinationPattern, EngineKind, LaneConfig, ObsConfig, SimConfig, TrafficConfig,
 };
 use wormsim_sim::engine::Engine;
 use wormsim_sim::router::{BftRouter, Router};
@@ -36,7 +36,7 @@ fn half_shift_zero_load_latency_is_exact() {
         let router = BftRouter::new(&tree);
         let traffic = TrafficConfig::new(0.00005, 16)
             .unwrap()
-            .with_pattern(TrafficPattern::HalfShift);
+            .with_pattern(DestinationPattern::HalfShift);
         let r = run_simulation(&router, &tiny_cfg(3), &traffic);
         assert!(!r.saturated);
         assert!(r.messages_completed > 5, "need data");
@@ -61,7 +61,7 @@ fn bit_complement_is_also_exact_and_root_bound() {
     let router = BftRouter::new(&tree);
     let traffic = TrafficConfig::new(0.00005, 32)
         .unwrap()
-        .with_pattern(TrafficPattern::BitComplement);
+        .with_pattern(DestinationPattern::BitComplement);
     let r = run_simulation(&router, &tiny_cfg(5), &traffic);
     assert!(!r.saturated);
     let expect = 32.0 + 6.0 - 1.0;
@@ -102,7 +102,7 @@ fn single_flit_worms_work() {
     let router = BftRouter::new(&tree);
     let traffic = TrafficConfig::new(0.0001, 1)
         .unwrap()
-        .with_pattern(TrafficPattern::HalfShift);
+        .with_pattern(DestinationPattern::HalfShift);
     let r = run_simulation(&router, &tiny_cfg(9), &traffic);
     assert!(!r.saturated);
     assert!(
@@ -206,9 +206,10 @@ fn grants_spread_over_every_member_of_a_wide_up_bundle() {
     }
 }
 
-/// A 3×3 mesh router that, from every other switch, takes a channel into
+/// A 3×3 mesh router that, from every other switch, names a channel into
 /// the destination's switch, wherever that channel starts, and ejects
-/// there: its worms jump between unconnected switches.
+/// there: unless the two switches are neighbours, the route does not leave
+/// the worm's head node.
 struct Teleporting(Mesh);
 
 impl FlowRouting for Teleporting {
@@ -239,18 +240,25 @@ impl Router for Teleporting {
 }
 
 #[test]
-fn invariants_catch_a_worm_path_that_skips_a_link() {
-    // The engine takes every routed channel on trust; the invariant
-    // checker is what notices a path that is not a walk of the network.
+fn a_route_that_does_not_leave_the_head_node_is_unroutable() {
+    // The engine grants only a station at the worm's head node: a worm
+    // routed anywhere else is killed and counted unroutable instead of
+    // jumping, so every live path stays a walk of the network.
     let router = Teleporting(Mesh::new(3, 2).unwrap());
     let cfg = tiny_cfg(3);
     let traffic = TrafficConfig::from_flit_load(0.05, 4).unwrap();
     let mut engine = Engine::with_lanes(&router, &cfg, &traffic, &LaneConfig::single());
-    let mut broken = None;
-    while broken.is_none() && engine.now() < 1_500 {
+    while engine.now() < 1_500 {
         engine.step_many(1);
-        broken = engine.check_invariants().err();
+        if let Err(e) = engine.check_invariants() {
+            panic!("cycle {}: {e}", engine.now());
+        }
     }
-    let err = broken.expect("a teleporting path must break an invariant");
-    assert!(err.contains("leaves"), "{err}");
+    let r = run_simulation(&router, &cfg, &traffic);
+    assert!(r.messages_unroutable > 0, "no teleport was refused: {r:?}");
+    assert_eq!(
+        r.messages_completed + r.messages_unroutable + r.messages_incomplete,
+        r.messages_measured,
+        "every measured message is accounted for"
+    );
 }

@@ -2,7 +2,9 @@
 //! conservation laws for arbitrary small topologies, loads and seeds.
 
 use proptest::prelude::*;
-use wormsim_sim::config::{LaneConfig, SimConfig, TrafficConfig, TrafficPattern};
+use wormsim_sim::config::{
+    DestinationPattern, LaneAllocatorKind, LaneConfig, SimConfig, TrafficConfig,
+};
 use wormsim_sim::engine::Engine;
 use wormsim_sim::router::{BftRouter, HypercubeRouter, MeshRouter};
 use wormsim_sim::runner::run_simulation;
@@ -15,11 +17,11 @@ fn small_bft() -> impl Strategy<Value = BftParams> {
         .prop_filter_map("valid params", |(c, p, n)| BftParams::new(c, p, n).ok())
 }
 
-fn pattern() -> impl Strategy<Value = TrafficPattern> {
+fn pattern() -> impl Strategy<Value = DestinationPattern> {
     prop_oneof![
-        Just(TrafficPattern::Uniform),
-        Just(TrafficPattern::BitComplement),
-        Just(TrafficPattern::HalfShift),
+        Just(DestinationPattern::Uniform),
+        Just(DestinationPattern::BitComplement),
+        Just(DestinationPattern::HalfShift),
     ]
 }
 
@@ -141,16 +143,10 @@ proptest! {
         load_pct in 1u32..120,
         flits in 1u32..40,
         lanes in 2u32..=4,
-        allocator in prop_oneof![
-            Just(wormsim_lanes::LaneAllocatorKind::FirstFree),
-            Just(wormsim_lanes::LaneAllocatorKind::RoundRobin),
-            Just(wormsim_lanes::LaneAllocatorKind::LeastOccupied),
-        ],
     ) {
         // The lane invariants (no lane double-grant, conservation of
         // in-flight worms across lanes, stall-list consistency) must hold
-        // for arbitrary machines, loads — saturated ones included — and
-        // every allocation policy.
+        // for arbitrary machines and loads, saturated ones included.
         let tree = ButterflyFatTree::new(params);
         let router = BftRouter::new(&tree);
         let load = 0.002 * f64::from(load_pct);
@@ -162,12 +158,12 @@ proptest! {
             batches: 4,
         };
         let traffic = TrafficConfig::from_flit_load(load, flits).unwrap();
-        let lane_cfg = wormsim_lanes::LaneConfig::new(lanes, allocator).unwrap();
+        let lane_cfg = LaneConfig::new(lanes, LaneAllocatorKind::FirstFree).unwrap();
         let mut engine = Engine::with_lanes(&router, &cfg, &traffic, &lane_cfg);
         for _ in 0..8 {
             engine.step_many(400);
             engine.check_invariants().map_err(|e| {
-                TestCaseError::fail(format!("{params:?} seed={seed} L={lanes} {allocator:?}: {e}"))
+                TestCaseError::fail(format!("{params:?} seed={seed} L={lanes}: {e}"))
             })?;
         }
         prop_assert!(engine.completed_total() <= engine.generated_total());

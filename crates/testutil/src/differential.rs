@@ -9,7 +9,8 @@
 //! (`tests/fast_forward_replay.rs`, `tests/lanes_regression.rs`) and one
 //! harness that runs a config on the reference oracle and the
 //! fast-forward core and asserts equality, used by the pinned replays and
-//! the randomized differential suite.
+//! the randomized differential suite. Both run the cores bare, through
+//! [`run_on_engine`].
 //!
 //! Floats are compared via `to_bits`, so NaN sentinels (e.g. the CI
 //! half-width of a tiny population) compare equal when both runs produce
@@ -18,8 +19,23 @@
 //! walk) and `engine` (the core's own label).
 
 use wormsim_sim::config::{EngineKind, LaneConfig, ObsConfig, SimConfig, TrafficConfig};
+use wormsim_sim::engine::Engine;
 use wormsim_sim::router::Router;
 use wormsim_sim::runner::{run_simulation_observed, SimResult};
+
+/// One bare (unobserved) run on the execution core `kind`.
+#[must_use]
+pub fn run_on_engine<R: Router>(
+    router: &R,
+    cfg: &SimConfig,
+    traffic: &TrafficConfig,
+    lanes: &LaneConfig,
+    kind: EngineKind,
+) -> SimResult {
+    let mut engine = Engine::with_lanes(router, cfg, traffic, lanes);
+    engine.set_engine_kind(kind);
+    engine.run()
+}
 
 /// Field-by-field bit comparison of two simulation results.
 ///
@@ -128,11 +144,10 @@ pub fn assert_engine_equivalence<R: Router>(
     kinds: &[EngineKind],
     label: &str,
 ) -> SimResult {
-    let bare = ObsConfig::disabled();
-    let oracle = run_simulation_observed(router, cfg, traffic, lanes, EngineKind::Reference, &bare);
+    let oracle = run_on_engine(router, cfg, traffic, lanes, EngineKind::Reference);
     assert_eq!(oracle.cycles_skipped, 0, "{label}: the oracle never skips");
     for &kind in kinds {
-        let got = run_simulation_observed(router, cfg, traffic, lanes, kind, &bare);
+        let got = run_on_engine(router, cfg, traffic, lanes, kind);
         assert_sim_results_identical(
             &got,
             &oracle,
@@ -167,7 +182,6 @@ pub fn assert_observation_transparent<R: Router>(
     obs: &ObsConfig,
     label: &str,
 ) -> SimResult {
-    let disabled = ObsConfig::disabled();
     let oracle_observed =
         run_simulation_observed(router, cfg, traffic, lanes, EngineKind::Reference, obs);
     let oracle_snap = oracle_observed
@@ -178,7 +192,7 @@ pub fn assert_observation_transparent<R: Router>(
         .check_conservation()
         .unwrap_or_else(|e| panic!("{label}: oracle conservation: {e}"));
     for &kind in std::iter::once(&EngineKind::Reference).chain(kinds) {
-        let bare = run_simulation_observed(router, cfg, traffic, lanes, kind, &disabled);
+        let bare = run_on_engine(router, cfg, traffic, lanes, kind);
         let observed = run_simulation_observed(router, cfg, traffic, lanes, kind, obs);
         let snap = observed
             .obs

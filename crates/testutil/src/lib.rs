@@ -12,7 +12,7 @@
 
 pub mod differential;
 
-pub use differential::{assert_engine_equivalence, assert_sim_results_identical};
+pub use differential::{assert_engine_equivalence, assert_sim_results_identical, run_on_engine};
 
 use wormsim_sim::config::{LaneAllocatorKind, LaneConfig, SimConfig, TrafficConfig};
 
@@ -69,8 +69,8 @@ pub fn test_traffic(flit_load: f64, worm_flits: u32) -> TrafficConfig {
 /// lanes` experiment.
 pub const LANE_SWEEP: [u32; 3] = [1, 2, 4];
 
-/// A validated [`LaneConfig`] for `lanes` lanes with the default
-/// (first-free) allocator — the shared construction for lane-sweep tests.
+/// A validated [`LaneConfig`] for `lanes` first-free lanes — the shared
+/// construction for lane-sweep tests.
 ///
 /// # Panics
 ///

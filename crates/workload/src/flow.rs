@@ -72,7 +72,9 @@ use wormsim_topology::mesh::Mesh;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
     /// The unique next channel: a down-link, a dimension hop or an
-    /// ejection. It must leave `node`. The simulator requests the
+    /// ejection. It must leave `node`, and both consumers enforce that:
+    /// [`FlowVector::build`] returns [`WorkloadError::Routing`] and the
+    /// simulator kills the worm as unroutable. The simulator requests the
     /// channel's station with every member allowed, so the channel must be
     /// its station's only member, as every such channel of the shipped
     /// topologies is.
@@ -100,7 +102,9 @@ pub trait FlowRouting {
     fn network(&self) -> &ChannelNetwork;
 
     /// Where a worm headed for processor `dest` goes from switch `node`.
-    /// Every channel the route names must leave `node`.
+    /// Every channel the route names must leave `node`: a route that does
+    /// not is a [`WorkloadError::Routing`] in [`FlowVector::build`] and an
+    /// unroutable message in the simulator.
     fn route(&self, node: NodeId, dest: usize) -> Route;
 
     /// Whether a message from `src` can reach `dest` at all. Pristine

@@ -16,8 +16,10 @@
 //!   `λ_c`, computed by pushing the source→destination flow matrix through
 //!   [`flow::FlowRouting::route`], the one routing decision that the
 //!   simulator's engine also makes at every hop, over any
-//!   `wormsim-topology` channel graph;
-//! * [`workload::Workload`] — the pairing of the two, used end-to-end.
+//!   `wormsim-topology` channel graph.
+//!
+//! The simulator's `TrafficConfig` carries one pattern and one arrival
+//! process, and the model's flow vector takes the same pattern.
 //!
 //! # Example
 //!
@@ -49,13 +51,11 @@ pub mod arrival;
 pub mod error;
 pub mod flow;
 pub mod pattern;
-pub mod workload;
 
 pub use arrival::{ArrivalProcess, MmppProfile};
 pub use error::WorkloadError;
 pub use flow::{member_allowed, FlowRouting, FlowVector, Route};
 pub use pattern::DestinationPattern;
-pub use workload::Workload;
 
 /// Result alias for workload computations.
 pub type Result<T> = std::result::Result<T, WorkloadError>;

@@ -26,8 +26,8 @@ fn main() {
     let traffic = TrafficConfig::from_flit_load(0.1, 16).unwrap();
     let lanes = LaneConfig::new(2, LaneAllocatorKind::FirstFree).unwrap();
 
-    // `ObsConfig::disabled()` is the default everywhere else and costs
-    // nothing; `full()` adds the per-event sink on top of the counters.
+    // Runs without an observer (every other runner) cost nothing extra;
+    // `full()` adds the per-event sink on top of the counters.
     let result = run_simulation_observed(
         &router,
         &cfg,

@@ -1,5 +1,5 @@
 //! Virtual-channel lanes: how lane count moves the latency/throughput
-//! picture, and what the three allocation policies do to lane occupancy.
+//! picture, in the simulator and in the analytical model.
 //!
 //! ```text
 //! cargo run --release --example virtual_channels
@@ -51,23 +51,5 @@ fn main() {
             sim.avg_latency,
             100.0 * (model.total - sim.avg_latency) / sim.avg_latency
         );
-    }
-
-    // Allocation policies: same latency physics, very different occupancy.
-    println!("\nPer-lane utilization at L=4, load 0.14, by allocator:");
-    let traffic = TrafficConfig::from_flit_load(0.14, 16).unwrap();
-    for kind in [
-        LaneAllocatorKind::FirstFree,
-        LaneAllocatorKind::RoundRobin,
-        LaneAllocatorKind::LeastOccupied,
-    ] {
-        let lc = LaneConfig::new(4, kind).unwrap();
-        let r = run_simulation_with_lanes(&router, &cfg, &traffic, &lc);
-        let utils: Vec<String> = r
-            .lane_stats
-            .iter()
-            .map(|l| format!("{:.3}", l.utilization))
-            .collect();
-        println!("  {kind:?}: [{}]", utils.join(", "));
     }
 }

@@ -105,7 +105,7 @@
 //! let cfg = SimConfig { warmup_cycles: 1_000, measure_cycles: 8_000, ..SimConfig::quick() };
 //! let traffic = TrafficConfig::from_flit_load(0.05, 16).unwrap();
 //!
-//! let lanes = LaneConfig::new(2, LaneAllocatorKind::RoundRobin).unwrap();
+//! let lanes = LaneConfig::new(2, LaneAllocatorKind::FirstFree).unwrap();
 //! let r = run_simulation_with_lanes(&router, &cfg, &traffic, &lanes);
 //! assert_eq!(r.lanes, 2);
 //! assert_eq!(r.lane_stats.len(), 2);
@@ -146,7 +146,7 @@ pub mod prelude {
         WormEvent,
     };
     pub use wormsim_queueing::{QueueingError, ServiceMoments};
-    pub use wormsim_sim::config::{EngineKind, SimConfig, TrafficConfig, TrafficPattern};
+    pub use wormsim_sim::config::{EngineKind, SimConfig, TrafficConfig};
     pub use wormsim_sim::router::FaultedBftRouter;
     pub use wormsim_sim::runner::{
         find_saturation, replicate, run_simulation, run_simulation_observed,
@@ -155,7 +155,7 @@ pub mod prelude {
     pub use wormsim_topology::bft::{BftParams, ButterflyFatTree};
     pub use wormsim_topology::{ChannelClass, ChannelNetwork};
     pub use wormsim_workload::{
-        ArrivalProcess, DestinationPattern, FlowRouting, FlowVector, MmppProfile, Route, Workload,
+        ArrivalProcess, DestinationPattern, FlowRouting, FlowVector, MmppProfile, Route,
         WorkloadError,
     };
 }

@@ -3,8 +3,8 @@
 //!
 //! Each case draws a topology (butterfly fat-tree, hypercube, mesh), a
 //! destination pattern, an arrival process (Poisson or bursty MMPP), an
-//! offered load spanning idle to past-saturation, a lane configuration
-//! (`L ∈ {1, 2, 4}`, both allocators) and a seed — then runs the config on
+//! offered load spanning idle to past-saturation, a lane count
+//! (`L ∈ {1, 2, 4}`) and a seed — then runs the config on
 //! the reference oracle and the fast-forward core via
 //! `testutil::assert_engine_equivalence`. Configs are tiny so a case costs
 //! milliseconds; the value is in the breadth of the product space, which
@@ -14,11 +14,11 @@
 
 use proptest::prelude::*;
 use wormsim::prelude::*;
-use wormsim::sim::config::{ArrivalProcess, LaneAllocatorKind, MmppProfile};
+use wormsim::sim::config::{ArrivalProcess, MmppProfile};
 use wormsim::sim::router::{BftRouter, HypercubeRouter, MeshRouter};
 use wormsim::topology::hypercube::Hypercube;
 use wormsim::topology::mesh::Mesh;
-use wormsim_testutil::assert_engine_equivalence;
+use wormsim_testutil::{assert_engine_equivalence, lane_config};
 
 /// The optimized core, checked against the reference oracle.
 const OPTIMIZED: [EngineKind; 1] = [EngineKind::FastForward];
@@ -71,18 +71,7 @@ fn load_and_flits() -> impl Strategy<Value = (u32, u32)> {
 }
 
 fn lanes() -> impl Strategy<Value = LaneConfig> {
-    (
-        prop_oneof![Just(1u32), Just(2), Just(4)],
-        proptest::arbitrary::any::<bool>(),
-    )
-        .prop_filter_map("valid lane config", |(l, first_free)| {
-            let kind = if first_free {
-                LaneAllocatorKind::FirstFree
-            } else {
-                LaneAllocatorKind::RoundRobin
-            };
-            LaneConfig::new(l, kind).ok()
-        })
+    prop_oneof![Just(1u32), Just(2), Just(4)].prop_map(lane_config)
 }
 
 proptest! {

@@ -21,13 +21,13 @@ use wormsim::topology::mesh::Mesh;
 // differential suite shares one definition of "identical result".
 use wormsim_testutil::{
     assert_engine_equivalence, assert_sim_results_identical as assert_bit_identical,
-    quick_sim_config,
+    quick_sim_config, run_on_engine,
 };
 
 /// One bare single-lane run on the reference oracle.
 fn run_reference<R: Router>(router: &R, cfg: &SimConfig, traffic: &TrafficConfig) -> SimResult {
-    let (lanes, obs) = (LaneConfig::single(), ObsConfig::disabled());
-    run_simulation_observed(router, cfg, traffic, &lanes, EngineKind::Reference, &obs)
+    let lanes = LaneConfig::single();
+    run_on_engine(router, cfg, traffic, &lanes, EngineKind::Reference)
 }
 
 /// Same orchestration parameters as the `lanes_regression` pins.
@@ -44,23 +44,14 @@ fn pin_cfg(seed: u64) -> SimConfig {
 /// The optimized core, checked against the reference oracle.
 const FAST: [EngineKind; 1] = [EngineKind::FastForward];
 
-fn workloads() -> Vec<(&'static str, Workload)> {
-    vec![
-        ("uniform", Workload::uniform()),
-        (
-            "hotspot",
-            Workload {
-                pattern: DestinationPattern::hot_spot(),
-                arrival: ArrivalProcess::Poisson,
-            },
-        ),
-        (
-            "bursty",
-            Workload {
-                pattern: DestinationPattern::Uniform,
-                arrival: ArrivalProcess::Mmpp(MmppProfile::default_bursty()),
-            },
-        ),
+/// Named `(pattern, arrival process)` pairs.
+fn workloads() -> [(&'static str, DestinationPattern, ArrivalProcess); 3] {
+    let poisson = ArrivalProcess::Poisson;
+    let bursty = ArrivalProcess::Mmpp(MmppProfile::default_bursty());
+    [
+        ("uniform", DestinationPattern::Uniform, poisson),
+        ("hotspot", DestinationPattern::hot_spot(), poisson),
+        ("bursty", DestinationPattern::Uniform, bursty),
     ]
 }
 
@@ -69,11 +60,12 @@ fn fast_forward_is_bit_exact_across_workloads_and_loads() {
     let tree = ButterflyFatTree::new(BftParams::paper(16).unwrap());
     let router = BftRouter::new(&tree);
     let cfg = quick_sim_config(41);
-    for (name, workload) in workloads() {
+    for (name, pattern, arrival) in workloads() {
         for load in [0.002, 0.05] {
             let traffic = TrafficConfig::from_flit_load(load, 16)
                 .unwrap()
-                .with_workload(workload);
+                .with_pattern(pattern)
+                .with_arrival(arrival);
             let fast = run_simulation(&router, &cfg, &traffic);
             let reference = run_reference(&router, &cfg, &traffic);
             assert_bit_identical(&fast, &reference, &format!("{name}@{load}"));

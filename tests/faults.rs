@@ -22,8 +22,8 @@ use wormsim_faults::link_faults;
 use wormsim_sim::config::LaneConfig as SimLaneConfig;
 use wormsim_sim::router::{BftRouter, HypercubeRouter, MeshRouter};
 use wormsim_testutil::{
-    assert_engine_equivalence, assert_sim_results_identical, quick_sim_config, test_traffic,
-    TEST_SEED,
+    assert_engine_equivalence, assert_sim_results_identical, quick_sim_config, run_on_engine,
+    test_traffic, TEST_SEED,
 };
 use wormsim_topology::hypercube::Hypercube;
 use wormsim_topology::mesh::Mesh;
@@ -56,10 +56,9 @@ fn empty_fault_plan_is_bit_identical_to_the_pristine_bft_router() {
     let faulted = FaultedBftRouter::new(&tree, FaultPlan::none(tree.network())).unwrap();
     let cfg = quick_sim_config(TEST_SEED);
     let traffic = test_traffic(0.05, 16);
-    let bare = ObsConfig::disabled();
     for kind in ALL_ENGINES {
-        let a = run_simulation_observed(&pristine, &cfg, &traffic, &lanes1(), kind, &bare);
-        let b = run_simulation_observed(&faulted, &cfg, &traffic, &lanes1(), kind, &bare);
+        let a = run_on_engine(&pristine, &cfg, &traffic, &lanes1(), kind);
+        let b = run_on_engine(&faulted, &cfg, &traffic, &lanes1(), kind);
         assert_sim_results_identical(&a, &b, &format!("bft-64 empty plan [{}]", kind.label()));
         assert_eq!(b.messages_unroutable, 0);
     }

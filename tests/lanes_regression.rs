@@ -14,12 +14,15 @@
 //!    tolerance band at low-to-moderate load on uniform traffic.
 //! 4. **Fast-forwarding stays bit-exact with lanes**: the multi-lane
 //!    engine's idle-span skip must be observationally invisible too.
+//! 5. **Multi-lane simulation is pinned to the bit** at `L ∈ {2, 4}`,
+//!    on a pristine and on a link-faulted tree.
 
+use wormsim::faults::link_faults;
 use wormsim::model::bft::BftModel;
 use wormsim::model::framework::bft_spec;
 use wormsim::model::options::ModelOptions;
 use wormsim::prelude::*;
-use wormsim::sim::config::{ArrivalProcess, LaneAllocatorKind, LaneConfig, MmppProfile};
+use wormsim::sim::config::{ArrivalProcess, LaneConfig, MmppProfile};
 use wormsim::sim::engine::Engine;
 use wormsim::sim::router::{BftRouter, HypercubeRouter, MeshRouter};
 use wormsim::sim::runner::run_simulation_with_lanes;
@@ -27,7 +30,7 @@ use wormsim::topology::hypercube::Hypercube;
 use wormsim::topology::mesh::Mesh;
 use wormsim_testutil::{
     assert_lane_model_close, assert_sim_results_identical, lane_config, lane_sweep_configs,
-    validation_sim_config, LANE_SWEEP,
+    run_on_engine, validation_sim_config,
 };
 
 fn pin_cfg(seed: u64) -> SimConfig {
@@ -173,6 +176,96 @@ fn single_lane_engine_reproduces_the_pre_lanes_engine_bit_for_bit() {
     check(
         &pins[4],
         &run_simulation_with_lanes(&rm, &pin_cfg(23), &tm, &single),
+    );
+}
+
+/// A multi-lane run's pinned outcome: `(avg_latency, p99)` bit patterns,
+/// the measured (= completed) message count, the cycle counters, and per
+/// lane index its grants and `mean_hold` bit pattern.
+struct LanePin {
+    tag: &'static str,
+    avg_latency: u64,
+    p99: u64,
+    messages: u64,
+    cycles_run: u64,
+    cycles_skipped: u64,
+    lanes: &'static [(u64, u64)],
+}
+
+fn check_lanes(pin: &LanePin, r: &SimResult) {
+    let tag = pin.tag;
+    assert_eq!(
+        r.avg_latency.to_bits(),
+        pin.avg_latency,
+        "{tag}: avg_latency {}",
+        r.avg_latency
+    );
+    assert_eq!(r.latency_p99.to_bits(), pin.p99, "{tag}: p99");
+    assert_eq!(r.messages_measured, pin.messages, "{tag}: measured");
+    assert_eq!(r.messages_completed, pin.messages, "{tag}: completed");
+    assert_eq!(r.cycles_run, pin.cycles_run, "{tag}: cycles_run");
+    assert_eq!(
+        r.cycles_skipped, pin.cycles_skipped,
+        "{tag}: cycles_skipped"
+    );
+    assert_eq!(r.lane_stats.len(), pin.lanes.len(), "{tag}: lane count");
+    for (l, &(grants, hold)) in r.lane_stats.iter().zip(pin.lanes) {
+        assert_eq!(l.grants, grants, "{tag}: lane {} grants", l.lane);
+        assert_eq!(l.mean_hold.to_bits(), hold, "{tag}: lane {} hold", l.lane);
+    }
+}
+
+#[test]
+fn multi_lane_runs_are_pinned_to_the_bit() {
+    // The L = 1 pins above never exercise lane choice; these two runs
+    // hold the first-free allocator, span arbitration and the per-lane
+    // audit still at L = 4 on a pristine tree and at L = 2 on a
+    // link-faulted one under hot-spot traffic.
+    let tree = ButterflyFatTree::new(BftParams::paper(64).unwrap());
+    let uniform = TrafficConfig::from_flit_load(0.14, 16).unwrap();
+    let a = run_simulation_with_lanes(
+        &BftRouter::new(&tree),
+        &pin_cfg(43),
+        &uniform,
+        &lane_config(4),
+    );
+    check_lanes(
+        &LanePin {
+            tag: "bft64 L=4 uniform",
+            avg_latency: 0x4042f7f32a66376d,
+            p99: 0x405a800000000000,
+            messages: 4468,
+            cycles_run: 9036,
+            cycles_skipped: 1,
+            lanes: &[
+                (17946, 0x403a39046c125f93),
+                (4949, 0x40421f37b5ed1154),
+                (1221, 0x40479a6aedc25bd5),
+                (308, 0x404b29f959c427e5),
+            ],
+        },
+        &a,
+    );
+    let faulted =
+        FaultedBftRouter::new(&tree, link_faults(tree.network(), 0.05, 1).unwrap()).unwrap();
+    let hot = TrafficConfig::from_flit_load(0.08, 16)
+        .unwrap()
+        .with_pattern(DestinationPattern::HotSpot {
+            fraction: 0.125,
+            target: 21,
+        });
+    let b = run_simulation_with_lanes(&faulted, &pin_cfg(47), &hot, &lane_config(2));
+    check_lanes(
+        &LanePin {
+            tag: "faulted bft64 L=2 hot spot",
+            avg_latency: 0x404029ca75c9aabd,
+            p99: 0x405d000000000000,
+            messages: 2582,
+            cycles_run: 9020,
+            cycles_skipped: 4,
+            lanes: &[(11794, 0x4036e3bd254a7390), (2127, 0x4040a22e753a5f90)],
+        },
+        &b,
     );
 }
 
@@ -342,24 +435,14 @@ fn fast_forward_stays_bit_exact_with_multiple_lanes() {
     let tree = ButterflyFatTree::new(BftParams::paper(16).unwrap());
     let router = BftRouter::new(&tree);
     let cfg = validation_sim_config(61);
-    for &lanes in &LANE_SWEEP {
-        for kind in [LaneAllocatorKind::RoundRobin, LaneAllocatorKind::FirstFree] {
-            let Ok(lc) = LaneConfig::new(lanes, kind) else {
-                continue;
-            };
-            for load in [0.004, 0.12] {
-                let traffic = TrafficConfig::from_flit_load(load, 16).unwrap();
-                let fast = run_simulation_with_lanes(&router, &cfg, &traffic, &lc);
-                let mut engine = Engine::with_lanes(&router, &cfg, &traffic, &lc);
-                engine.set_engine_kind(EngineKind::Reference);
-                let reference = engine.run();
-                assert_sim_results_identical(
-                    &fast,
-                    &reference,
-                    &format!("L={lanes} {kind:?} load {load}"),
-                );
-                assert_eq!(reference.cycles_skipped, 0);
-            }
+    for lc in lane_sweep_configs() {
+        for load in [0.004, 0.12] {
+            let traffic = TrafficConfig::from_flit_load(load, 16).unwrap();
+            let fast = run_simulation_with_lanes(&router, &cfg, &traffic, &lc);
+            let reference = run_on_engine(&router, &cfg, &traffic, &lc, EngineKind::Reference);
+            let label = format!("L={} load {load}", lc.lanes());
+            assert_sim_results_identical(&fast, &reference, &label);
+            assert_eq!(reference.cycles_skipped, 0);
         }
     }
 }
@@ -420,36 +503,18 @@ fn multi_lane_bft_model_rejects_single_lane_only_entry_points() {
 
 #[test]
 fn lane_occupancy_stats_reflect_the_allocator() {
-    // First-free concentrates occupancy on the low lanes; round-robin
-    // spreads it evenly. The per-lane stats in SimResult must show it.
+    // First-free concentrates occupancy on the low lanes. The per-lane
+    // stats in SimResult must show it.
     let tree = ButterflyFatTree::new(BftParams::paper(64).unwrap());
     let router = BftRouter::new(&tree);
     let cfg = validation_sim_config(43);
     let traffic = TrafficConfig::from_flit_load(0.14, 16).unwrap();
-    let ff = run_simulation_with_lanes(
-        &router,
-        &cfg,
-        &traffic,
-        &LaneConfig::new(4, LaneAllocatorKind::FirstFree).unwrap(),
-    );
+    let ff = run_simulation_with_lanes(&router, &cfg, &traffic, &lane_config(4));
     assert_eq!(ff.lane_stats.len(), 4);
     assert!(
         ff.lane_stats[0].utilization > 2.0 * ff.lane_stats[1].utilization,
         "first-free must favour lane 0: {:?}",
         ff.lane_stats
-    );
-    let rr = run_simulation_with_lanes(
-        &router,
-        &cfg,
-        &traffic,
-        &LaneConfig::new(4, LaneAllocatorKind::RoundRobin).unwrap(),
-    );
-    let utils: Vec<f64> = rr.lane_stats.iter().map(|l| l.utilization).collect();
-    let spread = utils.iter().cloned().fold(0.0f64, f64::max)
-        - utils.iter().cloned().fold(f64::INFINITY, f64::min);
-    assert!(
-        spread < 0.02,
-        "round-robin must balance lane occupancy: {utils:?}"
     );
     // Grants are conserved across lanes: every class grant lands on a lane.
     let class_grants: u64 = ff.class_stats.iter().map(|c| c.grants).sum();
