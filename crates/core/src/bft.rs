@@ -13,10 +13,12 @@
 //!    and the down-continuation (through `c−1` sibling channels) with the
 //!    turn probabilities of Eq. 12/13.
 //!
-//! Waiting times use M/G/1 (Eq. 6) for single links and M/G/p (Eq. 8 at
+//! Waiting times are the queueing crate's one station wait
+//! ([`station_wait`]): M/G/1 (Eq. 6) for single links and M/G/p (Eq. 8 at
 //! `p = 2`, Hokstad) for up-link bundles, with the **combined** bundle rate
 //! `p·λ` per the manuscript's margin correction to Eqs. 21/23. Blocking
-//! corrections follow Eq. 10. Average latency is Eq. 25 and saturation
+//! corrections are Eq. 10's per-channel form ([`blocking_probability`]).
+//! Average latency is Eq. 25 ([`LatencyBreakdown::new`]) and saturation
 //! throughput Eq. 26.
 //!
 //! All rates are per processor (`λ₀`, messages/cycle) or per channel; the
@@ -26,8 +28,8 @@ use crate::error::ModelError;
 use crate::options::ModelOptions;
 use crate::throughput::{self, SaturationPoint};
 use crate::Result;
-use wormsim_queueing::wormhole::wormhole_scv;
-use wormsim_queueing::{mg1, mgm};
+use wormsim_queueing::blocking::blocking_probability;
+use wormsim_queueing::wormhole::station_wait;
 use wormsim_topology::bft::BftParams;
 
 /// Decomposition of the paper's average latency (Eq. 25):
@@ -43,6 +45,21 @@ pub struct LatencyBreakdown {
     pub avg_distance: f64,
     /// Total average latency `L`.
     pub total: f64,
+}
+
+impl LatencyBreakdown {
+    /// Paper Eq. 25: the average latency `L = W₀,₁ + x̄₀,₁ + D̄ − 1` of a
+    /// worm that waits `w_injection` for its injection channel, holds it
+    /// for `x_injection` and crosses `avg_distance` channels.
+    #[must_use]
+    pub fn new(w_injection: f64, x_injection: f64, avg_distance: f64) -> Self {
+        Self {
+            w_injection,
+            x_injection,
+            avg_distance,
+            total: w_injection + x_injection + avg_distance - 1.0,
+        }
+    }
 }
 
 /// Per-level channel quantities resolved by the model, for the
@@ -84,12 +101,12 @@ impl BftModel {
     }
 
     /// Model with explicit (possibly ablated) options.
+    ///
+    /// The worm length is checked where the model is evaluated: a zero,
+    /// negative or non-finite `worm_flits` makes every entry point return
+    /// [`ModelError::Spec`].
     #[must_use]
     pub fn with_options(params: BftParams, worm_flits: f64, options: ModelOptions) -> Self {
-        assert!(
-            worm_flits > 0.0 && worm_flits.is_finite(),
-            "worm length must be positive"
-        );
         Self {
             params,
             worm_flits,
@@ -134,14 +151,9 @@ impl BftModel {
         self.lambda_up(l - 1, lambda0)
     }
 
-    /// Wormhole service SCV (Eq. 5).
-    fn scv(&self, mean: f64) -> f64 {
-        wormhole_scv(mean, self.worm_flits)
-    }
-
-    /// M/G/1 wait tagged with its channel class on error.
+    /// Single-link wait (Eq. 6) tagged with its channel class on error.
     fn w1(&self, class: &str, lambda: f64, x: f64) -> Result<f64> {
-        mg1::waiting_time(lambda, x, self.scv(x)).map_err(|e| ModelError::at(class, e))
+        station_wait(1, lambda, x, self.worm_flits).map_err(|e| ModelError::at(class, e))
     }
 
     /// Up-bundle wait: M/G/p at the combined rate `p·λ` (paper Eqs. 21/23
@@ -149,17 +161,16 @@ impl BftModel {
     /// single-server ablation.
     fn w_up_bundle(&self, class: &str, lambda_per_link: f64, x: f64) -> Result<f64> {
         let p = self.params.parents() as u32;
-        if self.options.multi_server_up && p > 1 {
-            mgm::waiting_time(p, f64::from(p) * lambda_per_link, x, self.scv(x))
-                .map_err(|e| ModelError::at(class, e))
+        let (servers, lambda) = if self.options.multi_server_up && p > 1 {
+            (p, f64::from(p) * lambda_per_link)
         } else {
-            mg1::waiting_time(lambda_per_link, x, self.scv(x)).map_err(|e| ModelError::at(class, e))
-        }
+            (1, lambda_per_link)
+        };
+        station_wait(servers, lambda, x, self.worm_flits).map_err(|e| ModelError::at(class, e))
     }
 
     /// Blocking factor `P(i|j)` of Eq. 10 (or 1 under the ablation), in the
-    /// per-channel-rate form where the server count cancels:
-    /// `P = 1 − (λ_in/λ_out_per_channel)·R_station`, clamped to `[0, 1]`.
+    /// per-channel-rate form where the server count cancels.
     ///
     /// For multi-server stations `r_station` is the probability of routing
     /// to the *station*; under the single-server ablation the caller passes
@@ -168,17 +179,24 @@ impl BftModel {
         if !self.options.blocking_correction {
             return 1.0;
         }
-        if lambda_out_per_channel <= 0.0 {
-            return 1.0;
-        }
-        (1.0 - lambda_in / lambda_out_per_channel * r_station).clamp(0.0, 1.0)
+        blocking_probability(lambda_in, lambda_out_per_channel, r_station)
     }
 
-    /// Rejects entry points that only have single-lane semantics when the
-    /// model was configured with `lanes > 1` — silently returning `L = 1`
-    /// numbers from a multi-lane model would be inconsistent with
+    /// Rejects what the closed-form recurrences cannot evaluate: a worm
+    /// length no channel can serve, a zero lane count, and entry points
+    /// that only have single-lane semantics when the model was configured
+    /// with `lanes > 1` — silently returning `L = 1` numbers from a
+    /// multi-lane model would be inconsistent with
     /// [`Self::latency_at_message_rate`], which does honour the lanes.
-    fn require_single_lane(&self, what: &str) -> Result<()> {
+    fn check_closed_form(&self, what: &str) -> Result<()> {
+        if !(self.worm_flits.is_finite() && self.worm_flits > 0.0) {
+            // The framework's validation rejects the same lengths with the
+            // same message at L > 1.
+            return Err(ModelError::Spec(format!(
+                "invalid worm length {}",
+                self.worm_flits
+            )));
+        }
         if self.options.lanes == 0 {
             // Match the framework's validation: a zero-lane channel cannot
             // carry traffic, and silently treating it as single-lane would
@@ -205,10 +223,11 @@ impl BftModel {
     ///
     /// [`ModelError::Queueing`] tagged with the first saturating channel
     /// class when `lambda0` is beyond the network's capacity;
-    /// [`ModelError::Spec`] when the options carry `lanes > 1` (the
-    /// per-level audit is the closed single-lane recurrence).
+    /// [`ModelError::Spec`] for an invalid worm length or when the options
+    /// carry `lanes > 1` (the per-level audit is the closed single-lane
+    /// recurrence).
     pub fn audit_at_message_rate(&self, lambda0: f64) -> Result<ChannelAudit> {
-        self.require_single_lane("audit_at_message_rate")?;
+        self.check_closed_form("audit_at_message_rate")?;
         let mut audit = self.resolve_chains(lambda0)?;
         // Finally Eq. 24: injection-channel wait. This is the step that
         // diverges exactly at the saturation point x̄₀,₁ = 1/λ₀ (where the
@@ -318,7 +337,8 @@ impl BftModel {
     ///
     /// # Errors
     ///
-    /// Saturation or invalid-rate errors from the underlying resolution.
+    /// Saturation errors from the underlying resolution;
+    /// [`ModelError::Spec`] for an invalid rate or worm length.
     pub fn latency_at_message_rate(&self, lambda0: f64) -> Result<LatencyBreakdown> {
         if self.options.lanes > 1 {
             if !(lambda0.is_finite() && lambda0 >= 0.0) {
@@ -328,15 +348,11 @@ impl BftModel {
             return spec.latency(&self.options, None);
         }
         let audit = self.audit_at_message_rate(lambda0)?;
-        let w = audit.w_up[0];
-        let x = audit.x_up[0];
-        let d = self.params.average_distance();
-        Ok(LatencyBreakdown {
-            w_injection: w,
-            x_injection: x,
-            avg_distance: d,
-            total: w + x + d - 1.0,
-        })
+        Ok(LatencyBreakdown::new(
+            audit.w_up[0],
+            audit.x_up[0],
+            self.params.average_distance(),
+        ))
     }
 
     /// Average latency at a *flit* load (flits/cycle/PE, the paper's
@@ -356,7 +372,7 @@ impl BftModel {
     ///
     /// Same as [`Self::audit_at_message_rate`] (single-lane only).
     pub fn source_service_time(&self, lambda0: f64) -> Result<f64> {
-        self.require_single_lane("source_service_time")?;
+        self.check_closed_form("source_service_time")?;
         Ok(self.resolve_chains(lambda0)?.x_up[0])
     }
 
@@ -366,11 +382,12 @@ impl BftModel {
     /// # Errors
     ///
     /// [`ModelError::Saturation`] if no saturation point can be bracketed;
-    /// [`ModelError::Spec`] when the options carry `lanes > 1` — Eq. 26 is
-    /// single-lane, and the multi-lane knee genuinely sits elsewhere (the
-    /// simulator shows it moving outward with `L`; see `repro lanes`).
+    /// [`ModelError::Spec`] for an invalid worm length or when the options
+    /// carry `lanes > 1` — Eq. 26 is single-lane, and the multi-lane knee
+    /// genuinely sits elsewhere (the simulator shows it moving outward with
+    /// `L`; see `repro lanes`).
     pub fn saturation(&self) -> Result<SaturationPoint> {
-        self.require_single_lane("saturation")?;
+        self.check_closed_form("saturation")?;
         throughput::saturation_point(self.worm_flits, |lambda0| self.source_service_time(lambda0))
     }
 
@@ -593,8 +610,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "worm length")]
-    fn zero_worm_length_panics() {
-        let _ = BftModel::new(BftParams::paper(64).unwrap(), 0.0);
+    fn invalid_worm_lengths_are_typed_errors() {
+        // Construction takes any length; every entry point refuses one no
+        // channel can serve, at one lane and through the framework at two.
+        let params = BftParams::paper(64).unwrap();
+        for s in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            for lanes in [1, 2] {
+                let m = BftModel::with_options(params, s, ModelOptions::paper().with_lanes(lanes));
+                let results = [
+                    ("audit", m.audit_at_message_rate(0.001).map(drop)),
+                    ("source", m.source_service_time(0.001).map(drop)),
+                    ("saturation", m.saturation().map(drop)),
+                    ("latency", m.latency_at_message_rate(0.001).map(drop)),
+                ];
+                for (entry, r) in results {
+                    let typed =
+                        matches!(&r, Err(ModelError::Spec(msg)) if msg.contains("worm length"));
+                    assert!(typed, "s = {s}, L = {lanes}, {entry}: {r:?}");
+                }
+            }
+        }
     }
 }

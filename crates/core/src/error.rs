@@ -72,7 +72,6 @@ impl ModelError {
                 source: QueueingError::InvalidServiceTime { .. }
                     | QueueingError::InvalidRate { .. }
                     | QueueingError::InvalidScv { .. }
-                    | QueueingError::InvalidProbability { .. }
                     | QueueingError::Numerical { .. },
                 ..
             }

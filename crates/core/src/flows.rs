@@ -22,7 +22,7 @@
 
 use crate::bft::LatencyBreakdown;
 use crate::error::ModelError;
-use crate::framework::{ClassBody, ClassId, ClassSpec, Forward, NetworkSpec, Solution, WarmStart};
+use crate::framework::{ClassBody, ClassId, ClassSpec, Forward, NetworkSpec, WarmStart};
 use crate::options::ModelOptions;
 use crate::Result;
 use wormsim_guard::SolveOutcome;
@@ -55,7 +55,7 @@ impl StationModel {
         warm: Option<&mut WarmStart>,
     ) -> Result<LatencyBreakdown> {
         let sol = self.spec.solve(options, warm, None)?;
-        self.breakdown_from(&sol, options)
+        self.spec.breakdown(&sol, &self.injections, options)
     }
 
     /// Saturation-aware [`Self::latency`]: total over every load,
@@ -73,7 +73,7 @@ impl StationModel {
     ) -> Result<SolveOutcome<LatencyBreakdown>> {
         Ok(match self.spec.solve_outcome(options, warm, None)? {
             SolveOutcome::Converged(sol) => {
-                SolveOutcome::Converged(self.breakdown_from(&sol, options)?)
+                SolveOutcome::Converged(self.spec.breakdown(&sol, &self.injections, options)?)
             }
             SolveOutcome::Saturated { knee_estimate } => SolveOutcome::Saturated { knee_estimate },
             SolveOutcome::NoConvergence {
@@ -83,27 +83,6 @@ impl StationModel {
                 iterations,
                 residual,
             },
-        })
-    }
-
-    fn breakdown_from(&self, sol: &Solution, options: &ModelOptions) -> Result<LatencyBreakdown> {
-        let mut w_sum = 0.0;
-        let mut x_sum = 0.0;
-        for inj in &self.injections {
-            // Lane corrections per injection station (identities at L = 1):
-            // the wait is already the M/G/L lane-slot wait, and the
-            // injection hold is the multiplex-stretched residence.
-            let x = sol.service_times[inj.0];
-            w_sum += sol.waiting_times[inj.0];
-            x_sum += self.spec.lane_residence_for(inj.0, x, options)?;
-        }
-        let n = self.injections.len() as f64;
-        let (w, x) = (w_sum / n, x_sum / n);
-        Ok(LatencyBreakdown {
-            w_injection: w,
-            x_injection: x,
-            avg_distance: self.spec.avg_distance,
-            total: w + x + self.spec.avg_distance - 1.0,
         })
     }
 

@@ -28,7 +28,9 @@
 //! ```
 //!
 //! with `W_j` the M/G/m wait of station `j` at its combined arrival rate
-//! (Eqs. 6/8) and `P(i|j)` the blocking correction (Eq. 10). The class
+//! (Eqs. 6/8, `wormsim_queueing::wormhole::station_wait`) and `P(i|j)` the
+//! per-channel blocking correction (Eq. 10,
+//! `wormsim_queueing::blocking::blocking_probability`). The class
 //! dependency graph is solved in reverse topological order when it is a
 //! DAG (always the case for tree-ups/downs and dimension-ordered cubes);
 //! otherwise a damped fixed-point iteration is used.
@@ -38,11 +40,9 @@ use crate::options::ModelOptions;
 use crate::Result;
 use wormsim_guard::{bracket_knee, escalate, Knee, KneeConfig, LadderOutcome, Rung, SolveOutcome};
 use wormsim_obs::{LadderSample, ModelTelemetry, OutcomeKind, SolverTrace, StationBreakdown};
-use wormsim_queueing::solver::{
-    fixed_point, fixed_point_accelerated, AccelerationConfig, FixedPointConfig,
-};
-use wormsim_queueing::wormhole::wormhole_scv;
-use wormsim_queueing::{mg1, mgm, QueueingError};
+use wormsim_queueing::blocking::blocking_probability;
+use wormsim_queueing::solver::{fixed_point, fixed_point_accelerated, FixedPointConfig};
+use wormsim_queueing::{wormhole, QueueingError};
 
 /// Reusable warm-start state for solving a *family* of related specs — a
 /// load sweep, a saturation bisection, a β sweep — whose solutions vary
@@ -336,43 +336,28 @@ impl NetworkSpec {
         Ok(())
     }
 
-    /// Station-level waiting time for class `j` at service time `x`,
-    /// honouring the multi-server, SCV and lane options.
+    /// Station-level waiting time for class `j` at service time `x`: the
+    /// queueing crate's [`wormhole::station_wait`] (Eqs. 5, 6 and 8),
+    /// honouring the multi-server and lane options.
     ///
-    /// With `L > 1` lanes the station's grant capacity is its `m·L` lane
-    /// slots, each held for one lane-residence: the wait for a free lane
-    /// is the M/G/(m·L) wait at the combined rate — the occupancy
-    /// distribution over the lane slots (Erlang C under the Lee–Longton
-    /// scaling) is what prices lane availability, collapsing to the
-    /// paper's M/G/m at `L = 1` (bit-for-bit: the `L = 1` branch is the
-    /// original code path).
+    /// A multi-server class under `multi_server_up` is one station of `m`
+    /// channels at the combined rate `m·λ`; otherwise (single-server
+    /// classes and the A1 ablation) each channel is its own station. With
+    /// `L` lanes the station's grant capacity is its `m·L` lane slots, each
+    /// held for one lane-residence: the wait for a free lane is the
+    /// M/G/(m·L) wait at the same rate — the occupancy distribution over
+    /// the lane slots (Erlang C under the Lee–Longton scaling) is what
+    /// prices lane availability, collapsing to the paper's M/G/m at
+    /// `L = 1`.
     fn station_wait(&self, j: usize, x: f64, options: &ModelOptions) -> Result<f64> {
         let class = &self.classes[j];
-        let scv = wormhole_scv(x, self.worm_flits);
-        let res = if options.lanes > 1 {
-            if class.servers > 1 && options.multi_server_up {
-                mgm::waiting_time(
-                    class.servers * options.lanes,
-                    f64::from(class.servers) * class.lambda,
-                    x,
-                    scv,
-                )
-            } else {
-                // Per-channel view (single-server stations and the A1
-                // ablation): the L lanes of one channel pool its arrivals.
-                mgm::waiting_time(options.lanes, class.lambda, x, scv)
-            }
-        } else if class.servers > 1 && options.multi_server_up {
-            mgm::waiting_time(
-                class.servers,
-                f64::from(class.servers) * class.lambda,
-                x,
-                scv,
-            )
+        let (servers, lambda) = if class.servers > 1 && options.multi_server_up {
+            (class.servers, f64::from(class.servers) * class.lambda)
         } else {
-            mg1::waiting_time(class.lambda, x, scv)
+            (1, class.lambda)
         };
-        res.map_err(|e| ModelError::at(class.name.clone(), e))
+        wormhole::station_wait(servers * options.lanes, lambda, x, self.worm_flits)
+            .map_err(|e| ModelError::at(class.name.clone(), e))
     }
 
     /// Mean lane-residence time of a worm on a class-`j` channel: `x` with
@@ -397,38 +382,23 @@ impl NetworkSpec {
         .map_err(|e| ModelError::at(class.name.clone(), e))
     }
 
-    /// Crate-visible [`Self::lane_residence`] (used by the station
-    /// model's per-injection breakdown).
-    pub(crate) fn lane_residence_for(
-        &self,
-        j: usize,
-        x: f64,
-        options: &ModelOptions,
-    ) -> Result<f64> {
-        self.lane_residence(j, x, options)
-    }
-
     /// Blocking factor `P(i|j)` of Eq. 10 for a worm from class `i`
-    /// entering a station of class `j` with per-station probability `r`.
+    /// entering a station of class `j` with per-station probability `r`:
+    /// the per-channel form [`blocking_probability`], in which the server
+    /// count cancels (or 1 under the A2 ablation).
     fn blocking(&self, i: usize, j: usize, r: f64, options: &ModelOptions) -> f64 {
         if !options.blocking_correction {
             return 1.0;
         }
-        let lambda_in = self.classes[i].lambda;
         let class_j = &self.classes[j];
-        // Eq. 10 with λ_j the *combined* station rate m·λ_per_channel; the
-        // server count cancels, leaving per-channel rates. Under the
-        // single-server ablation the station degenerates to one of m
-        // independent links chosen uniformly, so R per link is r/m.
-        let (lambda_out, r_eff) = if class_j.servers > 1 && !options.multi_server_up {
-            (class_j.lambda, r / f64::from(class_j.servers))
+        // Under the single-server ablation the station degenerates to one
+        // of m independent links chosen uniformly, so R per link is r/m.
+        let r = if class_j.servers > 1 && !options.multi_server_up {
+            r / f64::from(class_j.servers)
         } else {
-            (class_j.lambda, r)
+            r
         };
-        if lambda_out <= 0.0 {
-            return 1.0;
-        }
-        (1.0 - lambda_in / lambda_out * r_eff).clamp(0.0, 1.0)
+        blocking_probability(self.classes[i].lambda, class_j.lambda, r)
     }
 
     /// Eq. 11 for class `i` given current service-time estimates `x`,
@@ -785,7 +755,7 @@ impl NetworkSpec {
                 Ok(())
             };
             let outcome = if profile.accelerated {
-                fixed_point_accelerated(&x, cfg, AccelerationConfig::default(), map, trace)
+                fixed_point_accelerated(&x, cfg, map, trace)
             } else {
                 fixed_point(&x, cfg, map, trace)
             };
@@ -849,27 +819,31 @@ impl NetworkSpec {
         warm: Option<&mut WarmStart>,
     ) -> Result<crate::bft::LatencyBreakdown> {
         let sol = self.solve(options, warm, None)?;
-        self.breakdown_from(&sol, options)
+        self.breakdown(&sol, &[self.injection], options)
     }
 
-    fn breakdown_from(
+    /// Eq. 2/25 over the `injections` classes: the mean injection wait
+    /// and hold, plus `D̄ − 1`. With lanes the wait is already the M/G/L
+    /// lane-slot wait (all-lanes-busy priced by its occupancy
+    /// distribution) and the hold is the multiplex-stretched residence;
+    /// both are exact identities at `L = 1`.
+    pub(crate) fn breakdown(
         &self,
         sol: &Solution,
+        injections: &[ClassId],
         options: &ModelOptions,
     ) -> Result<crate::bft::LatencyBreakdown> {
-        let i = self.injection.0;
-        // With lanes, the source wait is already the M/G/L lane-slot wait
-        // (all-lanes-busy priced by its occupancy distribution) and the
-        // injection hold is the multiplex-stretched residence. Both are
-        // exact identities at L = 1.
-        let x = self.lane_residence(i, sol.service_times[i], options)?;
-        let w = sol.waiting_times[i];
-        Ok(crate::bft::LatencyBreakdown {
-            w_injection: w,
-            x_injection: x,
-            avg_distance: self.avg_distance,
-            total: w + x + self.avg_distance - 1.0,
-        })
+        let (mut w_sum, mut x_sum) = (0.0, 0.0);
+        for inj in injections {
+            w_sum += sol.waiting_times[inj.0];
+            x_sum += self.lane_residence(inj.0, sol.service_times[inj.0], options)?;
+        }
+        let n = injections.len() as f64;
+        Ok(crate::bft::LatencyBreakdown::new(
+            w_sum / n,
+            x_sum / n,
+            self.avg_distance,
+        ))
     }
 }
 

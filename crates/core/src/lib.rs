@@ -25,6 +25,12 @@
 //! also how asymmetric networks like meshes are modeled; and
 //! [`throughput`] hosts the saturation-point search shared by all models.
 //!
+//! Both implementations take each paper formula from one place: the
+//! station wait (Eqs. 5, 6 and 8) is `wormsim_queueing::wormhole::station_wait`,
+//! Eq. 10 is `wormsim_queueing::blocking::blocking_probability` and Eq. 25
+//! is [`bft::LatencyBreakdown::new`]; the models only choose the server
+//! count, rates and probabilities they feed in.
+//!
 //! Load sweeps re-solve the same network at many rates; the framework
 //! supports **warm starting** them: [`framework::WarmStart`] threads each
 //! point's converged service-time vector into the next solve (with

@@ -10,7 +10,8 @@
 
 use crate::error::ModelError;
 use crate::Result;
-use wormsim_queueing::solver::{bisect_increasing, BisectionConfig};
+use wormsim_queueing::solver::bisect_increasing;
+use wormsim_queueing::QueueingError;
 
 /// A resolved saturation operating point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,21 +72,13 @@ where
             "no saturation found for λ₀ ≤ 4 messages/cycle".to_string(),
         ));
     }
-    let cfg = BisectionConfig {
-        x_tolerance: 1e-12,
-        max_iterations: 200,
-    };
-    let root = bisect_increasing(lo, hi, cfg, |lambda| {
+    // The bisection reads any failure past `lo` as "beyond the knee", and
+    // `lo` itself evaluated above, so the error's payload is never shown.
+    let root = bisect_increasing(lo, hi, |lambda| {
         source_service(lambda)
             .map(|x| x - 1.0 / lambda)
-            .map_err(|e| wormsim_queueing::QueueingError::Saturated {
-                utilization: match e {
-                    ModelError::Queueing {
-                        source: wormsim_queueing::QueueingError::Saturated { utilization },
-                        ..
-                    } => utilization,
-                    _ => f64::INFINITY,
-                },
+            .map_err(|_| QueueingError::Saturated {
+                utilization: f64::INFINITY,
             })
     })
     .map_err(|e| ModelError::Saturation(e.to_string()))?;

@@ -30,12 +30,6 @@ pub enum QueueingError {
     },
     /// A server count of zero was supplied to a multi-server formula.
     InvalidServerCount,
-    /// A routing probability or blocking probability fell outside `[0, 1]`
-    /// and strict validation was requested.
-    InvalidProbability {
-        /// The rejected probability value.
-        probability: f64,
-    },
     /// A fixed-point iteration failed to converge within its budget.
     NoConvergence {
         /// Number of iterations performed before giving up.
@@ -99,9 +93,6 @@ impl fmt::Display for QueueingError {
             }
             QueueingError::InvalidServerCount => {
                 write!(f, "server count must be at least 1")
-            }
-            QueueingError::InvalidProbability { probability } => {
-                write!(f, "invalid probability {probability}: must lie in [0, 1]")
             }
             QueueingError::NoConvergence {
                 iterations,
@@ -183,10 +174,6 @@ mod tests {
                 "coefficient of variation",
             ),
             (QueueingError::InvalidServerCount, "server count"),
-            (
-                QueueingError::InvalidProbability { probability: 1.5 },
-                "probability",
-            ),
             (
                 QueueingError::NoConvergence {
                     iterations: 10,

@@ -42,8 +42,8 @@ pub fn waiting_time(
     if !(scv_arrival.is_finite() && scv_arrival >= 0.0) {
         return Err(QueueingError::InvalidScv { scv: scv_arrival });
     }
-    let w_mg1 = mg1::waiting_time(lambda, mean_service, scv_service)?;
-    crate::error::check_wait(w_mg1 * (scv_arrival + scv_service) / (1.0 + scv_service))
+    let w_pk = mg1::waiting_time(lambda, mean_service, scv_service)?;
+    crate::error::check_wait(w_pk * (scv_arrival + scv_service) / (1.0 + scv_service))
 }
 
 /// Like [`waiting_time`] but maps saturation to `f64::INFINITY` (invalid

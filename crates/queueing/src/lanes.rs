@@ -1,4 +1,4 @@
-//! Multi-lane (virtual-channel) extensions of the wormhole blocking model.
+//! Multi-lane (virtual-channel) extension of the wormhole model.
 //!
 //! The paper's Eqs. 9–10 assume single-lane channels: a worm that finds
 //! its outgoing channel occupied waits the full M/G/m wait `W_j`, damped
@@ -6,19 +6,12 @@
 //! virtual-channel lanes per physical channel two things change:
 //!
 //! 1. **Lane availability** — an arriving worm waits only when *all* `L`
-//!    lanes are occupied, so the single-lane wait is discounted by a
-//!    lane-occupancy distribution. The `wormsim-core` framework prices
-//!    this with the M/G/(m·L) lane-slot wait ([`crate::mgm`] at `m·L`
-//!    servers and the lane residence as service time — the Erlang-C
-//!    occupancy distribution over the lane slots), which reduces exactly
-//!    to the paper's M/G/m at `L = 1` and, unlike a simple tail factor,
-//!    also moves the capacity limit outward with `L`. This module
-//!    additionally offers the lightweight single-station composition —
-//!    the geometric tail `P(N ≥ L)/P(N ≥ 1) = ρ^{L−1}`
-//!    ([`lane_occupancy_tail`]) times Eq. 10
-//!    ([`multi_lane_blocking_probability`]) — for per-channel analyses
-//!    that have no station context; at `L = 1` it *is* Eq. 10, bit for
-//!    bit (regression-tested here and in `wormsim-core`'s lane suite).
+//!    lanes are occupied. The `wormsim-core` models price this with the
+//!    M/G/(m·L) lane-slot wait: [`crate::wormhole::station_wait`] at `m·L`
+//!    servers, with the lane residence below as the service time (the
+//!    Erlang-C occupancy distribution over the lane slots). It reduces
+//!    exactly to the paper's M/G/m at `L = 1` and moves the capacity limit
+//!    outward with `L`.
 //! 2. **Flit multiplexing** — occupied lanes share the physical link's
 //!    one-flit-per-cycle bandwidth, so a worm's `s/f` flit transmissions
 //!    on the channel stretch by the fraction of slots claimed by *other*
@@ -31,40 +24,7 @@
 //! `wormsim-core` expose a lane count without perturbing the paper's
 //! single-lane numbers.
 
-use crate::blocking::blocking_probability;
 use crate::{QueueingError, Result};
-
-fn check_lanes(lanes: u32) -> Result<()> {
-    if lanes == 0 {
-        // A zero-lane channel cannot carry traffic; reuse the server-count
-        // error, the nearest semantic match.
-        return Err(QueueingError::InvalidServerCount);
-    }
-    Ok(())
-}
-
-/// Probability that, conditioned on a multi-lane channel being occupied at
-/// all, its remaining `L − 1` lane slots are also occupied — the factor by
-/// which lane availability discounts the single-lane wait.
-///
-/// Uses the geometric M/M/1-style occupancy tail
-/// `P(N ≥ L | N ≥ 1) = ρ^{L−1}` at channel utilization `rho` (clamped to
-/// `[0, 1]`). Exactly 1 at `L = 1` for any `rho`.
-///
-/// # Errors
-///
-/// * [`QueueingError::InvalidServerCount`] when `lanes == 0`.
-/// * [`QueueingError::InvalidRate`] on a negative or non-finite `rho`.
-pub fn lane_occupancy_tail(lanes: u32, rho: f64) -> Result<f64> {
-    check_lanes(lanes)?;
-    if !rho.is_finite() || rho < 0.0 {
-        return Err(QueueingError::InvalidRate { rate: rho });
-    }
-    if lanes == 1 {
-        return Ok(1.0);
-    }
-    Ok(rho.min(1.0).powi(lanes as i32 - 1))
-}
 
 /// Mean lane-residence time of a worm on a multi-lane channel: the plain
 /// service time `mean_service` with its `s/f` transmission component
@@ -103,7 +63,11 @@ pub fn shared_link_residence(
     worm_flits: f64,
     lambda: f64,
 ) -> Result<f64> {
-    check_lanes(lanes)?;
+    if lanes == 0 {
+        // A zero-lane channel cannot carry traffic; reuse the server-count
+        // error, the nearest semantic match.
+        return Err(QueueingError::InvalidServerCount);
+    }
     if !lambda.is_finite() || lambda < 0.0 {
         return Err(QueueingError::InvalidRate { rate: lambda });
     }
@@ -134,64 +98,11 @@ pub fn shared_link_residence(
     Ok((mean_service - worm_flits) + worm_flits / (1.0 - busy_other))
 }
 
-/// Multi-lane blocking probability: paper Eq. 10 times the lane-occupancy
-/// tail — the probability that a worm from input `i` both finds all `L`
-/// lanes of outgoing channel `j` occupied *and* must wait behind worms
-/// from other inputs.
-///
-/// `channel_utilization` is the per-physical-channel utilization `λ_j·x̄_j`
-/// feeding [`lane_occupancy_tail`]. At `lanes == 1` this is exactly
-/// [`blocking_probability`] (bit-for-bit: the tail branch is skipped).
-///
-/// # Errors
-///
-/// The union of [`blocking_probability`]'s and [`lane_occupancy_tail`]'s
-/// validation errors.
-pub fn multi_lane_blocking_probability(
-    servers: u32,
-    lanes: u32,
-    lambda_in: f64,
-    lambda_out: f64,
-    routing_probability: f64,
-    channel_utilization: f64,
-) -> Result<f64> {
-    let p = blocking_probability(servers, lambda_in, lambda_out, routing_probability)?;
-    if lanes == 1 {
-        return Ok(p);
-    }
-    // lanes == 0 is rejected by the tail's validation.
-    Ok(p * lane_occupancy_tail(lanes, channel_utilization)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const TOL: f64 = 1e-12;
-
-    #[test]
-    fn single_lane_tail_is_exactly_one() {
-        for rho in [0.0, 0.3, 0.99, 1.0, 5.0] {
-            assert_eq!(lane_occupancy_tail(1, rho).unwrap(), 1.0);
-        }
-    }
-
-    #[test]
-    fn tail_is_geometric_in_lanes() {
-        let rho = 0.4;
-        assert!((lane_occupancy_tail(2, rho).unwrap() - rho).abs() < TOL);
-        assert!((lane_occupancy_tail(3, rho).unwrap() - rho * rho).abs() < TOL);
-        assert!((lane_occupancy_tail(4, rho).unwrap() - rho.powi(3)).abs() < TOL);
-        // Clamped at rho ≥ 1.
-        assert_eq!(lane_occupancy_tail(3, 2.0).unwrap(), 1.0);
-        // Monotone decreasing in lanes below saturation.
-        let mut prev = 2.0;
-        for lanes in 1..=6 {
-            let t = lane_occupancy_tail(lanes, 0.5).unwrap();
-            assert!(t < prev);
-            prev = t;
-        }
-    }
 
     #[test]
     fn single_lane_residence_is_the_service_time() {
@@ -236,28 +147,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_lane_blocking_reduces_to_eq10_at_one_lane() {
-        let (m, li, lo, r) = (2u32, 0.12, 0.4, 0.9);
-        let eq10 = blocking_probability(m, li, lo, r).unwrap();
-        let one = multi_lane_blocking_probability(m, 1, li, lo, r, 0.7).unwrap();
-        assert_eq!(one.to_bits(), eq10.to_bits(), "bit-exact L=1 reduction");
-    }
-
-    #[test]
-    fn multi_lane_blocking_is_eq10_times_tail() {
-        let (m, li, lo, r, rho) = (1u32, 0.1, 0.3, 0.5, 0.45);
-        let p4 = multi_lane_blocking_probability(m, 4, li, lo, r, rho).unwrap();
-        let expect =
-            blocking_probability(m, li, lo, r).unwrap() * lane_occupancy_tail(4, rho).unwrap();
-        assert!((p4 - expect).abs() < TOL);
-        assert!(p4 < blocking_probability(m, li, lo, r).unwrap());
-    }
-
-    #[test]
     fn validation_errors() {
-        assert!(lane_occupancy_tail(0, 0.5).is_err());
-        assert!(lane_occupancy_tail(2, -0.1).is_err());
-        assert!(lane_occupancy_tail(2, f64::NAN).is_err());
         assert!(shared_link_residence(0, 20.0, 16.0, 0.01).is_err());
         assert!(
             shared_link_residence(2, 15.0, 16.0, 0.01).is_err(),
@@ -265,8 +155,5 @@ mod tests {
         );
         assert!(shared_link_residence(2, 20.0, 16.0, -0.01).is_err());
         assert!(shared_link_residence(2, 20.0, 0.0, 0.01).is_err());
-        assert!(multi_lane_blocking_probability(0, 2, 0.1, 0.2, 0.5, 0.3).is_err());
-        assert!(multi_lane_blocking_probability(1, 0, 0.1, 0.2, 0.5, 0.3).is_err());
-        assert!(multi_lane_blocking_probability(1, 2, 0.1, 0.2, 0.5, -1.0).is_err());
     }
 }

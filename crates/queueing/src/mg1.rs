@@ -1,5 +1,5 @@
-//! The M/G/1 queue: Pollaczek–Khinchine mean waiting time and derived
-//! quantities (paper Eq. 4).
+//! The M/G/1 queue: the Pollaczek–Khinchine mean waiting time (paper
+//! Eq. 4).
 //!
 //! For Poisson arrivals at rate `λ` into a single server with mean service
 //! time `x̄` and service-time SCV `C_b²`, the mean wait in queue is
@@ -14,15 +14,6 @@
 
 use crate::error::{check_rate, check_scv, check_service_time, check_wait};
 use crate::{QueueingError, Result};
-
-/// Per-server utilization `ρ = λ·x̄` of a single-server station.
-///
-/// Does not validate stability; combine with [`waiting_time`] for checked
-/// use.
-#[must_use]
-pub fn utilization(lambda: f64, mean_service: f64) -> f64 {
-    lambda * mean_service
-}
 
 /// Mean waiting time in queue of an M/G/1 station (Pollaczek–Khinchine).
 ///
@@ -40,40 +31,16 @@ pub fn waiting_time(lambda: f64, mean_service: f64, scv: f64) -> Result<f64> {
     check_rate(lambda)?;
     check_service_time(mean_service)?;
     check_scv(scv)?;
-    let rho = utilization(lambda, mean_service);
+    let rho = lambda * mean_service;
     if rho >= 1.0 {
         return Err(QueueingError::Saturated { utilization: rho });
     }
     check_wait(rho * mean_service * (1.0 + scv) / (2.0 * (1.0 - rho)))
 }
 
-/// Like [`waiting_time`] but maps saturation to `f64::INFINITY`.
-///
-/// Invalid (non-finite / negative) inputs still yield `NaN` rather than a
-/// silent answer so that programming errors surface in debug assertions and
-/// property tests.
-#[must_use]
-pub fn waiting_time_or_inf(lambda: f64, mean_service: f64, scv: f64) -> f64 {
-    match waiting_time(lambda, mean_service, scv) {
-        Ok(w) => w,
-        Err(QueueingError::Saturated { .. }) => f64::INFINITY,
-        Err(_) => f64::NAN,
-    }
-}
-
-/// Mean waiting time of an M/M/1 queue (`C_b² = 1`): `W = ρ·x̄/(1 − ρ)`.
-///
-/// # Errors
-///
-/// Same as [`waiting_time`].
-pub fn mm1_waiting_time(lambda: f64, mean_service: f64) -> Result<f64> {
-    waiting_time(lambda, mean_service, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distribution::ServiceMoments;
 
     const TOL: f64 = 1e-12;
 
@@ -84,8 +51,9 @@ mod tests {
 
     #[test]
     fn mm1_matches_closed_form() {
-        // λ=0.05, x̄=10 ⇒ ρ=0.5, W = 0.5·10/0.5 = 10.
-        let w = mm1_waiting_time(0.05, 10.0).unwrap();
+        // Exponential service (C_b² = 1): λ=0.05, x̄=10 ⇒ ρ=0.5,
+        // W = 0.5·10/0.5 = 10.
+        let w = waiting_time(0.05, 10.0, 1.0).unwrap();
         assert!((w - 10.0).abs() < TOL);
     }
 
@@ -98,7 +66,6 @@ mod tests {
             other => panic!("expected saturation, got {other:?}"),
         }
         assert!(waiting_time(0.2, 10.0, 1.0).is_err());
-        assert_eq!(waiting_time_or_inf(0.2, 10.0, 1.0), f64::INFINITY);
     }
 
     #[test]
@@ -106,7 +73,6 @@ mod tests {
         assert!(waiting_time(-0.1, 10.0, 1.0).is_err());
         assert!(waiting_time(0.01, 0.0, 1.0).is_err());
         assert!(waiting_time(0.01, 10.0, -1.0).is_err());
-        assert!(waiting_time_or_inf(-0.1, 10.0, 1.0).is_nan());
     }
 
     #[test]
@@ -125,12 +91,12 @@ mod tests {
 
     #[test]
     fn pk_formula_matches_second_moment_form() {
-        // PK can equivalently be written W = λ·E[X²]/(2(1−ρ)); check both
-        // algebraic forms agree.
+        // PK can equivalently be written W = λ·E[X²]/(2(1−ρ)) with
+        // E[X²] = σ² + x̄² = x̄²(1 + C_b²); check both algebraic forms agree.
         let (lambda, x, scv) = (0.04, 11.0, 0.6);
-        let m = ServiceMoments::new(x, scv).unwrap();
+        let second_moment = scv * x * x + x * x;
         let w1 = waiting_time(lambda, x, scv).unwrap();
-        let w2 = lambda * m.second_moment() / (2.0 * (1.0 - lambda * x));
+        let w2 = lambda * second_moment / (2.0 * (1.0 - lambda * x));
         assert!((w1 - w2).abs() < 1e-12);
     }
 }

@@ -72,29 +72,6 @@ pub fn waiting_time(servers: u32, lambda: f64, mean_service: f64, scv: f64) -> R
     check_wait(w_mmm * (1.0 + scv) / 2.0)
 }
 
-/// Like [`waiting_time`] but maps saturation to `f64::INFINITY` and other
-/// input errors to `NaN`.
-#[must_use]
-pub fn waiting_time_or_inf(servers: u32, lambda: f64, mean_service: f64, scv: f64) -> f64 {
-    match waiting_time(servers, lambda, mean_service, scv) {
-        Ok(w) => w,
-        Err(QueueingError::Saturated { .. }) => f64::INFINITY,
-        Err(_) => f64::NAN,
-    }
-}
-
-/// Per-server utilization of an M/G/m station, `ρ = λ·x̄/m`.
-///
-/// # Errors
-///
-/// Returns [`QueueingError::InvalidServerCount`] when `servers == 0`.
-pub fn utilization(servers: u32, lambda: f64, mean_service: f64) -> Result<f64> {
-    if servers == 0 {
-        return Err(QueueingError::InvalidServerCount);
-    }
-    Ok(lambda * mean_service / f64::from(servers))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,8 +138,6 @@ mod tests {
         // Just below saturation is fine and large.
         let w = waiting_time(2, 0.1999, 10.0, 0.5).unwrap();
         assert!(w > 100.0);
-        assert_eq!(waiting_time_or_inf(2, 0.3, 10.0, 0.5), f64::INFINITY);
-        assert!(waiting_time_or_inf(0, 0.1, 10.0, 0.5).is_nan());
     }
 
     #[test]
@@ -173,12 +148,6 @@ mod tests {
         let w2 = waiting_time(m, lambda, x, 2.0).unwrap();
         assert!((w1 - 2.0 * w0).abs() < TOL);
         assert!((w2 - 3.0 * w0).abs() < TOL);
-    }
-
-    #[test]
-    fn utilization_helper() {
-        assert!((utilization(2, 0.1, 10.0).unwrap() - 0.5).abs() < TOL);
-        assert!(utilization(0, 0.1, 10.0).is_err());
     }
 
     #[test]

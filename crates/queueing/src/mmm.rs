@@ -78,17 +78,6 @@ pub fn waiting_time(servers: u32, lambda: f64, mean_service: f64) -> Result<f64>
     Ok(c * mean_service / (m * (1.0 - rho)))
 }
 
-/// Like [`waiting_time`] but maps saturation to `f64::INFINITY` and other
-/// input errors to `NaN`.
-#[must_use]
-pub fn waiting_time_or_inf(servers: u32, lambda: f64, mean_service: f64) -> f64 {
-    match waiting_time(servers, lambda, mean_service) {
-        Ok(w) => w,
-        Err(QueueingError::Saturated { .. }) => f64::INFINITY,
-        Err(_) => f64::NAN,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,8 +127,8 @@ mod tests {
     fn mm1_special_case_matches_mg1_module() {
         let (lambda, x) = (0.06, 10.0);
         let w_here = waiting_time(1, lambda, x).unwrap();
-        let w_mg1 = crate::mg1::mm1_waiting_time(lambda, x).unwrap();
-        assert!((w_here - w_mg1).abs() < TOL);
+        let w_pk = crate::mg1::waiting_time(lambda, x, 1.0).unwrap();
+        assert!((w_here - w_pk).abs() < TOL);
     }
 
     #[test]
@@ -172,8 +161,6 @@ mod tests {
         assert!(erlang_b(0, 1.0).is_err());
         assert!(erlang_b(2, -1.0).is_err());
         assert!(erlang_c(2, 2.0).is_err());
-        assert_eq!(waiting_time_or_inf(2, 0.2, 10.0), f64::INFINITY);
-        assert!(waiting_time_or_inf(0, 0.1, 1.0).is_nan());
     }
 
     #[test]

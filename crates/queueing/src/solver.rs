@@ -202,33 +202,18 @@ where
     })
 }
 
-/// Tuning for [`fixed_point_accelerated`] on top of a base
-/// [`FixedPointConfig`].
-#[derive(Debug, Clone, Copy)]
-pub struct AccelerationConfig {
-    /// Attempt a component-wise Aitken Δ² extrapolation every this many
-    /// iterations (0 disables). Each attempt costs one extra evaluation of
-    /// the map — it is kept only when it verifiably reduces the residual.
-    pub aitken_period: usize,
-    /// Multiplier applied to the damping factor after an iteration whose
-    /// raw residual shrank (capped at 1, the undamped Picard step).
-    pub grow: f64,
-    /// Multiplier applied after an iteration whose raw residual grew.
-    pub shrink: f64,
-    /// Damping floor: `θ` never drops below this.
-    pub theta_min: f64,
-}
-
-impl Default for AccelerationConfig {
-    fn default() -> Self {
-        Self {
-            aitken_period: 4,
-            grow: 1.25,
-            shrink: 0.5,
-            theta_min: 0.05,
-        }
-    }
-}
+/// [`fixed_point_accelerated`] attempts a component-wise Aitken Δ²
+/// extrapolation every this many iterations. Each attempt costs one extra
+/// evaluation of the map — it is kept only when it verifiably reduces the
+/// residual.
+const AITKEN_PERIOD: usize = 4;
+/// Multiplier applied to the damping factor after an iteration whose raw
+/// residual shrank (capped at 1, the undamped Picard step).
+const DAMPING_GROW: f64 = 1.25;
+/// Multiplier applied after an iteration whose raw residual grew.
+const DAMPING_SHRINK: f64 = 0.5;
+/// Damping floor: `θ` never drops below this.
+const DAMPING_MIN: f64 = 0.05;
 
 /// Damped fixed-point iteration with adaptive damping and periodic,
 /// verified Aitken Δ² extrapolation.
@@ -236,12 +221,12 @@ impl Default for AccelerationConfig {
 /// Behaves like [`fixed_point`] — same map contract, same convergence
 /// test (∞-norm of the damped update below `config.tolerance`), same
 /// errors — but adapts the damping factor to the observed contraction
-/// (growing it toward the undamped iteration while the residual shrinks,
-/// backing off when it grows) and periodically extrapolates the iterate
-/// sequence component-wise. Every extrapolation is *verified* by one map
-/// evaluation and discarded unless it reduces the raw residual, so the
-/// returned vector satisfies the same equations to the same tolerance as
-/// the plain iteration's.
+/// (growing it by ×1.25 toward the undamped iteration while the residual
+/// shrinks, halving it down to a floor of 0.05 when it grows) and every
+/// fourth iteration extrapolates the iterate sequence component-wise.
+/// Every extrapolation is *verified* by one map evaluation and discarded
+/// unless it reduces the raw residual, so the returned vector satisfies
+/// the same equations to the same tolerance as the plain iteration's.
 ///
 /// `iterations` in the outcome counts **map evaluations** (including
 /// discarded verification evaluations), making iteration counts directly
@@ -275,7 +260,6 @@ impl Default for AccelerationConfig {
 pub fn fixed_point_accelerated<F>(
     initial: &[f64],
     config: FixedPointConfig,
-    accel: AccelerationConfig,
     mut f: F,
     mut trace: Option<&mut SolverTrace>,
 ) -> Result<FixedPointOutcome>
@@ -344,19 +328,15 @@ where
         }
         // Adapt damping to the observed contraction.
         theta = if raw > prev_raw {
-            (theta * accel.shrink).max(accel.theta_min)
+            (theta * DAMPING_SHRINK).max(DAMPING_MIN)
         } else {
-            (theta * accel.grow).min(1.0)
+            (theta * DAMPING_GROW).min(1.0)
         };
         prev_raw = raw;
 
         // Periodic verified Aitken Δ² extrapolation over (x2, x1, x).
         since_aitken += 1;
-        if accel.aitken_period > 0
-            && since_aitken >= accel.aitken_period
-            && history >= 2
-            && evals + 1 < config.max_iterations
-        {
+        if since_aitken >= AITKEN_PERIOD && history >= 2 && evals + 1 < config.max_iterations {
             since_aitken = 0;
             let mut usable = false;
             for i in 0..x.len() {
@@ -435,27 +415,15 @@ where
     })
 }
 
-/// Configuration for [`bisect_increasing`].
-#[derive(Debug, Clone, Copy)]
-pub struct BisectionConfig {
-    /// Absolute tolerance on the argument.
-    pub x_tolerance: f64,
-    /// Maximum number of halvings.
-    pub max_iterations: usize,
-}
-
-impl Default for BisectionConfig {
-    fn default() -> Self {
-        Self {
-            x_tolerance: 1e-12,
-            max_iterations: 200,
-        }
-    }
-}
+/// Absolute tolerance of [`bisect_increasing`] on the argument.
+const BISECT_TOLERANCE: f64 = 1e-12;
+/// Maximum number of halvings in [`bisect_increasing`].
+const BISECT_MAX_HALVINGS: usize = 200;
 
 /// Finds the zero crossing of a monotonically increasing function `g` on
 /// `[lo, hi]`, i.e. the point where `g` changes sign from negative to
-/// non-negative.
+/// non-negative, to an absolute tolerance of `1e-12` on the argument
+/// (at most 200 halvings).
 ///
 /// Used for saturation scans where `g(λ) = x̄₀,₁(λ) − 1/λ` (paper Eq. 26):
 /// `g` is negative below saturation and positive above it. `g` may return
@@ -468,7 +436,7 @@ impl Default for BisectionConfig {
 /// * [`QueueingError::BracketError`] when `g(lo)` is already non-negative
 ///   (no crossing in the interval) — except that an error at `lo` itself is
 ///   propagated, since it means the caller bracketed blindly.
-pub fn bisect_increasing<G>(lo: f64, hi: f64, config: BisectionConfig, mut g: G) -> Result<f64>
+pub fn bisect_increasing<G>(lo: f64, hi: f64, mut g: G) -> Result<f64>
 where
     G: FnMut(f64) -> Result<f64>,
 {
@@ -493,9 +461,9 @@ where
         // No crossing within [lo, hi]: the function never reaches zero.
         return Err(QueueingError::BracketError { lo, hi });
     }
-    for _ in 0..config.max_iterations {
+    for _ in 0..BISECT_MAX_HALVINGS {
         let mid = 0.5 * (a + b);
-        if b - a < config.x_tolerance {
+        if b - a < BISECT_TOLERANCE {
             return Ok(mid);
         }
         if sign(g(mid)) < 0.0 {
@@ -684,26 +652,14 @@ mod tests {
             Ok(())
         };
         let plain = fixed_point(&[0.0, 0.0], FixedPointConfig::default(), map, None).unwrap();
-        let accel = fixed_point_accelerated(
-            &[0.0, 0.0],
-            FixedPointConfig::default(),
-            AccelerationConfig::default(),
-            map,
-            None,
-        )
-        .unwrap();
+        let accel =
+            fixed_point_accelerated(&[0.0, 0.0], FixedPointConfig::default(), map, None).unwrap();
         for (a, b) in plain.values.iter().zip(&accel.values) {
             assert!((a - b).abs() < 1e-8, "{a} vs {b}");
         }
         // A warm start at the answer converges in one evaluation.
-        let warm = fixed_point_accelerated(
-            &plain.values,
-            FixedPointConfig::default(),
-            AccelerationConfig::default(),
-            map,
-            None,
-        )
-        .unwrap();
+        let warm =
+            fixed_point_accelerated(&plain.values, FixedPointConfig::default(), map, None).unwrap();
         assert_eq!(warm.iterations, 1, "already-converged start");
     }
 
@@ -721,8 +677,7 @@ mod tests {
             damping: 0.5,
         };
         let plain = fixed_point(&[0.0], cfg, map, None).unwrap();
-        let accel =
-            fixed_point_accelerated(&[0.0], cfg, AccelerationConfig::default(), map, None).unwrap();
+        let accel = fixed_point_accelerated(&[0.0], cfg, map, None).unwrap();
         assert!((plain.values[0] - 100.0).abs() < 1e-6);
         assert!((accel.values[0] - 100.0).abs() < 1e-6);
         assert!(
@@ -750,8 +705,7 @@ mod tests {
             max_iterations: 100_000,
             damping: 0.5,
         };
-        let out =
-            fixed_point_accelerated(&[0.0], cfg, AccelerationConfig::default(), map, None).unwrap();
+        let out = fixed_point_accelerated(&[0.0], cfg, map, None).unwrap();
         assert!((out.values[0] - 100.0).abs() < 1e-6);
     }
 
@@ -764,7 +718,6 @@ mod tests {
         let out = fixed_point_accelerated(
             &[1.0],
             FixedPointConfig::default(),
-            AccelerationConfig::default(),
             |x, fx| {
                 fx[0] = 2.0 * x[0] + 1.0;
                 Ok(())
@@ -786,7 +739,6 @@ mod tests {
         let err = fixed_point_accelerated(
             &[1.0],
             cfg,
-            AccelerationConfig::default(),
             |x, fx| {
                 fx[0] = x[0] + 1.0;
                 Ok(())
@@ -798,7 +750,6 @@ mod tests {
         let err = fixed_point_accelerated(
             &[1.0],
             FixedPointConfig::default(),
-            AccelerationConfig::default(),
             |_x, _fx| Err(QueueingError::Saturated { utilization: 1.1 }),
             None,
         )
@@ -848,17 +799,9 @@ mod tests {
             max_iterations: 100_000,
             damping: 0.5,
         };
-        let plain =
-            fixed_point_accelerated(&[0.0], cfg, AccelerationConfig::default(), map, None).unwrap();
+        let plain = fixed_point_accelerated(&[0.0], cfg, map, None).unwrap();
         let mut tr = SolverTrace::new();
-        let traced = fixed_point_accelerated(
-            &[0.0],
-            cfg,
-            AccelerationConfig::default(),
-            map,
-            Some(&mut tr),
-        )
-        .unwrap();
+        let traced = fixed_point_accelerated(&[0.0], cfg, map, Some(&mut tr)).unwrap();
         assert_eq!(plain.iterations, traced.iterations);
         assert_eq!(plain.values[0].to_bits(), traced.values[0].to_bits());
         assert!(tr.converged);
@@ -894,15 +837,14 @@ mod tests {
     #[test]
     fn bisect_finds_simple_root() {
         // g(x) = x² − 2 on [0, 2] → √2.
-        let root =
-            bisect_increasing(0.0, 2.0, BisectionConfig::default(), |x| Ok(x * x - 2.0)).unwrap();
+        let root = bisect_increasing(0.0, 2.0, |x| Ok(x * x - 2.0)).unwrap();
         assert!((root - std::f64::consts::SQRT_2).abs() < 1e-10);
     }
 
     #[test]
     fn bisect_handles_error_as_positive_region() {
         // g errors above 1.0 (like a saturated model); root of x−0.5 is 0.5.
-        let root = bisect_increasing(0.0, 2.0, BisectionConfig::default(), |x| {
+        let root = bisect_increasing(0.0, 2.0, |x| {
             if x > 1.0 {
                 Err(QueueingError::Saturated { utilization: x })
             } else {
@@ -917,32 +859,27 @@ mod tests {
     fn bisect_rejects_bad_brackets() {
         // g(lo) already positive.
         assert!(matches!(
-            bisect_increasing(1.0, 2.0, BisectionConfig::default(), Ok),
+            bisect_increasing(1.0, 2.0, Ok),
             Err(QueueingError::BracketError { .. })
         ));
         // Never crosses.
         assert!(matches!(
-            bisect_increasing(0.0, 1.0, BisectionConfig::default(), |_| Ok(-1.0)),
+            bisect_increasing(0.0, 1.0, |_| Ok(-1.0)),
             Err(QueueingError::BracketError { .. })
         ));
         // Degenerate interval.
-        assert!(bisect_increasing(1.0, 1.0, BisectionConfig::default(), Ok).is_err());
+        assert!(bisect_increasing(1.0, 1.0, Ok).is_err());
         // Error at lo propagates.
-        assert!(
-            bisect_increasing(0.0, 1.0, BisectionConfig::default(), |_| Err::<f64, _>(
-                QueueingError::InvalidServerCount
-            ))
-            .is_err()
-        );
+        assert!(bisect_increasing(0.0, 1.0, |_| Err::<f64, _>(
+            QueueingError::InvalidServerCount
+        ))
+        .is_err());
     }
 
     #[test]
     fn bisect_respects_tolerance() {
-        let cfg = BisectionConfig {
-            x_tolerance: 1e-3,
-            max_iterations: 1000,
-        };
-        let root = bisect_increasing(0.0, 10.0, cfg, |x| Ok(x - 3.3)).unwrap();
-        assert!((root - 3.3).abs() < 1e-3);
+        // The bracket closes to 1e-12 well within the 200 halvings.
+        let root = bisect_increasing(0.0, 10.0, |x| Ok(x - 3.3)).unwrap();
+        assert!((root - 3.3).abs() < 1e-12);
     }
 }

@@ -13,10 +13,10 @@
 //!    link, so the M/G/m wait is only paid with the probability that the
 //!    servers are held by worms from *other* inputs.
 //!
-//! This module provides Eq. 5 plus the two waiting-time compositions the
-//! paper actually evaluates: Eq. 6 (`W_{M/G/1}` with Eq. 5 substituted) and
-//! Eq. 8 (`W_{M/G/2}` with Eq. 5 substituted), along with the general-`m`
-//! analogue.
+//! This module holds Eq. 5 and the one station wait every model evaluates:
+//! [`station_wait`], the M/G/m wait with Eq. 5 substituted. At one server
+//! it is the paper's Eq. 6 (`W_{M/G/1}`), at two Eq. 8 (`W_{M/G/2}`), and
+//! above two the general-`m` analogue the paper's conclusion anticipates.
 
 use crate::{mg1, mgm, Result};
 
@@ -29,59 +29,43 @@ use crate::{mg1, mgm, Result};
 ///
 /// For `x̄ = s/f` (no downstream blocking) the surrogate is 0, modelling a
 /// deterministic service time; it grows towards 1 as blocking dominates.
-/// The function is total: callers validating inputs should use
-/// [`crate::distribution::ServiceMoments::wormhole`].
+/// The function is total; [`station_wait`] validates the service time it
+/// is fed through.
 #[must_use]
 pub fn wormhole_scv(mean_service: f64, worm_flits: f64) -> f64 {
     let excess = mean_service - worm_flits;
     (excess * excess) / (mean_service * mean_service)
 }
 
-/// Paper Eq. 6: mean M/G/1 wait with the wormhole SCV substituted,
-/// `W = λx̄²/(2(1 − λx̄)) · (1 + (x̄ − s/f)²/x̄²)`.
+/// Mean wait at a wormhole station of `servers` channels with the Eq. 5
+/// SCV substituted: paper Eq. 6 at one server,
+/// `W = λx̄²/(2(1 − λx̄)) · (1 + (x̄ − s/f)²/x̄²)` ([`mg1::waiting_time`]),
+/// and the M/G/m wait of [`mgm::waiting_time`] above one — Eq. 8 (Hokstad)
+/// at two servers.
+///
+/// `lambda` is the **combined** arrival rate over all `servers` — the
+/// manuscript's margin correction to Eqs. 21/23 (insert the factor 2 on
+/// the per-link rate) is the caller's to apply. A multi-lane channel is a
+/// station of `m·L` lane slots fed at the channel's combined rate.
 ///
 /// # Errors
 ///
-/// Same as [`mg1::waiting_time`].
-pub fn w_mg1(lambda: f64, mean_service: f64, worm_flits: f64) -> Result<f64> {
-    mg1::waiting_time(lambda, mean_service, wormhole_scv(mean_service, worm_flits))
-}
-
-/// Paper Eq. 8: mean M/G/2 wait (Hokstad) with the wormhole SCV substituted,
-/// `W = λ²x̄³/(2(4 − λ²x̄²)) · (1 + (x̄ − s/f)²/x̄²)`.
-///
-/// `lambda` is the **combined** arrival rate over the two-link pair — the
-/// manuscript's margin correction to Eqs. 21/23 (insert the factor 2 on the
-/// per-link rate) is the caller's responsibility and is applied by the
-/// butterfly fat-tree model in `wormsim-core`.
-///
-/// # Errors
-///
-/// Same as [`mgm::hokstad_mg2_waiting_time`].
-pub fn w_mg2(lambda: f64, mean_service: f64, worm_flits: f64) -> Result<f64> {
-    mgm::hokstad_mg2_waiting_time(lambda, mean_service, wormhole_scv(mean_service, worm_flits))
-}
-
-/// General-`m` analogue of Eqs. 6/8: M/G/m wait with the wormhole SCV.
-///
-/// Reduces to [`w_mg1`] at `m = 1` and to [`w_mg2`] at `m = 2`; used by the
-/// generalized `(c, p)` fat-tree model for `p > 2` up-link bundles.
-///
-/// # Errors
-///
-/// Same as [`mgm::waiting_time`].
-pub fn w_mgm(servers: u32, lambda: f64, mean_service: f64, worm_flits: f64) -> Result<f64> {
-    mgm::waiting_time(
-        servers,
-        lambda,
-        mean_service,
-        wormhole_scv(mean_service, worm_flits),
-    )
+/// Those of [`mg1::waiting_time`] at one server and of
+/// [`mgm::waiting_time`] otherwise, including
+/// [`crate::QueueingError::InvalidServerCount`] at zero servers.
+pub fn station_wait(servers: u32, lambda: f64, mean_service: f64, worm_flits: f64) -> Result<f64> {
+    let scv = wormhole_scv(mean_service, worm_flits);
+    if servers == 1 {
+        mg1::waiting_time(lambda, mean_service, scv)
+    } else {
+        mgm::waiting_time(servers, lambda, mean_service, scv)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::QueueingError;
 
     const TOL: f64 = 1e-12;
 
@@ -99,6 +83,8 @@ mod tests {
             assert!(scv > prev);
             prev = scv;
         }
+        // C² = ((30 − 16)/30)².
+        assert!((wormhole_scv(30.0, 16.0) - (14.0 / 30.0_f64).powi(2)).abs() < 1e-15);
     }
 
     #[test]
@@ -114,7 +100,7 @@ mod tests {
     #[test]
     fn eq6_matches_manual_transliteration() {
         let (lambda, x, s) = (0.02, 20.0, 16.0);
-        let w = w_mg1(lambda, x, s).unwrap();
+        let w = station_wait(1, lambda, x, s).unwrap();
         let manual =
             lambda * x * x / (2.0 * (1.0 - lambda * x)) * (1.0 + (x - s) * (x - s) / (x * x));
         assert!((w - manual).abs() < TOL);
@@ -123,7 +109,7 @@ mod tests {
     #[test]
     fn eq8_matches_manual_transliteration() {
         let (lambda, x, s) = (0.05, 20.0, 16.0);
-        let w = w_mg2(lambda, x, s).unwrap();
+        let w = station_wait(2, lambda, x, s).unwrap();
         let manual = lambda * lambda * x * x * x / (2.0 * (4.0 - lambda * lambda * x * x))
             * (1.0 + (x - s) * (x - s) / (x * x));
         assert!((w - manual).abs() < TOL);
@@ -131,24 +117,36 @@ mod tests {
 
     #[test]
     fn general_m_reduces_to_specializations() {
+        // One server is Pollaczek–Khinchine itself, bit for bit; two agree
+        // with the literal Eq. 7 (Hokstad) at the combined rate.
         let (lambda, x, s) = (0.03, 22.0, 16.0);
-        assert!((w_mgm(1, lambda, x, s).unwrap() - w_mg1(lambda, x, s).unwrap()).abs() < 1e-10);
-        assert!((w_mgm(2, lambda, x, s).unwrap() - w_mg2(lambda, x, s).unwrap()).abs() < 1e-10);
+        let scv = wormhole_scv(x, s);
+        let pk = mg1::waiting_time(lambda, x, scv).unwrap();
+        assert_eq!(
+            station_wait(1, lambda, x, s).unwrap().to_bits(),
+            pk.to_bits()
+        );
+        let hokstad = mgm::hokstad_mg2_waiting_time(2.0 * lambda, x, scv).unwrap();
+        assert!((station_wait(2, 2.0 * lambda, x, s).unwrap() - hokstad).abs() < 1e-10);
     }
 
     #[test]
     fn deterministic_service_halves_exponential_wait() {
         // At the floor (C²=0) Eq. 6 is the M/D/1 wait = half the M/M/1 wait.
         let (lambda, x) = (0.03, 16.0);
-        let w_det = w_mg1(lambda, x, 16.0).unwrap();
-        let w_mm1 = mg1::mm1_waiting_time(lambda, x).unwrap();
+        let w_det = station_wait(1, lambda, x, 16.0).unwrap();
+        let w_mm1 = mg1::waiting_time(lambda, x, 1.0).unwrap();
         assert!((w_det - w_mm1 / 2.0).abs() < TOL);
     }
 
     #[test]
     fn saturation_propagates() {
-        assert!(w_mg1(0.07, 16.0, 16.0).is_err()); // ρ = 1.12
-        assert!(w_mg2(0.14, 16.0, 16.0).is_err()); // ρ = 1.12 on 2 servers
-        assert!(w_mgm(4, 0.26, 16.0, 16.0).is_err()); // ρ = 1.04 on 4 servers
+        assert!(station_wait(1, 0.07, 16.0, 16.0).is_err()); // ρ = 1.12
+        assert!(station_wait(2, 0.14, 16.0, 16.0).is_err()); // ρ = 1.12 on 2 servers
+        assert!(station_wait(4, 0.26, 16.0, 16.0).is_err()); // ρ = 1.04 on 4 servers
+        assert_eq!(
+            station_wait(0, 0.01, 16.0, 16.0),
+            Err(QueueingError::InvalidServerCount)
+        );
     }
 }

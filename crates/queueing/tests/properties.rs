@@ -103,12 +103,11 @@ proptest! {
 
     #[test]
     fn blocking_probability_clamped(
-        m in 1u32..4,
-        lin in 0.0..1.0f64,
+        lin in 0.0..4.0f64,
         lout in 0.001..1.0f64,
         r in 0.0..1.0f64,
     ) {
-        let p = blocking::blocking_probability(m, lin, lout, r).unwrap();
+        let p = blocking::blocking_probability(lin, lout, r);
         prop_assert!((0.0..=1.0).contains(&p));
     }
 
@@ -120,7 +119,7 @@ proptest! {
     ) {
         // Keep contribution λ_in·R ≤ λ_out so the formula stays in domain.
         let lin = if r > 0.0 { (share * lout / r).min(lout) } else { lout };
-        let p = blocking::blocking_probability(1, lin, lout, r).unwrap();
+        let p = blocking::blocking_probability(lin, lout, r);
         let expect = 1.0 - (lin * r / lout);
         prop_assert!((p - expect.clamp(0.0, 1.0)).abs() < 1e-12);
     }
@@ -128,8 +127,7 @@ proptest! {
     #[test]
     fn bisection_inverts_monotone_functions(target in 0.05..0.95f64) {
         // g(x) = x³ − target³ is increasing with root at `target`.
-        let cfg = solver::BisectionConfig::default();
-        let root = solver::bisect_increasing(0.0, 1.0, cfg, |x| Ok(x * x * x - target * target * target)).unwrap();
+        let root = solver::bisect_increasing(0.0, 1.0, |x| Ok(x * x * x - target * target * target)).unwrap();
         prop_assert!((root - target).abs() < 1e-9);
     }
 
@@ -155,7 +153,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 mod edge_cases {
-    use wormsim_queueing::{mg1, mgm, mmm, wormhole, QueueingError};
+    use wormsim_queueing::{gg1, mg1, mgm, mmm, wormhole, QueueingError};
     use wormsim_testutil::assert_close;
 
     #[test]
@@ -163,14 +161,13 @@ mod edge_cases {
         for &x in &[1.0, 18.0, 200.0] {
             for &scv in &[0.0, 0.4, 1.0, 3.7] {
                 assert_eq!(mg1::waiting_time(0.0, x, scv).unwrap(), 0.0);
-                assert_eq!(mg1::waiting_time_or_inf(0.0, x, scv), 0.0);
+                assert_eq!(gg1::waiting_time_or_inf(0.0, x, scv, 1.0), 0.0);
                 for m in 1..=8u32 {
                     assert_eq!(mgm::waiting_time(m, 0.0, x, scv).unwrap(), 0.0);
                     assert_eq!(mmm::waiting_time(m, 0.0, x).unwrap(), 0.0);
                 }
             }
         }
-        assert_eq!(mg1::utilization(0.0, 42.0), 0.0);
         // Erlang blocking/queueing probabilities vanish with the load.
         for m in 1..=8u32 {
             assert_eq!(mmm::erlang_b(m, 0.0).unwrap(), 0.0);
@@ -210,12 +207,15 @@ mod edge_cases {
                 }
                 other => panic!("rho={rho}: expected Saturated, got {other:?}"),
             }
-            assert_eq!(mg1::waiting_time_or_inf(lambda1, x, 0.5), f64::INFINITY);
+            assert_eq!(
+                gg1::waiting_time_or_inf(lambda1, x, 0.5, 1.0),
+                f64::INFINITY
+            );
             for m in [1u32, 2, 4] {
                 let lambda_m = rho * f64::from(m) / x;
                 assert!(mgm::waiting_time(m, lambda_m, x, 0.5).is_err());
-                assert_eq!(mgm::waiting_time_or_inf(m, lambda_m, x, 0.5), f64::INFINITY);
-                assert_eq!(mmm::waiting_time_or_inf(m, lambda_m, x), f64::INFINITY);
+                assert!(mmm::waiting_time(m, lambda_m, x).is_err());
+                assert!(wormhole::station_wait(m, lambda_m, x, 16.0).is_err());
             }
         }
     }
@@ -254,17 +254,18 @@ mod edge_cases {
                 // And with exponential service (scv = 1), both must agree
                 // with the exact M/M/1 wait.
                 let lambda = rho / x;
-                let mm1 = mg1::mm1_waiting_time(lambda, x).unwrap();
+                let mm1 = mg1::waiting_time(lambda, x, 1.0).unwrap();
                 let mgm1 = mgm::waiting_time(1, lambda, x, 1.0).unwrap();
                 let mmm1 = mmm::waiting_time(1, lambda, x).unwrap();
                 assert_close(mgm1, mm1, 1e-12, 1e-9, "M/M/1 via M/G/1");
                 assert_close(mmm1, mm1, 1e-12, 1e-9, "M/M/1 via Erlang C");
             }
         }
-        // The wormhole wrappers collapse the same way.
+        // The wormhole station wait collapses the same way.
         let (lambda, x, s) = (0.02, 24.0, 16.0);
-        let a = wormhole::w_mgm(1, lambda, x, s).unwrap();
-        let b = wormhole::w_mg1(lambda, x, s).unwrap();
+        let scv = wormhole::wormhole_scv(x, s);
+        let a = mgm::waiting_time(1, lambda, x, scv).unwrap();
+        let b = wormhole::station_wait(1, lambda, x, s).unwrap();
         assert_close(a, b, 1e-12, 1e-12, "wormhole single-server degeneracy");
     }
 }

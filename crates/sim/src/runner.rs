@@ -35,7 +35,8 @@ pub struct SimResult {
     /// measured population.
     pub avg_latency: f64,
     /// Half-width of the ~95% batch-means confidence interval on
-    /// [`Self::avg_latency`] (NaN for tiny populations).
+    /// [`Self::avg_latency`] (NaN for tiny populations and for fewer than
+    /// two batches).
     pub latency_ci95: f64,
     /// Median latency (nearest rank; NaN when no messages completed).
     pub latency_p50: f64,
@@ -512,6 +513,28 @@ mod tests {
         // Single replication works.
         let one = replicate(&router, &quick_cfg(), &traffic, 1).unwrap();
         assert_eq!(one.between_rep_std, 0.0);
+    }
+
+    #[test]
+    fn single_runs_below_two_batches_report_no_interval() {
+        // `SimConfig::validate` rejects fewer than two batches, but single
+        // runs take any config: they must report an undefined interval,
+        // not a two-batch one, and the same latency.
+        let tree = ButterflyFatTree::new(BftParams::paper(16).unwrap());
+        let router = BftRouter::new(&tree);
+        let traffic = TrafficConfig::from_flit_load(0.05, 16).unwrap();
+        let with = |batches| SimConfig {
+            batches,
+            ..quick_cfg()
+        };
+        let two = run_simulation(&router, &with(2), &traffic);
+        assert!(two.latency_ci95.is_finite());
+        for batches in [0, 1] {
+            let r = run_simulation(&router, &with(batches), &traffic);
+            let ci = r.latency_ci95;
+            assert!(ci.is_nan(), "batches {batches}: ci95 {ci}");
+            assert_eq!(r.avg_latency.to_bits(), two.avg_latency.to_bits());
+        }
     }
 
     #[test]

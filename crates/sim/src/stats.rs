@@ -88,10 +88,12 @@ pub struct BatchMeans {
 
 impl BatchMeans {
     /// `batches` contiguous batches sized for roughly `expected_total`
-    /// observations (the final batch absorbs any excess).
+    /// observations (the final batch absorbs any excess). A count of zero
+    /// keeps one batch; with fewer than two there is no interval, and
+    /// [`Self::std_error`] is NaN.
     #[must_use]
     pub fn new(batches: u32, expected_total: u64) -> Self {
-        let b = batches.max(2) as usize;
+        let b = batches.max(1) as usize;
         let per = (expected_total / b as u64).max(1);
         Self {
             batches: vec![Welford::new(); b],
@@ -389,6 +391,22 @@ mod tests {
         );
         assert!((bm.ci95_half_width() - 1.96 * se).abs() < 1e-15);
         assert_eq!(bm.count(), n);
+    }
+
+    #[test]
+    fn fewer_than_two_batches_give_no_interval() {
+        // No second batch is invented: the mean is the plain mean and the
+        // batch-means error is undefined, whatever the sample size.
+        let n = 1_000u64;
+        for batches in [0, 1] {
+            let mut bm = BatchMeans::new(batches, n);
+            for i in 0..n {
+                bm.add(i as f64);
+            }
+            assert_eq!(bm.count(), n);
+            assert_eq!(bm.mean(), 499.5, "batches {batches}");
+            assert!(bm.std_error().is_nan(), "batches {batches}");
+        }
     }
 
     #[test]

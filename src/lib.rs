@@ -145,7 +145,7 @@ pub mod prelude {
         StallCause, StationBreakdown, SteadyState, TimeSeriesConfig, TimeSeriesResult, WindowStats,
         WormEvent,
     };
-    pub use wormsim_queueing::{QueueingError, ServiceMoments};
+    pub use wormsim_queueing::QueueingError;
     pub use wormsim_sim::config::{EngineKind, SimConfig, TrafficConfig};
     pub use wormsim_sim::router::FaultedBftRouter;
     pub use wormsim_sim::runner::{

@@ -448,30 +448,6 @@ fn fast_forward_stays_bit_exact_with_multiple_lanes() {
 }
 
 #[test]
-fn queueing_lane_composition_reduces_to_eq10_and_discounts_with_lanes() {
-    // The standalone per-channel composition (geometric occupancy tail ×
-    // Eq. 10): exactly the paper's blocking probability at L = 1, and a
-    // strictly stronger discount as lanes are added — the facade-level
-    // guarantee for the queueing primitives the framework's M/G/(m·L)
-    // formulation generalizes.
-    use wormsim::queueing::blocking::blocking_probability;
-    use wormsim::queueing::lanes::multi_lane_blocking_probability;
-    let (m, lambda_in, lambda_out, r, rho) = (2u32, 0.12, 0.4, 0.9, 0.55);
-    let eq10 = blocking_probability(m, lambda_in, lambda_out, r).unwrap();
-    let p1 = multi_lane_blocking_probability(m, 1, lambda_in, lambda_out, r, rho).unwrap();
-    assert_eq!(p1.to_bits(), eq10.to_bits(), "bit-exact Eq. 10 at L = 1");
-    let mut prev = p1;
-    for lanes in [2u32, 4, 8] {
-        let p = multi_lane_blocking_probability(m, lanes, lambda_in, lambda_out, r, rho).unwrap();
-        assert!(
-            p < prev,
-            "L={lanes}: tail must strictly discount ({p} vs {prev})"
-        );
-        prev = p;
-    }
-}
-
-#[test]
 fn multi_lane_bft_model_rejects_single_lane_only_entry_points() {
     // Eq. 26 (saturation) and the per-level audit are closed single-lane
     // recurrences; a lanes>1 model must refuse rather than silently hand

@@ -132,3 +132,91 @@ fn pooled_up_links_beat_single_server_trees_in_simulation() {
         "(4,2) tree should sustain {load:.4} (knee {knee2:.4})"
     );
 }
+
+/// Fingerprints of `ablated_models_are_pinned_to_the_bit`: rows bft64,
+/// bft1024, bft(4,4,3), bft(4,1,3), the bft64 hot-spot flow model and the
+/// 6-cube knee; columns paper, A1, A2 and prior art.
+#[rustfmt::skip]
+const ABLATION_PINS: [[u64; 4]; 6] = [
+    [0x42e4e8d6c13892bb, 0x219b55747150994e, 0x1fa0796e919a8b1a, 0xcc53f8a892656834],
+    [0xa6ed50af9ecc7b7f, 0x9c391f56a3e111a4, 0x2887410a39e25cf7, 0x143e43000b747e0d],
+    [0x1b742f7bacf4698f, 0xa38dbb7343166090, 0x2b4118b435aed195, 0x3442267b575c84a2],
+    [0x1b235dd05d5b1385, 0x1b235dd05d5b1385, 0x4f8b7bf9e155700e, 0x4f8b7bf9e155700e],
+    [0xf66b5b2582481414, 0x3653c18cfde07652, 0x243e7bccdfaa067d, 0xeb226ee956daa541],
+    [0x13debf223187c661, 0x13debf223187c661, 0x9e51a38d34aab88d, 0x9e51a38d34aab88d],
+];
+
+/// Folds one model answer into an FNV-1a 64 hash: the little-endian bits
+/// of each number, or the error's message.
+fn fold(hash: &mut u64, answer: Result<Vec<f64>, ModelError>) {
+    let bytes: Vec<u8> = match answer {
+        Ok(values) => values
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .collect(),
+        Err(e) => e.to_string().into_bytes(),
+    };
+    for byte in bytes {
+        *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01B3);
+    }
+}
+
+#[test]
+fn ablated_models_are_pinned_to_the_bit() {
+    // The benchmark digests pin only the paper's options; these pin the
+    // A1, A2 and prior-art branches of both models (every station wait,
+    // Eq. 10 factor and Eq. 25 sum they take) at one and two lanes. Each
+    // (model, option set) folds both lane counts into one fingerprint.
+    const S: f64 = 16.0;
+    let option_sets = [
+        ModelOptions::paper(),
+        ModelOptions::single_server_up(),
+        ModelOptions::no_blocking_correction(),
+        ModelOptions::prior_art(),
+    ];
+    let trees = [
+        BftParams::paper(64).unwrap(),
+        BftParams::paper(1024).unwrap(),
+        BftParams::new(4, 4, 3).unwrap(),
+        BftParams::new(4, 1, 3).unwrap(),
+    ];
+    let tree64 = ButterflyFatTree::new(trees[0]);
+    let hot = DestinationPattern::HotSpot {
+        fraction: 0.125,
+        target: 21,
+    };
+    let hot_flows = FlowVector::build(&tree64, &hot).unwrap();
+    let breakdown =
+        |b: LatencyBreakdown| vec![b.w_injection, b.x_injection, b.avg_distance, b.total];
+    let knee = |k: SaturationPoint| vec![k.message_rate, k.flit_load];
+    let mut got = [[0xCBF2_9CE4_8422_2325u64; 4]; 6];
+    for (c, base) in option_sets.iter().enumerate() {
+        for lanes in [1, 2] {
+            let options = base.with_lanes(lanes);
+            for (row, &params) in got.iter_mut().zip(&trees) {
+                let model = BftModel::with_options(params, S, options);
+                for load in [0.01, 0.02, 0.03] {
+                    fold(&mut row[c], model.latency_at_flit_load(load).map(breakdown));
+                }
+                fold(&mut row[c], model.saturation().map(knee));
+            }
+            let mut sweep = FlowModelSweep::new(tree64.network(), &hot_flows, S).unwrap();
+            for lambda0 in [0.0005, 0.001, 0.002] {
+                fold(
+                    &mut got[4][c],
+                    sweep.latency_at(lambda0, &options).map(breakdown),
+                );
+            }
+            fold(
+                &mut got[5][c],
+                cube_model::saturation(6, S, &options).map(knee),
+            );
+        }
+    }
+    // The one saturated point of the grid: prior art runs out of capacity
+    // at flit load 0.03 on the 1024-node tree.
+    let prior = BftModel::with_options(trees[1], S, ModelOptions::prior_art());
+    let err = prior.latency_at_flit_load(0.03).unwrap_err();
+    assert!(err.is_saturation(), "prior art at 0.03: {err}");
+    assert!(got == ABLATION_PINS, "fingerprints moved: {got:#x?}");
+}
