@@ -183,11 +183,12 @@ impl BftModel {
     }
 
     /// Rejects what the closed-form recurrences cannot evaluate: a worm
-    /// length no channel can serve, a zero lane count, and entry points
-    /// that only have single-lane semantics when the model was configured
-    /// with `lanes > 1` — silently returning `L = 1` numbers from a
-    /// multi-lane model would be inconsistent with
-    /// [`Self::latency_at_message_rate`], which does honour the lanes.
+    /// length no channel can serve, a lane count outside
+    /// `1..=`[`crate::options::MAX_LANES`], and entry points that only have
+    /// single-lane semantics when the model was configured with
+    /// `lanes > 1` — silently returning `L = 1` numbers from a multi-lane
+    /// model would be inconsistent with [`Self::latency_at_message_rate`],
+    /// which does honour the lanes.
     fn check_closed_form(&self, what: &str) -> Result<()> {
         if !(self.worm_flits.is_finite() && self.worm_flits > 0.0) {
             // The framework's validation rejects the same lengths with the
@@ -197,15 +198,9 @@ impl BftModel {
                 self.worm_flits
             )));
         }
-        if self.options.lanes == 0 {
-            // Match the framework's validation: a zero-lane channel cannot
-            // carry traffic, and silently treating it as single-lane would
-            // let the same options error on one entry point and resolve on
-            // another.
-            return Err(ModelError::Spec(
-                "lane count must be at least 1 (ModelOptions::lanes)".into(),
-            ));
-        }
+        // The framework's validation makes the same check, so the same
+        // options cannot error on one entry point and resolve on another.
+        self.options.check_lanes()?;
         if self.options.lanes > 1 {
             return Err(ModelError::Spec(format!(
                 "{what} has no multi-lane analogue yet (lanes = {}); the closed-form \

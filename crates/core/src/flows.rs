@@ -75,7 +75,7 @@ impl StationModel {
             SolveOutcome::Converged(sol) => {
                 SolveOutcome::Converged(self.spec.breakdown(&sol, &self.injections, options)?)
             }
-            SolveOutcome::Saturated { knee_estimate } => SolveOutcome::Saturated { knee_estimate },
+            SolveOutcome::Saturated => SolveOutcome::Saturated,
             SolveOutcome::NoConvergence {
                 iterations,
                 residual,

@@ -34,12 +34,22 @@
 //! dependency graph is solved in reverse topological order when it is a
 //! DAG (always the case for tree-ups/downs and dimension-ordered cubes);
 //! otherwise a damped fixed-point iteration is used.
+//!
+//! # Saturation
+//!
+//! [`NetworkSpec::solve`] runs that iteration once and returns a typed
+//! error past the knee. [`NetworkSpec::solve_outcome`] owns the escalation
+//! ladder: a private three-rung table (plain, heavily damped, accelerated
+//! from a cold seed) that it climbs on a retryable failure before
+//! classifying the point as a `wormsim_guard::SolveOutcome`.
+//! [`NetworkSpec::find_knee`] brackets the load where those solves stop
+//! converging.
 
 use crate::error::ModelError;
 use crate::options::ModelOptions;
 use crate::Result;
-use wormsim_guard::{bracket_knee, escalate, Knee, KneeConfig, LadderOutcome, Rung, SolveOutcome};
-use wormsim_obs::{LadderSample, ModelTelemetry, OutcomeKind, SolverTrace, StationBreakdown};
+use wormsim_guard::{bracket_knee, Knee, KneeConfig, SolveOutcome};
+use wormsim_obs::{LadderSample, ModelTelemetry, SolverTrace, StationBreakdown};
 use wormsim_queueing::blocking::blocking_probability;
 use wormsim_queueing::solver::{fixed_point, fixed_point_accelerated, FixedPointConfig};
 use wormsim_queueing::{wormhole, QueueingError};
@@ -188,10 +198,12 @@ pub struct Solution {
     pub iterations: usize,
 }
 
-/// How one solve attempt runs its cyclic fixed point — the knob the
-/// escalation ladder turns between rungs.
+/// How one solve attempt runs its cyclic fixed point: one rung of the
+/// escalation ladder.
 #[derive(Debug, Clone, Copy)]
 struct SolveProfile {
+    /// Telemetry label ([`LadderSample::rung`]).
+    label: &'static str,
     /// Damping factor θ of the Picard step `x ← (1−θ)x + θf(x)`.
     damping: f64,
     /// Use the Aitken-accelerated adaptive-damping solver.
@@ -200,35 +212,26 @@ struct SolveProfile {
     cold_seed: bool,
 }
 
-impl SolveProfile {
-    /// The profile for one [`Rung`] of the escalation ladder.
-    ///
-    /// * `Plain` — the historical configuration: θ = 0.5, accelerated iff
-    ///   warm-started (what [`NetworkSpec::solve`] runs).
-    /// * `Damped` — θ = 0.1 plain iteration: slow, but contracts where
-    ///   the θ = 0.5 map oscillates.
-    /// * `AcceleratedRestart` — Aitken Δ² from a cold seed, able to land
-    ///   on weakly-repelling fixed points and to escape a poisoned warm
-    ///   guess.
-    fn for_rung(rung: Rung, warm_started: bool) -> Self {
-        match rung {
-            Rung::Plain => SolveProfile {
-                damping: 0.5,
-                accelerated: warm_started,
-                cold_seed: false,
-            },
-            Rung::Damped => SolveProfile {
-                damping: 0.1,
-                accelerated: false,
-                cold_seed: false,
-            },
-            Rung::AcceleratedRestart => SolveProfile {
-                damping: 0.5,
-                accelerated: true,
-                cold_seed: true,
-            },
-        }
-    }
+/// The escalation ladder, in climbing order; [`NetworkSpec::solve`] runs
+/// the first rung alone.
+///
+/// * `plain` — θ = 0.5, accelerated iff warm-started.
+/// * `damped` — θ = 0.1 plain iteration: slow, but contracts where the
+///   θ = 0.5 map oscillates.
+/// * `accel_restart` — Aitken Δ² from a cold seed, able to land on
+///   weakly-repelling fixed points and to escape a poisoned warm guess.
+fn ladder(warm_started: bool) -> [SolveProfile; 3] {
+    let rung = |label, damping, accelerated, cold_seed| SolveProfile {
+        label,
+        damping,
+        accelerated,
+        cold_seed,
+    };
+    [
+        rung("plain", 0.5, warm_started, false),
+        rung("damped", 0.1, false, false),
+        rung("accel_restart", 0.5, true, true),
+    ]
 }
 
 impl NetworkSpec {
@@ -484,12 +487,12 @@ impl NetworkSpec {
         warm: Option<&mut WarmStart>,
         telemetry: Option<&mut ModelTelemetry>,
     ) -> Result<Solution> {
-        let profile = SolveProfile::for_rung(Rung::Plain, warm.is_some());
+        let [plain, ..] = ladder(warm.is_some());
         match telemetry {
-            None => self.solve_profiled(options, warm, None, profile),
+            None => self.solve_profiled(options, warm, None, plain),
             Some(t) => {
                 t.reset();
-                let sol = self.solve_profiled(options, warm, Some(&mut t.solver), profile)?;
+                let sol = self.solve_profiled(options, warm, Some(&mut t.solver), plain)?;
                 t.stations = self.station_breakdown(&sol, options)?;
                 Ok(sol)
             }
@@ -549,17 +552,21 @@ impl NetworkSpec {
 
     /// Saturation-aware solve, total over load ∈ [0, ∞): never errors on
     /// saturation or iteration failure, returning a typed
-    /// [`SolveOutcome`] instead. A failed attempt is retried through the
-    /// escalation ladder (plain → heavy damping → accelerated restart)
-    /// before the point is declared `Saturated` (station `ρ ≥ 1` or
-    /// detected divergence — definitive) or `NoConvergence` (budget
-    /// expired at every rung — report, don't guess).
+    /// [`SolveOutcome`] instead.
+    ///
+    /// The solve climbs the escalation ladder (plain → heavy damping →
+    /// accelerated restart). A rung that exhausts its budget, diverges or
+    /// leaves the model's domain mid-solve
+    /// ([`ModelError::is_domain_excursion`]) hands over to the next. A
+    /// station at `ρ ≥ 1` ends the climb as `Saturated`. When the last
+    /// rung fails too, divergence and domain excursions read `Saturated`
+    /// and an exhausted budget `NoConvergence` (report, don't guess).
     ///
     /// `warm` is the sweep state of [`Self::solve`]; a non-converged point
     /// leaves it untouched. `telemetry` receives the solver trace of the
     /// *final* ladder attempt, one [`LadderSample`] per rung tried and the
-    /// outcome classification, plus the station breakdown when the solve
-    /// converged. Any previous contents are replaced.
+    /// outcome's [`SolveOutcome::label`], plus the station breakdown when
+    /// the solve converged. Any previous contents are replaced.
     ///
     /// # Errors
     ///
@@ -570,91 +577,74 @@ impl NetworkSpec {
     pub fn solve_outcome(
         &self,
         options: &ModelOptions,
-        mut warm: Option<&mut WarmStart>,
+        warm: Option<&mut WarmStart>,
         mut telemetry: Option<&mut ModelTelemetry>,
     ) -> Result<SolveOutcome<Solution>> {
         if let Some(t) = telemetry.as_deref_mut() {
             t.reset();
         }
-        let warm_started = warm.is_some();
-        let mut ladder: Vec<LadderSample> = Vec::new();
-        let out = escalate(
-            |rung| {
-                let profile = SolveProfile::for_rung(rung, warm_started);
-                // Each attempt overwrites the trace, leaving the decisive
-                // attempt's trace in the telemetry.
-                let mut trace = telemetry.as_deref_mut().map(|t| {
-                    t.solver = SolverTrace::new();
-                    &mut t.solver
-                });
-                let res = self.solve_profiled(options, warm.as_deref_mut(), trace.take(), profile);
-                ladder.push(LadderSample {
-                    rung: rung.label().to_string(),
+        let outcome = self.climb_ladder(options, warm, telemetry.as_deref_mut())?;
+        if let Some(t) = telemetry {
+            t.outcome = Some(outcome.label());
+            if let SolveOutcome::Converged(sol) = &outcome {
+                t.stations = self.station_breakdown(sol, options)?;
+            }
+        }
+        Ok(outcome)
+    }
+
+    /// The escalation ladder of [`Self::solve_outcome`]: the one place
+    /// that decides which failures climb and what a failed climb means.
+    fn climb_ladder(
+        &self,
+        options: &ModelOptions,
+        mut warm: Option<&mut WarmStart>,
+        mut telemetry: Option<&mut ModelTelemetry>,
+    ) -> Result<SolveOutcome<Solution>> {
+        let mut last_error = None;
+        for rung in ladder(warm.is_some()) {
+            // Each attempt overwrites the trace, leaving the decisive
+            // attempt's trace in the telemetry.
+            let trace = telemetry.as_deref_mut().map(|t| {
+                t.solver = SolverTrace::new();
+                &mut t.solver
+            });
+            let res = self.solve_profiled(options, warm.as_deref_mut(), trace, rung);
+            if let Some(t) = telemetry.as_deref_mut() {
+                t.ladder.push(LadderSample {
+                    rung: rung.label.to_string(),
                     succeeded: res.is_ok(),
                     detail: match &res {
                         Ok(_) => "converged".to_string(),
                         Err(e) => e.to_string(),
                     },
                 });
-                res
-            },
-            // Iteration failures and mid-solve domain excursions are
-            // worth a stronger rung; `ρ ≥ 1` and spec errors are not.
-            |e| matches!(e, ModelError::NoConvergence { .. }) || e.is_domain_excursion(),
-        );
-        let saturated = (
-            SolveOutcome::Saturated {
-                knee_estimate: None,
-            },
-            OutcomeKind::Saturated,
-        );
-        let (outcome, kind) = match out {
-            LadderOutcome::Solved { value, .. } => {
-                (SolveOutcome::Converged(value), OutcomeKind::Converged)
             }
-            LadderOutcome::Aborted { error, .. } if error.is_saturation() => saturated,
-            LadderOutcome::Aborted { error, .. } => {
-                if let Some(t) = telemetry.as_deref_mut() {
-                    t.ladder = ladder;
-                }
-                return Err(error);
-            }
-            LadderOutcome::Exhausted { last_error, .. } => match last_error {
-                // Divergence surviving the whole ladder is the fixed
-                // point running away — past the knee. Likewise a domain
-                // excursion (negative/non-finite iterate) on a validated
-                // spec that not even the restart rung avoided.
-                ModelError::NoConvergence { diverged: true, .. } => saturated,
-                e if e.is_domain_excursion() => saturated,
-                ModelError::NoConvergence {
-                    iterations,
-                    residual,
-                    ..
-                } => (
-                    SolveOutcome::NoConvergence {
-                        iterations,
-                        residual,
-                    },
-                    OutcomeKind::NoConvergence,
-                ),
-                // The retry policy admits nothing else; stay total
-                // regardless.
-                e => {
-                    if let Some(t) = telemetry.as_deref_mut() {
-                        t.ladder = ladder;
-                    }
-                    return Err(e);
-                }
-            },
-        };
-        if let Some(t) = telemetry {
-            t.ladder = ladder;
-            t.outcome = Some(kind);
-            if let SolveOutcome::Converged(sol) = &outcome {
-                t.stations = self.station_breakdown(sol, options)?;
+            match res {
+                Ok(sol) => return Ok(SolveOutcome::Converged(sol)),
+                // Iteration failures and mid-solve domain excursions are
+                // worth a stronger rung; `ρ ≥ 1` and usage errors are not.
+                Err(e @ ModelError::NoConvergence { .. }) => last_error = Some(e),
+                Err(e) if e.is_domain_excursion() => last_error = Some(e),
+                Err(e) if e.is_saturation() => return Ok(SolveOutcome::Saturated),
+                Err(e) => return Err(e),
             }
         }
-        Ok(outcome)
+        // Every rung failed. Divergence surviving the whole ladder is the
+        // fixed point running away — past the knee — and so is a domain
+        // excursion (negative/non-finite iterate) on a validated spec that
+        // not even the restart rung avoided.
+        Ok(match last_error {
+            Some(ModelError::NoConvergence {
+                iterations,
+                residual,
+                diverged: false,
+            }) => SolveOutcome::NoConvergence {
+                iterations,
+                residual,
+            },
+            _ => SolveOutcome::Saturated,
+        })
     }
 
     /// Brackets the saturation knee of this spec as a **multiplier on
@@ -667,7 +657,15 @@ impl NetworkSpec {
     /// For a spec built at unit rate (e.g.
     /// [`crate::flows::FlowModelSweep`]'s), the multiplier *is* the
     /// per-PE worm rate `λ₀`. The returned [`Knee::knee`] is the largest
-    /// multiplier proven feasible — always safe to solve at.
+    /// multiplier the warm-started probe sequence proved feasible.
+    ///
+    /// A DAG class graph never iterates and never reads the warm guess, so
+    /// there a cold solve at or below `knee` succeeds too; every BFT,
+    /// flow-built and cube spec in this workspace is one. On a cyclic spec
+    /// a cold [`Self::solve_outcome`] within the bracket's tolerance of the
+    /// knee can exhaust the ladder: the ring-8 spec's knee
+    /// (0.004636241309…) returns `NoConvergence` cold, and so does
+    /// λ₀ = 0.0046362413 just below it.
     ///
     /// # Errors
     ///
@@ -709,11 +707,7 @@ impl NetworkSpec {
         profile: SolveProfile,
     ) -> Result<Solution> {
         self.validate()?;
-        if options.lanes == 0 {
-            return Err(ModelError::Spec(
-                "lane count must be at least 1 (ModelOptions::lanes)".into(),
-            ));
-        }
+        options.check_lanes()?;
         let n = self.classes.len();
         // Seed from the previous sweep point when its spec had the same
         // shape; fall back to the cold start `x̄ = s/f` everywhere. A
@@ -1474,7 +1468,7 @@ mod tests {
             .solve_outcome(&opts, None, Some(&mut tel))
             .unwrap();
         assert!(ok.is_converged());
-        assert_eq!(tel.outcome, Some(wormsim_obs::OutcomeKind::Converged));
+        assert_eq!(tel.outcome, Some("converged"));
         assert_eq!(
             tel.ladder.len(),
             1,
@@ -1491,9 +1485,11 @@ mod tests {
             .solve_outcome(&opts, None, Some(&mut tel))
             .unwrap();
         assert!(sat.is_saturated());
-        assert_eq!(tel.outcome, Some(wormsim_obs::OutcomeKind::Saturated));
-        assert!(!tel.ladder.is_empty());
-        assert!(tel.ladder.iter().all(|a| !a.succeeded));
+        assert_eq!(tel.outcome, Some("saturated"));
+        // `ρ ≥ 1` is definitive: the climb ends at the first rung.
+        assert_eq!(tel.ladder.len(), 1, "{:?}", tel.ladder);
+        assert_eq!(tel.ladder[0].rung, "plain");
+        assert!(!tel.ladder[0].succeeded);
         assert!(tel.stations.is_empty(), "no breakdown without a solution");
     }
 
@@ -1509,7 +1505,7 @@ mod tests {
             .solve_outcome(&opts, None, Some(&mut tel))
             .unwrap();
         assert!(sat.is_saturated());
-        assert_eq!(tel.outcome, Some(wormsim_obs::OutcomeKind::Saturated));
+        assert_eq!(tel.outcome, Some("saturated"));
         assert!(!tel.ladder.is_empty());
         ring_spec(8, 16.0, 0.002)
             .unwrap()

@@ -23,7 +23,8 @@
 //! the router) becomes a per-station §2 model with one class per
 //! arbitration station, preserving the M/G/p up-link bundles — this is
 //! also how asymmetric networks like meshes are modeled; and
-//! [`throughput`] hosts the saturation-point search shared by all models.
+//! [`throughput`] hosts the Eq. 26 saturation-point search (doubling, then
+//! halving the bracket) shared by the closed-form and cube models.
 //!
 //! Both implementations take each paper formula from one place: the
 //! station wait (Eqs. 5, 6 and 8) is `wormsim_queueing::wormhole::station_wait`,
@@ -65,10 +66,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![deny(unsafe_code)]
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod bft;
 pub mod error;
@@ -93,5 +92,81 @@ mod crate_tests {
         let model = BftModel::new(BftParams::paper(1024).unwrap(), 32.0);
         let lat = model.latency_at_flit_load(0.02).unwrap();
         assert!(lat.total > 40.0 && lat.total < 120.0);
+    }
+}
+
+/// The escalation ladder of `NetworkSpec::solve_outcome`, one test per path
+/// it can take: cold saturation-aware solves of the cyclic ring-8 spec under
+/// the paper's options.
+#[cfg(test)]
+mod tests {
+    use crate::framework::{ring_spec, Solution};
+    use crate::ModelOptions;
+    use wormsim_guard::SolveOutcome;
+    use wormsim_obs::model::ModelTelemetry;
+
+    /// What a rung that ran out of iterations reports.
+    const BUDGET: &str = "fixed point did not converge after 20000 iterations";
+
+    /// Solves `ring_spec(8, 16, λ₀)` cold with telemetry and checks the
+    /// outcome, the rungs tried (✓ when one converged), what the failed ones
+    /// reported and the length of the final attempt's solver trace.
+    fn check_path(
+        lambda0: f64,
+        outcome: &str,
+        climb: &str,
+        failure: &str,
+        trace_len: usize,
+    ) -> SolveOutcome<Solution> {
+        let mut tel = ModelTelemetry::default();
+        let out = ring_spec(8, 16.0, lambda0)
+            .unwrap()
+            .solve_outcome(&ModelOptions::paper(), None, Some(&mut tel))
+            .unwrap();
+        assert_eq!(out.label(), outcome);
+        assert_eq!(tel.outcome, Some(outcome));
+        let tried: Vec<String> = tel
+            .ladder
+            .iter()
+            .map(|a| format!("{} {}", a.rung, if a.succeeded { "✓" } else { "✗" }))
+            .collect();
+        assert_eq!(tried.join(" "), climb);
+        for a in tel.ladder.iter().filter(|a| !a.succeeded) {
+            assert!(a.detail.starts_with(failure), "{a:?}");
+        }
+        assert_eq!(tel.solver.len(), trace_len);
+        out
+    }
+
+    #[test]
+    fn ladder_returns_first_success_without_extra_attempts() {
+        check_path(0.002, "converged", "plain ✓", "", 227);
+    }
+
+    #[test]
+    fn ladder_escalates_past_transient_failures() {
+        // Plain and damped exhaust their budget; the accelerated restart
+        // rescues the point.
+        let climb = "plain ✗ damped ✗ accel_restart ✓";
+        check_path(0.004_636_2, "converged", climb, BUDGET, 2298);
+    }
+
+    #[test]
+    fn ladder_aborts_immediately_on_saturation() {
+        // A `ρ ≥ 1` error is not retried.
+        let failure = "channel class ring1: queue saturated";
+        check_path(0.5, "saturated", "plain ✗", failure, 0);
+    }
+
+    #[test]
+    fn ladder_reports_exhaustion_with_the_strongest_rung_error() {
+        // Every rung exhausts its budget just below the bracketed knee
+        // 0.0046362413096…; the outcome and the trace are the last rung's.
+        let climb = "plain ✗ damped ✗ accel_restart ✗";
+        let out = check_path(0.004_636_241_3, "no_convergence", climb, BUDGET, 20010);
+        match out {
+            SolveOutcome::NoConvergence { iterations, .. } => assert_eq!(iterations, 20000),
+            other => panic!("expected NoConvergence, got {other:?}"),
+        }
     }
 }

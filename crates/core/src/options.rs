@@ -1,10 +1,18 @@
 //! Model configuration: the paper's choices and their ablations.
 
+use crate::error::ModelError;
+use crate::Result;
+
+/// The most lanes per channel a model accepts: the simulator's limit,
+/// `wormsim_lanes::MAX_LANES`.
+pub const MAX_LANES: u32 = 64;
+
 /// Switches for the paper's two novel ingredients, plus the lane count.
 /// The service-time SCV is always the paper's Eq. 5 wormhole surrogate.
 ///
 /// The default is the paper's model. The ablation constructors produce the
-/// configurations studied in EXPERIMENTS.md.
+/// configurations `repro ablation-servers` and `repro ablation-blocking`
+/// compare.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelOptions {
     /// Treat the `p` redundant up-links of a switch as one M/G/p station
@@ -15,9 +23,9 @@ pub struct ModelOptions {
     /// When `false`, `P(i|j) = 1` everywhere.
     pub blocking_correction: bool,
     /// Virtual-channel lanes per physical channel (the multi-lane
-    /// extension; see `wormsim_queueing::lanes`). The paper's model is
-    /// `lanes = 1`, where the solver takes the exact single-lane code
-    /// path — numbers are bit-for-bit unchanged.
+    /// extension; see `wormsim_queueing::lanes`), in `1..=`[`MAX_LANES`].
+    /// The paper's model is `lanes = 1`, where the solver takes the exact
+    /// single-lane code path — numbers are bit-for-bit unchanged.
     pub lanes: u32,
 }
 
@@ -45,6 +53,19 @@ impl ModelOptions {
     pub fn with_lanes(mut self, lanes: u32) -> Self {
         self.lanes = lanes;
         self
+    }
+
+    /// Rejects a lane count outside `1..=`[`MAX_LANES`]: a zero-lane
+    /// channel carries nothing, and the model's cost grows linearly with
+    /// the count.
+    pub(crate) fn check_lanes(&self) -> Result<()> {
+        if (1..=MAX_LANES).contains(&self.lanes) {
+            return Ok(());
+        }
+        Err(ModelError::Spec(format!(
+            "lane count {} outside 1..={MAX_LANES} (ModelOptions::lanes)",
+            self.lanes
+        )))
     }
 
     /// Ablation A1: independent single-server up-links (novelty 1 removed).

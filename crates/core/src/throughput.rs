@@ -4,14 +4,19 @@
 //! service time equals the inter-arrival time: `x̄₀,₁(λ₀) = 1/λ₀`. Below
 //! that point the source queue is stable; above it, offered traffic exceeds
 //! what the network can drain. The paper scans `λ₀` upward; we solve the
-//! equivalent root problem `g(λ₀) = x̄₀,₁(λ₀) − 1/λ₀ = 0` by bisection
-//! (`g` is strictly increasing: `x̄₀,₁` grows with load while `1/λ₀`
-//! falls), treating evaluation failures past the knee as `g > 0`.
+//! equivalent root problem `g(λ₀) = x̄₀,₁(λ₀) − 1/λ₀ = 0` by doubling `λ₀`
+//! until `g ≥ 0`, then halving the bracket (`g` is strictly increasing:
+//! `x̄₀,₁` grows with load while `1/λ₀` falls), treating evaluation
+//! failures past the knee as `g > 0`. Each `λ₀` is evaluated once.
 
 use crate::error::ModelError;
 use crate::Result;
-use wormsim_queueing::solver::bisect_increasing;
-use wormsim_queueing::QueueingError;
+
+/// The halving stops once the bracket is narrower than this (absolute,
+/// in messages/cycle/PE).
+const TOLERANCE: f64 = 1e-12;
+/// Cap on the halvings; the tolerance is reached long before it.
+const MAX_HALVINGS: usize = 200;
 
 /// A resolved saturation operating point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,8 +38,9 @@ pub struct SaturationPoint {
 ///
 /// # Errors
 ///
-/// [`ModelError::Saturation`] when no bracket can be established (e.g. the
-/// model never saturates in `λ₀ ∈ (0, 1]`, or fails at vanishing load).
+/// [`ModelError::Saturation`] when no bracket can be established: the
+/// model fails or is already saturated at vanishing load, or never
+/// saturates for `λ₀ ≤ 4`.
 pub fn saturation_point<F>(worm_flits: f64, mut source_service: F) -> Result<SaturationPoint>
 where
     F: FnMut(f64) -> Result<f64>,
@@ -72,21 +78,31 @@ where
             "no saturation found for λ₀ ≤ 4 messages/cycle".to_string(),
         ));
     }
-    // The bisection reads any failure past `lo` as "beyond the knee", and
-    // `lo` itself evaluated above, so the error's payload is never shown.
-    let root = bisect_increasing(lo, hi, |lambda| {
-        source_service(lambda)
-            .map(|x| x - 1.0 / lambda)
-            .map_err(|_| QueueingError::Saturated {
-                utilization: f64::INFINITY,
-            })
-    })
-    .map_err(|e| ModelError::Saturation(e.to_string()))?;
+    let root = bisect(lo, hi, |lambda| {
+        source_service(lambda).map(|x| x - 1.0 / lambda)
+    });
     Ok(SaturationPoint {
         message_rate: root,
         flit_load: root * worm_flits,
         worm_flits,
     })
+}
+
+/// Halves `[lo, hi]`, where `g(lo) < 0` and `g(hi) ≥ 0` or `g` failed
+/// there, until it is narrower than [`TOLERANCE`]; a failed evaluation
+/// counts as past the root. Returns the final midpoint.
+fn bisect(mut lo: f64, mut hi: f64, mut g: impl FnMut(f64) -> Result<f64>) -> f64 {
+    for _ in 0..MAX_HALVINGS {
+        if hi - lo < TOLERANCE {
+            break;
+        }
+        let mid = 0.5 * (lo + hi);
+        match g(mid) {
+            Ok(v) if v < 0.0 => lo = mid,
+            _ => hi = mid,
+        }
+    }
+    0.5 * (lo + hi)
 }
 
 #[cfg(test)]
@@ -116,11 +132,56 @@ mod tests {
     }
 
     #[test]
+    fn bisect_finds_simple_root() {
+        // g(x) = x² − 2 on [0, 2] → √2.
+        let root = bisect(0.0, 2.0, |x| Ok(x * x - 2.0));
+        assert!((root - std::f64::consts::SQRT_2).abs() < 1e-10);
+    }
+
+    #[test]
+    fn bisect_handles_error_as_positive_region() {
+        // g errors above 1.0 (like a saturated model); root of x−0.5 is 0.5.
+        let root = bisect(0.0, 2.0, |x| {
+            if x > 1.0 {
+                Err(ModelError::Saturation("diverged".into()))
+            } else {
+                Ok(x - 0.5)
+            }
+        });
+        assert!((root - 0.5).abs() < 1e-10);
+    }
+
+    #[test]
+    fn bisect_respects_tolerance() {
+        // The bracket closes to 1e-12 well within the 200 halvings.
+        let root = bisect(0.0, 10.0, |x| Ok(x - 3.3));
+        assert!((root - 3.3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn each_rate_is_evaluated_once() {
+        // The growth phase's last two rates are the halving's bracket ends;
+        // neither is evaluated again.
+        let mut seen = Vec::new();
+        let sat = saturation_point(16.0, |lambda| {
+            seen.push(lambda);
+            Ok(16.0 / (1.0 - 40.0 * lambda).max(1e-9))
+        })
+        .unwrap();
+        assert!((sat.message_rate - 1.0 / 56.0).abs() < 1e-9);
+        let mut sorted = seen.clone();
+        sorted.sort_by(f64::total_cmp);
+        sorted.dedup();
+        assert_eq!(sorted.len(), seen.len(), "a rate was evaluated twice");
+    }
+
+    #[test]
     fn constant_service_time_saturates_at_reciprocal() {
         // x(λ) = s exactly: saturation at λ = 1/s.
         let s = 20.0;
         let sat = saturation_point(s, |_| Ok(s)).unwrap();
-        assert!((sat.message_rate - 1.0 / s).abs() < 1e-9);
+        // The halving closes the bracket to 1e-12.
+        assert!((sat.message_rate - 1.0 / s).abs() < 1e-12);
         assert!((sat.flit_load - 1.0).abs() < 1e-7);
     }
 

@@ -48,7 +48,9 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
 
     let pattern = DestinationPattern::hot_spot();
     let DestinationPattern::HotSpot { fraction: beta, .. } = pattern else {
-        unreachable!("hot_spot() is a HotSpot pattern")
+        return Err(ExperimentError::Invalid(format!(
+            "DestinationPattern::hot_spot() built {pattern:?}, not a hot spot"
+        )));
     };
     let flows = FlowVector::build(&tree, &pattern)?;
     let uniform_model = BftModel::new(params, f64::from(s));

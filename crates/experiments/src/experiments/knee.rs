@@ -192,7 +192,7 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
                             }
                             converged += 1;
                         }
-                        SolveOutcome::Saturated { .. } | SolveOutcome::NoConvergence { .. } => {
+                        SolveOutcome::Saturated | SolveOutcome::NoConvergence { .. } => {
                             saturated += 1;
                         }
                     }

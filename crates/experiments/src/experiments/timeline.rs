@@ -18,7 +18,7 @@ use super::{ExperimentContext, ExperimentOutput};
 use crate::csv::Csv;
 use crate::error::ExperimentError;
 use crate::table::{num, Table};
-use wormsim_obs::export::{write_chrome_trace_with_counters, CounterSample, CounterTrack};
+use wormsim_obs::export::{events_to_chrome_trace, CounterSample, CounterTrack};
 use wormsim_obs::{detect_steady_state, Histogram};
 use wormsim_sim::config::{
     EngineKind, LaneAllocatorKind, LaneConfig, ObsConfig, SimConfig, TrafficConfig,
@@ -268,11 +268,10 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
         };
         let chrome = dir.join("timeline_chrome.json");
         let label = format!("wormsim timeline bft{n} load={flit_load} W={window}");
-        match write_chrome_trace_with_counters(
+        let counters = [throughput_track, inflight_track, channel_track];
+        match std::fs::write(
             &chrome,
-            &snap.events,
-            &[throughput_track, inflight_track, channel_track],
-            &label,
+            events_to_chrome_trace(&snap.events, &counters, &label),
         ) {
             Ok(()) => out.artifacts.push(chrome),
             Err(e) => out.report.push_str(&format!(

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use wormsim_core::framework::{bft_spec, ring_spec, WarmStart};
 use wormsim_core::options::ModelOptions;
-use wormsim_obs::export::{write_chrome_trace, write_jsonl};
+use wormsim_obs::export::{events_to_chrome_trace, events_to_jsonl};
 use wormsim_obs::{ModelTelemetry, StallCause};
 use wormsim_sim::config::{
     EngineKind, LaneAllocatorKind, LaneConfig, ObsConfig, SimConfig, TrafficConfig,
@@ -251,14 +251,14 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
         } else {
             let jsonl = dir.join("trace.jsonl");
             let chrome = dir.join("trace_chrome.json");
-            match write_jsonl(&jsonl, &snap.events) {
+            match std::fs::write(&jsonl, events_to_jsonl(&snap.events)) {
                 Ok(()) => out.artifacts.push(jsonl),
                 Err(e) => out
                     .report
                     .push_str(&format!("\n[warn] failed to write trace.jsonl: {e}\n")),
             }
             let label = format!("wormsim bft{n} load={flit_load} L={lanes}");
-            match write_chrome_trace(&chrome, &snap.events, &label) {
+            match std::fs::write(&chrome, events_to_chrome_trace(&snap.events, &[], &label)) {
                 Ok(()) => out.artifacts.push(chrome),
                 Err(e) => out.report.push_str(&format!(
                     "\n[warn] failed to write trace_chrome.json: {e}\n"

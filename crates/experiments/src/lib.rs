@@ -1,7 +1,7 @@
 //! Experiment harness for the Greenberg–Guan (ICPP 1997) reproduction.
 //!
 //! Every figure and table of the paper — plus the ablations and extensions
-//! catalogued in `DESIGN.md` — is regenerated by one module under
+//! in the table below — is regenerated by one module under
 //! [`experiments`], all reachable from the `repro` binary:
 //!
 //! ```text
@@ -26,6 +26,7 @@
 //! | `hotspot` | workload W1: hot-spot traffic, flow model vs sim | [`experiments::hotspot`] |
 //! | `bursty` | workload W2: MMPP sources vs burst-corrected model | [`experiments::bursty`] |
 //! | `lanes` | lanes L1: virtual-channel lanes, model vs sim for L ∈ {1,2,4} | [`experiments::lanes`] |
+//! | `trace` | obs O1: worm-lifecycle trace (JSONL + Chrome), per-level usage, solver telemetry | [`experiments::trace`] |
 //! | `timeline` | obs O2: windowed time series + MSER-5 steady state + counter tracks | [`experiments::timeline`] |
 //! | `faults` | robustness R1: link knockouts, degraded model vs sim | [`experiments::faults`] |
 //! | `knee` | robustness R2: bracketed knee vs sim saturation, N × L × faults | [`experiments::knee`] |
@@ -33,10 +34,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![deny(unsafe_code)]
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod ascii_plot;
 pub mod bench_compare;

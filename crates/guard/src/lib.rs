@@ -3,37 +3,30 @@
 //! The Greenberg–Guan model is only defined below the saturation knee: past
 //! it, the §2 fixed point has no finite solution and a naive solver either
 //! diverges, burns its whole iteration budget, or (worst) panics in a
-//! downstream kernel fed `ρ ≥ 1`. This crate makes every solve *total over
-//! load ∈ [0, ∞)* by layering three mechanisms on top of the raw solver in
-//! `wormsim-queueing`:
+//! downstream kernel fed `ρ ≥ 1`. This crate provides the two mechanisms
+//! that make every solve *total over load ∈ [0, ∞)*:
 //!
 //! 1. **Typed outcomes** — [`SolveOutcome`] tags a solve as `Converged`,
 //!    `Saturated` (the load is past the knee; the model has no answer and
 //!    never will), or `NoConvergence` (the budget expired without a
 //!    saturation diagnosis — rare, reported rather than retried forever).
-//! 2. **An escalation ladder** — [`escalate`] retries a failed solve
-//!    through [`Rung::Plain`] → [`Rung::Damped`] → [`Rung::AcceleratedRestart`]
-//!    before conceding. A transient failure at one rung (non-convergence,
-//!    detected divergence that heavier damping or Aitken acceleration can
-//!    rescue) moves to the next; a definitive failure (`ρ ≥ 1`, invalid
-//!    spec) aborts immediately.
-//! 3. **Knee bracketing** — [`bracket_knee`] finds the boundary between
+//! 2. **Knee bracketing** — [`bracket_knee`] finds the boundary between
 //!    the feasible and infeasible load regions by geometric growth plus
 //!    bisection, so callers can *ask* where the model stops being valid
 //!    instead of discovering it by panic.
 //!
 //! The crate is deliberately generic: it never names `NetworkSpec` (which
-//! lives above it in the dependency order). `wormsim-core` wires these
-//! primitives into `NetworkSpec::solve_outcome` (and through it
-//! `StationModel::latency_outcome`) and `NetworkSpec::find_knee`.
+//! lives above it in the dependency order). `wormsim-core` builds
+//! `NetworkSpec::solve_outcome` (and through it
+//! `StationModel::latency_outcome`) on these outcomes, retrying a failed
+//! solve through its own escalation ladder first, and
+//! `NetworkSpec::find_knee` on the bracketer.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![deny(unsafe_code)]
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 use std::fmt;
 
@@ -52,14 +45,11 @@ use std::fmt;
 pub enum SolveOutcome<T> {
     /// The fixed point converged; the model is valid at this load.
     Converged(T),
-    /// The load is at or past the saturation knee: a station saw `ρ ≥ 1`
-    /// or the iteration was caught diverging. `knee_estimate` is the
-    /// bracketed knee when the caller has run [`bracket_knee`] (loads in
-    /// the same units the solve was asked in), `None` otherwise.
-    Saturated {
-        /// Best available estimate of the saturation knee, if bracketed.
-        knee_estimate: Option<f64>,
-    },
+    /// The load is at or past the saturation knee: a station saw `ρ ≥ 1`,
+    /// or the iteration diverged or left the model's domain however it was
+    /// retried. Where the knee lies is [`bracket_knee`]'s question, not the
+    /// solve's.
+    Saturated,
     /// The iteration budget expired with the residual still shrinking too
     /// slowly — neither a solution nor a saturation diagnosis. Distinct
     /// from `Saturated` so callers can flag points needing a bigger budget.
@@ -81,7 +71,7 @@ impl<T> SolveOutcome<T> {
     /// `true` for the `Saturated` arm.
     #[must_use]
     pub fn is_saturated(&self) -> bool {
-        matches!(self, SolveOutcome::Saturated { .. })
+        matches!(self, SolveOutcome::Saturated)
     }
 
     /// The converged value, if any.
@@ -106,7 +96,7 @@ impl<T> SolveOutcome<T> {
     pub fn map<U>(self, f: impl FnOnce(T) -> U) -> SolveOutcome<U> {
         match self {
             SolveOutcome::Converged(v) => SolveOutcome::Converged(f(v)),
-            SolveOutcome::Saturated { knee_estimate } => SolveOutcome::Saturated { knee_estimate },
+            SolveOutcome::Saturated => SolveOutcome::Saturated,
             SolveOutcome::NoConvergence {
                 iterations,
                 residual,
@@ -123,131 +113,10 @@ impl<T> SolveOutcome<T> {
     pub fn label(&self) -> &'static str {
         match self {
             SolveOutcome::Converged(_) => "converged",
-            SolveOutcome::Saturated { .. } => "saturated",
+            SolveOutcome::Saturated => "saturated",
             SolveOutcome::NoConvergence { .. } => "no_convergence",
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Escalation ladder
-// ---------------------------------------------------------------------------
-
-/// One rung of the escalation ladder, in ascending order of firepower.
-///
-/// The interpretation of each rung belongs to the solver being driven; for
-/// the `wormsim-core` fixed point they map to the paper's damped Picard
-/// iteration at its standard damping, a heavily-damped variant for
-/// marginally-stable loads, and the Aitken-accelerated solver restarted
-/// from a cold seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Rung {
-    /// The solver's standard configuration.
-    Plain,
-    /// Heavier damping: slower but contracts in regimes where the plain
-    /// iteration oscillates or overshoots.
-    Damped,
-    /// Aitken-accelerated iteration restarted from a cold seed — the
-    /// strongest rung, able to land on weakly-repelling fixed points the
-    /// Picard map walks away from.
-    AcceleratedRestart,
-}
-
-impl Rung {
-    /// Every rung, in escalation order.
-    pub const LADDER: [Rung; 3] = [Rung::Plain, Rung::Damped, Rung::AcceleratedRestart];
-
-    /// Short label for telemetry (`"plain"`, `"damped"`, `"accel_restart"`).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Rung::Plain => "plain",
-            Rung::Damped => "damped",
-            Rung::AcceleratedRestart => "accel_restart",
-        }
-    }
-}
-
-impl fmt::Display for Rung {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// What the escalation ladder concluded.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LadderOutcome<T, E> {
-    /// A rung solved it. `rung` says which; `attempts` counts rungs tried
-    /// (1 means the plain solve just worked — the common, zero-overhead
-    /// case).
-    Solved {
-        /// The solution.
-        value: T,
-        /// The rung that succeeded.
-        rung: Rung,
-        /// Total rungs attempted, including the successful one.
-        attempts: usize,
-    },
-    /// Every rung failed with a *retryable* error: the strongest solver
-    /// available could neither converge nor prove saturation. Carries the
-    /// last (strongest-rung) error.
-    Exhausted {
-        /// The error from the final rung.
-        last_error: E,
-        /// Total rungs attempted.
-        attempts: usize,
-    },
-    /// A rung failed with a non-retryable error — saturation (`ρ ≥ 1`) or
-    /// a spec problem that no amount of damping will fix. The ladder stops
-    /// immediately; retrying a definitive diagnosis only wastes time.
-    Aborted {
-        /// The definitive error.
-        error: E,
-        /// The rung that produced it.
-        rung: Rung,
-        /// Total rungs attempted, including the aborting one.
-        attempts: usize,
-    },
-}
-
-/// Drives a solve up the escalation ladder.
-///
-/// `solve` is invoked with each [`Rung`] in [`Rung::LADDER`] order until it
-/// succeeds, fails non-retryably (per `retryable`), or the ladder is
-/// exhausted. The closure owns all solver state (warm starts, traces);
-/// `escalate` only sequences the attempts.
-pub fn escalate<T, E>(
-    mut solve: impl FnMut(Rung) -> Result<T, E>,
-    retryable: impl Fn(&E) -> bool,
-) -> LadderOutcome<T, E> {
-    for (i, rung) in Rung::LADDER.into_iter().enumerate() {
-        let attempts = i + 1;
-        match solve(rung) {
-            Ok(value) => {
-                return LadderOutcome::Solved {
-                    value,
-                    rung,
-                    attempts,
-                }
-            }
-            Err(e) if retryable(&e) => {
-                if attempts == Rung::LADDER.len() {
-                    return LadderOutcome::Exhausted {
-                        last_error: e,
-                        attempts,
-                    };
-                }
-            }
-            Err(error) => {
-                return LadderOutcome::Aborted {
-                    error,
-                    rung,
-                    attempts,
-                }
-            }
-        }
-    }
-    unreachable!("Rung::LADDER is non-empty; every iteration of the final rung returns")
 }
 
 // ---------------------------------------------------------------------------
@@ -286,8 +155,11 @@ impl Default for KneeConfig {
 /// A bracketed saturation knee.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Knee {
-    /// Conservative knee estimate: the largest load proven feasible.
-    /// Solving at `knee` succeeds; solving at `first_infeasible` does not.
+    /// Conservative knee estimate: the largest load the probe sequence
+    /// proved feasible, and `first_infeasible` the smallest it proved
+    /// infeasible. The proof is that probe's answer: a predicate that
+    /// carries state between probes (`NetworkSpec::find_knee` shares one
+    /// warm start) may reject `knee` when asked again from scratch.
     pub knee: f64,
     /// Upper end of the final bracket — the smallest load proven
     /// infeasible.
@@ -353,10 +225,10 @@ impl std::error::Error for KneeError {}
 /// 2. **Bisects** the resulting `[feasible, infeasible]` bracket until its
 ///    relative width is below `cfg.rel_tolerance`.
 ///
-/// The returned [`Knee::knee`] is the *feasible* end of the final bracket,
-/// so it is always safe to solve at. Probes are charged against
-/// `cfg.max_probes`; hitting the cap returns the bracket as-is (wider than
-/// requested, never wrong).
+/// The returned [`Knee::knee`] is the *feasible* end of the final bracket:
+/// the largest load at which a probe returned `true`. Probes are charged
+/// against `cfg.max_probes`; hitting the cap returns the bracket as-is
+/// (wider than requested, never wrong).
 ///
 /// # Errors
 ///
@@ -421,16 +293,6 @@ pub fn bracket_knee(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wormsim_queueing::QueueingError;
-
-    /// The ladder tests' retry policy: iteration failures are worth a
-    /// stronger rung, while saturation and invalid input are definitive.
-    fn retryable(e: &QueueingError) -> bool {
-        matches!(
-            e,
-            QueueingError::NoConvergence { .. } | QueueingError::Diverged { .. }
-        )
-    }
 
     #[test]
     fn outcome_accessors_and_labels() {
@@ -441,18 +303,11 @@ mod tests {
         assert_eq!(c.clone().into_converged(), Some(2.5));
         assert_eq!(c.map(|v| v * 2.0), SolveOutcome::Converged(5.0));
 
-        let s: SolveOutcome<f64> = SolveOutcome::Saturated {
-            knee_estimate: Some(0.4),
-        };
+        let s: SolveOutcome<f64> = SolveOutcome::Saturated;
         assert!(s.is_saturated() && !s.is_converged());
         assert_eq!(s.label(), "saturated");
         assert_eq!(s.converged(), None);
-        assert_eq!(
-            s.map(|v| v + 1.0),
-            SolveOutcome::Saturated {
-                knee_estimate: Some(0.4)
-            }
-        );
+        assert_eq!(s.map(|v| v + 1.0), SolveOutcome::Saturated);
 
         let n: SolveOutcome<f64> = SolveOutcome::NoConvergence {
             iterations: 7,
@@ -460,98 +315,6 @@ mod tests {
         };
         assert_eq!(n.label(), "no_convergence");
         assert_eq!(n.into_converged(), None);
-    }
-
-    #[test]
-    fn ladder_returns_first_success_without_extra_attempts() {
-        let out = escalate::<_, QueueingError>(|_| Ok(42), retryable);
-        assert_eq!(
-            out,
-            LadderOutcome::Solved {
-                value: 42,
-                rung: Rung::Plain,
-                attempts: 1
-            }
-        );
-    }
-
-    #[test]
-    fn ladder_escalates_past_transient_failures() {
-        let mut calls = Vec::new();
-        let out = escalate(
-            |rung| {
-                calls.push(rung);
-                if rung == Rung::AcceleratedRestart {
-                    Ok("rescued")
-                } else {
-                    Err(QueueingError::Diverged {
-                        iterations: 41,
-                        residual: 1e9,
-                    })
-                }
-            },
-            retryable,
-        );
-        assert_eq!(
-            calls,
-            vec![Rung::Plain, Rung::Damped, Rung::AcceleratedRestart]
-        );
-        assert!(matches!(
-            out,
-            LadderOutcome::Solved {
-                value: "rescued",
-                rung: Rung::AcceleratedRestart,
-                attempts: 3
-            }
-        ));
-    }
-
-    #[test]
-    fn ladder_aborts_immediately_on_saturation() {
-        let mut calls = 0;
-        let out = escalate::<u8, _>(
-            |_| {
-                calls += 1;
-                Err(QueueingError::Saturated { utilization: 1.3 })
-            },
-            retryable,
-        );
-        assert_eq!(calls, 1, "a definitive diagnosis must not be retried");
-        assert!(matches!(
-            out,
-            LadderOutcome::Aborted {
-                error: QueueingError::Saturated { .. },
-                rung: Rung::Plain,
-                attempts: 1
-            }
-        ));
-    }
-
-    #[test]
-    fn ladder_reports_exhaustion_with_the_strongest_rung_error() {
-        let out = escalate::<u8, _>(
-            |rung| {
-                Err(QueueingError::NoConvergence {
-                    iterations: match rung {
-                        Rung::Plain => 1,
-                        Rung::Damped => 2,
-                        Rung::AcceleratedRestart => 3,
-                    },
-                    residual: 1.0,
-                })
-            },
-            retryable,
-        );
-        match out {
-            LadderOutcome::Exhausted {
-                last_error: QueueingError::NoConvergence { iterations, .. },
-                attempts,
-            } => {
-                assert_eq!(attempts, 3);
-                assert_eq!(iterations, 3, "must carry the final rung's error");
-            }
-            other => panic!("expected Exhausted, got {other:?}"),
-        }
     }
 
     #[test]

@@ -13,8 +13,6 @@
 
 use crate::events::WormEvent;
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 /// Format an f64 as a JSON number: integral values as `N.0`, others in
 /// Rust's shortest round-trip form.
@@ -170,17 +168,12 @@ fn chrome_counter(out: &mut String, track: &str, s: &CounterSample, pid: u32) {
     out.push_str("}}");
 }
 
-/// Render the event stream in Chrome `trace_event` JSON-object format.
-/// `label` becomes the process name shown by the viewer. Worms still in
-/// flight at the end of the run appear as unclosed `B` slices, which
-/// both `about:tracing` and Perfetto tolerate.
-pub fn events_to_chrome_trace(events: &[WormEvent], label: &str) -> String {
-    events_to_chrome_trace_with_counters(events, &[], label)
-}
-
-/// [`events_to_chrome_trace`] plus counter tracks (`"ph":"C"` samples)
-/// interleaved after the lifecycle events.
-pub fn events_to_chrome_trace_with_counters(
+/// Render the event stream in Chrome `trace_event` JSON-object format,
+/// with `counters` as counter tracks (`"ph":"C"` samples) after the
+/// lifecycle events. `label` becomes the process name shown by the
+/// viewer. Worms still in flight at the end of the run appear as unclosed
+/// `B` slices, which both `about:tracing` and Perfetto tolerate.
+pub fn events_to_chrome_trace(
     events: &[WormEvent],
     counters: &[CounterTrack],
     label: &str,
@@ -209,29 +202,6 @@ pub fn events_to_chrome_trace_with_counters(
     }
     out.push_str("\n], \"displayTimeUnit\": \"ms\"}\n");
     out
-}
-
-/// Write the JSONL stream to `path`.
-pub fn write_jsonl(path: &Path, events: &[WormEvent]) -> io::Result<()> {
-    std::fs::write(path, events_to_jsonl(events))
-}
-
-/// Write the Chrome trace to `path`.
-pub fn write_chrome_trace(path: &Path, events: &[WormEvent], label: &str) -> io::Result<()> {
-    std::fs::write(path, events_to_chrome_trace(events, label))
-}
-
-/// Write the Chrome trace with counter tracks to `path`.
-pub fn write_chrome_trace_with_counters(
-    path: &Path,
-    events: &[WormEvent],
-    counters: &[CounterTrack],
-    label: &str,
-) -> io::Result<()> {
-    std::fs::write(
-        path,
-        events_to_chrome_trace_with_counters(events, counters, label),
-    )
 }
 
 /// Deepest nesting [`Json::parse`] accepts: values sit at depth 0 (the
@@ -581,7 +551,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_valid_json_with_balanced_slices() {
-        let trace = events_to_chrome_trace(&sample_events(), "unit test");
+        let trace = events_to_chrome_trace(&sample_events(), &[], "unit test");
         assert!(json_is_well_formed(&trace), "bad chrome trace: {trace}");
         assert_eq!(trace.matches(r#""ph":"B""#).count(), 1);
         assert_eq!(trace.matches(r#""ph":"E""#).count(), 1);
@@ -590,7 +560,7 @@ mod tests {
 
     #[test]
     fn chrome_label_is_sanitized() {
-        let trace = events_to_chrome_trace(&[], "we\"ird\\label\n");
+        let trace = events_to_chrome_trace(&[], &[], "we\"ird\\label\n");
         assert!(json_is_well_formed(&trace));
         assert!(trace.contains("we_ird_label_"));
     }
@@ -610,7 +580,7 @@ mod tests {
                 },
             ],
         }];
-        let trace = events_to_chrome_trace_with_counters(&sample_events(), &counters, "timeline");
+        let trace = events_to_chrome_trace(&sample_events(), &counters, "timeline");
         assert!(json_is_well_formed(&trace), "bad counter trace: {trace}");
         assert_eq!(trace.matches(r#""ph":"C""#).count(), 2);
         assert!(trace.contains(r#""cat":"counter""#));
@@ -629,7 +599,7 @@ mod tests {
                 values: vec![("na\"n".into(), f64::NAN), ("inf".into(), f64::INFINITY)],
             }],
         }];
-        let trace = events_to_chrome_trace_with_counters(&[], &counters, "t");
+        let trace = events_to_chrome_trace(&[], &counters, "t");
         assert!(json_is_well_formed(&trace), "bad trace: {trace}");
         assert!(trace.contains(r#""bad_name""#));
         assert!(!trace.contains("NaN"));

@@ -30,10 +30,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![deny(unsafe_code)]
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod events;
 pub mod export;
@@ -47,8 +45,7 @@ pub mod timeseries;
 pub use events::{EventSink, StallCause, WormEvent};
 pub use metrics::{Histogram, Registry};
 pub use model::{
-    AitkenStep, IterationSample, LadderSample, ModelTelemetry, OutcomeKind, SolverTrace,
-    StationBreakdown,
+    AitkenStep, IterationSample, LadderSample, ModelTelemetry, SolverTrace, StationBreakdown,
 };
 pub use sim::{ChannelUsage, LaneUsage, ObsConfig, SimSnapshot, SimTrace};
 pub use steady::{detect_steady_state, mser, mser5, SteadyState, Truncation};

@@ -1,10 +1,12 @@
-//! Analytical-model telemetry: fixed-point solver convergence traces and
-//! per-station blocking/residence breakdowns.
+//! Analytical-model telemetry: fixed-point solver convergence traces,
+//! per-station blocking/residence breakdowns, and the escalation-ladder
+//! attempts and outcome tag of a saturation-aware solve.
 //!
 //! The queueing solver threads an optional `&mut SolverTrace` through its
 //! iteration loop; the framework fills a [`ModelTelemetry`] when asked to
-//! solve with tracing. Both are plain data — rendering and export live
-//! with the consumers.
+//! solve with tracing. All of it is plain data: the outcome tag is the
+//! solving layer's own label string, so this leaf crate names no type
+//! from above it, and rendering and export live with the consumers.
 
 /// Outcome of an Aitken Δ² acceleration attempt within one sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,36 +133,11 @@ pub struct StationBreakdown {
     pub inbound_blocking: f64,
 }
 
-/// The saturation-aware classification of a solve, mirrored into
-/// telemetry so exporters can tag traces without depending on the
-/// solving layer (which sits *above* this crate in the dependency
-/// order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OutcomeKind {
-    /// The fixed point converged.
-    Converged,
-    /// The load is at or past the saturation knee.
-    Saturated,
-    /// The iteration budget expired without a saturation diagnosis.
-    NoConvergence,
-}
-
-impl OutcomeKind {
-    /// Stable snake_case label used by renderers and CSV columns.
-    pub fn label(self) -> &'static str {
-        match self {
-            OutcomeKind::Converged => "converged",
-            OutcomeKind::Saturated => "saturated",
-            OutcomeKind::NoConvergence => "no_convergence",
-        }
-    }
-}
-
 /// One attempt of the escalation ladder (plain → damped →
 /// accelerated-with-restart) a saturation-aware solve climbed through.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LadderSample {
-    /// Rung label (`"plain"`, `"damped"`, `"accel_restart"`).
+    /// Label of the rung tried (`"plain"`, `"damped"`, `"accel_restart"`).
     pub rung: String,
     /// Whether this rung produced a converged solution.
     pub succeeded: bool,
@@ -178,10 +155,10 @@ pub struct ModelTelemetry {
     pub solver: SolverTrace,
     /// Per-class breakdown rows, in spec order.
     pub stations: Vec<StationBreakdown>,
-    /// Saturation-aware outcome classification, filled by the
-    /// outcome-returning solve entry points (`None` for the plain
-    /// error-returning ones).
-    pub outcome: Option<OutcomeKind>,
+    /// Saturation-aware outcome tag, `SolveOutcome::label()` of the
+    /// outcome-returning solve entry points: `"converged"`, `"saturated"`
+    /// or `"no_convergence"` (`None` for the plain error-returning ones).
+    pub outcome: Option<&'static str>,
     /// Escalation-ladder attempts in order, one entry per rung tried
     /// (empty when the plain error-returning entry points ran).
     pub ladder: Vec<LadderSample>,
@@ -228,17 +205,10 @@ mod tests {
     }
 
     #[test]
-    fn outcome_labels_are_stable() {
-        assert_eq!(OutcomeKind::Converged.label(), "converged");
-        assert_eq!(OutcomeKind::Saturated.label(), "saturated");
-        assert_eq!(OutcomeKind::NoConvergence.label(), "no_convergence");
-    }
-
-    #[test]
     fn telemetry_reset_clears_every_field() {
         let mut tel = ModelTelemetry::default();
         tel.solver.record(1, 0.5, 0.5, AitkenStep::NotAttempted);
-        tel.outcome = Some(OutcomeKind::Saturated);
+        tel.outcome = Some("saturated");
         tel.ladder.push(LadderSample {
             rung: "plain".into(),
             succeeded: false,

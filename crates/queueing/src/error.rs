@@ -57,14 +57,6 @@ pub enum QueueingError {
         /// The offending computed value.
         value: f64,
     },
-    /// A root-bracketing search was given an interval that does not bracket
-    /// a sign change.
-    BracketError {
-        /// Lower end of the rejected interval.
-        lo: f64,
-        /// Upper end of the rejected interval.
-        hi: f64,
-    },
 }
 
 impl fmt::Display for QueueingError {
@@ -111,9 +103,6 @@ impl fmt::Display for QueueingError {
             }
             QueueingError::Numerical { value } => {
                 write!(f, "computation produced non-finite value {value}")
-            }
-            QueueingError::BracketError { lo, hi } => {
-                write!(f, "interval [{lo}, {hi}] does not bracket a root")
             }
         }
     }
@@ -189,7 +178,6 @@ mod tests {
                 "diverged",
             ),
             (QueueingError::Numerical { value: f64::NAN }, "non-finite"),
-            (QueueingError::BracketError { lo: 0.0, hi: 1.0 }, "bracket"),
         ];
         for (err, needle) in cases {
             assert!(

@@ -24,8 +24,8 @@
 //!   lane *availability* through M/G/(m·L) lane-slot waits
 //!   ([`wormhole::station_wait`] at `m·L` servers); an exact no-op at
 //!   `L = 1`.
-//! * [`solver`] — damped fixed-point iteration and bracketing root finding,
-//!   used to resolve cyclic channel dependencies and saturation points.
+//! * [`solver`] — damped and accelerated fixed-point iteration, used to
+//!   resolve cyclic channel dependencies.
 //!
 //! # Conventions
 //!
@@ -59,10 +59,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![deny(unsafe_code)]
-#![cfg_attr(
-    not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod blocking;
 pub mod error;

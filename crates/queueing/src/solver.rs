@@ -1,6 +1,6 @@
 //! Numerical solvers shared by the analytical models.
 //!
-//! Three tools live here:
+//! Two tools live here:
 //!
 //! * [`fixed_point`] — damped fixed-point iteration on a vector of channel
 //!   service times. The butterfly fat-tree resolves in one backward pass
@@ -14,9 +14,6 @@
 //!   converged vector; together warm starts and acceleration cut the
 //!   iteration count substantially on interior sweep points while
 //!   converging to the same fixed point (same tolerance, same map).
-//! * [`bisect_increasing`] — bracketing bisection on a monotone function,
-//!   used for the throughput computation of paper §2.3/§3.5: find the
-//!   arrival rate where the source service time crosses `1/λ₀`.
 //!
 //! Both fixed-point solvers take an optional [`SolverTrace`] threaded
 //! through the iteration loop — per-evaluation raw residual, damping
@@ -415,66 +412,6 @@ where
     })
 }
 
-/// Absolute tolerance of [`bisect_increasing`] on the argument.
-const BISECT_TOLERANCE: f64 = 1e-12;
-/// Maximum number of halvings in [`bisect_increasing`].
-const BISECT_MAX_HALVINGS: usize = 200;
-
-/// Finds the zero crossing of a monotonically increasing function `g` on
-/// `[lo, hi]`, i.e. the point where `g` changes sign from negative to
-/// non-negative, to an absolute tolerance of `1e-12` on the argument
-/// (at most 200 halvings).
-///
-/// Used for saturation scans where `g(λ) = x̄₀,₁(λ) − 1/λ` (paper Eq. 26):
-/// `g` is negative below saturation and positive above it. `g` may return
-/// an error above saturation (the model's queues blow up); such errors are
-/// treated as "`g` is positive there", which makes the solver robust to the
-/// model refusing to evaluate past the knee.
-///
-/// # Errors
-///
-/// * [`QueueingError::BracketError`] when `g(lo)` is already non-negative
-///   (no crossing in the interval) — except that an error at `lo` itself is
-///   propagated, since it means the caller bracketed blindly.
-pub fn bisect_increasing<G>(lo: f64, hi: f64, mut g: G) -> Result<f64>
-where
-    G: FnMut(f64) -> Result<f64>,
-{
-    if lo >= hi || !lo.is_finite() || !hi.is_finite() {
-        return Err(QueueingError::BracketError { lo, hi });
-    }
-    let g_lo = g(lo)?;
-    if g_lo >= 0.0 {
-        return Err(QueueingError::BracketError { lo, hi });
-    }
-    // Above saturation the model may fail to evaluate; treat failure as
-    // "crossed" (positive).
-    let sign = |v: Result<f64>| -> f64 {
-        match v {
-            Ok(y) => y,
-            Err(_) => f64::INFINITY,
-        }
-    };
-    let mut a = lo;
-    let mut b = hi;
-    if sign(g(hi)) < 0.0 {
-        // No crossing within [lo, hi]: the function never reaches zero.
-        return Err(QueueingError::BracketError { lo, hi });
-    }
-    for _ in 0..BISECT_MAX_HALVINGS {
-        let mid = 0.5 * (a + b);
-        if b - a < BISECT_TOLERANCE {
-            return Ok(mid);
-        }
-        if sign(g(mid)) < 0.0 {
-            a = mid;
-        } else {
-            b = mid;
-        }
-    }
-    Ok(0.5 * (a + b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -832,54 +769,5 @@ mod tests {
         assert!(!tr.converged);
         assert_eq!(tr.len(), 20);
         assert!(tr.final_residual > 0.0);
-    }
-
-    #[test]
-    fn bisect_finds_simple_root() {
-        // g(x) = x² − 2 on [0, 2] → √2.
-        let root = bisect_increasing(0.0, 2.0, |x| Ok(x * x - 2.0)).unwrap();
-        assert!((root - std::f64::consts::SQRT_2).abs() < 1e-10);
-    }
-
-    #[test]
-    fn bisect_handles_error_as_positive_region() {
-        // g errors above 1.0 (like a saturated model); root of x−0.5 is 0.5.
-        let root = bisect_increasing(0.0, 2.0, |x| {
-            if x > 1.0 {
-                Err(QueueingError::Saturated { utilization: x })
-            } else {
-                Ok(x - 0.5)
-            }
-        })
-        .unwrap();
-        assert!((root - 0.5).abs() < 1e-10);
-    }
-
-    #[test]
-    fn bisect_rejects_bad_brackets() {
-        // g(lo) already positive.
-        assert!(matches!(
-            bisect_increasing(1.0, 2.0, Ok),
-            Err(QueueingError::BracketError { .. })
-        ));
-        // Never crosses.
-        assert!(matches!(
-            bisect_increasing(0.0, 1.0, |_| Ok(-1.0)),
-            Err(QueueingError::BracketError { .. })
-        ));
-        // Degenerate interval.
-        assert!(bisect_increasing(1.0, 1.0, Ok).is_err());
-        // Error at lo propagates.
-        assert!(bisect_increasing(0.0, 1.0, |_| Err::<f64, _>(
-            QueueingError::InvalidServerCount
-        ))
-        .is_err());
-    }
-
-    #[test]
-    fn bisect_respects_tolerance() {
-        // The bracket closes to 1e-12 well within the 200 halvings.
-        let root = bisect_increasing(0.0, 10.0, |x| Ok(x - 3.3)).unwrap();
-        assert!((root - 3.3).abs() < 1e-12);
     }
 }

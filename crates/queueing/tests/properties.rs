@@ -125,13 +125,6 @@ proptest! {
     }
 
     #[test]
-    fn bisection_inverts_monotone_functions(target in 0.05..0.95f64) {
-        // g(x) = x³ − target³ is increasing with root at `target`.
-        let root = solver::bisect_increasing(0.0, 1.0, |x| Ok(x * x * x - target * target * target)).unwrap();
-        prop_assert!((root - target).abs() < 1e-9);
-    }
-
-    #[test]
     fn fixed_point_solves_random_contractions(
         slope in -0.9..0.9f64,
         offset in -10.0..10.0f64,

@@ -74,7 +74,7 @@ fn main() {
 
     // ---- Export the event stream. ----
     let jsonl = events_to_jsonl(&snap.events);
-    let chrome = events_to_chrome_trace(&snap.events, "wormsim example");
+    let chrome = events_to_chrome_trace(&snap.events, &[], "wormsim example");
     println!(
         "\nExports: {} JSONL bytes, {} Chrome-trace bytes (load the latter in \
          about:tracing or ui.perfetto.dev)",

@@ -22,8 +22,9 @@
 //! * [`model`] — the paper's analytical model: the general framework of §2,
 //!   the closed-form butterfly fat-tree instantiation of §3, baseline models,
 //!   ablations, and the workload-driven per-station generalization.
-//! * [`guard`] — saturation-aware solving: typed solve outcomes, an
-//!   escalation ladder for marginal loads, and knee bracketing.
+//! * [`guard`] — saturation-aware solving: typed solve outcomes and knee
+//!   bracketing (the escalation ladder for marginal loads lives with the
+//!   model, in `NetworkSpec::solve_outcome`).
 //! * [`sim`] — a cycle-accurate flit-level wormhole-routing simulator used
 //!   to validate the model exactly as the paper does.
 //! * [`lanes`] — virtual-channel (multi-lane) channels: validated lane
@@ -138,7 +139,7 @@ pub mod prelude {
     pub use wormsim_core::throughput::SaturationPoint;
     pub use wormsim_core::ModelError;
     pub use wormsim_faults::{FaultError, FaultPlan, FaultSpec, FaultedBft};
-    pub use wormsim_guard::{Knee, KneeConfig, KneeError, Rung, SolveOutcome};
+    pub use wormsim_guard::{Knee, KneeConfig, KneeError, SolveOutcome};
     pub use wormsim_lanes::{LaneAllocatorKind, LaneConfig, LaneError, LaneStats};
     pub use wormsim_obs::{
         detect_steady_state, Histogram, ModelTelemetry, ObsConfig, SimSnapshot, SolverTrace,

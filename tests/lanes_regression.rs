@@ -478,6 +478,43 @@ fn multi_lane_bft_model_rejects_single_lane_only_entry_points() {
 }
 
 #[test]
+fn model_lane_counts_stop_at_the_simulator_limit() {
+    // The model's bound is the simulator's: a lane count the simulator
+    // rejects is a spec error on every model entry point, not a slow solve.
+    assert_eq!(
+        wormsim::model::options::MAX_LANES,
+        wormsim::lanes::MAX_LANES
+    );
+    let params = BftParams::paper(64).unwrap();
+    let tree = ButterflyFatTree::new(params);
+    let flows = FlowVector::build(&tree, &DestinationPattern::Uniform).unwrap();
+    let mut sweep = FlowModelSweep::new(tree.network(), &flows, 16.0).unwrap();
+    let spec = bft_spec(&params, 16.0, 0.01 / 16.0);
+    for lanes in [65, 1000, u32::MAX] {
+        let opts = ModelOptions::paper().with_lanes(lanes);
+        let bft = BftModel::with_options(params, 16.0, opts).latency_at_flit_load(0.01);
+        let flow = sweep.outcome_at(0.01 / 16.0, &opts).map(drop);
+        let framework = spec.solve(&opts, None, None).map(drop);
+        for (entry, r) in [("bft", bft.map(drop)), ("flow", flow), ("spec", framework)] {
+            assert!(
+                matches!(&r, Err(ModelError::Spec(m)) if m.contains("lane count")),
+                "L = {lanes}, {entry}: {r:?}"
+            );
+        }
+    }
+    let at_limit = ModelOptions::paper().with_lanes(64);
+    let bft = BftModel::with_options(params, 16.0, at_limit)
+        .latency_at_flit_load(0.01)
+        .unwrap();
+    assert!(bft.total.is_finite() && bft.total > 16.0, "{bft:?}");
+    assert!(sweep
+        .outcome_at(0.01 / 16.0, &at_limit)
+        .unwrap()
+        .is_converged());
+    assert!(spec.solve(&at_limit, None, None).is_ok());
+}
+
+#[test]
 fn lane_occupancy_stats_reflect_the_allocator() {
     // First-free concentrates occupancy on the low lanes. The per-lane
     // stats in SimResult must show it.

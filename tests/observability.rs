@@ -148,7 +148,7 @@ fn exported_artifacts_are_well_formed_json() {
         );
     }
 
-    let chrome = events_to_chrome_trace(&snap.events, "obs test");
+    let chrome = events_to_chrome_trace(&snap.events, &[], "obs test");
     assert!(json_is_well_formed(&chrome), "chrome trace is invalid JSON");
     assert!(chrome.contains("\"traceEvents\""));
     assert!(chrome.contains("\"ph\":\"B\"") && chrome.contains("\"ph\":\"E\""));

@@ -76,8 +76,9 @@ fn hypercube_framework_model_tracks_hypercube_simulation() {
 
 #[test]
 fn mesh_simulation_has_sane_zero_load_latency() {
-    // No analytical mesh model (documented in DESIGN.md); validate the
-    // mesh router against its exact zero-load latency instead.
+    // The mesh's analytical model is the flow-built per-station one
+    // (`enumerated-mesh`, `flows::tests`); here the mesh router is checked
+    // against its exact zero-load latency.
     let mesh = Mesh::new(4, 2).unwrap();
     let router = MeshRouter::new(&mesh);
     let cfg = SimConfig::quick().with_seed(41);

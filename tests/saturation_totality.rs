@@ -80,7 +80,7 @@ fn assert_total_over_twice_the_knee(
                     knee.first_infeasible
                 );
             }
-            SolveOutcome::Saturated { .. } => {
+            SolveOutcome::Saturated => {
                 // Saturation strictly below the proven-feasible knee
                 // would contradict the bracket.
                 assert!(
