@@ -1,7 +1,15 @@
-//! Closed-form butterfly fat-tree model (paper §3).
+//! The butterfly fat-tree model of paper §3.
 //!
-//! The butterfly fat-tree's channel-dependency structure is a DAG, so the
-//! service-time equations resolve in one backward sweep:
+//! [`BftModel`] solves the §3 class spec, [`bft_spec`], with the general
+//! model of paper §2 ([`crate::framework`]). For an `n`-level tree the
+//! spec has one class per level and direction, at the rates of uniform
+//! traffic (Eqs. 14/15): down class `⟨l, l−1⟩` is class `l − 1` for
+//! `l ∈ 1..=n`, and up class `⟨l, l+1⟩` is class `n + l` for `l ∈ 0..n`.
+//! The model builds the spec once at unit rate and evaluates it at each
+//! source rate `λ₀` as a rate multiplier.
+//!
+//! The class dependencies form a DAG, and the solver's reverse
+//! topological order resolves them in one backward sweep:
 //!
 //! 1. **Down chain** (Eqs. 16–19): start at the ejection channels
 //!    (`x̄₁,₀ = s/f`, deterministic because sinks consume one flit per
@@ -14,22 +22,22 @@
 //!    turn probabilities of Eq. 12/13.
 //!
 //! Waiting times are the queueing crate's one station wait
-//! ([`station_wait`]): M/G/1 (Eq. 6) for single links and M/G/p (Eq. 8 at
-//! `p = 2`, Hokstad) for up-link bundles, with the **combined** bundle rate
-//! `p·λ` per the manuscript's margin correction to Eqs. 21/23. Blocking
-//! corrections are Eq. 10's per-channel form ([`blocking_probability`]).
-//! Average latency is Eq. 25 ([`LatencyBreakdown::new`]) and saturation
-//! throughput Eq. 26.
+//! (`wormsim_queueing::wormhole::station_wait`): M/G/1 (Eq. 6) for single
+//! links and M/G/p (Eq. 8 at `p = 2`, Hokstad) for up-link bundles, with
+//! the **combined** bundle rate `p·λ` per the manuscript's margin
+//! correction to Eqs. 21/23. Blocking corrections are Eq. 10's per-channel
+//! form (`wormsim_queueing::blocking::blocking_probability`). Average
+//! latency is Eq. 25 ([`LatencyBreakdown::new`]) and saturation throughput
+//! Eq. 26.
 //!
 //! All rates are per processor (`λ₀`, messages/cycle) or per channel; the
 //! *flit load* of the paper's Figure 3 x-axis is `λ₀·(s/f)` flits/cycle/PE.
 
 use crate::error::ModelError;
+use crate::framework::{bft_spec, NetworkSpec};
 use crate::options::ModelOptions;
 use crate::throughput::{self, SaturationPoint};
 use crate::Result;
-use wormsim_queueing::blocking::blocking_probability;
-use wormsim_queueing::wormhole::station_wait;
 use wormsim_topology::bft::BftParams;
 
 /// Decomposition of the paper's average latency (Eq. 25):
@@ -84,12 +92,16 @@ pub struct ChannelAudit {
     pub w_up: Vec<f64>,
 }
 
-/// The closed-form butterfly fat-tree model of paper §3.
-#[derive(Debug, Clone, Copy)]
+/// The butterfly fat-tree model of paper §3: [`bft_spec`] built once,
+/// solved at each source rate.
+#[derive(Debug, Clone)]
 pub struct BftModel {
     params: BftParams,
-    worm_flits: f64,
     options: ModelOptions,
+    /// `bft_spec(params, s, 1.0)`, evaluated at rate multiplier `λ₀`.
+    spec: NetworkSpec,
+    /// The spec's class order (down chain, then up chain), resolved once.
+    order: Option<Vec<usize>>,
 }
 
 impl BftModel {
@@ -107,10 +119,12 @@ impl BftModel {
     /// [`ModelError::Spec`].
     #[must_use]
     pub fn with_options(params: BftParams, worm_flits: f64, options: ModelOptions) -> Self {
+        let spec = bft_spec(&params, worm_flits, 1.0);
         Self {
             params,
-            worm_flits,
             options,
+            order: spec.reverse_topological_order(),
+            spec,
         }
     }
 
@@ -123,7 +137,7 @@ impl BftModel {
     /// Worm length in flits.
     #[must_use]
     pub fn worm_flits(&self) -> f64 {
-        self.worm_flits
+        self.spec.worm_flits
     }
 
     /// The model options in effect.
@@ -132,74 +146,14 @@ impl BftModel {
         &self.options
     }
 
-    /// Per-channel arrival rate on up class `⟨l, l+1⟩` (Eq. 14 generalized):
-    /// `λ_{l,l+1} = λ₀·P↑_l·(c/p)ˡ`, for `l ∈ [0, n−1]` (`l = 0` is the
-    /// injection channel with rate `λ₀`).
-    #[must_use]
-    pub fn lambda_up(&self, l: u32, lambda0: f64) -> f64 {
-        if l == 0 {
-            return lambda0;
-        }
-        let ratio = self.params.children() as f64 / self.params.parents() as f64;
-        lambda0 * self.params.p_up(l) * ratio.powi(l as i32)
-    }
-
-    /// Per-channel arrival rate on down class `⟨l, l−1⟩` (Eq. 15):
-    /// equals the up rate of the same level pair; `l ∈ [1, n]`.
-    #[must_use]
-    pub fn lambda_down(&self, l: u32, lambda0: f64) -> f64 {
-        self.lambda_up(l - 1, lambda0)
-    }
-
-    /// Single-link wait (Eq. 6) tagged with its channel class on error.
-    fn w1(&self, class: &str, lambda: f64, x: f64) -> Result<f64> {
-        station_wait(1, lambda, x, self.worm_flits).map_err(|e| ModelError::at(class, e))
-    }
-
-    /// Up-bundle wait: M/G/p at the combined rate `p·λ` (paper Eqs. 21/23
-    /// with the margin correction), or per-link M/G/1 under the
-    /// single-server ablation.
-    fn w_up_bundle(&self, class: &str, lambda_per_link: f64, x: f64) -> Result<f64> {
-        let p = self.params.parents() as u32;
-        let (servers, lambda) = if self.options.multi_server_up && p > 1 {
-            (p, f64::from(p) * lambda_per_link)
-        } else {
-            (1, lambda_per_link)
-        };
-        station_wait(servers, lambda, x, self.worm_flits).map_err(|e| ModelError::at(class, e))
-    }
-
-    /// Blocking factor `P(i|j)` of Eq. 10 (or 1 under the ablation), in the
-    /// per-channel-rate form where the server count cancels.
-    ///
-    /// For multi-server stations `r_station` is the probability of routing
-    /// to the *station*; under the single-server ablation the caller passes
-    /// the per-link probability.
-    fn blocking(&self, lambda_in: f64, lambda_out_per_channel: f64, r_station: f64) -> f64 {
-        if !self.options.blocking_correction {
-            return 1.0;
-        }
-        blocking_probability(lambda_in, lambda_out_per_channel, r_station)
-    }
-
-    /// Rejects what the closed-form recurrences cannot evaluate: a worm
-    /// length no channel can serve, a lane count outside
-    /// `1..=`[`crate::options::MAX_LANES`], and entry points that only have
-    /// single-lane semantics when the model was configured with
-    /// `lanes > 1` — silently returning `L = 1` numbers from a multi-lane
-    /// model would be inconsistent with [`Self::latency_at_message_rate`],
-    /// which does honour the lanes.
-    fn check_closed_form(&self, what: &str) -> Result<()> {
-        if !(self.worm_flits.is_finite() && self.worm_flits > 0.0) {
-            // The framework's validation rejects the same lengths with the
-            // same message at L > 1.
-            return Err(ModelError::Spec(format!(
-                "invalid worm length {}",
-                self.worm_flits
-            )));
-        }
-        // The framework's validation makes the same check, so the same
-        // options cannot error on one entry point and resolve on another.
+    /// Refuses, after the checks every entry point makes (worm length, then
+    /// lane count), a single-lane entry point at `lanes > 1`: `L = 1`
+    /// numbers from a multi-lane model would contradict
+    /// [`Self::latency_at_message_rate`], which honours the lanes.
+    fn single_lane_only(&self, what: &str) -> Result<()> {
+        // Of a spec built from valid params, validation rejects only the
+        // worm length.
+        self.spec.validate()?;
         self.options.check_lanes()?;
         if self.options.lanes > 1 {
             return Err(ModelError::Spec(format!(
@@ -218,136 +172,41 @@ impl BftModel {
     ///
     /// [`ModelError::Queueing`] tagged with the first saturating channel
     /// class when `lambda0` is beyond the network's capacity;
-    /// [`ModelError::Spec`] for an invalid worm length or when the options
-    /// carry `lanes > 1` (the per-level audit is the closed single-lane
-    /// recurrence).
+    /// [`ModelError::Spec`] for an invalid rate or worm length, or when the
+    /// options carry `lanes > 1` (the per-level audit is single-lane).
     pub fn audit_at_message_rate(&self, lambda0: f64) -> Result<ChannelAudit> {
-        self.check_closed_form("audit_at_message_rate")?;
-        let mut audit = self.resolve_chains(lambda0)?;
-        // Finally Eq. 24: injection-channel wait. This is the step that
-        // diverges exactly at the saturation point x̄₀,₁ = 1/λ₀ (where the
-        // source queue's utilization reaches 1).
-        audit.w_up[0] = self.w1("<0,1>", audit.lambda_up[0], audit.x_up[0])?;
-        Ok(audit)
-    }
-
-    /// Resolves the down and up chains (Eqs. 16–23) but not the final
-    /// injection wait (Eq. 24); `w_up[0]` is left at 0. This keeps the
-    /// source service time evaluable *at* the saturation point, where the
-    /// injection queue itself is exactly critical.
-    fn resolve_chains(&self, lambda0: f64) -> Result<ChannelAudit> {
-        if !(lambda0.is_finite() && lambda0 >= 0.0) {
-            return Err(ModelError::Spec(format!("invalid message rate {lambda0}")));
-        }
-        let n = self.params.levels();
-        let c = self.params.children() as f64;
-        let s = self.worm_flits;
-        let nl = n as usize;
-
-        let lambda_down: Vec<f64> = (0..=nl)
-            .map(|l| {
-                if l == 0 {
-                    0.0
-                } else {
-                    self.lambda_down(l as u32, lambda0)
-                }
-            })
-            .collect();
-        let lambda_up: Vec<f64> = (0..nl).map(|l| self.lambda_up(l as u32, lambda0)).collect();
-
-        // ---- Down chain: x̄_{1,0} = s (Eq. 16), then Eq. 18 upward. ----
-        let mut x_down = vec![0.0; nl + 1];
-        let mut w_down = vec![0.0; nl + 1];
-        x_down[1] = s;
-        w_down[1] = self.w1("<1,0>", lambda_down[1], x_down[1])?;
-        for l in 1..nl {
-            // Channel ⟨l+1, l⟩ forwards to one of c children, R = 1/c each.
-            let pb = self.blocking(lambda_down[l + 1], lambda_down[l], 1.0 / c);
-            x_down[l + 1] = x_down[l] + pb * w_down[l];
-            let class = format!("<{},{}>", l + 1, l);
-            w_down[l + 1] = self.w1(&class, lambda_down[l + 1], x_down[l + 1])?;
-        }
-
-        // ---- Up chain: Eq. 20 at the top, Eq. 22 downwards. ----
-        let mut x_up = vec![0.0; nl];
-        let mut w_up = vec![0.0; nl];
-        if n >= 2 {
-            // Top up channel ⟨n−1, n⟩: continuation is all-downward through
-            // c−1 sibling channels at the root, R = 1/(c−1) each.
-            let top = nl - 1;
-            let pb = self.blocking(lambda_up[top], lambda_down[nl], 1.0 / (c - 1.0));
-            x_up[top] = x_down[nl] + pb * w_down[nl];
-            let class = format!("<{},{}>", top, nl);
-            w_up[top] = self.w_up_bundle(&class, lambda_up[top], x_up[top])?;
-        }
-        // Eq. 22 for ⟨l−1, l⟩, l from n−1 down to 1 (l−1 down to 0).
-        for l in (1..nl).rev() {
-            let lu = l as u32;
-            let p_up = self.params.p_up(lu);
-            let p_down = self.params.p_down(lu);
-            // Up branch: the p-link bundle ⟨l, l+1⟩, station probability P↑.
-            let r_up_station = if self.options.multi_server_up {
-                p_up
-            } else {
-                // Per-link probability when links are independent queues.
-                p_up / self.params.parents() as f64
-            };
-            let pb_up = self.blocking(lambda_up[l - 1], lambda_up[l], r_up_station);
-            // Down branch: c−1 sibling channels ⟨l, l−1⟩, R = P↓/(c−1) each.
-            let pb_down = self.blocking(lambda_up[l - 1], lambda_down[l], p_down / (c - 1.0));
-            x_up[l - 1] =
-                p_up * (x_up[l] + pb_up * w_up[l]) + p_down * (x_down[l] + pb_down * w_down[l]);
-            if l > 1 {
-                let class = format!("<{},{}>", l - 1, l);
-                w_up[l - 1] = self.w_up_bundle(&class, lambda_up[l - 1], x_up[l - 1])?;
-            }
-            // l == 1: the injection channel's wait (Eq. 24) is computed by
-            // the caller; see resolve_chains docs.
-        }
-        if n == 1 {
-            // Degenerate single-switch network: all traffic turns around at
-            // level 1 through c−1 siblings.
-            let pb = self.blocking(lambda_up[0], lambda_down[1], 1.0 / (c - 1.0));
-            x_up[0] = x_down[1] + pb * w_down[1];
-        }
-
+        self.single_lane_only("audit_at_message_rate")?;
+        let sol = self
+            .spec
+            .solve_at(lambda0, self.order.as_deref(), &self.options, None)?;
+        // `bft_spec`'s layout: down class ⟨l, l−1⟩ is class l − 1 and up
+        // class ⟨l, l+1⟩ is class n + l; `down[0]` stays 0.
+        let n = self.params.levels() as usize;
+        let rates: Vec<f64> = (0..2 * n).map(|j| self.spec.rate(j, lambda0)).collect();
+        let down = |v: &[f64]| [&[0.0], &v[..n]].concat();
         Ok(ChannelAudit {
-            lambda_down,
-            x_down,
-            w_down,
-            lambda_up,
-            x_up,
-            w_up,
+            lambda_down: down(&rates),
+            x_down: down(&sol.service_times),
+            w_down: down(&sol.waiting_times),
+            lambda_up: rates[n..].to_vec(),
+            x_up: sol.service_times[n..].to_vec(),
+            w_up: sol.waiting_times[n..].to_vec(),
         })
     }
 
-    /// Average latency at source message rate `lambda0` (Eq. 25).
-    ///
-    /// The hand-derived recurrences are the paper's single-lane model;
-    /// when the options carry `lanes > 1` the computation is delegated to
-    /// the general framework spec ([`crate::framework::bft_spec`]), which
-    /// implements the multi-lane extension — at `lanes = 1` the two agree
-    /// to floating-point rounding (regression-tested) and the closed form
-    /// is used directly.
+    /// Average latency at source message rate `lambda0` (Eq. 25), at any
+    /// lane count.
     ///
     /// # Errors
     ///
-    /// Saturation errors from the underlying resolution;
-    /// [`ModelError::Spec`] for an invalid rate or worm length.
+    /// Saturation errors from the solve; [`ModelError::Spec`] for an
+    /// invalid worm length, lane count or rate, checked in that order.
     pub fn latency_at_message_rate(&self, lambda0: f64) -> Result<LatencyBreakdown> {
-        if self.options.lanes > 1 {
-            if !(lambda0.is_finite() && lambda0 >= 0.0) {
-                return Err(ModelError::Spec(format!("invalid message rate {lambda0}")));
-            }
-            let spec = crate::framework::bft_spec(&self.params, self.worm_flits, lambda0);
-            return spec.latency(&self.options, None);
-        }
-        let audit = self.audit_at_message_rate(lambda0)?;
-        Ok(LatencyBreakdown::new(
-            audit.w_up[0],
-            audit.x_up[0],
-            self.params.average_distance(),
-        ))
+        let sol = self
+            .spec
+            .solve_at(lambda0, self.order.as_deref(), &self.options, None)?;
+        self.spec
+            .breakdown(&sol, &[self.spec.injection], &self.options, lambda0)
     }
 
     /// Average latency at a *flit* load (flits/cycle/PE, the paper's
@@ -357,18 +216,23 @@ impl BftModel {
     ///
     /// Same as [`Self::latency_at_message_rate`].
     pub fn latency_at_flit_load(&self, flit_load: f64) -> Result<LatencyBreakdown> {
-        self.latency_at_message_rate(flit_load / self.worm_flits)
+        self.latency_at_message_rate(flit_load / self.worm_flits())
     }
 
     /// Source-channel service time `x̄₀,₁(λ₀)`, the quantity equated with
-    /// `1/λ₀` at saturation (Eq. 26).
+    /// `1/λ₀` at saturation (Eq. 26). Only the service times are solved,
+    /// so this stays evaluable *at* the knee, where the injection queue is
+    /// exactly critical.
     ///
     /// # Errors
     ///
     /// Same as [`Self::audit_at_message_rate`] (single-lane only).
     pub fn source_service_time(&self, lambda0: f64) -> Result<f64> {
-        self.check_closed_form("source_service_time")?;
-        Ok(self.resolve_chains(lambda0)?.x_up[0])
+        self.single_lane_only("source_service_time")?;
+        let x = self
+            .spec
+            .service_times_at(lambda0, self.order.as_deref(), &self.options)?;
+        Ok(x[self.spec.injection.0])
     }
 
     /// Maximum throughput: the saturation point where `x̄₀,₁ = 1/λ₀`
@@ -376,14 +240,16 @@ impl BftModel {
     ///
     /// # Errors
     ///
-    /// [`ModelError::Saturation`] if no saturation point can be bracketed;
+    /// As [`throughput::saturation_point`];
     /// [`ModelError::Spec`] for an invalid worm length or when the options
     /// carry `lanes > 1` — Eq. 26 is single-lane, and the multi-lane knee
     /// genuinely sits elsewhere (the simulator shows it moving outward with
     /// `L`; see `repro lanes`).
     pub fn saturation(&self) -> Result<SaturationPoint> {
-        self.check_closed_form("saturation")?;
-        throughput::saturation_point(self.worm_flits, |lambda0| self.source_service_time(lambda0))
+        self.single_lane_only("saturation")?;
+        throughput::saturation_point(self.worm_flits(), |lambda0| {
+            self.source_service_time(lambda0)
+        })
     }
 
     /// Saturation expressed as flit load (flits/cycle/PE), for direct
@@ -445,14 +311,15 @@ mod tests {
     fn rates_match_eq14() {
         let m = paper_model(1024, 32.0);
         let l0 = 0.001;
+        let a = m.audit_at_message_rate(l0).unwrap();
         // λ_{l,l+1} = λ0 (4^n − 4^l)/(4^n − 1) 2^l.
-        for l in 1..5u32 {
+        for l in 1..5 {
             let expect = l0 * ((1024.0 - 4f64.powi(l as i32)) / 1023.0) * 2f64.powi(l as i32);
-            assert!((m.lambda_up(l, l0) - expect).abs() < 1e-15, "level {l}");
-            assert!((m.lambda_down(l + 1, l0) - expect).abs() < 1e-15);
+            assert!((a.lambda_up[l] - expect).abs() < 1e-15, "level {l}");
+            assert!((a.lambda_down[l + 1] - expect).abs() < 1e-15);
         }
-        assert_eq!(m.lambda_up(0, l0), l0);
-        assert_eq!(m.lambda_down(1, l0), l0);
+        assert_eq!(a.lambda_up[0], l0);
+        assert_eq!(a.lambda_down[1], l0);
     }
 
     #[test]
@@ -607,7 +474,7 @@ mod tests {
     #[test]
     fn invalid_worm_lengths_are_typed_errors() {
         // Construction takes any length; every entry point refuses one no
-        // channel can serve, at one lane and through the framework at two.
+        // channel can serve, at one lane and at two.
         let params = BftParams::paper(64).unwrap();
         for s in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             for lanes in [1, 2] {

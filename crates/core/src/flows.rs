@@ -15,7 +15,7 @@
 //!   the generalization — with the per-channel rate `λ = flow/m`;
 //! * forwarding probabilities `R(i|j)` are read off the flow transitions,
 //!   so spatially concentrated patterns (hot-spot) produce the asymmetric
-//!   continuation structure the closed-form model cannot see.
+//!   continuation structure the per-level §3 model cannot see.
 //!
 //! Per Eq. 2, latency averages the injection wait and service over every
 //! PE, which under nonuniform patterns genuinely differ by position.
@@ -55,35 +55,7 @@ impl StationModel {
         warm: Option<&mut WarmStart>,
     ) -> Result<LatencyBreakdown> {
         let sol = self.spec.solve(options, warm, None)?;
-        self.spec.breakdown(&sol, &self.injections, options)
-    }
-
-    /// Saturation-aware [`Self::latency`]: total over every load,
-    /// returning a typed [`SolveOutcome`] instead of erroring on
-    /// saturation or iteration failure (see
-    /// [`NetworkSpec::solve_outcome`]).
-    ///
-    /// # Errors
-    ///
-    /// Genuine usage errors only (malformed spec, invalid options).
-    pub fn latency_outcome(
-        &self,
-        options: &ModelOptions,
-        warm: Option<&mut WarmStart>,
-    ) -> Result<SolveOutcome<LatencyBreakdown>> {
-        Ok(match self.spec.solve_outcome(options, warm, None)? {
-            SolveOutcome::Converged(sol) => {
-                SolveOutcome::Converged(self.spec.breakdown(&sol, &self.injections, options)?)
-            }
-            SolveOutcome::Saturated => SolveOutcome::Saturated,
-            SolveOutcome::NoConvergence {
-                iterations,
-                residual,
-            } => SolveOutcome::NoConvergence {
-                iterations,
-                residual,
-            },
-        })
+        self.spec.breakdown(&sol, &self.injections, options, 1.0)
     }
 
     /// Per-PE injection summary `(W_inj, x̄_inj)` — exposes the spatial
@@ -262,14 +234,13 @@ pub fn model_from_flows(
 /// solve — at every point. This helper exploits that the spec's *shape*
 /// (classes, forwards, probabilities) is load-independent: only the class
 /// rates scale linearly with `lambda0`. It builds the model once at unit
-/// rate, rescales the rates in place per point, and threads a
+/// rate, evaluates that spec at `λ₀` as a rate multiplier, and threads a
 /// [`WarmStart`] so cyclic solves seed from the previous load's converged
 /// vector.
 #[derive(Debug, Clone)]
 pub struct FlowModelSweep {
+    /// The model at unit rate.
     model: StationModel,
-    /// Per-class arrival rate at `lambda0 = 1`.
-    unit_lambdas: Vec<f64>,
     warm: WarmStart,
 }
 
@@ -296,11 +267,8 @@ impl FlowModelSweep {
         worm_flits: f64,
         alive_servers: Option<&[u32]>,
     ) -> Result<Self> {
-        let model = model_from_flows(net, flows, worm_flits, 1.0, alive_servers)?;
-        let unit_lambdas = model.spec.classes.iter().map(|c| c.lambda).collect();
         Ok(Self {
-            model,
-            unit_lambdas,
+            model: model_from_flows(net, flows, worm_flits, 1.0, alive_servers)?,
             warm: WarmStart::new(),
         })
     }
@@ -313,13 +281,9 @@ impl FlowModelSweep {
     /// [`ModelError::Spec`] on an invalid rate; solver errors as in
     /// [`StationModel::latency`].
     pub fn latency_at(&mut self, lambda0: f64, options: &ModelOptions) -> Result<LatencyBreakdown> {
-        if !(lambda0.is_finite() && lambda0 >= 0.0) {
-            return Err(ModelError::Spec(format!("invalid message rate {lambda0}")));
-        }
-        for (class, unit) in self.model.spec.classes.iter_mut().zip(&self.unit_lambdas) {
-            class.lambda = unit * lambda0;
-        }
-        self.model.latency(options, Some(&mut self.warm))
+        let StationModel { spec, injections } = &self.model;
+        let sol = spec.solve_at(lambda0, None, options, Some(&mut self.warm))?;
+        spec.breakdown(&sol, injections, options, lambda0)
     }
 
     /// Saturation-aware [`Self::latency_at`], total over every load:
@@ -337,17 +301,25 @@ impl FlowModelSweep {
         lambda0: f64,
         options: &ModelOptions,
     ) -> Result<SolveOutcome<LatencyBreakdown>> {
-        if !(lambda0.is_finite() && lambda0 >= 0.0) {
-            return Err(ModelError::Spec(format!("invalid message rate {lambda0}")));
-        }
-        for (class, unit) in self.model.spec.classes.iter_mut().zip(&self.unit_lambdas) {
-            class.lambda = unit * lambda0;
-        }
-        self.model.latency_outcome(options, Some(&mut self.warm))
+        let StationModel { spec, injections } = &self.model;
+        let outcome = spec.climb_ladder(lambda0, None, options, Some(&mut self.warm), None)?;
+        Ok(match outcome {
+            SolveOutcome::Converged(sol) => {
+                SolveOutcome::Converged(spec.breakdown(&sol, injections, options, lambda0)?)
+            }
+            SolveOutcome::Saturated => SolveOutcome::Saturated,
+            SolveOutcome::NoConvergence {
+                iterations,
+                residual,
+            } => SolveOutcome::NoConvergence {
+                iterations,
+                residual,
+            },
+        })
     }
 
     /// Brackets this workload's saturation knee in per-PE message rate
-    /// `λ₀` (worms/cycle/PE): the spec is restored to unit rates, so
+    /// `λ₀` (worms/cycle/PE): the spec is at unit rate, so
     /// [`crate::framework::NetworkSpec::find_knee`]'s rate multiplier
     /// *is* `λ₀`. The returned [`wormsim_guard::Knee::knee`] is the
     /// largest rate proven feasible.
@@ -356,20 +328,11 @@ impl FlowModelSweep {
     ///
     /// As [`crate::framework::NetworkSpec::find_knee`].
     pub fn find_knee(
-        &mut self,
+        &self,
         options: &ModelOptions,
         cfg: &wormsim_guard::KneeConfig,
     ) -> Result<wormsim_guard::Knee> {
-        for (class, unit) in self.model.spec.classes.iter_mut().zip(&self.unit_lambdas) {
-            class.lambda = *unit;
-        }
         self.model.spec.find_knee(options, cfg)
-    }
-
-    /// The model as last rescaled (mainly for inspection in tests).
-    #[must_use]
-    pub fn model(&self) -> &StationModel {
-        &self.model
     }
 
     /// Accumulated fixed-point iteration statistics across the sweep.
@@ -392,13 +355,13 @@ mod tests {
 
     #[test]
     fn uniform_flows_track_the_closed_form_bft_model() {
-        // The per-station model is *sharper* than §3's closed form under
+        // The per-station model is *sharper* than §3's per-level model under
         // uniform traffic: flow transitions condition the up/down turn on
         // the worm's realized path (a worm arriving at level 2 has already
         // left its own block: 48/60 at N=64), where Eq. 12 uses the
         // unconditional per-level ratio (48/63). Agreement is therefore
         // very close but not bit-exact; bit-exact Figure 2/3 reproduction
-        // is the job of `BftModel` (and `framework::bft_spec`).
+        // is the job of `BftModel`, which solves `framework::bft_spec`.
         for n in [16usize, 64, 256] {
             let params = BftParams::paper(n).unwrap();
             let tree = ButterflyFatTree::new(params);
@@ -607,7 +570,7 @@ mod tests {
 
     #[test]
     fn flow_model_sweep_matches_per_point_builds() {
-        // Building once + rescaling rates must be indistinguishable from
+        // Building once + scaling rates by λ₀ must be indistinguishable from
         // rebuilding the model at every load (the spec is a DAG here, so
         // warm starting cannot even perturb iteration paths).
         let tree = ButterflyFatTree::new(BftParams::paper(64).unwrap());

@@ -339,6 +339,13 @@ impl NetworkSpec {
         Ok(())
     }
 
+    /// Arrival rate of class `j` with every class rate multiplied by `t`:
+    /// the one place a solve reads a class rate. A unit-rate spec is
+    /// evaluated at `t = λ₀`; the public entry points run at `t = 1`.
+    pub(crate) fn rate(&self, j: usize, t: f64) -> f64 {
+        self.classes[j].lambda * t
+    }
+
     /// Station-level waiting time for class `j` at service time `x`: the
     /// queueing crate's [`wormhole::station_wait`] (Eqs. 5, 6 and 8),
     /// honouring the multi-server and lane options.
@@ -352,12 +359,13 @@ impl NetworkSpec {
     /// the lane slots (Erlang C under the Lee–Longton scaling) is what
     /// prices lane availability, collapsing to the paper's M/G/m at
     /// `L = 1`.
-    fn station_wait(&self, j: usize, x: f64, options: &ModelOptions) -> Result<f64> {
+    fn station_wait(&self, j: usize, x: f64, options: &ModelOptions, t: f64) -> Result<f64> {
         let class = &self.classes[j];
+        let lambda = self.rate(j, t);
         let (servers, lambda) = if class.servers > 1 && options.multi_server_up {
-            (class.servers, f64::from(class.servers) * class.lambda)
+            (class.servers, f64::from(class.servers) * lambda)
         } else {
-            (1, class.lambda)
+            (1, lambda)
         };
         wormhole::station_wait(servers * options.lanes, lambda, x, self.worm_flits)
             .map_err(|e| ModelError::at(class.name.clone(), e))
@@ -367,11 +375,10 @@ impl NetworkSpec {
     /// its transmission component stretched by flit multiplexing across
     /// the channel's `L` lanes (`wormsim_queueing::lanes`). Identity —
     /// bit-for-bit — at `L = 1`.
-    fn lane_residence(&self, j: usize, x: f64, options: &ModelOptions) -> Result<f64> {
+    fn lane_residence(&self, j: usize, x: f64, options: &ModelOptions, t: f64) -> Result<f64> {
         if options.lanes == 1 {
             return Ok(x);
         }
-        let class = &self.classes[j];
         // Terminal service can sit exactly at the s/f floor; interior
         // iterates may transiently dip below it from damping, so clamp the
         // transmission decomposition rather than erroring mid-iteration.
@@ -380,28 +387,28 @@ impl NetworkSpec {
             options.lanes,
             x_checked,
             self.worm_flits,
-            class.lambda,
+            self.rate(j, t),
         )
-        .map_err(|e| ModelError::at(class.name.clone(), e))
+        .map_err(|e| ModelError::at(self.classes[j].name.clone(), e))
     }
 
     /// Blocking factor `P(i|j)` of Eq. 10 for a worm from class `i`
     /// entering a station of class `j` with per-station probability `r`:
     /// the per-channel form [`blocking_probability`], in which the server
     /// count cancels (or 1 under the A2 ablation).
-    fn blocking(&self, i: usize, j: usize, r: f64, options: &ModelOptions) -> f64 {
+    fn blocking(&self, i: usize, j: usize, r: f64, options: &ModelOptions, t: f64) -> f64 {
         if !options.blocking_correction {
             return 1.0;
         }
-        let class_j = &self.classes[j];
+        let servers = self.classes[j].servers;
         // Under the single-server ablation the station degenerates to one
         // of m independent links chosen uniformly, so R per link is r/m.
-        let r = if class_j.servers > 1 && !options.multi_server_up {
-            r / f64::from(class_j.servers)
+        let r = if servers > 1 && !options.multi_server_up {
+            r / f64::from(servers)
         } else {
             r
         };
-        blocking_probability(self.classes[i].lambda, class_j.lambda, r)
+        blocking_probability(self.rate(i, t), self.rate(j, t), r)
     }
 
     /// Eq. 11 for class `i` given current service-time estimates `x`,
@@ -410,16 +417,16 @@ impl NetworkSpec {
     /// the M/G/(m·L) lane-slot wait of [`Self::station_wait`], still
     /// damped by Eq. 10's blocking probability. At `lanes = 1` every term
     /// reduces to the identity and this is the paper's Eq. 11 unchanged.
-    fn service_equation(&self, i: usize, x: &[f64], options: &ModelOptions) -> Result<f64> {
+    fn service_equation(&self, i: usize, x: &[f64], options: &ModelOptions, t: f64) -> Result<f64> {
         match &self.classes[i].body {
             ClassBody::Terminal { service_time } => Ok(*service_time),
             ClassBody::Interior { forwards } => {
                 let mut sum = 0.0;
                 for f in forwards {
                     let j = f.to.0;
-                    let r = self.lane_residence(j, x[j], options)?;
-                    let w = self.station_wait(j, r, options)?;
-                    let p = self.blocking(i, j, f.blocking_prob, options);
+                    let r = self.lane_residence(j, x[j], options, t)?;
+                    let w = self.station_wait(j, r, options, t)?;
+                    let p = self.blocking(i, j, f.blocking_prob, options, t);
                     sum += f64::from(f.multiplicity) * f.prob_each * (r + p * w);
                 }
                 Ok(sum)
@@ -428,30 +435,41 @@ impl NetworkSpec {
     }
 
     /// Reverse-topological order of the class dependency graph (edges
-    /// `i → forward.to`), or `None` when cyclic.
-    fn reverse_topological_order(&self) -> Option<Vec<usize>> {
+    /// `i → forward.to`), or `None` when cyclic: Kahn's algorithm over a
+    /// stack of ready classes, each resolved class releasing its
+    /// dependents in increasing class index. Every forward must target an
+    /// existing class, as [`Self::validate`] checks.
+    pub(crate) fn reverse_topological_order(&self) -> Option<Vec<usize>> {
         let n = self.classes.len();
-        // out_deg[i] = number of unresolved dependencies of i.
-        let mut out_deg = vec![0usize; n];
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, class) in self.classes.iter().enumerate() {
-            if let ClassBody::Interior { forwards } = &class.body {
-                // Deduplicate targets so a class forwarding twice to the
-                // same target counts one dependency.
-                let mut targets: Vec<usize> = forwards.iter().map(|f| f.to.0).collect();
-                targets.sort_unstable();
-                targets.dedup();
-                out_deg[i] = targets.len();
-                for t in targets {
-                    dependents[t].push(i);
-                }
+        let forwards = |i: usize| match &self.classes[i].body {
+            ClassBody::Interior { forwards } => forwards.as_slice(),
+            ClassBody::Terminal { .. } => &[],
+        };
+        // out_deg[i] = forwards of i into unresolved classes. The
+        // dependents of class j, one entry per forward into it, are
+        // dependents[start[j]..start[j + 1]]; a class forwarding twice to
+        // j is released once, at its second entry.
+        let mut out_deg: Vec<usize> = (0..n).map(|i| forwards(i).len()).collect();
+        let mut start = vec![0usize; n + 1];
+        for f in (0..n).flat_map(forwards) {
+            start[f.to.0 + 1] += 1;
+        }
+        for j in 0..n {
+            start[j + 1] += start[j];
+        }
+        let mut next = start.clone();
+        let mut dependents = vec![0usize; start[n]];
+        for i in 0..n {
+            for f in forwards(i) {
+                dependents[next[f.to.0]] = i;
+                next[f.to.0] += 1;
             }
         }
         let mut order = Vec::with_capacity(n);
         let mut ready: Vec<usize> = (0..n).filter(|&i| out_deg[i] == 0).collect();
         while let Some(i) = ready.pop() {
             order.push(i);
-            for &d in &dependents[i] {
+            for &d in &dependents[start[i]..start[i + 1]] {
                 out_deg[d] -= 1;
                 if out_deg[d] == 0 {
                     ready.push(d);
@@ -487,16 +505,29 @@ impl NetworkSpec {
         warm: Option<&mut WarmStart>,
         telemetry: Option<&mut ModelTelemetry>,
     ) -> Result<Solution> {
+        let Some(tel) = telemetry else {
+            return self.solve_at(1.0, None, options, warm);
+        };
+        tel.reset();
         let [plain, ..] = ladder(warm.is_some());
-        match telemetry {
-            None => self.solve_profiled(options, warm, None, plain),
-            Some(t) => {
-                t.reset();
-                let sol = self.solve_profiled(options, warm, Some(&mut t.solver), plain)?;
-                t.stations = self.station_breakdown(&sol, options)?;
-                Ok(sol)
-            }
-        }
+        let sol = self.solve_profiled(1.0, None, options, warm, Some(&mut tel.solver), plain)?;
+        tel.stations = self.station_breakdown(&sol, options)?;
+        Ok(sol)
+    }
+
+    /// [`Self::solve`] without telemetry, with every class rate multiplied
+    /// by `t` (see [`Self::rate`]). `order` is this spec's
+    /// [`Self::reverse_topological_order`] when the caller keeps one for
+    /// repeated solves; `None` resolves the order here.
+    pub(crate) fn solve_at(
+        &self,
+        t: f64,
+        order: Option<&[usize]>,
+        options: &ModelOptions,
+        warm: Option<&mut WarmStart>,
+    ) -> Result<Solution> {
+        let [plain, ..] = ladder(warm.is_some());
+        self.solve_profiled(t, order, options, warm, None, plain)
     }
 
     /// Per-station breakdown of a solved spec: for every class, the
@@ -523,23 +554,23 @@ impl NetworkSpec {
             if let ClassBody::Interior { forwards } = &class.body {
                 for f in forwards {
                     let j = f.to.0;
-                    let weight = f64::from(f.multiplicity) * f.prob_each * class.lambda;
-                    blk_num[j] += weight * self.blocking(i, j, f.blocking_prob, options);
+                    let weight = f64::from(f.multiplicity) * f.prob_each * self.rate(i, 1.0);
+                    blk_num[j] += weight * self.blocking(i, j, f.blocking_prob, options, 1.0);
                     blk_den[j] += weight;
                 }
             }
         }
         let mut rows = Vec::with_capacity(n);
         for (j, class) in self.classes.iter().enumerate() {
-            let x = sol.service_times[j];
+            let (x, lambda) = (sol.service_times[j], self.rate(j, 1.0));
             rows.push(StationBreakdown {
                 name: class.name.clone(),
-                lambda: class.lambda,
+                lambda,
                 servers: class.servers,
                 service_time: x,
                 waiting_time: sol.waiting_times[j],
-                residence: self.lane_residence(j, x, options)?,
-                utilization: class.lambda * x,
+                residence: self.lane_residence(j, x, options, 1.0)?,
+                utilization: lambda * x,
                 inbound_blocking: if blk_den[j] > 0.0 {
                     blk_num[j] / blk_den[j]
                 } else {
@@ -583,7 +614,7 @@ impl NetworkSpec {
         if let Some(t) = telemetry.as_deref_mut() {
             t.reset();
         }
-        let outcome = self.climb_ladder(options, warm, telemetry.as_deref_mut())?;
+        let outcome = self.climb_ladder(1.0, None, options, warm, telemetry.as_deref_mut())?;
         if let Some(t) = telemetry {
             t.outcome = Some(outcome.label());
             if let SolveOutcome::Converged(sol) = &outcome {
@@ -593,10 +624,14 @@ impl NetworkSpec {
         Ok(outcome)
     }
 
-    /// The escalation ladder of [`Self::solve_outcome`]: the one place
-    /// that decides which failures climb and what a failed climb means.
-    fn climb_ladder(
+    /// The escalation ladder of [`Self::solve_outcome`], with every class
+    /// rate multiplied by `t` and `order` as in [`Self::solve_at`]: the one
+    /// place that decides which failures climb and what a failed climb
+    /// means.
+    pub(crate) fn climb_ladder(
         &self,
+        t: f64,
+        order: Option<&[usize]>,
         options: &ModelOptions,
         mut warm: Option<&mut WarmStart>,
         mut telemetry: Option<&mut ModelTelemetry>,
@@ -609,7 +644,7 @@ impl NetworkSpec {
                 t.solver = SolverTrace::new();
                 &mut t.solver
             });
-            let res = self.solve_profiled(options, warm.as_deref_mut(), trace, rung);
+            let res = self.solve_profiled(t, order, options, warm.as_deref_mut(), trace, rung);
             if let Some(t) = telemetry.as_deref_mut() {
                 t.ladder.push(LadderSample {
                     rung: rung.label.to_string(),
@@ -648,8 +683,8 @@ impl NetworkSpec {
     }
 
     /// Brackets the saturation knee of this spec as a **multiplier on
-    /// its configured arrival rates**: `find_knee` probes copies of the
-    /// spec with every `lambda` scaled by `t`, growing then bisecting on
+    /// its configured arrival rates**: `find_knee` probes the spec with
+    /// every class rate multiplied by `t`, growing then bisecting on
     /// the smallest `t` whose solve no longer converges (per the full
     /// escalation ladder). Probes share one [`WarmStart`], so the
     /// bisection rides the previous feasible point's solution.
@@ -675,15 +710,11 @@ impl NetworkSpec {
     /// with no cyclic saturation inside the probed range).
     pub fn find_knee(&self, options: &ModelOptions, cfg: &KneeConfig) -> Result<Knee> {
         self.validate()?;
-        let mut scaled = self.clone();
-        let base: Vec<f64> = self.classes.iter().map(|c| c.lambda).collect();
+        let order = self.reverse_topological_order();
         let mut warm = WarmStart::new();
         let mut usage_err: Option<ModelError> = None;
         let bracket = bracket_knee(cfg, |t| {
-            for (class, b) in scaled.classes.iter_mut().zip(&base) {
-                class.lambda = b * t;
-            }
-            match scaled.solve_outcome(options, Some(&mut warm), None) {
+            match self.climb_ladder(t, order.as_deref(), options, Some(&mut warm), None) {
                 Ok(outcome) => outcome.is_converged(),
                 Err(e) => {
                     // A usage error aborts the probe sequence; surface
@@ -699,95 +730,40 @@ impl NetworkSpec {
         bracket.map_err(ModelError::Knee)
     }
 
+    /// The cold service-time pass of [`Self::solve_at`] alone. It computes
+    /// a station's wait only where a forward into it reads it, never the
+    /// injection class's own (Eq. 24), so `x̄_inj` stays evaluable at the
+    /// Eq. 26 knee, where the source queue is exactly critical.
+    pub(crate) fn service_times_at(
+        &self,
+        t: f64,
+        order: Option<&[usize]>,
+        options: &ModelOptions,
+    ) -> Result<Vec<f64>> {
+        let [plain, ..] = ladder(false);
+        Ok(self.service_pass(t, order, options, None, None, plain)?.0)
+    }
+
+    /// One rung's solve at rate multiplier `t`: the service-time pass,
+    /// then every class's wait at its solved service time.
     fn solve_profiled(
         &self,
+        t: f64,
+        order: Option<&[usize]>,
         options: &ModelOptions,
         warm: Option<&mut WarmStart>,
         trace: Option<&mut SolverTrace>,
         profile: SolveProfile,
     ) -> Result<Solution> {
-        self.validate()?;
-        options.check_lanes()?;
-        let n = self.classes.len();
-        // Seed from the previous sweep point when its spec had the same
-        // shape; fall back to the cold start `x̄ = s/f` everywhere. A
-        // restart rung forces the cold seed (a poisoned warm guess can be
-        // exactly what kept the earlier rungs from converging).
-        let seed: Vec<f64> = match &warm {
-            Some(w) if !profile.cold_seed => match &w.guess {
-                Some(g) if g.len() == n => g.clone(),
-                _ => vec![self.worm_flits; n],
-            },
-            _ => vec![self.worm_flits; n],
-        };
-        let mut x = seed;
-        let iterations;
-        if let Some(order) = self.reverse_topological_order() {
-            for &i in &order {
-                x[i] = self.service_equation(i, &x, options)?;
-            }
-            iterations = 0;
-        } else {
-            let cfg = FixedPointConfig {
-                tolerance: 1e-12,
-                max_iterations: 20_000,
-                damping: profile.damping,
-            };
-            let mut deferred: Result<()> = Ok(());
-            let map = |cur: &[f64], next: &mut [f64]| {
-                for (i, slot) in next.iter_mut().enumerate() {
-                    match self.service_equation(i, cur, options) {
-                        Ok(v) => *slot = v,
-                        Err(e) => {
-                            deferred = Err(e.clone());
-                            return Err(QueueingError::Saturated {
-                                utilization: f64::INFINITY,
-                            });
-                        }
-                    }
-                }
-                Ok(())
-            };
-            let outcome = if profile.accelerated {
-                fixed_point_accelerated(&x, cfg, map, trace)
-            } else {
-                fixed_point(&x, cfg, map, trace)
-            };
-            match outcome {
-                Ok(out) => {
-                    x = out.values;
-                    iterations = out.iterations;
-                }
-                Err(e) => {
-                    deferred?;
-                    return Err(match e {
-                        QueueingError::NoConvergence {
-                            iterations,
-                            residual,
-                        } => ModelError::NoConvergence {
-                            iterations,
-                            residual,
-                            diverged: false,
-                        },
-                        QueueingError::Diverged {
-                            iterations,
-                            residual,
-                        } => ModelError::NoConvergence {
-                            iterations,
-                            residual,
-                            diverged: true,
-                        },
-                        other => ModelError::Spec(format!("fixed point failed: {other}")),
-                    });
-                }
-            }
-        }
+        let (x, iterations) =
+            self.service_pass(t, order, options, warm.as_deref(), trace, profile)?;
+        let n = x.len();
         let mut w = vec![0.0; n];
         for i in 0..n {
             // Waits are evaluated at the lane residence, matching the
             // service equation (identity at L = 1).
-            let r = self.lane_residence(i, x[i], options)?;
-            w[i] = self.station_wait(i, r, options)?;
+            let r = self.lane_residence(i, x[i], options, t)?;
+            w[i] = self.station_wait(i, r, options, t)?;
         }
         if let Some(state) = warm {
             state.guess = Some(x.clone());
@@ -801,6 +777,96 @@ impl NetworkSpec {
         })
     }
 
+    /// Solves Eq. 11 for every class's service time at rate multiplier
+    /// `t`: one backward sweep on a DAG, the rung's fixed-point iteration
+    /// otherwise. Returns the service times and the iterations used.
+    fn service_pass(
+        &self,
+        t: f64,
+        order: Option<&[usize]>,
+        options: &ModelOptions,
+        warm: Option<&WarmStart>,
+        trace: Option<&mut SolverTrace>,
+        profile: SolveProfile,
+    ) -> Result<(Vec<f64>, usize)> {
+        self.validate()?;
+        options.check_lanes()?;
+        if !(t.is_finite() && t >= 0.0) {
+            return Err(ModelError::Spec(format!("invalid message rate {t}")));
+        }
+        let n = self.classes.len();
+        // Seed from the previous sweep point when its spec had the same
+        // shape; fall back to the cold start `x̄ = s/f` everywhere. A
+        // restart rung forces the cold seed (a poisoned warm guess can be
+        // exactly what kept the earlier rungs from converging).
+        let seed: Vec<f64> = match warm {
+            Some(w) if !profile.cold_seed => match &w.guess {
+                Some(g) if g.len() == n => g.clone(),
+                _ => vec![self.worm_flits; n],
+            },
+            _ => vec![self.worm_flits; n],
+        };
+        let mut x = seed;
+        // Resolve the order here unless the caller keeps one.
+        let resolved = order.map_or_else(|| self.reverse_topological_order(), |_| None);
+        if let Some(order) = order.or(resolved.as_deref()) {
+            for &i in order {
+                x[i] = self.service_equation(i, &x, options, t)?;
+            }
+            return Ok((x, 0));
+        }
+        let cfg = FixedPointConfig {
+            tolerance: 1e-12,
+            max_iterations: 20_000,
+            damping: profile.damping,
+        };
+        let mut deferred: Result<()> = Ok(());
+        let map = |cur: &[f64], next: &mut [f64]| {
+            for (i, slot) in next.iter_mut().enumerate() {
+                match self.service_equation(i, cur, options, t) {
+                    Ok(v) => *slot = v,
+                    Err(e) => {
+                        deferred = Err(e.clone());
+                        return Err(QueueingError::Saturated {
+                            utilization: f64::INFINITY,
+                        });
+                    }
+                }
+            }
+            Ok(())
+        };
+        let outcome = if profile.accelerated {
+            fixed_point_accelerated(&x, cfg, map, trace)
+        } else {
+            fixed_point(&x, cfg, map, trace)
+        };
+        match outcome {
+            Ok(out) => Ok((out.values, out.iterations)),
+            Err(e) => {
+                deferred?;
+                Err(match e {
+                    QueueingError::NoConvergence {
+                        iterations,
+                        residual,
+                    } => ModelError::NoConvergence {
+                        iterations,
+                        residual,
+                        diverged: false,
+                    },
+                    QueueingError::Diverged {
+                        iterations,
+                        residual,
+                    } => ModelError::NoConvergence {
+                        iterations,
+                        residual,
+                        diverged: true,
+                    },
+                    other => ModelError::Spec(format!("fixed point failed: {other}")),
+                })
+            }
+        }
+    }
+
     /// Average latency via Eq. 2/25: `L = W_inj + x̄_inj + D̄ − 1`.
     /// `warm` is the sweep state of [`Self::solve`].
     ///
@@ -812,25 +878,27 @@ impl NetworkSpec {
         options: &ModelOptions,
         warm: Option<&mut WarmStart>,
     ) -> Result<crate::bft::LatencyBreakdown> {
-        let sol = self.solve(options, warm, None)?;
-        self.breakdown(&sol, &[self.injection], options)
+        let sol = self.solve_at(1.0, None, options, warm)?;
+        self.breakdown(&sol, &[self.injection], options, 1.0)
     }
 
-    /// Eq. 2/25 over the `injections` classes: the mean injection wait
-    /// and hold, plus `D̄ − 1`. With lanes the wait is already the M/G/L
-    /// lane-slot wait (all-lanes-busy priced by its occupancy
-    /// distribution) and the hold is the multiplex-stretched residence;
-    /// both are exact identities at `L = 1`.
+    /// Eq. 2/25 over the `injections` classes of a solve at rate
+    /// multiplier `t`: the mean injection wait and hold, plus `D̄ − 1`.
+    /// With lanes the wait is already the M/G/L lane-slot wait
+    /// (all-lanes-busy priced by its occupancy distribution) and the hold
+    /// is the multiplex-stretched residence; both are exact identities at
+    /// `L = 1`.
     pub(crate) fn breakdown(
         &self,
         sol: &Solution,
         injections: &[ClassId],
         options: &ModelOptions,
+        t: f64,
     ) -> Result<crate::bft::LatencyBreakdown> {
         let (mut w_sum, mut x_sum) = (0.0, 0.0);
         for inj in injections {
             w_sum += sol.waiting_times[inj.0];
-            x_sum += self.lane_residence(inj.0, sol.service_times[inj.0], options)?;
+            x_sum += self.lane_residence(inj.0, sol.service_times[inj.0], options, t)?;
         }
         let n = injections.len() as f64;
         Ok(crate::bft::LatencyBreakdown::new(
@@ -841,25 +909,28 @@ impl NetworkSpec {
     }
 }
 
-/// Builds the butterfly fat-tree class specification at source rate
-/// `lambda0`, mirroring paper §3 with the uniform-traffic rates of Eq. 14
-/// — used to cross-validate the general framework against the
-/// closed-form recurrences of [`crate::bft`], and the model
-/// [`crate::bft::BftModel`] solves at `L > 1` lanes.
+/// Builds the butterfly fat-tree class specification of paper §3 at
+/// source rate `lambda0`, with the uniform-traffic rates of Eqs. 14/15:
+/// the spec [`crate::bft::BftModel`] solves.
+///
+/// Class layout, for an `n`-level tree: down class `⟨l, l−1⟩` is class
+/// `l − 1` for `l ∈ 1..=n` (`⟨1, 0⟩` is the ejection channel), and up
+/// class `⟨l, l+1⟩` is class `n + l` for `l ∈ 0..n` (`⟨0, 1⟩` is the
+/// injection channel).
 #[must_use]
 pub fn bft_spec(
     params: &wormsim_topology::bft::BftParams,
     worm_flits: f64,
     lambda0: f64,
 ) -> NetworkSpec {
-    // Worm length does not enter the rate formulas; any positive value
-    // yields the same rates.
-    let rates = crate::bft::BftModel::new(*params, 1.0);
     let n = params.levels() as usize;
     let c = params.children() as f64;
+    // Eq. 14: up class ⟨l, l+1⟩ carries λ₀·P↑_l·(c/p)ˡ per channel (λ₀ at
+    // injection, where P↑₀ = 1); by Eq. 15 down class ⟨l+1, l⟩ carries
+    // the same.
+    let ratio = c / params.parents() as f64;
+    let up_rate = |l: usize| lambda0 * params.p_up(l as u32) * ratio.powi(l as i32);
 
-    // Class layout: down[l] for l in 1..=n at indices l-1 (⟨l, l−1⟩),
-    // up[l] for l in 0..n at indices n + l (⟨l, l+1⟩; l = 0 is injection).
     let down_idx = |l: usize| ClassId(l - 1);
     let up_idx = |l: usize| ClassId(n + l);
     let mut classes = Vec::with_capacity(2 * n);
@@ -882,7 +953,7 @@ pub fn bft_spec(
         };
         classes.push(ClassSpec {
             name: format!("<{},{}>", l, l - 1),
-            lambda: rates.lambda_down(l as u32, lambda0),
+            lambda: up_rate(l - 1),
             servers: 1,
             body,
         });
@@ -909,7 +980,7 @@ pub fn bft_spec(
             } else {
                 format!("<{},{}>", l, l + 1)
             },
-            lambda: rates.lambda_up(lu, lambda0),
+            lambda: up_rate(l),
             servers: if l == 0 { 1 } else { params.parents() as u32 },
             body: ClassBody::Interior { forwards },
         });
@@ -1079,44 +1150,16 @@ mod tests {
     }
 
     #[test]
-    fn framework_matches_closed_form_bft() {
-        // The strongest internal consistency check: the generic Eq. 11
-        // solver on the per-level class graph must reproduce the paper's
-        // hand-derived recurrences exactly, for every option set.
-        for n_procs in [16usize, 64, 256, 1024] {
-            let params = BftParams::paper(n_procs).unwrap();
-            for s in [16.0, 64.0] {
-                for options in [
-                    ModelOptions::paper(),
-                    ModelOptions::single_server_up(),
-                    ModelOptions::no_blocking_correction(),
-                    ModelOptions::prior_art(),
-                ] {
-                    for lambda0 in [0.0, 0.0005, 0.002] {
-                        let closed = crate::bft::BftModel::with_options(params, s, options)
-                            .latency_at_message_rate(lambda0);
-                        let spec = bft_spec(&params, s, lambda0);
-                        let generic = spec.latency(&options, None);
-                        match (closed, generic) {
-                            (Ok(a), Ok(b)) => {
-                                assert!(
-                                    (a.total - b.total).abs() < 1e-9 * (1.0 + a.total),
-                                    "N={n_procs} s={s} λ0={lambda0} {options:?}: closed {} vs generic {}",
-                                    a.total,
-                                    b.total
-                                );
-                                assert!((a.w_injection - b.w_injection).abs() < 1e-9);
-                                assert!((a.x_injection - b.x_injection).abs() < 1e-9);
-                            }
-                            (Err(_), Err(_)) => {} // both saturated: consistent
-                            (a, b) => panic!(
-                                "disagreement at N={n_procs} s={s} λ0={lambda0}: {a:?} vs {b:?}"
-                            ),
-                        }
-                    }
-                }
-            }
+    fn bft_class_order_is_down_chain_then_up_chain() {
+        // ⟨1,0⟩ … ⟨4,3⟩, then ⟨3,4⟩ … ⟨0,1⟩; a class forwarding twice to
+        // one target is released once.
+        let mut spec = bft_spec(&BftParams::paper(256).unwrap(), 16.0, 1.0);
+        let down_then_up = Some(vec![0, 1, 2, 3, 7, 6, 5, 4]);
+        assert_eq!(spec.reverse_topological_order(), down_then_up);
+        if let ClassBody::Interior { forwards } = &mut spec.classes[4].body {
+            forwards.push(forwards[1]);
         }
+        assert_eq!(spec.reverse_topological_order(), down_then_up);
     }
 
     #[test]
@@ -1181,7 +1224,7 @@ mod tests {
         // The fixed point must satisfy the service equations.
         for i in 0..spec.classes.len() {
             let rhs = spec
-                .service_equation(i, &sol.service_times, &ModelOptions::paper())
+                .service_equation(i, &sol.service_times, &ModelOptions::paper(), 1.0)
                 .unwrap();
             assert!(
                 (sol.service_times[i] - rhs).abs() < 1e-8,
@@ -1204,7 +1247,7 @@ mod tests {
         // The converged vector satisfies the service equations.
         for i in 0..spec.classes.len() {
             let rhs = spec
-                .service_equation(i, &sol.service_times, &ModelOptions::paper())
+                .service_equation(i, &sol.service_times, &ModelOptions::paper(), 1.0)
                 .unwrap();
             assert!((sol.service_times[i] - rhs).abs() < 1e-8);
         }

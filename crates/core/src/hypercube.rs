@@ -109,8 +109,8 @@ pub fn hypercube_spec(dim: u32, worm_flits: f64, lambda0: f64) -> Result<Network
 ///
 /// # Errors
 ///
-/// [`ModelError::Spec`] from [`hypercube_spec`];
-/// [`ModelError::Saturation`] when no knee can be bracketed.
+/// [`ModelError::Spec`] from [`hypercube_spec`] or for invalid options;
+/// otherwise as [`throughput::saturation_point`].
 pub fn saturation(dim: u32, worm_flits: f64, options: &ModelOptions) -> Result<SaturationPoint> {
     hypercube_spec(dim, worm_flits, 0.0)?;
     let opts = *options;
@@ -217,6 +217,18 @@ mod tests {
             .unwrap()
             .latency(&ModelOptions::paper(), None)
             .is_err());
+    }
+
+    #[test]
+    fn invalid_lane_counts_are_usage_errors_not_saturation() {
+        for lanes in [0, 65] {
+            let err = saturation(6, 16.0, &ModelOptions::paper().with_lanes(lanes)).unwrap_err();
+            assert!(
+                matches!(&err, ModelError::Spec(msg) if msg.contains("lane count")),
+                "lanes = {lanes}: {err}"
+            );
+            assert!(!err.is_saturation(), "lanes = {lanes}: {err}");
+        }
     }
 
     #[test]

@@ -1,19 +1,17 @@
 //! The analytical wormhole-routing performance model of Greenberg & Guan
 //! (ICPP 1997).
 //!
-//! Two implementations of the model live here and are cross-validated
-//! against each other in the test suite:
-//!
 //! * [`framework`] — the **general model** of paper §2: any wormhole
 //!   network described as symmetric channel classes with forwarding
 //!   probabilities is solved by resolving channel service times backwards
 //!   from ejection channels (Eq. 11), using M/G/m waiting times with the
 //!   wormhole variance surrogate (Eq. 5) and the blocking-probability
 //!   correction (Eq. 10).
-//! * [`bft`] — the **closed-form butterfly fat-tree instantiation** of
-//!   paper §3: per-level arrival rates (Eq. 14), the down-chain and
-//!   up-chain service-time recurrences (Eqs. 16–24), average latency
-//!   (Eq. 25) and saturation throughput (Eq. 26).
+//! * [`bft`] — the **butterfly fat-tree instantiation** of paper §3: the
+//!   per-level class spec ([`framework::bft_spec`]) with the arrival
+//!   rates of Eq. 14, whose solve is the down-chain and up-chain
+//!   service-time recurrences (Eqs. 16–24), plus average latency (Eq. 25)
+//!   and saturation throughput (Eq. 26).
 //!
 //! [`hypercube`] instantiates the general framework on the binary
 //! hypercube with e-cube routing (a Draper–Ghosh-style baseline, derived
@@ -24,21 +22,23 @@
 //! arbitration station, preserving the M/G/p up-link bundles — this is
 //! also how asymmetric networks like meshes are modeled; and
 //! [`throughput`] hosts the Eq. 26 saturation-point search (doubling, then
-//! halving the bracket) shared by the closed-form and cube models.
+//! halving the bracket) shared by the fat-tree and cube models.
 //!
-//! Both implementations take each paper formula from one place: the
-//! station wait (Eqs. 5, 6 and 8) is `wormsim_queueing::wormhole::station_wait`,
-//! Eq. 10 is `wormsim_queueing::blocking::blocking_probability` and Eq. 25
-//! is [`bft::LatencyBreakdown::new`]; the models only choose the server
+//! Every model is solved by the one §2 solver, which takes each paper
+//! formula from one place: the station wait (Eqs. 5, 6 and 8) is
+//! `wormsim_queueing::wormhole::station_wait`, Eq. 10 is
+//! `wormsim_queueing::blocking::blocking_probability` and Eq. 25 is
+//! [`bft::LatencyBreakdown::new`]; the models only choose the server
 //! count, rates and probabilities they feed in.
 //!
 //! Load sweeps re-solve the same network at many rates; the framework
 //! supports **warm starting** them: [`framework::WarmStart`] threads each
 //! point's converged service-time vector into the next solve (with
 //! adaptive damping and verified Aitken Δ² acceleration on cyclic class
-//! graphs such as [`framework::ring_spec`]), and
-//! [`flows::FlowModelSweep`] applies the same idea to workload-driven
-//! per-station models, rebuilding nothing but the class rates per point.
+//! graphs such as [`framework::ring_spec`]). [`flows::FlowModelSweep`] and
+//! [`bft::BftModel`] build their spec once at unit rate and evaluate it at
+//! each `λ₀` as a multiplier on every class rate, rebuilding nothing per
+//! point.
 //!
 //! # Ablations
 //!

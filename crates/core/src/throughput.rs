@@ -11,6 +11,10 @@
 
 use crate::error::ModelError;
 use crate::Result;
+use wormsim_guard::KneeError;
+
+/// The growth phase gives up above this rate (messages/cycle/PE).
+const MAX_RATE: f64 = 4.0;
 
 /// The halving stops once the bracket is narrower than this (absolute,
 /// in messages/cycle/PE).
@@ -33,22 +37,23 @@ pub struct SaturationPoint {
 /// `x̄₀,₁(λ₀)`.
 ///
 /// `source_service` must be increasing in `λ₀` and may fail (saturated
-/// queueing stage) for large rates — failures are treated as "beyond the
-/// knee".
+/// queueing stage) for large rates — failures past the first probe are
+/// treated as "beyond the knee".
 ///
 /// # Errors
 ///
-/// [`ModelError::Saturation`] when no bracket can be established: the
-/// model fails or is already saturated at vanishing load, or never
-/// saturates for `λ₀ ≤ 4`.
+/// The model's own error, unchanged, when it fails at the first,
+/// vanishing load (a usage error such as an invalid lane count);
+/// [`ModelError::Saturation`] when the source is already saturated there;
+/// [`ModelError::Knee`] with [`KneeError::NoKneeBelowMax`] when the model
+/// never saturates for `λ₀ ≤ 4`.
 pub fn saturation_point<F>(worm_flits: f64, mut source_service: F) -> Result<SaturationPoint>
 where
     F: FnMut(f64) -> Result<f64>,
 {
     // g(λ) = x(λ) − 1/λ. Establish a bracket [lo, hi] with g(lo) < 0.
     let mut lo = 1e-9;
-    let x_lo = source_service(lo)
-        .map_err(|e| ModelError::Saturation(format!("model failed at vanishing load: {e}")))?;
+    let x_lo = source_service(lo)?;
     if x_lo - 1.0 / lo >= 0.0 {
         return Err(ModelError::Saturation(
             "source already saturated at vanishing load".to_string(),
@@ -56,27 +61,17 @@ where
     }
     // Grow hi until g(hi) >= 0 or the model refuses to evaluate.
     let mut hi = lo * 2.0;
-    let mut bracketed = false;
-    while hi <= 4.0 {
+    loop {
+        if hi > MAX_RATE {
+            let no_knee = KneeError::NoKneeBelowMax { max: MAX_RATE };
+            return Err(ModelError::Knee(no_knee));
+        }
         match source_service(hi) {
-            Ok(x) => {
-                if x - 1.0 / hi >= 0.0 {
-                    bracketed = true;
-                    break;
-                }
-                lo = hi;
-            }
-            Err(_) => {
-                bracketed = true;
-                break;
-            }
+            Ok(x) if x - 1.0 / hi >= 0.0 => break,
+            Ok(_) => lo = hi,
+            Err(_) => break,
         }
         hi *= 2.0;
-    }
-    if !bracketed {
-        return Err(ModelError::Saturation(
-            "no saturation found for λ₀ ≤ 4 messages/cycle".to_string(),
-        ));
     }
     let root = bisect(lo, hi, |lambda| {
         source_service(lambda).map(|x| x - 1.0 / lambda)
@@ -187,16 +182,23 @@ mod tests {
 
     #[test]
     fn never_saturating_model_errors() {
-        // x(λ) = 1e-12: 1/λ never comes down to it within λ ≤ 4.
+        // x(λ) = 1e-12: 1/λ never comes down to it within λ ≤ 4. Feasible
+        // up to the ceiling is not a saturation.
         let err = saturation_point(16.0, |_| Ok(1e-12)).unwrap_err();
-        assert!(matches!(err, ModelError::Saturation(_)));
+        assert_eq!(
+            err,
+            ModelError::Knee(KneeError::NoKneeBelowMax { max: 4.0 })
+        );
+        assert!(!err.is_saturation());
     }
 
     #[test]
     fn failure_at_vanishing_load_is_reported() {
-        let err = saturation_point(16.0, |_| Err::<f64, _>(ModelError::Spec("broken".into())))
-            .unwrap_err();
-        assert!(err.to_string().contains("vanishing load"));
+        // The first probe's error is the model's own, passed through.
+        let broken = ModelError::Spec("broken".into());
+        let err = saturation_point(16.0, |_| Err::<f64, _>(broken.clone())).unwrap_err();
+        assert_eq!(err, broken);
+        assert!(!err.is_saturation());
     }
 
     #[test]

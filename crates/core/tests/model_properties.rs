@@ -3,7 +3,6 @@
 
 use proptest::prelude::*;
 use wormsim_core::bft::BftModel;
-use wormsim_core::framework::bft_spec;
 use wormsim_core::options::ModelOptions;
 use wormsim_topology::bft::BftParams;
 
@@ -63,29 +62,6 @@ proptest! {
                 }
             }
             rate *= 2.0;
-        }
-    }
-
-    #[test]
-    fn framework_always_matches_closed_form(
-        p in params(),
-        s in 2.0f64..64.0,
-        opts in options(),
-        rate_scale in 0.0f64..0.8,
-    ) {
-        // Probe at a fraction of the saturation rate so both sides resolve.
-        let model = BftModel::with_options(p, s, opts);
-        let Ok(sat) = model.saturation() else { return Ok(()); };
-        let lambda0 = sat.message_rate * rate_scale;
-        let closed = model.latency_at_message_rate(lambda0);
-        let generic = bft_spec(&p, s, lambda0).latency(&opts, None);
-        match (closed, generic) {
-            (Ok(a), Ok(b)) => {
-                prop_assert!((a.total - b.total).abs() < 1e-7 * (1.0 + a.total.abs()),
-                    "{p:?}: closed {} vs generic {}", a.total, b.total);
-            }
-            (Err(_), Err(_)) => {}
-            (a, b) => prop_assert!(false, "disagreement: {a:?} vs {b:?}"),
         }
     }
 

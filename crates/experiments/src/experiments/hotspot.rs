@@ -81,8 +81,9 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
 
     let base = TrafficConfig::from_flit_load(loads[0], s)?.with_pattern(pattern);
     let results = sweep_traffic(&router, &cfg, &base, &LaneConfig::single(), &loads)?;
-    // One model build for the whole sweep; per point only the class rates
-    // rescale and the solver warm-starts from the previous load.
+    // One model build for the whole sweep; per point the unit-rate spec is
+    // evaluated at the load's λ₀ and the solver warm-starts from the
+    // previous load.
     let mut hot_model = FlowModelSweep::new(tree.network(), &flows, f64::from(s))?;
 
     let mut tbl = Table::new(vec![

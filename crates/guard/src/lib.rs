@@ -18,7 +18,7 @@
 //! The crate is deliberately generic: it never names `NetworkSpec` (which
 //! lives above it in the dependency order). `wormsim-core` builds
 //! `NetworkSpec::solve_outcome` (and through it
-//! `StationModel::latency_outcome`) on these outcomes, retrying a failed
+//! `FlowModelSweep::outcome_at`) on these outcomes, retrying a failed
 //! solve through its own escalation ladder first, and
 //! `NetworkSpec::find_knee` on the bracketer.
 

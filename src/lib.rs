@@ -20,8 +20,9 @@
 //!   vectors built over the one routing call (`FlowRouting::route`) that
 //!   the simulator's engine also makes at every hop.
 //! * [`model`] — the paper's analytical model: the general framework of §2,
-//!   the closed-form butterfly fat-tree instantiation of §3, baseline models,
-//!   ablations, and the workload-driven per-station generalization.
+//!   the butterfly fat-tree instantiation of §3 (a class spec that the §2
+//!   solver solves), baseline models, ablations, and the workload-driven
+//!   per-station generalization.
 //! * [`guard`] — saturation-aware solving: typed solve outcomes and knee
 //!   bracketing (the escalation ladder for marginal loads lives with the
 //!   model, in `NetworkSpec::solve_outcome`).

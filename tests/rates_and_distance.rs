@@ -42,9 +42,10 @@ fn simulated_channel_rates_match_eq14() {
         ej.lambda
     );
 
-    // Up/down rates per level (Eq. 14/15).
+    // Up/down rates per level (Eq. 14/15), as the model's audit reads them.
+    let audit = model.audit_at_message_rate(l0).unwrap();
     for l in 1..params.levels() {
-        let expect = model.lambda_up(l, l0);
+        let expect = audit.lambda_up[l as usize];
         let up = r.class(ChannelClass::Up { from: l }).unwrap();
         let down = r.class(ChannelClass::Down { from: l + 1 }).unwrap();
         assert!(

@@ -1,7 +1,6 @@
 //! Cross-crate checks of the throughput computation (Eq. 26) and the
 //! general-framework instantiations.
 
-use wormsim::model::framework;
 use wormsim::model::hypercube as cube_model;
 use wormsim::prelude::*;
 use wormsim::sim::config::{SimConfig, TrafficConfig};
@@ -30,19 +29,6 @@ fn model_knee_is_near_simulated_stability_boundary() {
         knee >= lo && knee <= hi,
         "model knee {knee:.4} outside [{lo:.4}, {hi:.4}] (sim bracket [{stable:.4}, {bad:.4}])"
     );
-}
-
-#[test]
-fn framework_bft_equals_closed_form_cross_crate() {
-    let params = BftParams::paper(256).unwrap();
-    for lambda0 in [0.0, 0.001] {
-        let closed = BftModel::new(params, 32.0)
-            .latency_at_message_rate(lambda0)
-            .unwrap();
-        let spec = framework::bft_spec(&params, 32.0, lambda0);
-        let generic = spec.latency(&ModelOptions::paper(), None).unwrap();
-        assert!((closed.total - generic.total).abs() < 1e-9);
-    }
 }
 
 #[test]
@@ -220,4 +206,68 @@ fn ablated_models_are_pinned_to_the_bit() {
     let err = prior.latency_at_flit_load(0.03).unwrap_err();
     assert!(err.is_saturation(), "prior art at 0.03: {err}");
     assert!(got == ABLATION_PINS, "fingerprints moved: {got:#x?}");
+}
+
+/// Fingerprints of `section_3_is_pinned_to_the_bit`: the Figure 3 grid,
+/// the channel audits and the Eq. 26 knees.
+const SECTION_3_PINS: [u64; 3] = [0xc9bd1be6c984f1ec, 0x1425cbbe8deed920, 0xa02d35bea31f45bd];
+
+#[test]
+fn section_3_is_pinned_to_the_bit() {
+    // The butterfly fat-tree model's every public answer, saturated points
+    // (as error text) and the per-level audit included.
+    let option_sets = [
+        ModelOptions::paper(),
+        ModelOptions::single_server_up(),
+        ModelOptions::no_blocking_correction(),
+        ModelOptions::prior_art(),
+    ];
+    let breakdown =
+        |b: LatencyBreakdown| vec![b.w_injection, b.x_injection, b.avg_distance, b.total];
+    let mut got = [0xCBF2_9CE4_8422_2325u64; 3];
+    // Figure 3 at N = 1024: the 83 dense loads `repro fig3` plots, then
+    // the 16 simulated ones.
+    let tree1024 = BftParams::paper(1024).unwrap();
+    let dense = (1..=83).map(|k| 0.0005 * f64::from(k));
+    let simulated = (1..=16).map(|i| 0.0025 * f64::from(i));
+    let loads: Vec<f64> = dense.chain(simulated).collect();
+    for s in [16.0, 32.0, 64.0] {
+        let model = BftModel::new(tree1024, s);
+        for &load in &loads {
+            fold(&mut got[0], model.latency_at_flit_load(load).map(breakdown));
+        }
+    }
+    for n in [16, 64, 256, 1024] {
+        let params = BftParams::paper(n).unwrap();
+        for options in option_sets {
+            // Every audit field, and the refusal at two lanes.
+            for s in [16.0, 64.0] {
+                for lanes in [1, 2] {
+                    let model = BftModel::with_options(params, s, options.with_lanes(lanes));
+                    for load in [0.01, 0.02, 0.03] {
+                        let audit = model.audit_at_message_rate(load / s).map(|a| {
+                            [
+                                a.lambda_down,
+                                a.x_down,
+                                a.w_down,
+                                a.lambda_up,
+                                a.x_up,
+                                a.w_up,
+                            ]
+                            .concat()
+                        });
+                        fold(&mut got[1], audit);
+                    }
+                }
+            }
+            for s in [16.0, 32.0, 64.0] {
+                let knee = BftModel::with_options(params, s, options).saturation();
+                fold(
+                    &mut got[2],
+                    knee.map(|k| vec![k.message_rate, k.flit_load, k.worm_flits]),
+                );
+            }
+        }
+    }
+    assert!(got == SECTION_3_PINS, "fingerprints moved: {got:#x?}");
 }
