@@ -241,6 +241,8 @@ pub fn model_from_flows(
 pub struct FlowModelSweep {
     /// The model at unit rate.
     model: StationModel,
+    /// The spec's class order, resolved once.
+    order: Option<Vec<usize>>,
     warm: WarmStart,
 }
 
@@ -267,8 +269,10 @@ impl FlowModelSweep {
         worm_flits: f64,
         alive_servers: Option<&[u32]>,
     ) -> Result<Self> {
+        let model = model_from_flows(net, flows, worm_flits, 1.0, alive_servers)?;
         Ok(Self {
-            model: model_from_flows(net, flows, worm_flits, 1.0, alive_servers)?,
+            order: model.spec.reverse_topological_order(),
+            model,
             warm: WarmStart::new(),
         })
     }
@@ -282,7 +286,12 @@ impl FlowModelSweep {
     /// [`StationModel::latency`].
     pub fn latency_at(&mut self, lambda0: f64, options: &ModelOptions) -> Result<LatencyBreakdown> {
         let StationModel { spec, injections } = &self.model;
-        let sol = spec.solve_at(lambda0, None, options, Some(&mut self.warm))?;
+        let sol = spec.solve_at(
+            lambda0,
+            self.order.as_deref(),
+            options,
+            Some(&mut self.warm),
+        )?;
         spec.breakdown(&sol, injections, options, lambda0)
     }
 
@@ -302,7 +311,13 @@ impl FlowModelSweep {
         options: &ModelOptions,
     ) -> Result<SolveOutcome<LatencyBreakdown>> {
         let StationModel { spec, injections } = &self.model;
-        let outcome = spec.climb_ladder(lambda0, None, options, Some(&mut self.warm), None)?;
+        let outcome = spec.climb_ladder(
+            lambda0,
+            self.order.as_deref(),
+            options,
+            Some(&mut self.warm),
+            None,
+        )?;
         Ok(match outcome {
             SolveOutcome::Converged(sol) => {
                 SolveOutcome::Converged(spec.breakdown(&sol, injections, options, lambda0)?)

@@ -1,7 +1,7 @@
 //! Structured worm-lifecycle events and the bounded event sink.
 //!
 //! Events are emitted by the simulation engine at *state transitions*
-//! only — never during fast-forwarded idle spans, which by construction
+//! only — never during fast-forwarded spans, which by construction
 //! contain no transitions — so the event stream of a run is identical
 //! across both `EngineKind`s.
 

@@ -14,7 +14,8 @@
 //!   allocated to some worm. Maintained transition-based (an open-interval
 //!   start on the 0→1 lane-occupancy edge, closed on the →0 edge), so it
 //!   is exact even across fast-forwarded idle spans and batched silent
-//!   drain spans, which contain no transitions.
+//!   drain spans, which contain no transitions. (A silent drain span's
+//!   flits reach `busy` in one [`SimTrace::on_flits`] call per channel.)
 //!
 //! From these, `stalled = held − busy` (held but not transmitting) and
 //! `idle = cycles_run − held`, giving the conservation law checked by
@@ -255,9 +256,18 @@ impl SimTrace {
     /// A flit crossed `channel` at cycle `t`.
     #[inline]
     pub fn on_flit(&mut self, channel: usize, t: u64) {
-        self.busy[channel] += 1;
+        self.on_flits(channel, t, 1);
+    }
+
+    /// One flit crossed `channel` in each cycle of `[start, start + span)`:
+    /// a span of [`Self::on_flit`] calls at once, for cycles the engine
+    /// did not walk. Like `on_flit` it does not move the time series'
+    /// sampling frontier, so it may be credited after later events.
+    #[inline]
+    pub fn on_flits(&mut self, channel: usize, start: u64, span: u64) {
+        self.busy[channel] += span;
         if let Some(ts) = &mut self.ts {
-            ts.add_busy_span(t, 1);
+            ts.add_busy_span(start, span);
         }
     }
 

@@ -15,16 +15,20 @@
 //! cores deliver the *same* per-window numbers even though they walk
 //! different cycles:
 //!
-//! * Fast-forwarded idle spans contain no events and no occupancy, so
-//!   the windows they cover are all-zero on either core by construction.
+//! * Fast-forwarded spans contain no events. Occupancy across them is
+//!   closed by the held intervals below, and the flits of dormant drains
+//!   (the only worms that may move in a skipped span) are credited in
+//!   bulk through `add_busy_span`, split at window boundaries exactly as
+//!   the per-cycle walk attributes them.
 //! * Union-of-occupancy held intervals close retroactively (at release
 //!   time the interval extends back to its 0→1 edge); they are clipped
 //!   across every window they overlap.
 //! * The in-flight sample for a completed window is taken when the
 //!   *frontier* (latest hook timestamp) first passes the window's end.
 //!   Only lifecycle hooks advance the frontier; busy attribution
-//!   (`on_flit`) never does, so sampling points, and therefore sampled
-//!   values, are core-independent.
+//!   (`on_flit`, `on_flits`) never does, so sampling points, and therefore
+//!   sampled values, are core-independent, and a span of busy cycles may
+//!   be credited after the events that follow it.
 //!
 //! # Ring-buffer storage
 //!

@@ -37,19 +37,31 @@
 //! # Fast-forwarding
 //!
 //! At the paper's validation loads most cycles are *provably idle*: no
-//! arrival surfaces, no worm has a pending request, none is draining, and
-//! no station was re-armed by a release. Such a cycle touches no state
-//! (the request shuffle is over an empty list and the grant loop never
-//! runs), and — crucially — makes **no RNG draw**: the Fisher–Yates
-//! shuffle of an empty list draws nothing, grants only draw when a station
-//! with waiting worms has more than one free member, and arrival times are
-//! pre-sampled into the source heap. [`Engine::run`] therefore maintains a
-//! next-event horizon — the earliest cycle at which the pending arrival at
-//! the top of the traffic heap surfaces (any active worm's next event is
-//! always "next cycle", so activity simply disables the skip) — and jumps
-//! `now` across the idle span instead of executing it, clamped at the
-//! warmup/measurement/drain boundaries so window bookkeeping sees the same
-//! cycle numbers. Results are bit-for-bit identical to cycle stepping;
+//! arrival surfaces, no worm has a pending request, every draining worm
+//! is dormant (below), and no station was re-armed by a release. Such a
+//! cycle touches no state (the request shuffle is over an empty list and
+//! the grant loop never runs), and — crucially — makes **no RNG draw**:
+//! the Fisher–Yates shuffle of an empty list draws nothing, grants only
+//! draw when a station with waiting worms has more than one free member,
+//! and arrival times are pre-sampled into the source heap. [`Engine::run`]
+//! therefore maintains a next-event horizon — the earliest of the cycle at
+//! which the pending arrival at the top of the traffic heap surfaces and
+//! the cycle the first dormant drainer wakes (any other active worm's next
+//! event is always "next cycle", so it simply disables the skip) — and
+//! jumps `now` across the idle span instead of executing it, clamped at
+//! the warmup/measurement/drain boundaries so window bookkeeping sees the
+//! same cycle numbers.
+//!
+//! **Dormant drains** (`L = 1`). A single-lane drainer never stalls, and
+//! until its tail flit leaves the injection channel (advancement `s`) a
+//! drain step releases nothing and completes nothing: it only counts. So
+//! a worm that ejects at advancement `D < s − 1` takes its `s − 1 − D`
+//! silent steps at once and sleeps until the cycle of its first release,
+//! keeping its `drain_list` position (whose `swap_remove` order fixes the
+//! release, station re-arm and completion order). The observer is credited
+//! the skipped steps' flits when the worm wakes, or at the end of the run.
+//!
+//! Results are bit-for-bit identical to cycle stepping;
 //! `tests/fast_forward_replay.rs` proves it field-by-field. Select
 //! [`EngineKind::Reference`] with [`Engine::set_engine_kind`] to recover
 //! the plain cycle walk — the oracle the differential suites compare
@@ -151,6 +163,9 @@ struct Worm {
     /// router's [`Route`] and read through [`member_allowed`]. All-ones
     /// for a [`Route::Channel`] request.
     route_mask: u16,
+    /// Cycle a dormant drainer takes its next drain step (module docs);
+    /// 0 for a worm that never went dormant — no worm drains at cycle 0.
+    wake: u64,
 }
 
 /// Per-PE source state.
@@ -385,6 +400,13 @@ impl<'a, R: Router> Engine<'a, R> {
         self.cycles_skipped
     }
 
+    /// Whether ejected worms sleep through their silent drain steps (module
+    /// docs): the fast-forward core on single-lane channels, where a
+    /// drainer can never stall.
+    fn dormant_drains(&self) -> bool {
+        self.kind == EngineKind::FastForward && self.lane_table.lanes() == 1
+    }
+
     fn in_window(&self, t: u64) -> bool {
         (self.window_start..self.window_end).contains(&t)
     }
@@ -404,6 +426,7 @@ impl<'a, R: Router> Engine<'a, R> {
             request_time: gen_time,
             measured,
             route_mask: u16::MAX,
+            wake: 0,
         };
         let idx = if let Some(idx) = self.free_worms.pop() {
             // Slot reuse: the path vector was cleared at finalize and keeps
@@ -604,6 +627,23 @@ impl<'a, R: Router> Engine<'a, R> {
         }
     }
 
+    /// Observer hook for a dormant drainer that ejected at cycle `t_e`:
+    /// credits the flits its skipped drain steps sent in cycles
+    /// `[t_e + 1, end)`, where `end` is its wake or the end of the run.
+    /// Each of those steps moved one flit across every hop of the path,
+    /// since its tail had not yet left the injection channel.
+    fn observe_dormant(&mut self, widx: WormIdx, end: u64) {
+        let Some(o) = self.obs.as_deref_mut() else {
+            return;
+        };
+        let w = &self.worms[widx as usize];
+        let path = &self.paths[widx as usize];
+        let first = w.wake - u64::from(w.len_flits - 1).saturating_sub(path.len() as u64);
+        for hop in path {
+            o.on_flits(hop.ch.index(), first, end - first);
+        }
+    }
+
     /// Performs the pending advancement of a granted (or stalled) worm —
     /// its head traverses the most recently granted channel — and routes
     /// it onward: eject into drain/completion, or request the next hop.
@@ -635,6 +675,14 @@ impl<'a, R: Router> Engine<'a, R> {
                 self.worms[widx as usize].state = WormState::Draining;
                 if let Some(o) = self.obs.as_deref_mut() {
                     o.on_drain(widx as usize, t);
+                }
+                if self.dormant_drains() {
+                    // Take the silent steps before the tail leaves hop 0
+                    // (advancement `s`) now; wake for the first release.
+                    let w = &mut self.worms[widx as usize];
+                    let dormant = (w.len_flits - 1).saturating_sub(w.advancements);
+                    w.advancements += dormant;
+                    w.wake = t + u64::from(dormant) + 1;
                 }
                 self.drain_list.push(widx);
             }
@@ -682,15 +730,16 @@ impl<'a, R: Router> Engine<'a, R> {
     /// Fast-forwards `now` across a provably idle span, never past `limit`.
     ///
     /// A span starting at `now` is idle when no worm can act (no pending
-    /// request, nothing draining, no station re-armed by a release) and no
-    /// arrival surfaces before the horizon. Every cycle in the span is a
-    /// no-op in the reference engine — and makes no RNG draw — so jumping
-    /// over it preserves the simulation bit-for-bit. Returns `true` when
-    /// `now` moved (the caller re-checks its window boundaries).
+    /// request, no stalled worm, no station re-armed by a release, and
+    /// every drainer dormant) and neither an arrival surfaces nor a dormant
+    /// drainer wakes before the horizon. Every cycle in the span is a
+    /// no-op in the reference engine apart from the dormant drainers'
+    /// already-taken step counts — and makes no RNG draw — so jumping over
+    /// it preserves the simulation bit-for-bit. Returns `true` when `now`
+    /// moved (the caller re-checks its window boundaries).
     fn skip_idle(&mut self, limit: u64) -> bool {
         if self.kind == EngineKind::Reference
             || !self.pending_requests.is_empty()
-            || !self.drain_list.is_empty()
             || !self.stall_list.is_empty()
             || !self.ready_stations.is_empty()
         {
@@ -701,6 +750,11 @@ impl<'a, R: Router> Engine<'a, R> {
             .traffic_gen
             .next_arrival_cycle()
             .map_or(limit, |c| c.clamp(self.now, limit));
+        // An awake drainer (`wake ≤ now`) pins the horizon at `now`.
+        let horizon = self
+            .drain_list
+            .iter()
+            .fold(horizon, |h, &w| h.min(self.worms[w as usize].wake));
         if horizon > self.now {
             self.cycles_skipped += horizon - self.now;
             self.now = horizon;
@@ -887,9 +941,18 @@ impl<'a, R: Router> Engine<'a, R> {
         // multiple lanes a drainer needs this cycle's flit slot on every
         // channel of its moving span; a denied drainer holds all flits and
         // stays in the list (drainers have first claim on bandwidth).
+        // Dormant drainers are passed over until they wake.
         let mut j = 0;
         while j < self.drain_list.len() {
             let widx = self.drain_list[j];
+            let wake = self.worms[widx as usize].wake;
+            if wake > t {
+                j += 1;
+                continue;
+            }
+            if wake == t {
+                self.observe_dormant(widx, t);
+            }
             if !self.try_reserve_span(widx, t) {
                 if let Some(o) = self.obs.as_deref_mut() {
                     o.on_stall(widx as usize, t, StallCause::LinkBusy);
@@ -1037,6 +1100,14 @@ impl<'a, R: Router> Engine<'a, R> {
             * f64::from(self.traffic.worm_flits)
             / (self.cfg.measure_cycles as f64 * n_pe);
 
+        // Drainers whose wake was never walked owe the flits of the steps
+        // the reference walk took before `now`.
+        for j in 0..self.drain_list.len() {
+            let widx = self.drain_list[j];
+            if self.worms[widx as usize].wake >= self.now {
+                self.observe_dormant(widx, self.now);
+            }
+        }
         let obs = self.obs.take().map(|o| {
             // Worms still in flight keep their granted lanes; count their
             // hops so the grant-vs-hop conservation law closes exactly.
@@ -1121,8 +1192,9 @@ impl<'a, R: Router> Engine<'a, R> {
     /// unreleased hops hold exactly their lanes, and nothing else is held
     /// — no lane double-grant, no leaked lane), each live worm's path is a
     /// walk from its source's injection channel that can only end at its
-    /// destination, every queued worm appears in exactly one queue, and
-    /// every stalled worm in the stall list.
+    /// destination, every queued worm appears in exactly one queue, every
+    /// stalled worm in the stall list, and every dormant drainer sits at
+    /// advancement `s − 1`.
     ///
     /// # Errors
     ///
@@ -1244,6 +1316,17 @@ impl<'a, R: Router> Engine<'a, R> {
             }
             if w.state == WormState::Stalled && !self.stall_list.contains(&(wi as WormIdx)) {
                 return Err(format!("stalled worm {wi} missing from the stall list"));
+            }
+            // A dormant drainer has taken every step before its tail's
+            // first release (so it still holds every hop, checked above).
+            if w.state == WormState::Draining
+                && w.wake > self.now
+                && w.advancements + 1 != w.len_flits
+            {
+                return Err(format!(
+                    "dormant drainer {wi} at advancement {} of a {}-flit worm",
+                    w.advancements, w.len_flits
+                ));
             }
             if w.state == WormState::Draining
                 && self.paths[wi]

@@ -69,7 +69,8 @@ pub struct SimResult {
     /// Total cycles simulated (including warmup and drain).
     pub cycles_run: u64,
     /// Of [`Self::cycles_run`], how many were **not individually walked**:
-    /// idle spans jumped by fast-forwarding. Always 0 for
+    /// spans jumped by fast-forwarding, idle or holding only dormant
+    /// drains (see the engine's module docs). Always 0 for
     /// [`EngineKind::Reference`].
     /// Diagnostic only: every other field is bit-identical whichever
     /// engine ran — compare against [`Self::engine`] to interpret it.

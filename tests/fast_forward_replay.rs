@@ -277,16 +277,16 @@ fn fast_forward_cycle_accounting_is_pinned() {
         batches: 4,
     };
     let pins = [
-        (16, 0.001, 1, Fabric::Pristine, (4500, 4382)),
-        (16, 0.0025, 1, Fabric::Pristine, (4500, 4240)),
-        (64, 0.005, 1, Fabric::Pristine, (4500, 2848)),
-        (256, 0.01, 1, Fabric::Pristine, (4517, 120)),
-        (64, 0.1, 1, Fabric::Pristine, (4539, 2)),
+        (16, 0.001, 1, Fabric::Pristine, (4500, 4450)),
+        (16, 0.0025, 1, Fabric::Pristine, (4500, 4383)),
+        (64, 0.005, 1, Fabric::Pristine, (4500, 3463)),
+        (256, 0.01, 1, Fabric::Pristine, (4517, 400)),
+        (64, 0.1, 1, Fabric::Pristine, (4539, 56)),
         (64, 0.1, 2, Fabric::Pristine, (4537, 2)),
         (64, 0.1, 4, Fabric::Pristine, (4539, 12)),
-        (64, 0.1, 1, Fabric::EmptyPlan, (4539, 2)),
-        (64, 0.1, 1, Fabric::Links5, (4573, 2)),
-        (64, 0.239_064, 1, Fabric::Links5, (9476, 0)),
+        (64, 0.1, 1, Fabric::EmptyPlan, (4539, 56)),
+        (64, 0.1, 1, Fabric::Links5, (4573, 64)),
+        (64, 0.239_064, 1, Fabric::Links5, (9476, 1020)),
     ];
     for (n, load, lanes, fabric, pinned) in pins {
         let tree = ButterflyFatTree::new(BftParams::paper(n).unwrap());

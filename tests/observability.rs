@@ -65,25 +65,32 @@ proptest! {
     }
 
     /// The windowed time series, fuzzed across operating points, window
-    /// widths and (optionally) faulted fabrics: the observed run stays
-    /// bit-transparent on every core with the sampler attached, the
-    /// snapshots (time series included, via `SimSnapshot: PartialEq`)
-    /// agree across cores, and Σ per-window figures reconcile *exactly*
-    /// with the run-total snapshot fields.
+    /// widths, lane counts, worm lengths and (optionally) faulted fabrics:
+    /// the observed run stays bit-transparent on every core with the
+    /// sampler attached, the snapshots (time series included, via
+    /// `SimSnapshot: PartialEq`) agree across cores, and Σ per-window
+    /// figures reconcile *exactly* with the run-total snapshot fields.
     #[test]
     fn windowed_time_series_reconciles_across_cores(
         seed in 0u64..300,
         load_pct in 1u32..90,
         window_idx in 0usize..3,
+        lanes in 1u32..3,
+        long_worms in any::<bool>(),
         faulted in any::<bool>(),
     ) {
         let window = [64u64, 100, 250][window_idx];
+        // 64-flit worms on N = 64 drain silently for about 57 cycles at
+        // L = 1, across window boundaries of every width.
+        let flits = if long_worms { 64 } else { 16 };
         let tree = ButterflyFatTree::new(BftParams::paper(64).unwrap());
         let cfg = small_cfg(mix_seed(0x71AE, seed));
-        let traffic = TrafficConfig::from_flit_load(0.0015 * f64::from(load_pct), 16).unwrap();
-        let lc = LaneConfig::new(2, LaneAllocatorKind::FirstFree).unwrap();
+        let traffic = TrafficConfig::from_flit_load(0.0015 * f64::from(load_pct), flits).unwrap();
+        let lc = LaneConfig::new(lanes, LaneAllocatorKind::FirstFree).unwrap();
         let obs = ObsConfig::counters_only().with_time_series(window);
-        let label = format!("ts-proptest seed={seed} W={window} faulted={faulted}");
+        let label = format!(
+            "ts-proptest seed={seed} W={window} L={lanes} s={flits} faulted={faulted}"
+        );
         let observed = if faulted {
             let plan = link_faults(tree.network(), 0.05, mix_seed(0xFA17, seed)).unwrap();
             let router = FaultedBftRouter::new(&tree, plan).unwrap();
