@@ -5,8 +5,8 @@
 //! spec has one class per level and direction, at the rates of uniform
 //! traffic (Eqs. 14/15): down class `⟨l, l−1⟩` is class `l − 1` for
 //! `l ∈ 1..=n`, and up class `⟨l, l+1⟩` is class `n + l` for `l ∈ 0..n`.
-//! The model builds the spec once at unit rate and evaluates it at each
-//! source rate `λ₀` as a rate multiplier.
+//! The model builds the spec once, per unit source rate, and solves it at
+//! each source rate `λ₀`.
 //!
 //! The class dependencies form a DAG, and the solver's reverse
 //! topological order resolves them in one backward sweep:
@@ -98,7 +98,7 @@ pub struct ChannelAudit {
 pub struct BftModel {
     params: BftParams,
     options: ModelOptions,
-    /// `bft_spec(params, s, 1.0)`, evaluated at rate multiplier `λ₀`.
+    /// `bft_spec(params, s)`, solved at each `λ₀`.
     spec: NetworkSpec,
     /// The spec's class order (down chain, then up chain), resolved once.
     order: Option<Vec<usize>>,
@@ -119,7 +119,7 @@ impl BftModel {
     /// [`ModelError::Spec`].
     #[must_use]
     pub fn with_options(params: BftParams, worm_flits: f64, options: ModelOptions) -> Self {
-        let spec = bft_spec(&params, worm_flits, 1.0);
+        let spec = bft_spec(&params, worm_flits);
         Self {
             params,
             options,
@@ -178,7 +178,7 @@ impl BftModel {
         self.single_lane_only("audit_at_message_rate")?;
         let sol = self
             .spec
-            .solve_at(lambda0, self.order.as_deref(), &self.options, None)?;
+            .solve_at(lambda0, self.order.as_deref(), &self.options, None, None)?;
         // `bft_spec`'s layout: down class ⟨l, l−1⟩ is class l − 1 and up
         // class ⟨l, l+1⟩ is class n + l; `down[0]` stays 0.
         let n = self.params.levels() as usize;
@@ -204,7 +204,7 @@ impl BftModel {
     pub fn latency_at_message_rate(&self, lambda0: f64) -> Result<LatencyBreakdown> {
         let sol = self
             .spec
-            .solve_at(lambda0, self.order.as_deref(), &self.options, None)?;
+            .solve_at(lambda0, self.order.as_deref(), &self.options, None, None)?;
         self.spec
             .breakdown(&sol, &[self.spec.injection], &self.options, lambda0)
     }
@@ -229,10 +229,8 @@ impl BftModel {
     /// Same as [`Self::audit_at_message_rate`] (single-lane only).
     pub fn source_service_time(&self, lambda0: f64) -> Result<f64> {
         self.single_lane_only("source_service_time")?;
-        let x = self
-            .spec
-            .service_times_at(lambda0, self.order.as_deref(), &self.options)?;
-        Ok(x[self.spec.injection.0])
+        self.spec
+            .injection_service_at(lambda0, self.order.as_deref(), &self.options)
     }
 
     /// Maximum throughput: the saturation point where `x̄₀,₁ = 1/λ₀`

@@ -1,12 +1,12 @@
 //! Workload-driven model construction from per-channel flow vectors.
 //!
-//! [`model_from_flows`] is the one builder of the per-station §2 model.
-//! It accepts a precomputed [`FlowVector`] — *any* destination pattern
-//! pushed through the router's deterministic/adaptive path logic — and
-//! assembles the model from it with **one channel class per arbitration
-//! station**. No symmetry is assumed, so the same builder serves networks
-//! whose channels genuinely differ by position (a mesh's corners and
-//! center) and nonuniform patterns alike:
+//! [`FlowModelSweep`] is the per-station §2 model. It is built from a
+//! precomputed [`FlowVector`] — *any* destination pattern pushed through
+//! the router's deterministic/adaptive path logic — with **one channel
+//! class per arbitration station**, once, per unit source rate, and is
+//! then solved at any `λ₀`. No symmetry is assumed, so the same builder
+//! serves networks whose channels genuinely differ by position (a mesh's
+//! corners and center) and nonuniform patterns alike:
 //!
 //! * single-channel stations (down-links, dimension hops, ejections)
 //!   become ordinary M/G/1 classes carrying that channel's exact flow;
@@ -30,80 +30,17 @@ use wormsim_topology::graph::ChannelNetwork;
 use wormsim_topology::ids::ChannelId;
 use wormsim_workload::FlowVector;
 
-/// A per-station model: the class spec (one class per arbitration
-/// station) plus the injection class of every PE to average over, equally
-/// weighted under the uniform-sources assumption.
-#[derive(Debug, Clone)]
-pub struct StationModel {
-    /// The per-station network specification.
-    pub spec: NetworkSpec,
-    /// Injection station class of every PE.
-    pub injections: Vec<ClassId>,
-}
-
-impl StationModel {
-    /// Average latency: Eq. 2's per-source average of `W_inj + x̄_inj`,
-    /// plus `D̄ − 1`. `warm` is the sweep state of
-    /// [`NetworkSpec::solve`].
-    ///
-    /// # Errors
-    ///
-    /// Saturation of any station, or spec inconsistencies.
-    pub fn latency(
-        &self,
-        options: &ModelOptions,
-        warm: Option<&mut WarmStart>,
-    ) -> Result<LatencyBreakdown> {
-        let sol = self.spec.solve(options, warm, None)?;
-        self.spec.breakdown(&sol, &self.injections, options, 1.0)
-    }
-
-    /// Per-PE injection summary `(W_inj, x̄_inj)` — exposes the spatial
-    /// asymmetry of non-symmetric networks (mesh corners vs. center).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::latency`].
-    pub fn per_source_injection(&self, options: &ModelOptions) -> Result<Vec<(f64, f64)>> {
-        let sol = self.spec.solve(options, None, None)?;
-        Ok(self
-            .injections
-            .iter()
-            .map(|inj| (sol.waiting_times[inj.0], sol.service_times[inj.0]))
-            .collect())
-    }
-}
-
-/// Builds a per-station §2 model from a flow vector at per-PE message
-/// rate `lambda0`.
+/// Builds the per-station class spec of `flows` over `net` per unit
+/// source rate, with the injection class of every PE (to average Eq. 2
+/// over, equally weighted under the uniform-sources assumption).
 ///
-/// The returned [`StationModel`] solves Eq. 11 over the station classes
-/// and averages Eq. 2 over the per-PE injection stations.
-///
-/// `alive_servers` prices a *degraded* fabric: `alive_servers[st]` gives
-/// the number of surviving member channels of each station (what
-/// `wormsim_faults::FaultPlan::alive_servers` computes), and the station
-/// classes become M/G/`alive` instead of M/G/`m` — a fat-tree up-link
-/// pair with one dead member is priced as a single-server station
-/// carrying the full surviving flow. `None` (or the pristine counts)
-/// prices the pristine fabric, bit-for-bit.
-///
-/// # Errors
-///
-/// [`ModelError::Spec`] when the flow vector does not match `net`,
-/// `lambda0` is invalid, the server vector has the wrong length, or a
-/// station carries flow with no surviving servers (a disconnected fabric
-/// — the flow builder reports those as typed workload errors first).
-pub fn model_from_flows(
+/// `alive_servers` as in [`FlowModelSweep::new_with_servers`].
+fn station_spec(
     net: &ChannelNetwork,
     flows: &FlowVector,
     worm_flits: f64,
-    lambda0: f64,
     alive_servers: Option<&[u32]>,
-) -> Result<StationModel> {
-    if !(lambda0.is_finite() && lambda0 >= 0.0) {
-        return Err(ModelError::Spec(format!("invalid message rate {lambda0}")));
-    }
+) -> Result<(NetworkSpec, Vec<ClassId>)> {
     if flows.num_channels() != net.num_channels() || flows.num_pes() != net.num_processors() {
         return Err(ModelError::Spec(format!(
             "flow vector shape ({} PEs, {} channels) does not match the network \
@@ -178,7 +115,7 @@ pub fn model_from_flows(
                 alive[st_idx].max(1)
             }
         };
-        let lambda = station_flow[st_idx] * lambda0 / f64::from(servers);
+        let lambda = station_flow[st_idx] / f64::from(servers);
         let out_total: f64 = station_out[st_idx].iter().map(|&(_, w, _)| w).sum();
         let body = if out_total > 0.0 {
             let mut forwards: Vec<Forward> = station_out[st_idx]
@@ -224,23 +161,22 @@ pub fn model_from_flows(
         injection: injections[0],
         avg_distance: flows.avg_distance(),
     };
-    Ok(StationModel { spec, injections })
+    Ok((spec, injections))
 }
 
-/// A load sweep over one flow vector's per-station model, built once.
+/// The per-station §2 model of one flow vector, built once per unit source
+/// rate and solved at any `λ₀`.
 ///
-/// [`model_from_flows`] assembles the whole class spec for a single
-/// `lambda0`; sweeping a figure re-did that work — and a cold fixed-point
-/// solve — at every point. This helper exploits that the spec's *shape*
-/// (classes, forwards, probabilities) is load-independent: only the class
-/// rates scale linearly with `lambda0`. It builds the model once at unit
-/// rate, evaluates that spec at `λ₀` as a rate multiplier, and threads a
-/// [`WarmStart`] so cyclic solves seed from the previous load's converged
-/// vector.
+/// Only the class rates scale with `λ₀`; the spec's *shape* (classes,
+/// forwards, probabilities) and its class order do not, so both are built
+/// once. A [`WarmStart`] threads each load's converged vector into the
+/// next, so cyclic solves of a sweep seed from the previous load.
 #[derive(Debug, Clone)]
 pub struct FlowModelSweep {
-    /// The model at unit rate.
-    model: StationModel,
+    /// The per-station spec, per unit source rate.
+    spec: NetworkSpec,
+    /// Injection station class of every PE.
+    injections: Vec<ClassId>,
     /// The spec's class order, resolved once.
     order: Option<Vec<usize>>,
     warm: WarmStart,
@@ -252,27 +188,36 @@ impl FlowModelSweep {
     ///
     /// # Errors
     ///
-    /// As [`model_from_flows`].
+    /// As [`Self::new_with_servers`].
     pub fn new(net: &ChannelNetwork, flows: &FlowVector, worm_flits: f64) -> Result<Self> {
         Self::new_with_servers(net, flows, worm_flits, None)
     }
 
-    /// As [`Self::new`] over a degraded fabric: `alive_servers` as in
-    /// [`model_from_flows`].
+    /// As [`Self::new`] over a *degraded* fabric: `alive_servers[st]` gives
+    /// the number of surviving member channels of each station (what
+    /// `wormsim_faults::FaultPlan::alive_servers` computes), and the
+    /// station classes become M/G/`alive` instead of M/G/`m` — a fat-tree
+    /// up-link pair with one dead member is priced as a single-server
+    /// station carrying the full surviving flow. `None` (or the pristine
+    /// counts) prices the pristine fabric, bit-for-bit.
     ///
     /// # Errors
     ///
-    /// As [`model_from_flows`].
+    /// [`ModelError::Spec`] when the flow vector does not match `net`, the
+    /// server vector has the wrong length, or a station carries flow with
+    /// no surviving servers (a disconnected fabric — the flow builder
+    /// reports those as typed workload errors first).
     pub fn new_with_servers(
         net: &ChannelNetwork,
         flows: &FlowVector,
         worm_flits: f64,
         alive_servers: Option<&[u32]>,
     ) -> Result<Self> {
-        let model = model_from_flows(net, flows, worm_flits, 1.0, alive_servers)?;
+        let (spec, injections) = station_spec(net, flows, worm_flits, alive_servers)?;
         Ok(Self {
-            order: model.spec.reverse_topological_order(),
-            model,
+            order: spec.reverse_topological_order(),
+            spec,
+            injections,
             warm: WarmStart::new(),
         })
     }
@@ -282,17 +227,18 @@ impl FlowModelSweep {
     ///
     /// # Errors
     ///
-    /// [`ModelError::Spec`] on an invalid rate; solver errors as in
-    /// [`StationModel::latency`].
+    /// [`ModelError::Spec`] on an invalid rate or options; saturation of
+    /// any station as in [`NetworkSpec::solve`].
     pub fn latency_at(&mut self, lambda0: f64, options: &ModelOptions) -> Result<LatencyBreakdown> {
-        let StationModel { spec, injections } = &self.model;
-        let sol = spec.solve_at(
+        let sol = self.spec.solve_at(
             lambda0,
             self.order.as_deref(),
             options,
             Some(&mut self.warm),
+            None,
         )?;
-        spec.breakdown(&sol, injections, options, lambda0)
+        self.spec
+            .breakdown(&sol, &self.injections, options, lambda0)
     }
 
     /// Saturation-aware [`Self::latency_at`], total over every load:
@@ -310,8 +256,7 @@ impl FlowModelSweep {
         lambda0: f64,
         options: &ModelOptions,
     ) -> Result<SolveOutcome<LatencyBreakdown>> {
-        let StationModel { spec, injections } = &self.model;
-        let outcome = spec.climb_ladder(
+        let outcome = self.spec.climb_ladder(
             lambda0,
             self.order.as_deref(),
             options,
@@ -319,9 +264,12 @@ impl FlowModelSweep {
             None,
         )?;
         Ok(match outcome {
-            SolveOutcome::Converged(sol) => {
-                SolveOutcome::Converged(spec.breakdown(&sol, injections, options, lambda0)?)
-            }
+            SolveOutcome::Converged(sol) => SolveOutcome::Converged(self.spec.breakdown(
+                &sol,
+                &self.injections,
+                options,
+                lambda0,
+            )?),
             SolveOutcome::Saturated => SolveOutcome::Saturated,
             SolveOutcome::NoConvergence {
                 iterations,
@@ -333,11 +281,32 @@ impl FlowModelSweep {
         })
     }
 
+    /// Per-PE injection summary `(W_inj, x̄_inj)` at per-PE message rate
+    /// `lambda0`, from a cold solve — exposes the spatial asymmetry of
+    /// non-symmetric networks (mesh corners vs. center).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::latency_at`].
+    pub fn per_source_injection(
+        &self,
+        lambda0: f64,
+        options: &ModelOptions,
+    ) -> Result<Vec<(f64, f64)>> {
+        let sol = self
+            .spec
+            .solve_at(lambda0, self.order.as_deref(), options, None, None)?;
+        Ok(self
+            .injections
+            .iter()
+            .map(|inj| (sol.waiting_times[inj.0], sol.service_times[inj.0]))
+            .collect())
+    }
+
     /// Brackets this workload's saturation knee in per-PE message rate
-    /// `λ₀` (worms/cycle/PE): the spec is at unit rate, so
-    /// [`crate::framework::NetworkSpec::find_knee`]'s rate multiplier
-    /// *is* `λ₀`. The returned [`wormsim_guard::Knee::knee`] is the
-    /// largest rate proven feasible.
+    /// `λ₀` (worms/cycle/PE) with
+    /// [`crate::framework::NetworkSpec::find_knee`]. The returned
+    /// [`wormsim_guard::Knee::knee`] is the largest rate proven feasible.
     ///
     /// # Errors
     ///
@@ -347,7 +316,7 @@ impl FlowModelSweep {
         options: &ModelOptions,
         cfg: &wormsim_guard::KneeConfig,
     ) -> Result<wormsim_guard::Knee> {
-        self.model.spec.find_knee(options, cfg)
+        self.spec.find_knee(options, cfg)
     }
 
     /// Accumulated fixed-point iteration statistics across the sweep.
@@ -382,11 +351,11 @@ mod tests {
             let tree = ButterflyFatTree::new(params);
             let flows = FlowVector::build(&tree, &DestinationPattern::Uniform).unwrap();
             for s in [16.0, 32.0] {
+                let closed_model = BftModel::new(params, s);
+                let mut station_model = FlowModelSweep::new(tree.network(), &flows, s).unwrap();
                 for lambda0 in [0.0, 0.0005, 0.001] {
-                    let closed = BftModel::new(params, s).latency_at_message_rate(lambda0);
-                    let station = model_from_flows(tree.network(), &flows, s, lambda0, None)
-                        .unwrap()
-                        .latency(&ModelOptions::paper(), None);
+                    let closed = closed_model.latency_at_message_rate(lambda0);
+                    let station = station_model.latency_at(lambda0, &ModelOptions::paper());
                     match (closed, station) {
                         (Ok(a), Ok(b)) => {
                             assert!(
@@ -415,14 +384,14 @@ mod tests {
         for dim in [4u32, 6, 8] {
             let cube = Hypercube::new(dim).unwrap();
             let flows = FlowVector::build(&cube, &DestinationPattern::Uniform).unwrap();
+            let mut by_station = FlowModelSweep::new(cube.network(), &flows, 16.0).unwrap();
+            let by_class = hypercube_spec(dim, 16.0).unwrap();
             for lambda0 in [0.0, 0.002, 0.006] {
-                let a = model_from_flows(cube.network(), &flows, 16.0, lambda0, None)
-                    .unwrap()
-                    .latency(&ModelOptions::paper(), None)
+                let a = by_station
+                    .latency_at(lambda0, &ModelOptions::paper())
                     .unwrap();
-                let b = hypercube_spec(dim, 16.0, lambda0)
-                    .unwrap()
-                    .latency(&ModelOptions::paper(), None)
+                let b = by_class
+                    .latency(lambda0, &ModelOptions::paper(), None)
                     .unwrap();
                 assert!(
                     (a.total - b.total).abs() < 1e-9 * (1.0 + a.total),
@@ -443,16 +412,11 @@ mod tests {
         let cube = Hypercube::new(dim).unwrap();
         let flows = FlowVector::build(&cube, &DestinationPattern::Uniform).unwrap();
         let opts = ModelOptions::paper();
+        let (station_model, _) = station_spec(cube.network(), &flows, 16.0, None).unwrap();
+        let class_model = hypercube_spec(dim, 16.0).unwrap();
         for lambda0 in [0.0, 0.002, 0.008] {
-            let by_station = model_from_flows(cube.network(), &flows, 16.0, lambda0, None)
-                .unwrap()
-                .spec
-                .solve(&opts, None, None)
-                .unwrap();
-            let by_class = hypercube_spec(dim, 16.0, lambda0)
-                .unwrap()
-                .solve(&opts, None, None)
-                .unwrap();
+            let by_station = station_model.solve(lambda0, &opts, None, None).unwrap();
+            let by_class = class_model.solve(lambda0, &opts, None, None).unwrap();
             for (i, info) in cube.network().channels().iter().enumerate() {
                 let class = match info.class {
                     ChannelClass::Ejection => 0,
@@ -489,9 +453,11 @@ mod tests {
         // and central sources see more contention than corner sources.
         let mesh = Mesh::new(4, 2).unwrap();
         let flows = FlowVector::build(&mesh, &DestinationPattern::Uniform).unwrap();
-        let m = model_from_flows(mesh.network(), &flows, 16.0, 0.004, None).unwrap();
+        let mut m = FlowModelSweep::new(mesh.network(), &flows, 16.0).unwrap();
         m.spec.validate().unwrap();
-        let per_source = m.per_source_injection(&ModelOptions::paper()).unwrap();
+        let per_source = m
+            .per_source_injection(0.004, &ModelOptions::paper())
+            .unwrap();
         // Corner sources have the longest expected remaining paths under
         // uniform traffic, so their injected worms accumulate the most
         // downstream blocking: corner x̄_inj exceeds central x̄_inj.
@@ -507,7 +473,7 @@ mod tests {
         let max = xs.iter().cloned().fold(0.0f64, f64::max);
         assert!(max - min > 1e-3, "mesh injection must vary by position");
         // Average latency sits above the zero-load bound.
-        let lat = m.latency(&ModelOptions::paper(), None).unwrap();
+        let lat = m.latency_at(0.004, &ModelOptions::paper()).unwrap();
         assert!(lat.total > 16.0 + m.spec.avg_distance - 1.0);
     }
 
@@ -520,22 +486,17 @@ mod tests {
         // Hot ejector carries ≈ (N−1)·β + (1−β) ≈ 8.75 units: it saturates
         // when λ0·8.75·16 ≥ 1, i.e. λ0 ≈ 0.0071, far below the uniform knee.
         let lambda0 = 0.005;
-        let u = model_from_flows(tree.network(), &uniform, s, lambda0, None)
-            .unwrap()
-            .latency(&ModelOptions::paper(), None)
-            .unwrap();
-        let h = model_from_flows(tree.network(), &hot, s, lambda0, None)
-            .unwrap()
-            .latency(&ModelOptions::paper(), None);
+        let opts = ModelOptions::paper();
+        let mut u_model = FlowModelSweep::new(tree.network(), &uniform, s).unwrap();
+        let mut h_model = FlowModelSweep::new(tree.network(), &hot, s).unwrap();
+        let u = u_model.latency_at(lambda0, &opts).unwrap();
+        let h = h_model.latency_at(lambda0, &opts);
         match h {
             Ok(h) => assert!(h.total > u.total, "hot {} vs uniform {}", h.total, u.total),
             Err(e) => assert!(e.is_saturation(), "unexpected error {e}"),
         }
         // And well past the hot ejector's capacity it must saturate.
-        let sat = model_from_flows(tree.network(), &hot, s, 0.008, None)
-            .unwrap()
-            .latency(&ModelOptions::paper(), None);
-        assert!(sat.is_err());
+        assert!(h_model.latency_at(0.008, &opts).is_err());
     }
 
     #[test]
@@ -548,8 +509,10 @@ mod tests {
             DestinationPattern::hot_spot(),
         ] {
             let flows = FlowVector::build(&mesh, &pattern).unwrap();
-            let m = model_from_flows(mesh.network(), &flows, 16.0, 0.0, None).unwrap();
-            let lat = m.latency(&ModelOptions::paper(), None).unwrap();
+            let lat = FlowModelSweep::new(mesh.network(), &flows, 16.0)
+                .unwrap()
+                .latency_at(0.0, &ModelOptions::paper())
+                .unwrap();
             let expect = 16.0 + flows.avg_distance() - 1.0;
             assert!(
                 (lat.total - expect).abs() < 1e-12,
@@ -565,9 +528,9 @@ mod tests {
         // returns s + D̄ − 1, the fat-tree's M/G/p up-link bundles included.
         fn zero_load_gap<R: FlowRouting>(routing: &R) -> f64 {
             let flows = FlowVector::build(routing, &DestinationPattern::Uniform).unwrap();
-            let lat = model_from_flows(routing.network(), &flows, 16.0, 0.0, None)
+            let lat = FlowModelSweep::new(routing.network(), &flows, 16.0)
                 .unwrap()
-                .latency(&ModelOptions::paper(), None)
+                .latency_at(0.0, &ModelOptions::paper())
                 .unwrap();
             lat.total - (16.0 + flows.avg_distance() - 1.0)
         }
@@ -584,35 +547,6 @@ mod tests {
     }
 
     #[test]
-    fn flow_model_sweep_matches_per_point_builds() {
-        // Building once + scaling rates by λ₀ must be indistinguishable from
-        // rebuilding the model at every load (the spec is a DAG here, so
-        // warm starting cannot even perturb iteration paths).
-        let tree = ButterflyFatTree::new(BftParams::paper(64).unwrap());
-        let flows = FlowVector::build(&tree, &DestinationPattern::hot_spot()).unwrap();
-        let mut sweep = FlowModelSweep::new(tree.network(), &flows, 16.0).unwrap();
-        for lambda0 in [0.0, 0.0005, 0.001, 0.002, 0.003] {
-            let swept = sweep.latency_at(lambda0, &ModelOptions::paper());
-            let rebuilt = model_from_flows(tree.network(), &flows, 16.0, lambda0, None)
-                .unwrap()
-                .latency(&ModelOptions::paper(), None);
-            match (swept, rebuilt) {
-                (Ok(a), Ok(b)) => assert_eq!(
-                    a.total.to_bits(),
-                    b.total.to_bits(),
-                    "λ0={lambda0}: {} vs {}",
-                    a.total,
-                    b.total
-                ),
-                (Err(_), Err(_)) => {}
-                other => panic!("λ0={lambda0}: {other:?}"),
-            }
-        }
-        assert!(sweep.latency_at(f64::NAN, &ModelOptions::paper()).is_err());
-        assert_eq!(sweep.warm_start().solves(), 5);
-    }
-
-    #[test]
     fn alive_servers_pristine_counts_reproduce_the_undegraded_model() {
         let tree = ButterflyFatTree::new(BftParams::paper(64).unwrap());
         let flows = FlowVector::build(&tree, &DestinationPattern::Uniform).unwrap();
@@ -622,15 +556,13 @@ mod tests {
             .iter()
             .map(wormsim_topology::graph::Station::servers)
             .collect();
+        let mut base = FlowModelSweep::new(net, &flows, 16.0).unwrap();
+        let mut degraded =
+            FlowModelSweep::new_with_servers(net, &flows, 16.0, Some(&full)).unwrap();
         for lambda0 in [0.0, 0.001, 0.002] {
-            let base = model_from_flows(net, &flows, 16.0, lambda0, None)
-                .unwrap()
-                .latency(&ModelOptions::paper(), None)
-                .unwrap();
-            let degraded = model_from_flows(net, &flows, 16.0, lambda0, Some(&full))
-                .unwrap()
-                .latency(&ModelOptions::paper(), None)
-                .unwrap();
+            let opts = ModelOptions::paper();
+            let base = base.latency_at(lambda0, &opts).unwrap();
+            let degraded = degraded.latency_at(lambda0, &opts).unwrap();
             assert_eq!(base.total.to_bits(), degraded.total.to_bits());
         }
     }
@@ -652,14 +584,14 @@ mod tests {
             .position(|st| st.servers() > 1)
             .expect("BFT-64 has multi-server up bundles");
         alive[bundle] -= 1;
-        let lambda0 = 0.002;
-        let base = model_from_flows(net, &flows, 16.0, lambda0, None)
+        let (lambda0, opts) = (0.002, ModelOptions::paper());
+        let base = FlowModelSweep::new(net, &flows, 16.0)
             .unwrap()
-            .latency(&ModelOptions::paper(), None)
+            .latency_at(lambda0, &opts)
             .unwrap();
-        let degraded = model_from_flows(net, &flows, 16.0, lambda0, Some(&alive))
+        let degraded = FlowModelSweep::new_with_servers(net, &flows, 16.0, Some(&alive))
             .unwrap()
-            .latency(&ModelOptions::paper(), None)
+            .latency_at(lambda0, &opts)
             .unwrap();
         assert!(
             degraded.total > base.total,
@@ -670,11 +602,11 @@ mod tests {
         // A station that still carries flow but has no surviving servers is
         // a spec error, not a silent divide-by-zero.
         alive[bundle] = 0;
-        let dead = model_from_flows(net, &flows, 16.0, lambda0, Some(&alive));
+        let dead = FlowModelSweep::new_with_servers(net, &flows, 16.0, Some(&alive));
         assert!(dead.is_err());
         // And a wrong-length vector is rejected up front.
         let short = vec![1u32; 3];
-        assert!(model_from_flows(net, &flows, 16.0, lambda0, Some(&short)).is_err());
+        assert!(FlowModelSweep::new_with_servers(net, &flows, 16.0, Some(&short)).is_err());
     }
 
     #[test]
@@ -729,7 +661,21 @@ mod tests {
                 via_err.total.to_bits()
             );
         }
-        assert!(a.outcome_at(f64::NAN, &opts).is_err());
+        // A non-finite or negative λ₀ is a usage error on every entry
+        // point, not a saturation, and solves nothing.
+        for bad in [f64::NAN, -1.0, f64::INFINITY] {
+            let results = [
+                a.outcome_at(bad, &opts).map(drop),
+                b.latency_at(bad, &opts).map(drop),
+                b.per_source_injection(bad, &opts).map(drop),
+            ];
+            for r in results {
+                let typed =
+                    matches!(&r, Err(ModelError::Spec(m)) if m.starts_with("invalid message rate"));
+                assert!(typed, "λ₀ = {bad}: {r:?}");
+            }
+        }
+        assert_eq!(b.warm_start().solves(), 3);
     }
 
     #[test]
@@ -737,7 +683,6 @@ mod tests {
         let tree16 = ButterflyFatTree::new(BftParams::paper(16).unwrap());
         let tree64 = ButterflyFatTree::new(BftParams::paper(64).unwrap());
         let flows = FlowVector::build(&tree16, &DestinationPattern::Uniform).unwrap();
-        assert!(model_from_flows(tree64.network(), &flows, 16.0, 0.001, None).is_err());
-        assert!(model_from_flows(tree16.network(), &flows, 16.0, f64::NAN, None).is_err());
+        assert!(FlowModelSweep::new(tree64.network(), &flows, 16.0).is_err());
     }
 }

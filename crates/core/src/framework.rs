@@ -7,7 +7,9 @@
 //! a class are statistically identical by symmetry (the paper exploits the
 //! same symmetry per level of the fat-tree). Each class carries:
 //!
-//! * the per-channel Poisson arrival rate `λ`,
+//! * the per-channel Poisson arrival rate `λ` per unit source rate (the
+//!   load-free routing factor of Eqs. 14–15): every solve takes the source
+//!   rate `λ₀` and runs the class at `λ·λ₀`;
 //! * a **station multiplicity** `m`: how many channels of this class are
 //!   bundled into one multi-server arbitration station (the fat-tree's
 //!   up-link pairs have `m = 2`; ordinary links `m = 1`),
@@ -37,12 +39,12 @@
 //!
 //! # Saturation
 //!
-//! [`NetworkSpec::solve`] runs that iteration once and returns a typed
-//! error past the knee. [`NetworkSpec::solve_outcome`] owns the escalation
+//! [`NetworkSpec::solve`] runs that iteration once at a given `λ₀` and
+//! returns a typed error past the knee. [`NetworkSpec::solve_outcome`] owns the escalation
 //! ladder: a private three-rung table (plain, heavily damped, accelerated
 //! from a cold seed) that it climbs on a retryable failure before
 //! classifying the point as a `wormsim_guard::SolveOutcome`.
-//! [`NetworkSpec::find_knee`] brackets the load where those solves stop
+//! [`NetworkSpec::find_knee`] brackets the `λ₀` where those solves stop
 //! converging.
 
 use crate::error::ModelError;
@@ -166,7 +168,9 @@ pub enum ClassBody {
 pub struct ClassSpec {
     /// Human-readable label (paper notation where applicable).
     pub name: String,
-    /// Per-channel Poisson arrival rate (worms/cycle).
+    /// Per-channel Poisson arrival rate per unit source rate: a solve at
+    /// `λ₀` runs this class at `lambda · λ₀`. A spec written with absolute
+    /// rates (worms/cycle) is solved at `λ₀ = 1`.
     pub lambda: f64,
     /// Channels per arbitration station (`m` of the M/G/m model).
     pub servers: u32,
@@ -339,9 +343,8 @@ impl NetworkSpec {
         Ok(())
     }
 
-    /// Arrival rate of class `j` with every class rate multiplied by `t`:
-    /// the one place a solve reads a class rate. A unit-rate spec is
-    /// evaluated at `t = λ₀`; the public entry points run at `t = 1`.
+    /// Arrival rate of class `j` at source rate `t` (`λ₀`): the one place
+    /// a solve reads a class rate.
     pub(crate) fn rate(&self, j: usize, t: f64) -> f64 {
         self.classes[j].lambda * t
     }
@@ -479,7 +482,8 @@ impl NetworkSpec {
         (order.len() == n).then_some(order)
     }
 
-    /// Solves for every class's service and waiting time.
+    /// Solves for every class's service and waiting time at source rate
+    /// `lambda0` (every class at `lambda · λ₀`).
     ///
     /// * `warm` threads sweep state: the cyclic solve is seeded with the
     ///   previous converged vector and runs the accelerated iteration, and
@@ -489,34 +493,28 @@ impl NetworkSpec {
     /// * `telemetry` receives the solver's convergence trace
     ///   (per-evaluation residual, damping, Aitken outcomes — empty when
     ///   the class graph is a DAG and no iteration runs) and, on success,
-    ///   the per-station breakdown of the solution. Any previous contents
-    ///   are replaced. Tracing only records: the solved values are
-    ///   bit-for-bit those of the untraced solve.
+    ///   the per-station breakdown of the solution at `lambda0`. Any
+    ///   previous contents are replaced. Tracing only records: the solved
+    ///   values are bit-for-bit those of the untraced solve.
     ///
     /// # Errors
     ///
-    /// Spec errors, saturation at any station (naming the saturated
-    /// class), or fixed-point divergence (cyclic graphs near saturation).
-    /// On error the telemetry holds whatever trace accumulated before the
-    /// failure and no station rows.
+    /// Spec errors (a non-finite or negative `lambda0` is "invalid message
+    /// rate"), saturation at any station (naming the saturated class), or
+    /// fixed-point divergence (cyclic graphs near saturation). On error
+    /// the telemetry holds whatever trace accumulated before the failure
+    /// and no station rows.
     pub fn solve(
         &self,
+        lambda0: f64,
         options: &ModelOptions,
         warm: Option<&mut WarmStart>,
         telemetry: Option<&mut ModelTelemetry>,
     ) -> Result<Solution> {
-        let Some(tel) = telemetry else {
-            return self.solve_at(1.0, None, options, warm);
-        };
-        tel.reset();
-        let [plain, ..] = ladder(warm.is_some());
-        let sol = self.solve_profiled(1.0, None, options, warm, Some(&mut tel.solver), plain)?;
-        tel.stations = self.station_breakdown(&sol, options)?;
-        Ok(sol)
+        self.solve_at(lambda0, None, options, warm, telemetry)
     }
 
-    /// [`Self::solve`] without telemetry, with every class rate multiplied
-    /// by `t` (see [`Self::rate`]). `order` is this spec's
+    /// [`Self::solve`] at source rate `t`. `order` is this spec's
     /// [`Self::reverse_topological_order`] when the caller keeps one for
     /// repeated solves; `None` resolves the order here.
     pub(crate) fn solve_at(
@@ -525,18 +523,25 @@ impl NetworkSpec {
         order: Option<&[usize]>,
         options: &ModelOptions,
         warm: Option<&mut WarmStart>,
+        telemetry: Option<&mut ModelTelemetry>,
     ) -> Result<Solution> {
         let [plain, ..] = ladder(warm.is_some());
-        self.solve_profiled(t, order, options, warm, None, plain)
+        let Some(tel) = telemetry else {
+            return self.solve_profiled(t, order, options, warm, None, plain);
+        };
+        tel.reset();
+        let sol = self.solve_profiled(t, order, options, warm, Some(&mut tel.solver), plain)?;
+        tel.stations = self.station_breakdown(t, &sol, options)?;
+        Ok(sol)
     }
 
-    /// Per-station breakdown of a solved spec: for every class, the
-    /// solved service time and wait, the lane-slot residence, the
-    /// per-server utilization `λ·x̄`, and the traffic-weighted mean of
-    /// the Eq. 10 blocking factors over the forwards *into* the class
-    /// (each forward `i → j` weighted by the rate of worms taking it,
-    /// `multiplicity × prob_each × λ_i`; classes nothing forwards into —
-    /// injection channels — report 1.0).
+    /// Per-station breakdown of a spec solved at source rate `lambda0`:
+    /// for every class, its rate `lambda · λ₀`, the solved service time
+    /// and wait, the lane-slot residence, the per-server utilization
+    /// `λ·x̄`, and the traffic-weighted mean of the Eq. 10 blocking factors
+    /// over the forwards *into* the class (each forward `i → j` weighted by
+    /// the rate of worms taking it, `multiplicity × prob_each × λ_i`;
+    /// classes nothing forwards into — injection channels — report 1.0).
     ///
     /// # Errors
     ///
@@ -544,6 +549,7 @@ impl NetworkSpec {
     /// malformed service time).
     pub fn station_breakdown(
         &self,
+        lambda0: f64,
         sol: &Solution,
         options: &ModelOptions,
     ) -> Result<Vec<StationBreakdown>> {
@@ -554,22 +560,22 @@ impl NetworkSpec {
             if let ClassBody::Interior { forwards } = &class.body {
                 for f in forwards {
                     let j = f.to.0;
-                    let weight = f64::from(f.multiplicity) * f.prob_each * self.rate(i, 1.0);
-                    blk_num[j] += weight * self.blocking(i, j, f.blocking_prob, options, 1.0);
+                    let weight = f64::from(f.multiplicity) * f.prob_each * self.rate(i, lambda0);
+                    blk_num[j] += weight * self.blocking(i, j, f.blocking_prob, options, lambda0);
                     blk_den[j] += weight;
                 }
             }
         }
         let mut rows = Vec::with_capacity(n);
         for (j, class) in self.classes.iter().enumerate() {
-            let (x, lambda) = (sol.service_times[j], self.rate(j, 1.0));
+            let (x, lambda) = (sol.service_times[j], self.rate(j, lambda0));
             rows.push(StationBreakdown {
                 name: class.name.clone(),
                 lambda,
                 servers: class.servers,
                 service_time: x,
                 waiting_time: sol.waiting_times[j],
-                residence: self.lane_residence(j, x, options, 1.0)?,
+                residence: self.lane_residence(j, x, options, lambda0)?,
                 utilization: lambda * x,
                 inbound_blocking: if blk_den[j] > 0.0 {
                     blk_num[j] / blk_den[j]
@@ -581,9 +587,9 @@ impl NetworkSpec {
         Ok(rows)
     }
 
-    /// Saturation-aware solve, total over load ∈ [0, ∞): never errors on
-    /// saturation or iteration failure, returning a typed
-    /// [`SolveOutcome`] instead.
+    /// Saturation-aware solve at source rate `lambda0`, total over
+    /// `λ₀ ∈ [0, ∞)`: never errors on saturation or iteration failure,
+    /// returning a typed [`SolveOutcome`] instead.
     ///
     /// The solve climbs the escalation ladder (plain → heavy damping →
     /// accelerated restart). A rung that exhausts its budget, diverges or
@@ -596,38 +602,29 @@ impl NetworkSpec {
     /// `warm` is the sweep state of [`Self::solve`]; a non-converged point
     /// leaves it untouched. `telemetry` receives the solver trace of the
     /// *final* ladder attempt, one [`LadderSample`] per rung tried and the
-    /// outcome's [`SolveOutcome::label`], plus the station breakdown when
-    /// the solve converged. Any previous contents are replaced.
+    /// outcome's [`SolveOutcome::label`], plus the station breakdown at
+    /// `lambda0` when the solve converged. Any previous contents are
+    /// replaced.
     ///
     /// # Errors
     ///
-    /// Only genuine usage errors: malformed specs, invalid options. The
-    /// load being too high is *data* ([`SolveOutcome::Saturated`]), not
-    /// an error. On error the telemetry holds the ladder attempts and
-    /// trace accumulated before the failure.
+    /// Only genuine usage errors: malformed specs, invalid options, a
+    /// non-finite or negative `lambda0`. The load being too high is *data*
+    /// ([`SolveOutcome::Saturated`]), not an error. On error the telemetry
+    /// holds the ladder attempts and trace accumulated before the failure.
     pub fn solve_outcome(
         &self,
+        lambda0: f64,
         options: &ModelOptions,
         warm: Option<&mut WarmStart>,
-        mut telemetry: Option<&mut ModelTelemetry>,
+        telemetry: Option<&mut ModelTelemetry>,
     ) -> Result<SolveOutcome<Solution>> {
-        if let Some(t) = telemetry.as_deref_mut() {
-            t.reset();
-        }
-        let outcome = self.climb_ladder(1.0, None, options, warm, telemetry.as_deref_mut())?;
-        if let Some(t) = telemetry {
-            t.outcome = Some(outcome.label());
-            if let SolveOutcome::Converged(sol) = &outcome {
-                t.stations = self.station_breakdown(sol, options)?;
-            }
-        }
-        Ok(outcome)
+        self.climb_ladder(lambda0, None, options, warm, telemetry)
     }
 
-    /// The escalation ladder of [`Self::solve_outcome`], with every class
-    /// rate multiplied by `t` and `order` as in [`Self::solve_at`]: the one
-    /// place that decides which failures climb and what a failed climb
-    /// means.
+    /// The escalation ladder of [`Self::solve_outcome`] at source rate `t`,
+    /// with `order` as in [`Self::solve_at`]: the one place that decides
+    /// which failures climb and what a failed climb means.
     pub(crate) fn climb_ladder(
         &self,
         t: f64,
@@ -636,63 +633,71 @@ impl NetworkSpec {
         mut warm: Option<&mut WarmStart>,
         mut telemetry: Option<&mut ModelTelemetry>,
     ) -> Result<SolveOutcome<Solution>> {
+        if let Some(tel) = telemetry.as_deref_mut() {
+            tel.reset();
+        }
         let mut last_error = None;
-        for rung in ladder(warm.is_some()) {
-            // Each attempt overwrites the trace, leaving the decisive
-            // attempt's trace in the telemetry.
-            let trace = telemetry.as_deref_mut().map(|t| {
-                t.solver = SolverTrace::new();
-                &mut t.solver
-            });
-            let res = self.solve_profiled(t, order, options, warm.as_deref_mut(), trace, rung);
-            if let Some(t) = telemetry.as_deref_mut() {
-                t.ladder.push(LadderSample {
-                    rung: rung.label.to_string(),
-                    succeeded: res.is_ok(),
-                    detail: match &res {
-                        Ok(_) => "converged".to_string(),
-                        Err(e) => e.to_string(),
-                    },
+        let outcome = 'climb: {
+            for rung in ladder(warm.is_some()) {
+                // Each attempt overwrites the trace, leaving the decisive
+                // attempt's trace in the telemetry.
+                let trace = telemetry.as_deref_mut().map(|t| {
+                    t.solver = SolverTrace::new();
+                    &mut t.solver
                 });
+                let res = self.solve_profiled(t, order, options, warm.as_deref_mut(), trace, rung);
+                if let Some(t) = telemetry.as_deref_mut() {
+                    t.ladder.push(LadderSample {
+                        rung: rung.label.to_string(),
+                        succeeded: res.is_ok(),
+                        detail: match &res {
+                            Ok(_) => "converged".to_string(),
+                            Err(e) => e.to_string(),
+                        },
+                    });
+                }
+                match res {
+                    Ok(sol) => break 'climb SolveOutcome::Converged(sol),
+                    // Iteration failures and mid-solve domain excursions are
+                    // worth a stronger rung; `ρ ≥ 1` and usage errors are not.
+                    Err(e @ ModelError::NoConvergence { .. }) => last_error = Some(e),
+                    Err(e) if e.is_domain_excursion() => last_error = Some(e),
+                    Err(e) if e.is_saturation() => break 'climb SolveOutcome::Saturated,
+                    Err(e) => return Err(e),
+                }
             }
-            match res {
-                Ok(sol) => return Ok(SolveOutcome::Converged(sol)),
-                // Iteration failures and mid-solve domain excursions are
-                // worth a stronger rung; `ρ ≥ 1` and usage errors are not.
-                Err(e @ ModelError::NoConvergence { .. }) => last_error = Some(e),
-                Err(e) if e.is_domain_excursion() => last_error = Some(e),
-                Err(e) if e.is_saturation() => return Ok(SolveOutcome::Saturated),
-                Err(e) => return Err(e),
+            // Every rung failed. Divergence surviving the whole ladder is
+            // the fixed point running away — past the knee — and so is a
+            // domain excursion (negative/non-finite iterate) on a validated
+            // spec that not even the restart rung avoided.
+            match last_error {
+                Some(ModelError::NoConvergence {
+                    iterations,
+                    residual,
+                    diverged: false,
+                }) => SolveOutcome::NoConvergence {
+                    iterations,
+                    residual,
+                },
+                _ => SolveOutcome::Saturated,
+            }
+        };
+        if let Some(tel) = telemetry {
+            tel.outcome = Some(outcome.label());
+            if let SolveOutcome::Converged(sol) = &outcome {
+                tel.stations = self.station_breakdown(t, sol, options)?;
             }
         }
-        // Every rung failed. Divergence surviving the whole ladder is the
-        // fixed point running away — past the knee — and so is a domain
-        // excursion (negative/non-finite iterate) on a validated spec that
-        // not even the restart rung avoided.
-        Ok(match last_error {
-            Some(ModelError::NoConvergence {
-                iterations,
-                residual,
-                diverged: false,
-            }) => SolveOutcome::NoConvergence {
-                iterations,
-                residual,
-            },
-            _ => SolveOutcome::Saturated,
-        })
+        Ok(outcome)
     }
 
-    /// Brackets the saturation knee of this spec as a **multiplier on
-    /// its configured arrival rates**: `find_knee` probes the spec with
-    /// every class rate multiplied by `t`, growing then bisecting on
-    /// the smallest `t` whose solve no longer converges (per the full
-    /// escalation ladder). Probes share one [`WarmStart`], so the
-    /// bisection rides the previous feasible point's solution.
-    ///
-    /// For a spec built at unit rate (e.g.
-    /// [`crate::flows::FlowModelSweep`]'s), the multiplier *is* the
-    /// per-PE worm rate `λ₀`. The returned [`Knee::knee`] is the largest
-    /// multiplier the warm-started probe sequence proved feasible.
+    /// Brackets the saturation knee of this spec in source rate `λ₀`:
+    /// `find_knee` probes [`Self::solve_outcome`] at growing, then
+    /// bisected `λ₀`, on the smallest `λ₀` whose solve no longer converges
+    /// (per the full escalation ladder). Probes share one [`WarmStart`],
+    /// so the bisection rides the previous feasible point's solution. The
+    /// returned [`Knee::knee`] is the largest `λ₀` the warm-started probe
+    /// sequence proved feasible.
     ///
     /// A DAG class graph never iterates and never reads the warm guess, so
     /// there a cold solve at or below `knee` succeeds too; every BFT,
@@ -730,21 +735,23 @@ impl NetworkSpec {
         bracket.map_err(ModelError::Knee)
     }
 
-    /// The cold service-time pass of [`Self::solve_at`] alone. It computes
-    /// a station's wait only where a forward into it reads it, never the
-    /// injection class's own (Eq. 24), so `x̄_inj` stays evaluable at the
-    /// Eq. 26 knee, where the source queue is exactly critical.
-    pub(crate) fn service_times_at(
+    /// The injection class's service time `x̄_inj` at source rate `t`, the
+    /// quantity Eq. 26 equates with `1/λ₀`: the cold service-time pass of
+    /// [`Self::solve_at`] alone. It computes a station's wait only where a
+    /// forward into it reads it, never the injection class's own (Eq. 24),
+    /// so `x̄_inj` stays evaluable at the knee, where the source queue is
+    /// exactly critical.
+    pub(crate) fn injection_service_at(
         &self,
         t: f64,
         order: Option<&[usize]>,
         options: &ModelOptions,
-    ) -> Result<Vec<f64>> {
+    ) -> Result<f64> {
         let [plain, ..] = ladder(false);
-        Ok(self.service_pass(t, order, options, None, None, plain)?.0)
+        Ok(self.service_pass(t, order, options, None, None, plain)?.0[self.injection.0])
     }
 
-    /// One rung's solve at rate multiplier `t`: the service-time pass,
+    /// One rung's solve at source rate `t`: the service-time pass,
     /// then every class's wait at its solved service time.
     fn solve_profiled(
         &self,
@@ -777,8 +784,8 @@ impl NetworkSpec {
         })
     }
 
-    /// Solves Eq. 11 for every class's service time at rate multiplier
-    /// `t`: one backward sweep on a DAG, the rung's fixed-point iteration
+    /// Solves Eq. 11 for every class's service time at source rate `t`:
+    /// one backward sweep on a DAG, the rung's fixed-point iteration
     /// otherwise. Returns the service times and the iterations used.
     fn service_pass(
         &self,
@@ -867,23 +874,25 @@ impl NetworkSpec {
         }
     }
 
-    /// Average latency via Eq. 2/25: `L = W_inj + x̄_inj + D̄ − 1`.
-    /// `warm` is the sweep state of [`Self::solve`].
+    /// Average latency at source rate `lambda0` via Eq. 2/25:
+    /// `L = W_inj + x̄_inj + D̄ − 1`. `warm` is the sweep state of
+    /// [`Self::solve`].
     ///
     /// # Errors
     ///
     /// Same as [`Self::solve`].
     pub fn latency(
         &self,
+        lambda0: f64,
         options: &ModelOptions,
         warm: Option<&mut WarmStart>,
     ) -> Result<crate::bft::LatencyBreakdown> {
-        let sol = self.solve_at(1.0, None, options, warm)?;
-        self.breakdown(&sol, &[self.injection], options, 1.0)
+        let sol = self.solve_at(lambda0, None, options, warm, None)?;
+        self.breakdown(&sol, &[self.injection], options, lambda0)
     }
 
-    /// Eq. 2/25 over the `injections` classes of a solve at rate
-    /// multiplier `t`: the mean injection wait and hold, plus `D̄ − 1`.
+    /// Eq. 2/25 over the `injections` classes of a solve at source rate
+    /// `t`: the mean injection wait and hold, plus `D̄ − 1`.
     /// With lanes the wait is already the M/G/L lane-slot wait
     /// (all-lanes-busy priced by its occupancy distribution) and the hold
     /// is the multiplex-stretched residence; both are exact identities at
@@ -909,27 +918,23 @@ impl NetworkSpec {
     }
 }
 
-/// Builds the butterfly fat-tree class specification of paper §3 at
-/// source rate `lambda0`, with the uniform-traffic rates of Eqs. 14/15:
-/// the spec [`crate::bft::BftModel`] solves.
+/// Builds the butterfly fat-tree class specification of paper §3 per unit
+/// source rate, with the uniform-traffic rates of Eqs. 14/15: the spec
+/// [`crate::bft::BftModel`] solves.
 ///
 /// Class layout, for an `n`-level tree: down class `⟨l, l−1⟩` is class
 /// `l − 1` for `l ∈ 1..=n` (`⟨1, 0⟩` is the ejection channel), and up
 /// class `⟨l, l+1⟩` is class `n + l` for `l ∈ 0..n` (`⟨0, 1⟩` is the
 /// injection channel).
 #[must_use]
-pub fn bft_spec(
-    params: &wormsim_topology::bft::BftParams,
-    worm_flits: f64,
-    lambda0: f64,
-) -> NetworkSpec {
+pub fn bft_spec(params: &wormsim_topology::bft::BftParams, worm_flits: f64) -> NetworkSpec {
     let n = params.levels() as usize;
     let c = params.children() as f64;
-    // Eq. 14: up class ⟨l, l+1⟩ carries λ₀·P↑_l·(c/p)ˡ per channel (λ₀ at
-    // injection, where P↑₀ = 1); by Eq. 15 down class ⟨l+1, l⟩ carries
-    // the same.
+    // Eq. 14: up class ⟨l, l+1⟩ carries P↑_l·(c/p)ˡ per channel and unit
+    // source rate (1 at injection, where P↑₀ = 1); by Eq. 15 down class
+    // ⟨l+1, l⟩ carries the same.
     let ratio = c / params.parents() as f64;
-    let up_rate = |l: usize| lambda0 * params.p_up(l as u32) * ratio.powi(l as i32);
+    let up_rate = |l: usize| params.p_up(l as u32) * ratio.powi(l as i32);
 
     let down_idx = |l: usize| ClassId(l - 1);
     let up_idx = |l: usize| ClassId(n + l);
@@ -1004,19 +1009,18 @@ pub fn bft_spec(
 /// warm-started sweep machinery ([`WarmStart`]): it is what the
 /// iteration-count regression tests sweep.
 ///
-/// Model: each node sends `lambda0` worms/cycle to a destination uniform
-/// over the other `k − 1` nodes, so ring hops per message are uniform on
-/// `1..k−1` with mean `D = k/2`. Per-channel class rates follow by
-/// symmetry (`λ_ring = λ₀·D`), and a worm leaving a ring channel continues
-/// to the next one with the aggregate probability `(D−1)/D` or ejects with
-/// `1/D`.
+/// Model: each node sends its worms to a destination uniform over the
+/// other `k − 1` nodes, so ring hops per message are uniform on `1..k−1`
+/// with mean `D = k/2`. Per-channel class rates per unit source rate
+/// follow by symmetry (`λ_ring = D`), and a worm leaving a ring channel
+/// continues to the next one with the aggregate probability `(D−1)/D` or
+/// ejects with `1/D`.
 ///
 /// # Errors
 ///
-/// [`ModelError::Spec`] when `k < 3` (a 2-ring has no cycle), the worm
-/// length is not finite and positive, or the rate is not finite and
-/// non-negative.
-pub fn ring_spec(k: usize, worm_flits: f64, lambda0: f64) -> Result<NetworkSpec> {
+/// [`ModelError::Spec`] when `k < 3` (a 2-ring has no cycle) or the worm
+/// length is not finite and positive.
+pub fn ring_spec(k: usize, worm_flits: f64) -> Result<NetworkSpec> {
     if k < 3 {
         return Err(ModelError::Spec(format!(
             "a ring needs at least 3 nodes to form a cycle, got {k}"
@@ -1027,9 +1031,6 @@ pub fn ring_spec(k: usize, worm_flits: f64, lambda0: f64) -> Result<NetworkSpec>
             "invalid worm length {worm_flits}"
         )));
     }
-    if !(lambda0.is_finite() && lambda0 >= 0.0) {
-        return Err(ModelError::Spec(format!("invalid message rate {lambda0}")));
-    }
     let d = k as f64 / 2.0;
     let p_continue = (d - 1.0) / d;
     let p_eject = 1.0 / d;
@@ -1039,7 +1040,7 @@ pub fn ring_spec(k: usize, worm_flits: f64, lambda0: f64) -> Result<NetworkSpec>
     let mut classes = Vec::with_capacity(k + 2);
     classes.push(ClassSpec {
         name: "eject".into(),
-        lambda: lambda0,
+        lambda: 1.0,
         servers: 1,
         body: ClassBody::Terminal {
             service_time: worm_flits,
@@ -1048,7 +1049,7 @@ pub fn ring_spec(k: usize, worm_flits: f64, lambda0: f64) -> Result<NetworkSpec>
     for i in 0..k {
         classes.push(ClassSpec {
             name: format!("ring{i}"),
-            lambda: lambda0 * d,
+            lambda: d,
             servers: 1,
             body: ClassBody::Interior {
                 forwards: vec![
@@ -1060,7 +1061,7 @@ pub fn ring_spec(k: usize, worm_flits: f64, lambda0: f64) -> Result<NetworkSpec>
     }
     classes.push(ClassSpec {
         name: "inject".into(),
-        lambda: lambda0,
+        lambda: 1.0,
         servers: 1,
         body: ClassBody::Interior {
             forwards: vec![Forward::flat(ring(0), 1, 1.0)],
@@ -1080,19 +1081,20 @@ mod tests {
     use super::*;
     use wormsim_topology::bft::BftParams;
 
-    /// A simple two-hop line network: injection → middle link → ejection.
-    fn line_spec(lambda: f64, s: f64) -> NetworkSpec {
+    /// A simple two-hop line network per unit source rate: injection →
+    /// middle link → ejection.
+    fn line_spec(s: f64) -> NetworkSpec {
         NetworkSpec {
             classes: vec![
                 ClassSpec {
                     name: "eject".into(),
-                    lambda,
+                    lambda: 1.0,
                     servers: 1,
                     body: ClassBody::Terminal { service_time: s },
                 },
                 ClassSpec {
                     name: "mid".into(),
-                    lambda,
+                    lambda: 1.0,
                     servers: 1,
                     body: ClassBody::Interior {
                         forwards: vec![Forward::flat(ClassId(0), 1, 1.0)],
@@ -1100,7 +1102,7 @@ mod tests {
                 },
                 ClassSpec {
                     name: "inject".into(),
-                    lambda,
+                    lambda: 1.0,
                     servers: 1,
                     body: ClassBody::Interior {
                         forwards: vec![Forward::flat(ClassId(1), 1, 1.0)],
@@ -1115,9 +1117,11 @@ mod tests {
 
     #[test]
     fn line_network_resolves_backwards() {
-        let spec = line_spec(0.01, 16.0);
+        let spec = line_spec(16.0);
         spec.validate().unwrap();
-        let sol = spec.solve(&ModelOptions::paper(), None, None).unwrap();
+        let sol = spec
+            .solve(0.01, &ModelOptions::paper(), None, None)
+            .unwrap();
         assert_eq!(sol.iterations, 0, "line network is a DAG");
         // Ejection service is fixed.
         assert_eq!(sol.service_times[0], 16.0);
@@ -1132,9 +1136,8 @@ mod tests {
 
     #[test]
     fn line_without_blocking_correction_accumulates_waits() {
-        let spec = line_spec(0.01, 16.0);
-        let sol = spec
-            .solve(&ModelOptions::no_blocking_correction(), None, None)
+        let sol = line_spec(16.0)
+            .solve(0.01, &ModelOptions::no_blocking_correction(), None, None)
             .unwrap();
         assert!(
             sol.service_times[2] > 16.0,
@@ -1144,8 +1147,9 @@ mod tests {
 
     #[test]
     fn zero_load_framework_latency_is_s_plus_d_minus_one() {
-        let spec = line_spec(0.0, 16.0);
-        let lat = spec.latency(&ModelOptions::paper(), None).unwrap();
+        let lat = line_spec(16.0)
+            .latency(0.0, &ModelOptions::paper(), None)
+            .unwrap();
         assert!((lat.total - (16.0 + 3.0 - 1.0)).abs() < 1e-12);
     }
 
@@ -1153,7 +1157,7 @@ mod tests {
     fn bft_class_order_is_down_chain_then_up_chain() {
         // ⟨1,0⟩ … ⟨4,3⟩, then ⟨3,4⟩ … ⟨0,1⟩; a class forwarding twice to
         // one target is released once.
-        let mut spec = bft_spec(&BftParams::paper(256).unwrap(), 16.0, 1.0);
+        let mut spec = bft_spec(&BftParams::paper(256).unwrap(), 16.0);
         let down_then_up = Some(vec![0, 1, 2, 3, 7, 6, 5, 4]);
         assert_eq!(spec.reverse_topological_order(), down_then_up);
         if let ClassBody::Interior { forwards } = &mut spec.classes[4].body {
@@ -1165,15 +1169,18 @@ mod tests {
     #[test]
     fn bft_spec_is_a_dag() {
         let params = BftParams::paper(256).unwrap();
-        let spec = bft_spec(&params, 32.0, 0.001);
-        let sol = spec.solve(&ModelOptions::paper(), None, None).unwrap();
+        let spec = bft_spec(&params, 32.0);
+        let sol = spec
+            .solve(0.001, &ModelOptions::paper(), None, None)
+            .unwrap();
         assert_eq!(sol.iterations, 0);
     }
 
     #[test]
     fn cyclic_spec_falls_back_to_fixed_point() {
         // Two classes forwarding to each other 50/50 with an escape to a
-        // terminal — a cycle the DAG path cannot order.
+        // terminal — a cycle the DAG path cannot order. Its rates are
+        // absolute, so it is solved at λ₀ = 1.
         let s = 8.0;
         let spec = NetworkSpec {
             classes: vec![
@@ -1219,7 +1226,7 @@ mod tests {
             avg_distance: 4.0,
         };
         spec.validate().unwrap();
-        let sol = spec.solve(&ModelOptions::paper(), None, None).unwrap();
+        let sol = spec.solve(1.0, &ModelOptions::paper(), None, None).unwrap();
         assert!(sol.iterations > 0, "cycle must engage the fixed point");
         // The fixed point must satisfy the service equations.
         for i in 0..spec.classes.len() {
@@ -1236,18 +1243,20 @@ mod tests {
 
     #[test]
     fn ring_spec_is_cyclic_and_consistent() {
-        let spec = ring_spec(8, 16.0, 0.003).unwrap();
+        let spec = ring_spec(8, 16.0).unwrap();
         spec.validate().unwrap();
         assert!(
             spec.reverse_topological_order().is_none(),
             "a ring's class graph must be cyclic"
         );
-        let sol = spec.solve(&ModelOptions::paper(), None, None).unwrap();
+        let sol = spec
+            .solve(0.003, &ModelOptions::paper(), None, None)
+            .unwrap();
         assert!(sol.iterations > 0, "cyclic graph engages the fixed point");
         // The converged vector satisfies the service equations.
         for i in 0..spec.classes.len() {
             let rhs = spec
-                .service_equation(i, &sol.service_times, &ModelOptions::paper(), 1.0)
+                .service_equation(i, &sol.service_times, &ModelOptions::paper(), 0.003)
                 .unwrap();
             assert!((sol.service_times[i] - rhs).abs() < 1e-8);
         }
@@ -1256,8 +1265,7 @@ mod tests {
             assert!((sol.service_times[i] - sol.service_times[1]).abs() < 1e-8);
         }
         // Zero load collapses to s everywhere and L = s + D̄ − 1.
-        let idle = ring_spec(8, 16.0, 0.0).unwrap();
-        let lat = idle.latency(&ModelOptions::paper(), None).unwrap();
+        let lat = spec.latency(0.0, &ModelOptions::paper(), None).unwrap();
         assert!((lat.total - (16.0 + 6.0 - 1.0)).abs() < 1e-9);
     }
 
@@ -1272,10 +1280,10 @@ mod tests {
         let mut warm = WarmStart::new();
         let mut cold_total = 0usize;
         let mut strictly_lower = 0usize;
+        let spec = ring_spec(12, 16.0).unwrap();
         for (pi, &lambda0) in loads.iter().enumerate() {
-            let spec = ring_spec(12, 16.0, lambda0).unwrap();
-            let cold = spec.solve(&opts, None, None).unwrap();
-            let hot = spec.solve(&opts, Some(&mut warm), None).unwrap();
+            let cold = spec.solve(lambda0, &opts, None, None).unwrap();
+            let hot = spec.solve(lambda0, &opts, Some(&mut warm), None).unwrap();
             cold_total += cold.iterations;
             for (a, b) in cold.service_times.iter().zip(&hot.service_times) {
                 assert!(
@@ -1304,22 +1312,17 @@ mod tests {
     fn warm_start_survives_a_saturated_point_and_shape_changes() {
         let opts = ModelOptions::paper();
         let mut warm = WarmStart::new();
-        ring_spec(8, 16.0, 0.002)
-            .unwrap()
-            .solve(&opts, Some(&mut warm), None)
-            .unwrap();
+        let ring = ring_spec(8, 16.0).unwrap();
+        ring.solve(0.002, &opts, Some(&mut warm), None).unwrap();
         let seeded = warm.last_values().unwrap().to_vec();
         // Far past the knee: the solve fails, the cache stays intact.
-        assert!(ring_spec(8, 16.0, 0.5)
-            .unwrap()
-            .solve(&opts, Some(&mut warm), None)
-            .is_err());
+        assert!(ring.solve(0.5, &opts, Some(&mut warm), None).is_err());
         assert_eq!(warm.last_values().unwrap(), seeded.as_slice());
         // A different class count cannot reuse the guess but must still
         // solve correctly from the cold seed.
-        let other = ring_spec(6, 16.0, 0.002).unwrap();
-        let via_warm = other.solve(&opts, Some(&mut warm), None).unwrap();
-        let via_cold = other.solve(&opts, None, None).unwrap();
+        let other = ring_spec(6, 16.0).unwrap();
+        let via_warm = other.solve(0.002, &opts, Some(&mut warm), None).unwrap();
+        let via_cold = other.solve(0.002, &opts, None, None).unwrap();
         for (a, b) in via_warm.service_times.iter().zip(&via_cold.service_times) {
             assert!((a - b).abs() < 1e-9);
         }
@@ -1331,11 +1334,11 @@ mod tests {
         // nothing about the answer.
         let params = BftParams::paper(64).unwrap();
         let mut warm = WarmStart::new();
+        let spec = bft_spec(&params, 16.0);
         for lambda0 in [0.0005, 0.001, 0.0015] {
-            let spec = bft_spec(&params, 16.0, lambda0);
-            let cold = spec.latency(&ModelOptions::paper(), None).unwrap();
+            let cold = spec.latency(lambda0, &ModelOptions::paper(), None).unwrap();
             let hot = spec
-                .latency(&ModelOptions::paper(), Some(&mut warm))
+                .latency(lambda0, &ModelOptions::paper(), Some(&mut warm))
                 .unwrap();
             assert_eq!(cold.total.to_bits(), hot.total.to_bits());
         }
@@ -1346,11 +1349,11 @@ mod tests {
     fn traced_solve_is_bit_identical_and_captures_convergence() {
         // Cyclic spec → fixed-point iteration → a non-empty trace whose
         // values change nothing about the solution.
-        let spec = ring_spec(8, 16.0, 0.002).unwrap();
+        let spec = ring_spec(8, 16.0).unwrap();
         let opts = ModelOptions::paper();
-        let plain = spec.solve(&opts, None, None).unwrap();
+        let plain = spec.solve(0.002, &opts, None, None).unwrap();
         let mut tel = ModelTelemetry::default();
-        let traced = spec.solve(&opts, None, Some(&mut tel)).unwrap();
+        let traced = spec.solve(0.002, &opts, None, Some(&mut tel)).unwrap();
         assert_eq!(plain.iterations, traced.iterations);
         for (a, b) in plain.service_times.iter().zip(&traced.service_times) {
             assert_eq!(a.to_bits(), b.to_bits(), "tracing perturbed the solve");
@@ -1382,11 +1385,11 @@ mod tests {
         let mut warm_a = WarmStart::new();
         let mut warm_b = WarmStart::new();
         let mut tel = ModelTelemetry::default();
+        let spec = ring_spec(10, 16.0).unwrap();
         for lambda0 in [0.001, 0.0015, 0.002] {
-            let spec = ring_spec(10, 16.0, lambda0).unwrap();
-            let plain = spec.solve(&opts, Some(&mut warm_a), None).unwrap();
+            let plain = spec.solve(lambda0, &opts, Some(&mut warm_a), None).unwrap();
             let traced = spec
-                .solve(&opts, Some(&mut warm_b), Some(&mut tel))
+                .solve(lambda0, &opts, Some(&mut warm_b), Some(&mut tel))
                 .unwrap();
             assert_eq!(plain.iterations, traced.iterations);
             for (a, b) in plain.service_times.iter().zip(&traced.service_times) {
@@ -1401,10 +1404,10 @@ mod tests {
     #[test]
     fn traced_dag_solve_leaves_trace_empty_but_fills_stations() {
         let params = BftParams::paper(64).unwrap();
-        let spec = bft_spec(&params, 16.0, 0.001);
+        let spec = bft_spec(&params, 16.0);
         let mut tel = ModelTelemetry::default();
         let sol = spec
-            .solve(&ModelOptions::paper(), None, Some(&mut tel))
+            .solve(0.001, &ModelOptions::paper(), None, Some(&mut tel))
             .unwrap();
         assert_eq!(sol.iterations, 0, "BFT class graph is a DAG");
         assert!(tel.solver.is_empty(), "no iteration ran, no samples");
@@ -1428,38 +1431,38 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_specs() {
-        let good = line_spec(0.01, 16.0);
+        let good = line_spec(16.0);
         assert!(good.validate().is_ok());
 
-        let mut bad = line_spec(0.01, 16.0);
+        let mut bad = line_spec(16.0);
         bad.worm_flits = -1.0;
         assert!(bad.validate().is_err());
 
-        let mut bad = line_spec(0.01, 16.0);
+        let mut bad = line_spec(16.0);
         bad.avg_distance = 0.0;
         assert!(bad.validate().is_err());
 
-        let mut bad = line_spec(0.01, 16.0);
+        let mut bad = line_spec(16.0);
         bad.injection = ClassId(99);
         assert!(bad.validate().is_err());
 
-        let mut bad = line_spec(0.01, 16.0);
+        let mut bad = line_spec(16.0);
         if let ClassBody::Interior { forwards } = &mut bad.classes[2].body {
             forwards[0].prob_each = 0.7; // probabilities no longer total 1
         }
         assert!(bad.validate().is_err());
 
-        let mut bad = line_spec(0.01, 16.0);
+        let mut bad = line_spec(16.0);
         bad.classes[1].lambda = f64::NAN;
         assert!(bad.validate().is_err());
 
-        let mut bad = line_spec(0.01, 16.0);
+        let mut bad = line_spec(16.0);
         if let ClassBody::Interior { forwards } = &mut bad.classes[2].body {
             forwards[0].to = ClassId(2); // self-loop
         }
         assert!(bad.validate().is_err());
 
-        let mut bad = line_spec(0.01, 16.0);
+        let mut bad = line_spec(16.0);
         bad.classes[2].servers = 2; // multi-server injection
         assert!(bad.validate().is_err());
     }
@@ -1467,8 +1470,10 @@ mod tests {
     #[test]
     fn saturation_surfaces_with_class_name() {
         // Drive the middle link past ρ = 1.
-        let spec = line_spec(0.2, 16.0); // ρ = 3.2
-        let err = spec.solve(&ModelOptions::paper(), None, None).unwrap_err();
+        let spec = line_spec(16.0);
+        let err = spec
+            .solve(0.2, &ModelOptions::paper(), None, None) // ρ = 3.2
+            .unwrap_err();
         match err {
             ModelError::Queueing { class, .. } => {
                 assert!(["mid", "eject", "inject"].contains(&class.as_str()));
@@ -1481,9 +1486,9 @@ mod tests {
     fn solve_outcome_is_total_across_the_load_axis() {
         let opts = ModelOptions::paper();
         // Below the knee: converged, same values as the plain solve.
-        let spec = ring_spec(8, 16.0, 0.002).unwrap();
-        let outcome = spec.solve_outcome(&opts, None, None).unwrap();
-        let plain = spec.solve(&opts, None, None).unwrap();
+        let spec = ring_spec(8, 16.0).unwrap();
+        let outcome = spec.solve_outcome(0.002, &opts, None, None).unwrap();
+        let plain = spec.solve(0.002, &opts, None, None).unwrap();
         match &outcome {
             SolveOutcome::Converged(sol) => {
                 for (a, b) in sol.service_times.iter().zip(&plain.service_times) {
@@ -1493,22 +1498,37 @@ mod tests {
             other => panic!("sub-knee load must converge, got {other:?}"),
         }
         // Far past the knee: Saturated, not an error and not a panic.
-        let hot = ring_spec(8, 16.0, 0.5).unwrap();
-        assert!(hot.solve_outcome(&opts, None, None).unwrap().is_saturated());
-        // A genuine usage error is still an error.
-        let mut bad = ring_spec(8, 16.0, 0.002).unwrap();
+        assert!(spec
+            .solve_outcome(0.5, &opts, None, None)
+            .unwrap()
+            .is_saturated());
+        // A genuine usage error is still an error: a malformed spec, or a
+        // non-finite or negative λ₀ on any entry point.
+        let mut bad = spec.clone();
         bad.classes[1].lambda = f64::NAN;
-        assert!(bad.solve_outcome(&opts, None, None).is_err());
+        assert!(bad.solve_outcome(0.002, &opts, None, None).is_err());
+        for bad in [f64::NAN, -1.0, f64::INFINITY] {
+            let results = [
+                spec.solve(bad, &opts, None, None).map(drop),
+                spec.solve_outcome(bad, &opts, None, None).map(drop),
+                spec.latency(bad, &opts, None).map(drop),
+            ];
+            for r in results {
+                let typed =
+                    matches!(&r, Err(ModelError::Spec(m)) if m.starts_with("invalid message rate"));
+                assert!(typed, "λ₀ = {bad}: {r:?}");
+            }
+        }
     }
 
     #[test]
     fn solve_outcome_telemetry_records_ladder_and_outcome() {
         let opts = ModelOptions::paper();
         let mut tel = ModelTelemetry::default();
+        let ring = ring_spec(8, 16.0).unwrap();
 
-        let ok = ring_spec(8, 16.0, 0.002)
-            .unwrap()
-            .solve_outcome(&opts, None, Some(&mut tel))
+        let ok = ring
+            .solve_outcome(0.002, &opts, None, Some(&mut tel))
             .unwrap();
         assert!(ok.is_converged());
         assert_eq!(tel.outcome, Some("converged"));
@@ -1523,9 +1543,8 @@ mod tests {
         assert!(!tel.stations.is_empty());
         assert!(tel.solver.converged);
 
-        let sat = ring_spec(8, 16.0, 0.5)
-            .unwrap()
-            .solve_outcome(&opts, None, Some(&mut tel))
+        let sat = ring
+            .solve_outcome(0.5, &opts, None, Some(&mut tel))
             .unwrap();
         assert!(sat.is_saturated());
         assert_eq!(tel.outcome, Some("saturated"));
@@ -1543,17 +1562,14 @@ mod tests {
         // or ladder.
         let opts = ModelOptions::paper();
         let mut tel = ModelTelemetry::default();
-        let sat = ring_spec(8, 16.0, 0.5)
-            .unwrap()
-            .solve_outcome(&opts, None, Some(&mut tel))
+        let ring = ring_spec(8, 16.0).unwrap();
+        let sat = ring
+            .solve_outcome(0.5, &opts, None, Some(&mut tel))
             .unwrap();
         assert!(sat.is_saturated());
         assert_eq!(tel.outcome, Some("saturated"));
         assert!(!tel.ladder.is_empty());
-        ring_spec(8, 16.0, 0.002)
-            .unwrap()
-            .solve(&opts, None, Some(&mut tel))
-            .unwrap();
+        ring.solve(0.002, &opts, None, Some(&mut tel)).unwrap();
         assert_eq!(tel.outcome, None, "stale outcome survived a plain solve");
         assert!(tel.ladder.is_empty(), "stale ladder: {:?}", tel.ladder);
         assert!(tel.solver.converged);
@@ -1561,34 +1577,68 @@ mod tests {
     }
 
     #[test]
+    fn station_rows_are_priced_at_the_solved_rate() {
+        // One unit-rate spec, station rows at every λ₀ it is solved at.
+        let opts = ModelOptions::paper();
+        let bft = bft_spec(&BftParams::paper(64).unwrap(), 16.0);
+        let ring = ring_spec(8, 16.0).unwrap();
+        for (spec, loads) in [(&bft, [0.0, 0.001, 0.004]), (&ring, [0.0, 0.001, 0.002])] {
+            for lambda0 in loads {
+                let mut tel = ModelTelemetry::default();
+                let sol = spec.solve(lambda0, &opts, None, Some(&mut tel)).unwrap();
+                assert_eq!(tel.stations.len(), spec.classes.len());
+                let rows = tel.stations.iter().zip(&spec.classes);
+                for ((row, class), x) in rows.zip(&sol.service_times) {
+                    let at = format!("{} at λ₀ = {lambda0}", row.name);
+                    assert_eq!(
+                        row.lambda.to_bits(),
+                        (class.lambda * lambda0).to_bits(),
+                        "{at}"
+                    );
+                    assert_eq!(
+                        row.utilization.to_bits(),
+                        (row.lambda * x).to_bits(),
+                        "{at}"
+                    );
+                    if lambda0 == 0.0 {
+                        assert_eq!(row.lambda, 0.0, "{at}");
+                    }
+                }
+                // The outcome solve reports the same rows.
+                let mut out_tel = ModelTelemetry::default();
+                assert!(spec
+                    .solve_outcome(lambda0, &opts, None, Some(&mut out_tel))
+                    .unwrap()
+                    .is_converged());
+                assert_eq!(out_tel.stations, tel.stations);
+            }
+        }
+    }
+
+    #[test]
     fn spec_builders_reject_invalid_inputs() {
-        assert!(matches!(
-            ring_spec(2, 16.0, 0.001),
-            Err(ModelError::Spec(_))
-        ));
+        assert!(matches!(ring_spec(2, 16.0), Err(ModelError::Spec(_))));
         for dim in [0, 64] {
             assert!(matches!(
-                crate::hypercube::hypercube_spec(dim, 16.0, 0.001),
+                crate::hypercube::hypercube_spec(dim, 16.0),
                 Err(ModelError::Spec(_))
             ));
         }
-        assert!(ring_spec(8, f64::NAN, 0.001).is_err());
-        assert!(ring_spec(8, 16.0, -1.0).is_err());
+        assert!(ring_spec(8, f64::NAN).is_err());
     }
 
     #[test]
     fn warm_outcome_solve_leaves_state_usable_past_a_saturated_point() {
         let opts = ModelOptions::paper();
         let mut warm = WarmStart::new();
-        assert!(ring_spec(8, 16.0, 0.002)
-            .unwrap()
-            .solve_outcome(&opts, Some(&mut warm), None)
+        let ring = ring_spec(8, 16.0).unwrap();
+        assert!(ring
+            .solve_outcome(0.002, &opts, Some(&mut warm), None)
             .unwrap()
             .is_converged());
         let seeded = warm.last_values().unwrap().to_vec();
-        assert!(ring_spec(8, 16.0, 0.5)
-            .unwrap()
-            .solve_outcome(&opts, Some(&mut warm), None)
+        assert!(ring
+            .solve_outcome(0.5, &opts, Some(&mut warm), None)
             .unwrap()
             .is_saturated());
         assert_eq!(
@@ -1596,18 +1646,17 @@ mod tests {
             seeded.as_slice(),
             "a saturated point must not poison the warm start"
         );
-        assert!(ring_spec(8, 16.0, 0.0021)
-            .unwrap()
-            .solve_outcome(&opts, Some(&mut warm), None)
+        assert!(ring
+            .solve_outcome(0.0021, &opts, Some(&mut warm), None)
             .unwrap()
             .is_converged());
     }
 
     #[test]
     fn find_knee_brackets_the_ring_saturation() {
-        // Unit-rate ring: the knee multiplier is λ₀ itself. The ring-8
-        // knee sits near λ₀ ≈ 0.004 (ρ_ring = λ₀·D·x̄ with x̄ ≥ 16).
-        let spec = ring_spec(8, 16.0, 1.0).unwrap();
+        // The ring-8 knee sits near λ₀ ≈ 0.004 (ρ_ring = λ₀·D·x̄ with
+        // x̄ ≥ 16).
+        let spec = ring_spec(8, 16.0).unwrap();
         let cfg = KneeConfig {
             initial: 1e-4,
             max: 1.0,
@@ -1616,16 +1665,13 @@ mod tests {
         };
         let knee = spec.find_knee(&ModelOptions::paper(), &cfg).unwrap();
         // Feasible side must actually solve; infeasible side must not.
-        assert!(ring_spec(8, 16.0, knee.knee)
-            .unwrap()
-            .solve_outcome(&ModelOptions::paper(), None, None)
-            .unwrap()
-            .is_converged());
-        assert!(!ring_spec(8, 16.0, knee.first_infeasible)
-            .unwrap()
-            .solve_outcome(&ModelOptions::paper(), None, None)
-            .unwrap()
-            .is_converged());
+        let cold = |lambda0| {
+            spec.solve_outcome(lambda0, &ModelOptions::paper(), None, None)
+                .unwrap()
+                .is_converged()
+        };
+        assert!(cold(knee.knee));
+        assert!(!cold(knee.first_infeasible));
         // Loose physical sanity: ρ < 1 needs λ₀ < 1/(D·s) = 1/64.
         assert!(knee.knee > 1e-3 && knee.first_infeasible < 1.0 / 64.0);
         assert!(knee.rel_width() <= 1e-3 + 1e-12);
@@ -1633,9 +1679,8 @@ mod tests {
 
     #[test]
     fn find_knee_reports_open_brackets_as_typed_errors() {
-        // An idle-rate spec scaled up to `max` that never saturates
-        // within range: max far below the knee.
-        let spec = ring_spec(8, 16.0, 1.0).unwrap();
+        // A probe range that never saturates: max far below the knee.
+        let spec = ring_spec(8, 16.0).unwrap();
         let cfg = KneeConfig {
             initial: 1e-5,
             max: 1e-4,

@@ -21,7 +21,7 @@
 //! Per-channel rates follow from flow conservation: each of the `N`
 //! dimension-`k` channels carries `λ_k = λ₀·2^{d−1}/(2^d − 1)`,
 //! independent of `k` (verified in tests against the spec's own flow
-//! equations).
+//! equations). The spec holds these rates per unit source rate.
 
 use crate::error::ModelError;
 use crate::framework::{ClassBody, ClassId, ClassSpec, Forward, NetworkSpec};
@@ -29,8 +29,8 @@ use crate::options::ModelOptions;
 use crate::throughput::{self, SaturationPoint};
 use crate::Result;
 
-/// Builds the hypercube class specification at source rate `lambda0`
-/// (messages/cycle/PE) for a `dim`-dimensional cube.
+/// Builds the hypercube class specification per unit source rate for a
+/// `dim`-dimensional cube.
 ///
 /// Class layout: `0` = ejection, `1..=dim` = dimension `k−1`, `dim+1` =
 /// injection.
@@ -39,7 +39,7 @@ use crate::Result;
 ///
 /// [`ModelError::Spec`] when `dim` is 0 or too large for a 64-bit node
 /// count.
-pub fn hypercube_spec(dim: u32, worm_flits: f64, lambda0: f64) -> Result<NetworkSpec> {
+pub fn hypercube_spec(dim: u32, worm_flits: f64) -> Result<NetworkSpec> {
     if !(1..64).contains(&dim) {
         return Err(ModelError::Spec(format!(
             "hypercube dimension must be in 1..=63, got {dim}"
@@ -47,7 +47,7 @@ pub fn hypercube_spec(dim: u32, worm_flits: f64, lambda0: f64) -> Result<Network
     }
     let d = dim as usize;
     let n_nodes = (1u64 << dim) as f64;
-    let lambda_dim = lambda0 * (n_nodes / 2.0) / (n_nodes - 1.0);
+    let lambda_dim = (n_nodes / 2.0) / (n_nodes - 1.0);
 
     let eject = ClassId(0);
     let dim_class = |k: usize| ClassId(1 + k);
@@ -56,7 +56,7 @@ pub fn hypercube_spec(dim: u32, worm_flits: f64, lambda0: f64) -> Result<Network
     let mut classes = Vec::with_capacity(d + 2);
     classes.push(ClassSpec {
         name: "eject".to_string(),
-        lambda: lambda0,
+        lambda: 1.0,
         servers: 1,
         body: ClassBody::Terminal {
             service_time: worm_flits,
@@ -89,7 +89,7 @@ pub fn hypercube_spec(dim: u32, worm_flits: f64, lambda0: f64) -> Result<Network
         .collect();
     classes.push(ClassSpec {
         name: "inject".to_string(),
-        lambda: lambda0,
+        lambda: 1.0,
         servers: 1,
         body: ClassBody::Interior { forwards },
     });
@@ -105,19 +105,18 @@ pub fn hypercube_spec(dim: u32, worm_flits: f64, lambda0: f64) -> Result<Network
     })
 }
 
-/// Saturation point of the hypercube model (Eq. 26 applied to the cube).
+/// Saturation point of the hypercube model (Eq. 26 applied to the cube),
+/// reading `x̄₀,₁(λ₀)` off one spec's service-time pass.
 ///
 /// # Errors
 ///
 /// [`ModelError::Spec`] from [`hypercube_spec`] or for invalid options;
 /// otherwise as [`throughput::saturation_point`].
 pub fn saturation(dim: u32, worm_flits: f64, options: &ModelOptions) -> Result<SaturationPoint> {
-    hypercube_spec(dim, worm_flits, 0.0)?;
-    let opts = *options;
-    throughput::saturation_point(worm_flits, move |lambda0| {
-        let spec = hypercube_spec(dim, worm_flits, lambda0)?;
-        let sol = spec.solve(&opts, None, None)?;
-        Ok(sol.service_times[spec.injection.0])
+    let spec = hypercube_spec(dim, worm_flits)?;
+    let order = spec.reverse_topological_order();
+    throughput::saturation_point(worm_flits, |lambda0| {
+        spec.injection_service_at(lambda0, order.as_deref(), options)
     })
 }
 
@@ -128,25 +127,26 @@ mod tests {
     #[test]
     fn spec_validates_for_all_dims() {
         for dim in 1..=10u32 {
-            let spec = hypercube_spec(dim, 16.0, 0.001).unwrap();
+            let spec = hypercube_spec(dim, 16.0).unwrap();
             spec.validate().unwrap_or_else(|e| panic!("dim {dim}: {e}"));
         }
     }
 
     #[test]
     fn spec_is_a_dag() {
-        let spec = hypercube_spec(6, 16.0, 0.001).unwrap();
-        let sol = spec.solve(&ModelOptions::paper(), None, None).unwrap();
+        let spec = hypercube_spec(6, 16.0).unwrap();
+        let sol = spec
+            .solve(0.001, &ModelOptions::paper(), None, None)
+            .unwrap();
         assert_eq!(sol.iterations, 0, "e-cube dependencies are acyclic");
     }
 
     #[test]
     fn flow_conservation_holds() {
         // Input flow to each dimension class equals its declared rate:
-        // λ_j = λ_inj·R(inj→j) + Σ_{k<j} λ_k·R(k→j).
+        // λ_j = λ_inj·R(inj→j) + Σ_{k<j} λ_k·R(k→j), per unit source rate.
         let dim = 7u32;
-        let lambda0 = 0.003;
-        let spec = hypercube_spec(dim, 16.0, lambda0).unwrap();
+        let spec = hypercube_spec(dim, 16.0).unwrap();
         let d = dim as usize;
         let lam = |cid: usize| spec.classes[cid].lambda;
         for j in 0..d {
@@ -167,7 +167,7 @@ mod tests {
                 lam(target)
             );
         }
-        // Ejection class: total inflow equals λ0 per channel.
+        // Ejection class: total inflow equals the source rate per channel.
         let mut eject_in = 0.0;
         for (i, class) in spec.classes.iter().enumerate() {
             if let ClassBody::Interior { forwards } = &class.body {
@@ -178,15 +178,15 @@ mod tests {
                 }
             }
         }
-        assert!((eject_in - lambda0).abs() < 1e-15);
+        assert!((eject_in - 1.0).abs() < 1e-15);
     }
 
     #[test]
     fn zero_load_latency_matches_distance_formula() {
         for dim in [3u32, 5, 8] {
-            let lat = hypercube_spec(dim, 16.0, 0.0)
+            let lat = hypercube_spec(dim, 16.0)
                 .unwrap()
-                .latency(&ModelOptions::paper(), None)
+                .latency(0.0, &ModelOptions::paper(), None)
                 .unwrap();
             let n = (1u64 << dim) as f64;
             let expect = 16.0 + f64::from(dim) * n / 2.0 / (n - 1.0) + 2.0 - 1.0;
@@ -196,13 +196,11 @@ mod tests {
 
     #[test]
     fn latency_monotone_and_saturates() {
+        let spec = hypercube_spec(10, 16.0).unwrap();
         let mut prev = 0.0;
         for i in 1..=8 {
             let lambda0 = 0.0005 * f64::from(i);
-            let lat = hypercube_spec(10, 16.0, lambda0)
-                .unwrap()
-                .latency(&ModelOptions::paper(), None)
-                .unwrap();
+            let lat = spec.latency(lambda0, &ModelOptions::paper(), None).unwrap();
             assert!(lat.total > prev);
             prev = lat.total;
         }
@@ -213,9 +211,8 @@ mod tests {
             sat.message_rate
         );
         // Past the knee the model must refuse.
-        assert!(hypercube_spec(10, 16.0, sat.message_rate * 1.5)
-            .unwrap()
-            .latency(&ModelOptions::paper(), None)
+        assert!(spec
+            .latency(sat.message_rate * 1.5, &ModelOptions::paper(), None)
             .is_err());
     }
 
@@ -235,7 +232,7 @@ mod tests {
     fn higher_dimensions_carry_less_per_channel_correction() {
         // Smoke test for the forwarding table: probabilities from dim k sum
         // to 1 and decay geometrically.
-        let spec = hypercube_spec(5, 16.0, 0.001).unwrap();
+        let spec = hypercube_spec(5, 16.0).unwrap();
         if let ClassBody::Interior { forwards } = &spec.classes[1].body {
             // dim0 of d=5: 2^-1, 2^-2, 2^-3, 2^-4 to dims 1..4 and 2^-4 eject.
             let probs: Vec<f64> = forwards.iter().map(|f| f.prob_each).collect();

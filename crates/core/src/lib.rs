@@ -18,9 +18,10 @@
 //! by hand from per-dimension symmetry); [`flows`] builds the framework
 //! spec *mechanically* for any network and **any workload**: a
 //! `wormsim-workload` flow vector (any destination pattern pushed through
-//! the router) becomes a per-station §2 model with one class per
-//! arbitration station, preserving the M/G/p up-link bundles — this is
-//! also how asymmetric networks like meshes are modeled; and
+//! the router) becomes a per-station §2 model,
+//! [`flows::FlowModelSweep`], with one class per arbitration station,
+//! preserving the M/G/p up-link bundles — this is also how asymmetric
+//! networks like meshes are modeled; and
 //! [`throughput`] hosts the Eq. 26 saturation-point search (doubling, then
 //! halving the bracket) shared by the fat-tree and cube models.
 //!
@@ -31,14 +32,15 @@
 //! [`bft::LatencyBreakdown::new`]; the models only choose the server
 //! count, rates and probabilities they feed in.
 //!
-//! Load sweeps re-solve the same network at many rates; the framework
-//! supports **warm starting** them: [`framework::WarmStart`] threads each
-//! point's converged service-time vector into the next solve (with
-//! adaptive damping and verified Aitken Δ² acceleration on cyclic class
-//! graphs such as [`framework::ring_spec`]). [`flows::FlowModelSweep`] and
-//! [`bft::BftModel`] build their spec once at unit rate and evaluate it at
-//! each `λ₀` as a multiplier on every class rate, rebuilding nothing per
-//! point.
+//! Every spec is built **per unit source rate** and every solve takes the
+//! source rate `λ₀`: a class runs at its unit rate times `λ₀` (the routing
+//! factor of Eqs. 14–15 does not depend on the load), so one spec serves a
+//! whole load sweep, knee bracket or Eq. 26 search and nothing is rebuilt
+//! per point. The framework also supports **warm starting** sweeps:
+//! [`framework::WarmStart`] threads each point's converged service-time
+//! vector into the next solve (with adaptive damping and verified Aitken
+//! Δ² acceleration on cyclic class graphs such as
+//! [`framework::ring_spec`]).
 //!
 //! # Ablations
 //!
@@ -108,7 +110,7 @@ mod tests {
     /// What a rung that ran out of iterations reports.
     const BUDGET: &str = "fixed point did not converge after 20000 iterations";
 
-    /// Solves `ring_spec(8, 16, λ₀)` cold with telemetry and checks the
+    /// Solves `ring_spec(8, 16)` at `λ₀` cold with telemetry and checks the
     /// outcome, the rungs tried (✓ when one converged), what the failed ones
     /// reported and the length of the final attempt's solver trace.
     fn check_path(
@@ -119,9 +121,9 @@ mod tests {
         trace_len: usize,
     ) -> SolveOutcome<Solution> {
         let mut tel = ModelTelemetry::default();
-        let out = ring_spec(8, 16.0, lambda0)
+        let out = ring_spec(8, 16.0)
             .unwrap()
-            .solve_outcome(&ModelOptions::paper(), None, Some(&mut tel))
+            .solve_outcome(lambda0, &ModelOptions::paper(), None, Some(&mut tel))
             .unwrap();
         assert_eq!(out.label(), outcome);
         assert_eq!(tel.outcome, Some(outcome));

@@ -74,6 +74,10 @@ fn run_ablation(
     let base = TrafficConfig::new(0.0, s)?;
     let sims = sweep_traffic(&router, &cfg, &base, &LaneConfig::single(), &loads)?;
     let vs = variants();
+    let models: Vec<BftModel> = vs
+        .iter()
+        .map(|v| BftModel::with_options(params, f64::from(s), v.options))
+        .collect();
     let mut tbl_header: Vec<String> = vec!["load".into(), "sim L".into()];
     for v in &vs {
         tbl_header.push(format!("{} (err%)", v.label));
@@ -93,8 +97,7 @@ fn run_ablation(
             continue;
         }
         let mut cells = vec![num(r.offered_flit_load, 3), num(r.avg_latency, 1)];
-        for (vi, v) in vs.iter().enumerate() {
-            let model = BftModel::with_options(params, f64::from(s), v.options);
+        for (vi, (v, model)) in vs.iter().zip(&models).enumerate() {
             match model.latency_at_flit_load(r.offered_flit_load) {
                 Ok(l) => {
                     let err = 100.0 * (l.total - r.avg_latency) / r.avg_latency;

@@ -3,7 +3,7 @@
 //!
 //! A mesh has no per-level or per-dimension symmetry (corners differ from
 //! centers), so none of the paper's hand-derived class structures apply.
-//! [`wormsim_core::flows::model_from_flows`] builds the §2 model
+//! [`wormsim_core::flows::FlowModelSweep`] builds the §2 model
 //! mechanically from the uniform-traffic flow vector of dimension-order
 //! routing — one class per arbitration station, which in a mesh is one per
 //! physical channel, Eq. 2 averaged over the per-PE injection channels —
@@ -14,7 +14,7 @@ use super::{ExperimentContext, ExperimentOutput};
 use crate::csv::Csv;
 use crate::error::ExperimentError;
 use crate::table::{num, Table};
-use wormsim_core::flows::model_from_flows;
+use wormsim_core::flows::FlowModelSweep;
 use wormsim_core::options::ModelOptions;
 use wormsim_sim::config::TrafficConfig;
 use wormsim_sim::router::MeshRouter;
@@ -35,6 +35,7 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
     let mesh = Mesh::new(k, 2)?;
     let router = MeshRouter::new(&mesh);
     let flows = FlowVector::build(&mesh, &DestinationPattern::Uniform)?;
+    let mut model = FlowModelSweep::new(mesh.network(), &flows, f64::from(s))?;
     let cfg = ctx.sim_config();
 
     out.section(format!(
@@ -63,14 +64,9 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
 
     for &load in &loads {
         let traffic = TrafficConfig::from_flit_load(load, s)?;
-        let model = model_from_flows(
-            mesh.network(),
-            &flows,
-            f64::from(s),
-            traffic.message_rate,
-            None,
-        )?;
-        let model_l = model.latency(&ModelOptions::paper(), None).map(|l| l.total);
+        let model_l = model
+            .latency_at(traffic.message_rate, &ModelOptions::paper())
+            .map(|l| l.total);
         let sim = run_simulation(&router, &cfg, &traffic);
         match (model_l, sim.saturated) {
             (Ok(m), false) => {
@@ -111,14 +107,7 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
     // Positional asymmetry: corner vs center injection under load.
     let load = loads[loads.len() - 2];
     let traffic = TrafficConfig::from_flit_load(load, s)?;
-    let model = model_from_flows(
-        mesh.network(),
-        &flows,
-        f64::from(s),
-        traffic.message_rate,
-        None,
-    )?;
-    if let Ok(per_src) = model.per_source_injection(&ModelOptions::paper()) {
+    if let Ok(per_src) = model.per_source_injection(traffic.message_rate, &ModelOptions::paper()) {
         let corner = per_src[0];
         let center_idx = (k / 2) * k + k / 2;
         let center = per_src[center_idx];

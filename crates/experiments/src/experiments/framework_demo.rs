@@ -31,6 +31,7 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
     let s = 16u32;
     let cube = Hypercube::new(dim)?;
     let router = HypercubeRouter::new(&cube);
+    let model = cube_model::hypercube_spec(dim, f64::from(s))?;
     let cfg = ctx.sim_config();
 
     out.section(format!(
@@ -58,8 +59,8 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
 
     for &load in &loads {
         let traffic = TrafficConfig::from_flit_load(load, s)?;
-        let model_l = cube_model::hypercube_spec(dim, f64::from(s), traffic.message_rate)?
-            .latency(&ModelOptions::paper(), None)
+        let model_l = model
+            .latency(traffic.message_rate, &ModelOptions::paper(), None)
             .map(|l| l.total);
         let sim = run_simulation(&router, &cfg, &traffic);
         match (model_l, sim.saturated) {

@@ -16,7 +16,7 @@ use crate::csv::Csv;
 use crate::error::ExperimentError;
 use crate::table::{num, Table};
 use wormsim_core::bft::BftModel;
-use wormsim_core::flows::{model_from_flows, FlowModelSweep};
+use wormsim_core::flows::FlowModelSweep;
 use wormsim_core::options::ModelOptions;
 use wormsim_sim::config::{DestinationPattern, LaneConfig, TrafficConfig};
 use wormsim_sim::router::BftRouter;
@@ -169,8 +169,8 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
         let f = FlowVector::build(&tree, &pat)?;
         let lambda0 = sweep_load / f64::from(s);
         let util = f.unit_flow(tree.network().processors()[0].eject) * lambda0 * f64::from(s);
-        let model_l = model_from_flows(tree.network(), &f, f64::from(s), lambda0, None)?
-            .latency(&ModelOptions::paper(), None)
+        let model_l = FlowModelSweep::new(tree.network(), &f, f64::from(s))?
+            .latency_at(lambda0, &ModelOptions::paper())
             .map(|l| l.total);
         let traffic = TrafficConfig::from_flit_load(sweep_load, s)?.with_pattern(pat);
         let r = wormsim_sim::runner::run_simulation(&router, &cfg, &traffic);

@@ -156,12 +156,17 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
 
     // ---- Model telemetry: cyclic-ring convergence trace. ----
     let opts = ModelOptions::paper();
-    let ring = ring_spec(16, f64::from(worm_flits), 0.002)?;
+    let ring = ring_spec(16, f64::from(worm_flits))?;
     let mut plain_tel = ModelTelemetry::default();
     let mut accel_tel = ModelTelemetry::default();
-    let plain_ok = ring.solve(&opts, None, Some(&mut plain_tel)).is_ok();
+    let plain_ok = ring.solve(0.002, &opts, None, Some(&mut plain_tel)).is_ok();
     let accel_ok = ring
-        .solve(&opts, Some(&mut WarmStart::new()), Some(&mut accel_tel))
+        .solve(
+            0.002,
+            &opts,
+            Some(&mut WarmStart::new()),
+            Some(&mut accel_tel),
+        )
         .is_ok();
     if plain_ok && accel_ok {
         out.section(format!(
@@ -206,9 +211,9 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
     // ---- Per-station breakdown of the fat-tree spec at this run's
     // operating point (same lanes as the simulation). ----
     let lambda0 = flit_load / f64::from(worm_flits);
-    let spec = bft_spec(&BftParams::paper(n)?, f64::from(worm_flits), lambda0);
+    let spec = bft_spec(&BftParams::paper(n)?, f64::from(worm_flits));
     let mut bft_tel = ModelTelemetry::default();
-    match spec.solve(&opts.with_lanes(lanes), None, Some(&mut bft_tel)) {
+    match spec.solve(lambda0, &opts.with_lanes(lanes), None, Some(&mut bft_tel)) {
         Ok(_) => {
             let mut st = Table::new(vec![
                 "station",

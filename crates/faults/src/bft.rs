@@ -20,8 +20,8 @@
 //!
 //! The simulator's `FaultedBftRouter` routes through this type, and the
 //! analytical model re-prices the degraded fabric through the ordinary
-//! `FlowVector` → `model_from_flows` pipeline over the very same routing
-//! call.
+//! `FlowVector` → `FlowModelSweep::new_with_servers` pipeline over the
+//! very same routing call.
 
 use crate::error::FaultError;
 use crate::plan::FaultPlan;

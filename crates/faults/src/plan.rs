@@ -236,12 +236,6 @@ impl FaultPlan {
         self.dead_channels[ch.index()]
     }
 
-    /// Whether node `node` is a dead switch.
-    #[must_use]
-    pub fn switch_dead(&self, node: NodeId) -> bool {
-        self.dead_switches[node.index()]
-    }
-
     /// Number of dead channels.
     #[must_use]
     pub fn dead_channel_count(&self) -> usize {
@@ -391,7 +385,6 @@ mod tests {
         let mut plan = FaultPlan::none(net);
         let sw = tree.switch(1, 0);
         plan.kill_switch(net, sw).unwrap();
-        assert!(plan.switch_dead(sw));
         assert_eq!(plan.dead_switch_count(), 1);
         let expected = net.node(sw).out_channels.len() + net.node(sw).in_channels.len();
         assert_eq!(plan.dead_channel_count(), expected);

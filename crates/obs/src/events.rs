@@ -141,18 +141,6 @@ impl WormEvent {
             | WormEvent::Deliver { worm, .. } => worm,
         }
     }
-
-    /// Stable snake_case label used by the exporters.
-    pub fn kind_label(&self) -> &'static str {
-        match self {
-            WormEvent::Inject { .. } => "inject",
-            WormEvent::RouteChosen { .. } => "route",
-            WormEvent::LaneGrant { .. } => "lane_grant",
-            WormEvent::Stall { .. } => "stall",
-            WormEvent::Drain { .. } => "drain",
-            WormEvent::Deliver { .. } => "deliver",
-        }
-    }
 }
 
 /// Bounded in-memory event buffer. When full it drops new events (and
@@ -262,7 +250,6 @@ mod tests {
         for (i, ev) in evs.iter().enumerate() {
             assert_eq!(ev.time(), i as u64 + 1);
             assert_eq!(ev.worm(), 7);
-            assert!(!ev.kind_label().is_empty());
         }
     }
 

@@ -125,7 +125,8 @@ impl SimConfig {
         }
     }
 
-    /// Returns a copy with a different seed (used by sweep replication).
+    /// Returns a copy with a different seed (used by the batch runners'
+    /// per-point seeds).
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;

@@ -52,9 +52,9 @@
 //!   arrivals, not PEs; destinations sampled from the workload's pattern.
 //! * [`stats`] — Welford accumulators, batch-means confidence intervals,
 //!   per-channel-class audit counters.
-//! * [`runner`] — single runs, and thread-parallel load sweeps,
-//!   replications and saturation scans with deterministic per-point seeds
-//!   that return typed errors instead of panicking.
+//! * [`runner`] — single runs, thread-parallel load sweeps and saturation
+//!   scans with deterministic per-point seeds that return typed errors
+//!   instead of panicking.
 //!
 //! The engine also hosts the optional `wormsim-obs` observer
 //! ([`runner::run_simulation_observed`]): worm-lifecycle events,

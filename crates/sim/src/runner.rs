@@ -1,5 +1,5 @@
-//! Run orchestration: single simulations, parallel load sweeps,
-//! replications and saturation scans. The batch runners validate their
+//! Run orchestration: single simulations, parallel load sweeps and
+//! saturation scans. The batch runners validate their
 //! inputs, the [`SimConfig`] included, on the calling thread and return
 //! [`WorkloadError`] instead of panicking or simulating a config whose
 //! statistics mean nothing.
@@ -163,20 +163,12 @@ fn check_config(cfg: &SimConfig) -> Result<(), WorkloadError> {
 /// Derives the uncorrelated per-point seed used by [`sweep_traffic`] for
 /// point `index`: mixing with a splitmix64-style odd constant keeps the
 /// streams uncorrelated while staying reproducible from the base seed.
-/// Public (like [`replication_seed`] and [`saturation_probe_seed`]) so
+/// Public (like [`saturation_probe_seed`]) so
 /// tests and helper crates can reproduce individual runs without copying
 /// the formula.
 #[must_use]
 pub fn point_seed(base_seed: u64, index: u64) -> u64 {
     base_seed.wrapping_add(index.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-/// Derives the seed [`replicate`] uses for replication `index` (a distinct
-/// odd-constant stream from [`point_seed`], so a sweep point and a
-/// replication with equal indices never share an RNG stream).
-#[must_use]
-pub fn replication_seed(base_seed: u64, index: u64) -> u64 {
-    base_seed.wrapping_add(index.wrapping_add(1).wrapping_mul(0xD1B5_4A32_D192_ED03))
 }
 
 /// Derives the seed [`find_saturation`] uses for its `index`-th load probe
@@ -277,68 +269,6 @@ where
         .into_iter()
         .map(|r| r.expect("every job ran"))
         .collect()
-}
-
-/// Aggregate of several independent replications of the same operating
-/// point (different seeds): between-replication statistics expose whether a
-/// single run's window was long enough.
-#[derive(Debug, Clone)]
-pub struct ReplicatedResult {
-    /// The per-replication results, in seed order.
-    pub runs: Vec<SimResult>,
-    /// Mean of the per-replication average latencies.
-    pub mean_latency: f64,
-    /// Standard deviation of the per-replication average latencies.
-    pub between_rep_std: f64,
-    /// Whether any replication saturated.
-    pub any_saturated: bool,
-}
-
-/// Runs `replications` independent simulations of one operating point in
-/// parallel, seeded by [`replication_seed`].
-///
-/// # Errors
-///
-/// Checked on the calling thread before any worker starts:
-/// [`WorkloadError::InvalidParameter`] when `replications` is 0 or
-/// [`SimConfig::validate`] rejects `cfg`, and [`WorkloadError::Pattern`]
-/// when `traffic`'s destination pattern cannot address this router's
-/// machine.
-pub fn replicate<R: Router>(
-    router: &R,
-    cfg: &SimConfig,
-    traffic: &TrafficConfig,
-    replications: usize,
-) -> Result<ReplicatedResult, WorkloadError> {
-    check_config(cfg)?;
-    if replications == 0 {
-        return Err(WorkloadError::InvalidParameter(
-            "replicate needs at least one replication".into(),
-        ));
-    }
-    traffic
-        .pattern
-        .validate(router.network().num_processors())?;
-    let runs = run_indexed_parallel(replications, |i| {
-        let seed = replication_seed(cfg.seed, i as u64);
-        run_simulation(router, &cfg.with_seed(seed), traffic)
-    });
-    let n = runs.len() as f64;
-    let mean_latency = runs.iter().map(|r| r.avg_latency).sum::<f64>() / n;
-    let var = if runs.len() > 1 {
-        runs.iter()
-            .map(|r| (r.avg_latency - mean_latency).powi(2))
-            .sum::<f64>()
-            / (n - 1.0)
-    } else {
-        0.0
-    };
-    Ok(ReplicatedResult {
-        mean_latency,
-        between_rep_std: var.sqrt(),
-        any_saturated: runs.iter().any(|r| r.saturated),
-        runs,
-    })
 }
 
 /// Scans flit loads `start_load, start_load + step, …` up to `max_load`
@@ -498,25 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn replication_reduces_to_deterministic_runs() {
-        let tree = ButterflyFatTree::new(BftParams::paper(16).unwrap());
-        let router = BftRouter::new(&tree);
-        let traffic = TrafficConfig::from_flit_load(0.03, 16).unwrap();
-        let rep = replicate(&router, &quick_cfg(), &traffic, 4).unwrap();
-        assert_eq!(rep.runs.len(), 4);
-        assert!(!rep.any_saturated);
-        assert!(rep.between_rep_std > 0.0, "independent seeds must differ");
-        // Between-replication spread is small at a stable operating point.
-        assert!(rep.between_rep_std / rep.mean_latency < 0.02);
-        // Re-running gives identical output (derived seeds are deterministic).
-        let rep2 = replicate(&router, &quick_cfg(), &traffic, 4).unwrap();
-        assert_eq!(rep.mean_latency.to_bits(), rep2.mean_latency.to_bits());
-        // Single replication works.
-        let one = replicate(&router, &quick_cfg(), &traffic, 1).unwrap();
-        assert_eq!(one.between_rep_std, 0.0);
-    }
-
-    #[test]
     fn single_runs_below_two_batches_report_no_interval() {
         // `SimConfig::validate` rejects fewer than two batches, but single
         // runs take any config: they must report an undefined interval,
@@ -557,17 +468,17 @@ mod tests {
             drain_cap_cycles: 0,
             ..cfg
         };
-        // A NaN sweep load, zero replications, a zero scan step, a NaN scan
-        // start, zero-flit worms, and a config `SimConfig::validate`
+        // A NaN sweep load, a zero and an infinite scan step, a NaN scan
+        // start, zero-flit worms, and configs `SimConfig::validate`
         // rejects on each runner.
         let invalid = [
             sweep_traffic(&router, &cfg, &base, &one, &[0.01, f64::NAN]).map(drop),
-            replicate(&router, &cfg, &base, 0).map(drop),
+            find_saturation(&router, &cfg, &base, &one, 0.02, f64::INFINITY, 0.4).map(drop),
             find_saturation(&router, &cfg, &base, &one, 0.02, 0.0, 0.4).map(drop),
             find_saturation(&router, &cfg, &base, &one, f64::NAN, 0.02, 0.4).map(drop),
             find_saturation(&router, &cfg, &zero_flits, &one, 0.02, 0.02, 0.4).map(drop),
             sweep_traffic(&router, &one_batch, &base, &one, &[0.01]).map(drop),
-            replicate(&router, &no_window, &base, 2).map(drop),
+            find_saturation(&router, &no_window, &base, &one, 0.02, 0.02, 0.4).map(drop),
             find_saturation(&router, &no_drain, &base, &one, 0.02, 0.02, 0.4).map(drop),
         ];
         for (case, got) in invalid.iter().enumerate() {
@@ -581,7 +492,7 @@ mod tests {
         });
         let misfits = [
             sweep_traffic(&router, &cfg, &misfit, &one, &[0.01]).map(drop),
-            replicate(&router, &cfg, &misfit, 2).map(drop),
+            find_saturation(&router, &cfg, &misfit, &one, 0.02, 0.02, 0.4).map(drop),
         ];
         for (case, got) in misfits.iter().enumerate() {
             let ok = matches!(got, Err(WorkloadError::Pattern(_)));

@@ -54,24 +54,6 @@ impl Welford {
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
-
-    /// Merges another accumulator (parallel reduction).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-    }
 }
 
 /// Batch-means estimator: observations are assigned round-robin-free,
@@ -332,35 +314,6 @@ mod tests {
         assert!((w.mean() - mean).abs() < 1e-12);
         assert!((w.variance() - var).abs() < 1e-12);
         assert_eq!(w.count(), 8);
-    }
-
-    #[test]
-    fn welford_merge_equals_single_stream() {
-        let (a, b): (Vec<f64>, Vec<f64>) = (
-            (0..50).map(f64::from).collect(),
-            (50..120).map(f64::from).collect(),
-        );
-        let mut w1 = Welford::new();
-        for &x in a.iter().chain(b.iter()) {
-            w1.add(x);
-        }
-        let mut wa = Welford::new();
-        let mut wb = Welford::new();
-        for &x in &a {
-            wa.add(x);
-        }
-        for &x in &b {
-            wb.add(x);
-        }
-        wa.merge(&wb);
-        assert!((wa.mean() - w1.mean()).abs() < 1e-9);
-        assert!((wa.variance() - w1.variance()).abs() < 1e-9);
-        // Merging an empty accumulator is a no-op either way.
-        let mut we = Welford::new();
-        we.merge(&w1);
-        assert!((we.mean() - w1.mean()).abs() < 1e-12);
-        w1.merge(&Welford::new());
-        assert_eq!(w1.count(), 120);
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl TrafficGenerator {
     /// this machine (see `DestinationPattern::validate`).
     #[must_use]
     // Documented # Panics contract; the batch runners (`sweep_traffic`,
-    // `replicate`, `find_saturation`) validate the pattern up front and
+    // `find_saturation`) validate the pattern up front and
     // return a typed error, so this fires only on a single run or a direct
     // engine build with a pattern that does not fit.
     #[allow(clippy::expect_used)]

@@ -60,7 +60,6 @@
 use crate::error::WorkloadError;
 use crate::pattern::DestinationPattern;
 use crate::Result;
-use std::collections::HashMap;
 use wormsim_topology::bft::{ButterflyFatTree, RouteChoice};
 use wormsim_topology::graph::{ChannelNetwork, NodeKind};
 use wormsim_topology::hypercube::Hypercube;
@@ -444,29 +443,6 @@ impl FlowVector {
     pub fn pattern(&self) -> &DestinationPattern {
         &self.pattern
     }
-
-    /// Mean unit flow per channel of each
-    /// [`ChannelClass`](wormsim_topology::graph::ChannelClass), as
-    /// `(class, mean unit flow, channel count)` sorted by class. The
-    /// symmetry-aggregated view the per-level fat-tree model consumes.
-    #[must_use]
-    pub fn class_mean_unit_flows(
-        &self,
-        net: &ChannelNetwork,
-    ) -> Vec<(wormsim_topology::graph::ChannelClass, f64, usize)> {
-        let mut acc: HashMap<wormsim_topology::graph::ChannelClass, (f64, usize)> = HashMap::new();
-        for (idx, ch) in net.channels().iter().enumerate() {
-            let e = acc.entry(ch.class).or_insert((0.0, 0));
-            e.0 += self.unit_flows[idx];
-            e.1 += 1;
-        }
-        let mut out: Vec<_> = acc
-            .into_iter()
-            .map(|(class, (sum, count))| (class, sum / count as f64, count))
-            .collect();
-        out.sort_by_key(|&(class, _, _)| class);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -485,10 +461,12 @@ mod tests {
             let tree = bft(n);
             let params = *tree.params();
             let flows = FlowVector::build(&tree, &DestinationPattern::Uniform).unwrap();
-            // Eq. 14 per-channel rates at unit λ0: up ⟨l,l+1⟩ carries
-            // P↑_l·(c/p)^l; down mirrors up one level below.
+            // Eq. 14 per-channel rates at unit λ0, on every channel: up
+            // ⟨l,l+1⟩ carries P↑_l·(c/p)^l; down mirrors up one level below.
             let ratio = params.children() as f64 / params.parents() as f64;
-            for (class, mean, count) in flows.class_mean_unit_flows(tree.network()) {
+            for (idx, ch) in tree.network().channels().iter().enumerate() {
+                let class = ch.class;
+                let got = flows.unit_flow(ChannelId(idx));
                 let expect = match class {
                     ChannelClass::Injection | ChannelClass::Ejection => 1.0,
                     ChannelClass::Up { from } => params.p_up(from) * ratio.powi(from as i32),
@@ -498,8 +476,8 @@ mod tests {
                     ChannelClass::Dimension { .. } => unreachable!("no dims in a BFT"),
                 };
                 assert!(
-                    (mean - expect).abs() < 1e-11 * (1.0 + expect.abs()),
-                    "N={n} {class}: mean {mean} vs Eq.14 {expect} over {count} channels"
+                    (got - expect).abs() < 1e-11 * (1.0 + expect.abs()),
+                    "N={n} channel {idx} ({class}): {got} vs Eq.14 {expect}"
                 );
             }
             // And the pattern-weighted distance is the closed-form D̄.

@@ -15,7 +15,8 @@
 use wormsim::model::framework::{ClassBody, ClassId, ClassSpec, Forward, NetworkSpec};
 use wormsim::model::options::ModelOptions;
 
-fn spec(lambda0: f64, worm_flits: f64) -> NetworkSpec {
+/// The switch's class spec per unit source rate; every solve takes `λ₀`.
+fn spec(worm_flits: f64) -> NetworkSpec {
     // Class 0: ejection channels (4 per second-stage switch).
     // Class 1: middle links, bundled in pairs (M/G/2 stations).
     // Class 2: injection channels.
@@ -26,12 +27,12 @@ fn spec(lambda0: f64, worm_flits: f64) -> NetworkSpec {
     // bundle with probability 1; each of 4 sources per first-stage switch
     // feeds the same 2-link bundle, so per-link rate is 4λ0/2 = 2λ0. Each
     // middle link fans out to 4 ejection channels; per-ejection rate λ0
-    // (16 sources over 16 sinks).
+    // (16 sources over 16 sinks). Per unit λ0 the rates are 1, 2 and 1.
     NetworkSpec {
         classes: vec![
             ClassSpec {
                 name: "eject".into(),
-                lambda: lambda0,
+                lambda: 1.0,
                 servers: 1,
                 body: ClassBody::Terminal {
                     service_time: worm_flits,
@@ -39,7 +40,7 @@ fn spec(lambda0: f64, worm_flits: f64) -> NetworkSpec {
             },
             ClassSpec {
                 name: "middle-pair".into(),
-                lambda: 2.0 * lambda0,
+                lambda: 2.0,
                 servers: 2,
                 body: ClassBody::Interior {
                     forwards: vec![Forward::flat(eject, 4, 0.25)],
@@ -47,7 +48,7 @@ fn spec(lambda0: f64, worm_flits: f64) -> NetworkSpec {
             },
             ClassSpec {
                 name: "inject".into(),
-                lambda: lambda0,
+                lambda: 1.0,
                 servers: 1,
                 body: ClassBody::Interior {
                     forwards: vec![Forward::flat(middle, 1, 1.0)],
@@ -62,6 +63,7 @@ fn spec(lambda0: f64, worm_flits: f64) -> NetworkSpec {
 
 fn main() {
     let s = 16.0;
+    let net = spec(s);
     println!("two-stage switch, 16 sources, worms of {s} flits\n");
     println!(
         "{:>10}  {:>12}  {:>12}  {:>12}",
@@ -69,8 +71,7 @@ fn main() {
     );
     for i in 1..=10 {
         let lambda0 = 0.004 * f64::from(i);
-        let net = spec(lambda0, s);
-        match net.latency(&ModelOptions::paper(), None) {
+        match net.latency(lambda0, &ModelOptions::paper(), None) {
             Ok(l) => println!(
                 "{lambda0:>10.4}  {:>12.3}  {:>12.3}  {:>12.3}",
                 l.total, l.x_injection, l.w_injection
@@ -85,10 +86,11 @@ fn main() {
     // Compare against treating the middle pair as two independent M/G/1
     // links (the pre-paper modeling): pooling always wins.
     println!("\npaper M/G/2 bundle vs independent M/G/1 middle links @ λ0 = 0.02:");
-    let net = spec(0.02, s);
-    let paper = net.latency(&ModelOptions::paper(), None).expect("stable");
+    let paper = net
+        .latency(0.02, &ModelOptions::paper(), None)
+        .expect("stable");
     let single = net
-        .latency(&ModelOptions::single_server_up(), None)
+        .latency(0.02, &ModelOptions::single_server_up(), None)
         .expect("stable");
     println!("  M/G/2 bundle     : {:.3} cycles", paper.total);
     println!("  independent M/G/1: {:.3} cycles", single.total);

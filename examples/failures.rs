@@ -57,6 +57,9 @@ fn main() {
     // server counts reduced to the links that are still alive.
     let flows = FlowVector::build(&bft, &DestinationPattern::Uniform).expect("connected");
     let alive = plan.alive_servers(tree.network());
+    let mut model =
+        FlowModelSweep::new_with_servers(tree.network(), &flows, f64::from(s), Some(&alive))
+            .expect("a connected fabric prices");
     let router = FaultedBftRouter::new(&tree, plan).expect("plan fits this tree");
     let cfg = SimConfig::quick();
 
@@ -66,11 +69,10 @@ fn main() {
     );
     for load in [0.02, 0.04, 0.06, 0.08, 0.10] {
         let lambda0 = load / f64::from(s);
-        let model = model_from_flows(tree.network(), &flows, f64::from(s), lambda0, Some(&alive))
-            .and_then(|m| m.latency(&ModelOptions::paper(), None));
+        let predicted = model.latency_at(lambda0, &ModelOptions::paper());
         let traffic = TrafficConfig::from_flit_load(load, s).expect("valid load");
         let r = run_simulation(&router, &cfg, &traffic);
-        match (model, r.saturated) {
+        match (predicted, r.saturated) {
             (Ok(m), false) => println!(
                 "{:>8.3}  {:>9.2}  {:>9.2}  {:>+7.1}  {:>10}",
                 load,

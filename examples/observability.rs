@@ -87,9 +87,10 @@ fn main() {
     );
 
     // ---- Solver telemetry on the cyclic ring exemplar. ----
-    let ring = ring_spec(16, 16.0, 0.002).expect("valid ring");
+    let ring = ring_spec(16, 16.0).expect("valid ring");
     let mut telemetry = ModelTelemetry::default();
     ring.solve(
+        0.002,
         &ModelOptions::paper(),
         Some(&mut WarmStart::new()),
         Some(&mut telemetry),

@@ -79,8 +79,8 @@
 //! // Model: push the pattern's flow matrix through the tree's routing and
 //! // solve one §2 class per arbitration station.
 //! let flows = FlowVector::build(&tree, &pattern).unwrap();
-//! let model = model_from_flows(tree.network(), &flows, 16.0, 0.002, None).unwrap();
-//! let predicted = model.latency(&ModelOptions::paper(), None).unwrap().total;
+//! let mut model = FlowModelSweep::new(tree.network(), &flows, 16.0).unwrap();
+//! let predicted = model.latency_at(0.002, &ModelOptions::paper()).unwrap().total;
 //!
 //! // Simulation: the identical workload, flit by flit.
 //! let router = wormsim::sim::router::BftRouter::new(&tree);
@@ -134,7 +134,7 @@ pub use wormsim_workload as workload;
 /// Commonly used types, re-exported for `use wormsim::prelude::*`.
 pub mod prelude {
     pub use wormsim_core::bft::{BftModel, ChannelAudit, LatencyBreakdown};
-    pub use wormsim_core::flows::{model_from_flows, FlowModelSweep, StationModel};
+    pub use wormsim_core::flows::FlowModelSweep;
     pub use wormsim_core::framework::{ring_spec, WarmStart};
     pub use wormsim_core::options::ModelOptions;
     pub use wormsim_core::throughput::SaturationPoint;
@@ -151,8 +151,8 @@ pub mod prelude {
     pub use wormsim_sim::config::{EngineKind, SimConfig, TrafficConfig};
     pub use wormsim_sim::router::FaultedBftRouter;
     pub use wormsim_sim::runner::{
-        find_saturation, replicate, run_simulation, run_simulation_observed,
-        run_simulation_with_lanes, sweep_traffic, SimResult,
+        find_saturation, run_simulation, run_simulation_observed, run_simulation_with_lanes,
+        sweep_traffic, SimResult,
     };
     pub use wormsim_topology::bft::{BftParams, ButterflyFatTree};
     pub use wormsim_topology::{ChannelClass, ChannelNetwork};

@@ -308,9 +308,9 @@ fn degraded_model_tracks_degraded_sim_below_knee() {
     let pattern = DestinationPattern::Uniform;
     let flows = FlowVector::build(&bft, &pattern).unwrap();
     let alive = plan.alive_servers(tree.network());
-    let m = model_from_flows(tree.network(), &flows, f64::from(s), lambda0, Some(&alive))
+    let m = FlowModelSweep::new_with_servers(tree.network(), &flows, f64::from(s), Some(&alive))
         .unwrap()
-        .latency(&ModelOptions::paper(), None)
+        .latency_at(lambda0, &ModelOptions::paper())
         .unwrap()
         .total;
 

@@ -320,11 +320,14 @@ fn single_lane_model_matches_the_closed_form_to_rounding() {
 }
 
 /// The single-lane model's bracketed knee for 16-flit worms at `n` PEs, in
-/// flits/cycle/PE. The reference rate puts every machine's knee inside the
-/// default probe range.
+/// flits/cycle/PE. The spec's rates are scaled to a reference rate, which
+/// puts every machine's knee inside the default probe range.
 fn single_lane_knee(n: usize) -> f64 {
     let lambda0 = 2.5e-4;
-    let spec = bft_spec(&BftParams::paper(n).unwrap(), 16.0, lambda0);
+    let mut spec = bft_spec(&BftParams::paper(n).unwrap(), 16.0);
+    for class in &mut spec.classes {
+        class.lambda *= lambda0;
+    }
     let knee = spec
         .find_knee(&ModelOptions::paper(), &KneeConfig::default())
         .unwrap();
@@ -477,12 +480,12 @@ fn model_lane_counts_stop_at_the_simulator_limit() {
     let tree = ButterflyFatTree::new(params);
     let flows = FlowVector::build(&tree, &DestinationPattern::Uniform).unwrap();
     let mut sweep = FlowModelSweep::new(tree.network(), &flows, 16.0).unwrap();
-    let spec = bft_spec(&params, 16.0, 0.01 / 16.0);
+    let spec = bft_spec(&params, 16.0);
     for lanes in [65, 1000, u32::MAX] {
         let opts = ModelOptions::paper().with_lanes(lanes);
         let bft = BftModel::with_options(params, 16.0, opts).latency_at_flit_load(0.01);
         let flow = sweep.outcome_at(0.01 / 16.0, &opts).map(drop);
-        let framework = spec.solve(&opts, None, None).map(drop);
+        let framework = spec.solve(0.01 / 16.0, &opts, None, None).map(drop);
         for (entry, r) in [("bft", bft.map(drop)), ("flow", flow), ("spec", framework)] {
             assert!(
                 matches!(&r, Err(ModelError::Spec(m)) if m.contains("lane count")),
@@ -499,7 +502,7 @@ fn model_lane_counts_stop_at_the_simulator_limit() {
         .outcome_at(0.01 / 16.0, &at_limit)
         .unwrap()
         .is_converged());
-    assert!(spec.solve(&at_limit, None, None).is_ok());
+    assert!(spec.solve(0.01 / 16.0, &at_limit, None, None).is_ok());
 }
 
 #[test]

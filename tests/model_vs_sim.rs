@@ -177,9 +177,9 @@ fn hotspot_workload_model_tracks_simulation_at_low_load() {
         let pattern = DestinationPattern::hot_spot();
         let flows = FlowVector::build(&tree, &pattern).unwrap();
         let lambda0 = load / f64::from(s);
-        let m = model_from_flows(tree.network(), &flows, f64::from(s), lambda0, None)
+        let m = FlowModelSweep::new(tree.network(), &flows, f64::from(s))
             .unwrap()
-            .latency(&ModelOptions::paper(), None)
+            .latency_at(lambda0, &ModelOptions::paper())
             .unwrap()
             .total;
         let traffic = TrafficConfig::from_flit_load(load, s)

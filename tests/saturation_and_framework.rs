@@ -38,11 +38,11 @@ fn hypercube_framework_model_tracks_hypercube_simulation() {
     let cube = Hypercube::new(6).unwrap();
     let router = HypercubeRouter::new(&cube);
     let cfg = SimConfig::quick().with_seed(37);
+    let model = cube_model::hypercube_spec(6, 16.0).unwrap();
     for load in [0.02f64, 0.05] {
         let traffic = TrafficConfig::from_flit_load(load, 16).unwrap();
-        let m = cube_model::hypercube_spec(6, 16.0, traffic.message_rate)
-            .unwrap()
-            .latency(&ModelOptions::paper(), None)
+        let m = model
+            .latency(traffic.message_rate, &ModelOptions::paper(), None)
             .unwrap()
             .total;
         let r = run_simulation(&router, &cfg, &traffic);
