@@ -98,10 +98,10 @@ pub struct ChannelAudit {
 pub struct BftModel {
     params: BftParams,
     options: ModelOptions,
-    /// `bft_spec(params, s)`, solved at each `λ₀`.
-    spec: NetworkSpec,
-    /// The spec's class order (down chain, then up chain), resolved once.
-    order: Option<Vec<usize>>,
+    worm_flits: f64,
+    /// `bft_spec(params, s)`, solved at each `λ₀`, or the error that
+    /// refused the worm length, which every entry point returns first.
+    spec: Result<NetworkSpec>,
 }
 
 impl BftModel {
@@ -119,12 +119,11 @@ impl BftModel {
     /// [`ModelError::Spec`].
     #[must_use]
     pub fn with_options(params: BftParams, worm_flits: f64, options: ModelOptions) -> Self {
-        let spec = bft_spec(&params, worm_flits);
         Self {
             params,
             options,
-            order: spec.reverse_topological_order(),
-            spec,
+            worm_flits,
+            spec: bft_spec(&params, worm_flits),
         }
     }
 
@@ -137,7 +136,7 @@ impl BftModel {
     /// Worm length in flits.
     #[must_use]
     pub fn worm_flits(&self) -> f64 {
-        self.spec.worm_flits
+        self.worm_flits
     }
 
     /// The model options in effect.
@@ -146,14 +145,17 @@ impl BftModel {
         &self.options
     }
 
+    /// The spec, or the worm-length error [`bft_spec`] returned for it.
+    fn spec(&self) -> Result<&NetworkSpec> {
+        self.spec.as_ref().map_err(Clone::clone)
+    }
+
     /// Refuses, after the checks every entry point makes (worm length, then
     /// lane count), a single-lane entry point at `lanes > 1`: `L = 1`
     /// numbers from a multi-lane model would contradict
     /// [`Self::latency_at_message_rate`], which honours the lanes.
-    fn single_lane_only(&self, what: &str) -> Result<()> {
-        // Of a spec built from valid params, validation rejects only the
-        // worm length.
-        self.spec.validate()?;
+    fn single_lane_only(&self, what: &str) -> Result<&NetworkSpec> {
+        let spec = self.spec()?;
         self.options.check_lanes()?;
         if self.options.lanes > 1 {
             return Err(ModelError::Spec(format!(
@@ -162,7 +164,7 @@ impl BftModel {
                 self.options.lanes
             )));
         }
-        Ok(())
+        Ok(spec)
     }
 
     /// Resolves every per-level service and waiting time at source message
@@ -175,14 +177,12 @@ impl BftModel {
     /// [`ModelError::Spec`] for an invalid rate or worm length, or when the
     /// options carry `lanes > 1` (the per-level audit is single-lane).
     pub fn audit_at_message_rate(&self, lambda0: f64) -> Result<ChannelAudit> {
-        self.single_lane_only("audit_at_message_rate")?;
-        let sol = self
-            .spec
-            .solve_at(lambda0, self.order.as_deref(), &self.options, None, None)?;
+        let spec = self.single_lane_only("audit_at_message_rate")?;
+        let sol = spec.solve(lambda0, &self.options, None, None)?;
         // `bft_spec`'s layout: down class ⟨l, l−1⟩ is class l − 1 and up
         // class ⟨l, l+1⟩ is class n + l; `down[0]` stays 0.
         let n = self.params.levels() as usize;
-        let rates: Vec<f64> = (0..2 * n).map(|j| self.spec.rate(j, lambda0)).collect();
+        let rates: Vec<f64> = (0..2 * n).map(|j| spec.rate(j, lambda0)).collect();
         let down = |v: &[f64]| [&[0.0], &v[..n]].concat();
         Ok(ChannelAudit {
             lambda_down: down(&rates),
@@ -202,11 +202,7 @@ impl BftModel {
     /// Saturation errors from the solve; [`ModelError::Spec`] for an
     /// invalid worm length, lane count or rate, checked in that order.
     pub fn latency_at_message_rate(&self, lambda0: f64) -> Result<LatencyBreakdown> {
-        let sol = self
-            .spec
-            .solve_at(lambda0, self.order.as_deref(), &self.options, None, None)?;
-        self.spec
-            .breakdown(&sol, &[self.spec.injection], &self.options, lambda0)
+        self.spec()?.latency(lambda0, &self.options, None)
     }
 
     /// Average latency at a *flit* load (flits/cycle/PE, the paper's
@@ -228,9 +224,8 @@ impl BftModel {
     ///
     /// Same as [`Self::audit_at_message_rate`] (single-lane only).
     pub fn source_service_time(&self, lambda0: f64) -> Result<f64> {
-        self.single_lane_only("source_service_time")?;
-        self.spec
-            .injection_service_at(lambda0, self.order.as_deref(), &self.options)
+        self.single_lane_only("source_service_time")?
+            .injection_service_at(lambda0, &self.options)
     }
 
     /// Maximum throughput: the saturation point where `x̄₀,₁ = 1/λ₀`
@@ -244,9 +239,9 @@ impl BftModel {
     /// genuinely sits elsewhere (the simulator shows it moving outward with
     /// `L`; see `repro lanes`).
     pub fn saturation(&self) -> Result<SaturationPoint> {
-        self.single_lane_only("saturation")?;
-        throughput::saturation_point(self.worm_flits(), |lambda0| {
-            self.source_service_time(lambda0)
+        let spec = self.single_lane_only("saturation")?;
+        throughput::saturation_point(self.worm_flits, |lambda0| {
+            spec.injection_service_at(lambda0, &self.options)
         })
     }
 

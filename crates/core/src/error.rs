@@ -58,8 +58,8 @@ impl ModelError {
 
     /// True when a queueing computation rejected a value the *solve
     /// itself* produced — a negative or non-finite service time, wait, or
-    /// probability arising mid-iteration. On a spec that passed
-    /// [`crate::framework::NetworkSpec::validate`] these are not usage
+    /// probability arising mid-iteration. On a spec checked by
+    /// [`crate::framework::NetworkSpec::new`] these are not usage
     /// errors but the numerical signature of a load past the knee (the
     /// iterate left the model's physical domain), so the saturation-aware
     /// entry points treat them as retryable and, if they survive the

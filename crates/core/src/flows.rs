@@ -22,7 +22,7 @@
 
 use crate::bft::LatencyBreakdown;
 use crate::error::ModelError;
-use crate::framework::{ClassBody, ClassId, ClassSpec, Forward, NetworkSpec, WarmStart};
+use crate::framework::{ClassId, ClassSpec, Forward, NetworkSpec, WarmStart};
 use crate::options::ModelOptions;
 use crate::Result;
 use wormsim_guard::SolveOutcome;
@@ -31,8 +31,9 @@ use wormsim_topology::ids::ChannelId;
 use wormsim_workload::FlowVector;
 
 /// Builds the per-station class spec of `flows` over `net` per unit
-/// source rate, with the injection class of every PE (to average Eq. 2
-/// over, equally weighted under the uniform-sources assumption).
+/// source rate, with the injection class of every PE as its injection
+/// classes (Eq. 2 averages over them, equally weighted under the
+/// uniform-sources assumption).
 ///
 /// `alive_servers` as in [`FlowModelSweep::new_with_servers`].
 fn station_spec(
@@ -40,7 +41,7 @@ fn station_spec(
     flows: &FlowVector,
     worm_flits: f64,
     alive_servers: Option<&[u32]>,
-) -> Result<(NetworkSpec, Vec<ClassId>)> {
+) -> Result<NetworkSpec> {
     if flows.num_channels() != net.num_channels() || flows.num_pes() != net.num_processors() {
         return Err(ModelError::Spec(format!(
             "flow vector shape ({} PEs, {} channels) does not match the network \
@@ -117,24 +118,18 @@ fn station_spec(
         };
         let lambda = station_flow[st_idx] / f64::from(servers);
         let out_total: f64 = station_out[st_idx].iter().map(|&(_, w, _)| w).sum();
-        let body = if out_total > 0.0 {
-            let mut forwards: Vec<Forward> = station_out[st_idx]
-                .iter()
-                .map(|&(to, w, sending)| Forward {
-                    to: ClassId(to),
-                    multiplicity: 1,
-                    prob_each: w / out_total,
-                    blocking_prob: (w / sending).min(1.0),
-                })
-                .collect();
+        // Ejection stations and channels the pattern never uses keep no
+        // forwards.
+        let mut forwards = Vec::new();
+        if out_total > 0.0 {
+            forwards.extend(station_out[st_idx].iter().map(|&(to, w, sending)| Forward {
+                to: ClassId(to),
+                multiplicity: 1,
+                prob_each: w / out_total,
+                blocking_prob: (w / sending).min(1.0),
+            }));
             forwards.sort_unstable_by_key(|f| f.to.0);
-            ClassBody::Interior { forwards }
-        } else {
-            // Ejection stations and channels the pattern never uses.
-            ClassBody::Terminal {
-                service_time: worm_flits,
-            }
-        };
+        }
         let lead = match station.channels.first() {
             Some(lead) => lead,
             None => {
@@ -147,38 +142,29 @@ fn station_spec(
             name: format!("{} st{st_idx}", net.channel(*lead).class),
             lambda,
             servers,
-            body,
+            forwards,
         });
     }
 
-    let injections: Vec<ClassId> = (0..net.num_processors())
+    let injections = (0..net.num_processors())
         .map(|pe| ClassId(net.channel(net.processors()[pe].inject).station.index()))
         .collect();
-
-    let spec = NetworkSpec {
-        classes,
-        worm_flits,
-        injection: injections[0],
-        avg_distance: flows.avg_distance(),
-    };
-    Ok((spec, injections))
+    NetworkSpec::new(classes, worm_flits, injections, flows.avg_distance())
 }
 
 /// The per-station §2 model of one flow vector, built once per unit source
 /// rate and solved at any `λ₀`.
 ///
 /// Only the class rates scale with `λ₀`; the spec's *shape* (classes,
-/// forwards, probabilities) and its class order do not, so both are built
-/// once. A [`WarmStart`] threads each load's converged vector into the
-/// next, so cyclic solves of a sweep seed from the previous load.
+/// forwards, probabilities) and its class order do not, so the checked
+/// spec is built once. A [`WarmStart`] threads each load's converged
+/// vector into the next, so cyclic solves of a sweep seed from the
+/// previous load.
 #[derive(Debug, Clone)]
 pub struct FlowModelSweep {
-    /// The per-station spec, per unit source rate.
+    /// The per-station spec, per unit source rate, with the injection
+    /// station class of every PE.
     spec: NetworkSpec,
-    /// Injection station class of every PE.
-    injections: Vec<ClassId>,
-    /// The spec's class order, resolved once.
-    order: Option<Vec<usize>>,
     warm: WarmStart,
 }
 
@@ -204,20 +190,18 @@ impl FlowModelSweep {
     /// # Errors
     ///
     /// [`ModelError::Spec`] when the flow vector does not match `net`, the
-    /// server vector has the wrong length, or a station carries flow with
+    /// server vector has the wrong length, a station carries flow with
     /// no surviving servers (a disconnected fabric — the flow builder
-    /// reports those as typed workload errors first).
+    /// reports those as typed workload errors first), or the spec fails
+    /// [`NetworkSpec::new`]'s checks (an invalid worm length).
     pub fn new_with_servers(
         net: &ChannelNetwork,
         flows: &FlowVector,
         worm_flits: f64,
         alive_servers: Option<&[u32]>,
     ) -> Result<Self> {
-        let (spec, injections) = station_spec(net, flows, worm_flits, alive_servers)?;
         Ok(Self {
-            order: spec.reverse_topological_order(),
-            spec,
-            injections,
+            spec: station_spec(net, flows, worm_flits, alive_servers)?,
             warm: WarmStart::new(),
         })
     }
@@ -230,15 +214,7 @@ impl FlowModelSweep {
     /// [`ModelError::Spec`] on an invalid rate or options; saturation of
     /// any station as in [`NetworkSpec::solve`].
     pub fn latency_at(&mut self, lambda0: f64, options: &ModelOptions) -> Result<LatencyBreakdown> {
-        let sol = self.spec.solve_at(
-            lambda0,
-            self.order.as_deref(),
-            options,
-            Some(&mut self.warm),
-            None,
-        )?;
-        self.spec
-            .breakdown(&sol, &self.injections, options, lambda0)
+        self.spec.latency(lambda0, options, Some(&mut self.warm))
     }
 
     /// Saturation-aware [`Self::latency_at`], total over every load:
@@ -256,29 +232,9 @@ impl FlowModelSweep {
         lambda0: f64,
         options: &ModelOptions,
     ) -> Result<SolveOutcome<LatencyBreakdown>> {
-        let outcome = self.spec.climb_ladder(
-            lambda0,
-            self.order.as_deref(),
-            options,
-            Some(&mut self.warm),
-            None,
-        )?;
-        Ok(match outcome {
-            SolveOutcome::Converged(sol) => SolveOutcome::Converged(self.spec.breakdown(
-                &sol,
-                &self.injections,
-                options,
-                lambda0,
-            )?),
-            SolveOutcome::Saturated => SolveOutcome::Saturated,
-            SolveOutcome::NoConvergence {
-                iterations,
-                residual,
-            } => SolveOutcome::NoConvergence {
-                iterations,
-                residual,
-            },
-        })
+        self.spec
+            .solve_outcome(lambda0, options, Some(&mut self.warm), None)?
+            .try_map(|sol| self.spec.breakdown(&sol, options, lambda0))
     }
 
     /// Per-PE injection summary `(W_inj, x̄_inj)` at per-PE message rate
@@ -293,11 +249,10 @@ impl FlowModelSweep {
         lambda0: f64,
         options: &ModelOptions,
     ) -> Result<Vec<(f64, f64)>> {
-        let sol = self
-            .spec
-            .solve_at(lambda0, self.order.as_deref(), options, None, None)?;
+        let sol = self.spec.solve(lambda0, options, None, None)?;
         Ok(self
-            .injections
+            .spec
+            .injections()
             .iter()
             .map(|inj| (sol.waiting_times[inj.0], sol.service_times[inj.0]))
             .collect())
@@ -412,7 +367,7 @@ mod tests {
         let cube = Hypercube::new(dim).unwrap();
         let flows = FlowVector::build(&cube, &DestinationPattern::Uniform).unwrap();
         let opts = ModelOptions::paper();
-        let (station_model, _) = station_spec(cube.network(), &flows, 16.0, None).unwrap();
+        let station_model = station_spec(cube.network(), &flows, 16.0, None).unwrap();
         let class_model = hypercube_spec(dim, 16.0).unwrap();
         for lambda0 in [0.0, 0.002, 0.008] {
             let by_station = station_model.solve(lambda0, &opts, None, None).unwrap();
@@ -454,7 +409,6 @@ mod tests {
         let mesh = Mesh::new(4, 2).unwrap();
         let flows = FlowVector::build(&mesh, &DestinationPattern::Uniform).unwrap();
         let mut m = FlowModelSweep::new(mesh.network(), &flows, 16.0).unwrap();
-        m.spec.validate().unwrap();
         let per_source = m
             .per_source_injection(0.004, &ModelOptions::paper())
             .unwrap();
@@ -474,7 +428,7 @@ mod tests {
         assert!(max - min > 1e-3, "mesh injection must vary by position");
         // Average latency sits above the zero-load bound.
         let lat = m.latency_at(0.004, &ModelOptions::paper()).unwrap();
-        assert!(lat.total > 16.0 + m.spec.avg_distance - 1.0);
+        assert!(lat.total > 16.0 + m.spec.avg_distance() - 1.0);
     }
 
     #[test]

@@ -13,13 +13,17 @@
 //! * a **station multiplicity** `m`: how many channels of this class are
 //!   bundled into one multi-server arbitration station (the fat-tree's
 //!   up-link pairs have `m = 2`; ordinary links `m = 1`),
-//! * either a fixed terminal service time (ejection channels: `x̄ = s/f`,
-//!   Eq. 16) or a list of forwarding entries.
+//! * a list of forwarding entries, empty for an ejection class, which
+//!   serves a worm in `x̄ = s/f` (Eq. 16).
 //!
 //! A forwarding entry says: a worm arriving over a channel of this class
 //! continues into one of `multiplicity` stations of class `to`, each with
 //! probability `prob_each` (`R(i|j)` of the paper). The entries of a class
 //! must total probability 1.
+//!
+//! None of this depends on the load, so [`NetworkSpec::new`] checks it
+//! once, together with the worm length, the average distance and the
+//! injection classes, and resolves the order the classes are solved in.
 //!
 //! # Solution
 //!
@@ -48,7 +52,7 @@
 //! converging.
 
 use crate::error::ModelError;
-use crate::options::ModelOptions;
+use crate::options::{ModelOptions, MAX_LANES};
 use crate::Result;
 use wormsim_guard::{bracket_knee, Knee, KneeConfig, SolveOutcome};
 use wormsim_obs::{LadderSample, ModelTelemetry, SolverTrace, StationBreakdown};
@@ -145,23 +149,6 @@ impl Forward {
     }
 }
 
-/// Body of a channel class: terminal (fixed service) or interior
-/// (service resolved from forwarding).
-#[derive(Debug, Clone)]
-pub enum ClassBody {
-    /// Terminal channel: service time is fixed (ejection channels consume
-    /// one flit per cycle, so `x̄ = s/f`).
-    Terminal {
-        /// The fixed mean service time.
-        service_time: f64,
-    },
-    /// Interior channel: service time follows Eq. 11 over these entries.
-    Interior {
-        /// The forwarding entries (probabilities must total 1).
-        forwards: Vec<Forward>,
-    },
-}
-
 /// A channel class: identical channels with one arrival rate and one
 /// station multiplicity.
 #[derive(Debug, Clone)]
@@ -172,23 +159,28 @@ pub struct ClassSpec {
     /// `λ₀` runs this class at `lambda · λ₀`. A spec written with absolute
     /// rates (worms/cycle) is solved at `λ₀ = 1`.
     pub lambda: f64,
-    /// Channels per arbitration station (`m` of the M/G/m model).
+    /// Channels per arbitration station (`m` of the M/G/m model), in
+    /// `1..=u32::MAX / MAX_LANES` so that every lane slot of a station
+    /// has a `u32` index.
     pub servers: u32,
-    /// Terminal or interior behaviour.
-    pub body: ClassBody,
+    /// The forwarding entries of Eq. 11 (probabilities total 1). Empty for
+    /// an ejection class: its channels consume one flit per cycle, so a
+    /// worm is served in `x̄ = s/f` (Eq. 16).
+    pub forwards: Vec<Forward>,
 }
 
-/// A full network specification for the general model.
+/// A checked network specification for the general model: built only by
+/// [`NetworkSpec::new`], which validates it and resolves its class order
+/// once, so no solve checks or orders it again.
 #[derive(Debug, Clone)]
 pub struct NetworkSpec {
-    /// The channel classes.
-    pub classes: Vec<ClassSpec>,
-    /// Worm length `s/f` in flits.
-    pub worm_flits: f64,
-    /// The injection-channel class (must have `servers == 1`).
-    pub injection: ClassId,
-    /// Average message distance `D̄` in channels (for Eq. 2/25).
-    pub avg_distance: f64,
+    classes: Vec<ClassSpec>,
+    worm_flits: f64,
+    injections: Vec<ClassId>,
+    avg_distance: f64,
+    /// Reverse-topological class order, `None` when the class graph is
+    /// cyclic.
+    order: Option<Vec<usize>>,
 }
 
 /// Solved per-class quantities.
@@ -239,35 +231,53 @@ fn ladder(warm_started: bool) -> [SolveProfile; 3] {
 }
 
 impl NetworkSpec {
-    /// Checks internal consistency: rates and probabilities in range,
-    /// forwarding targets valid, probabilities normalized, injection class
-    /// single-server.
+    /// Builds a spec from its `classes`, the worm length `s/f` in flits,
+    /// the `injections` classes that Eq. 2 averages over (one for a
+    /// symmetric spec, one per PE for a flow-built one) and the average
+    /// message distance `D̄` in channels (for Eq. 2/25).
+    ///
+    /// The spec is checked here, once: rates and probabilities in range,
+    /// forwarding targets valid, the forwards of every class that has any
+    /// totalling probability 1, station sizes within
+    /// `1..=u32::MAX / MAX_LANES`, and every injection class present and
+    /// single-server. The reverse-topological class order every solve
+    /// reads is resolved here too.
     ///
     /// # Errors
     ///
     /// [`ModelError::Spec`] describing the first inconsistency.
-    pub fn validate(&self) -> Result<()> {
-        if !(self.worm_flits.is_finite() && self.worm_flits > 0.0) {
+    pub fn new(
+        classes: Vec<ClassSpec>,
+        worm_flits: f64,
+        injections: Vec<ClassId>,
+        avg_distance: f64,
+    ) -> Result<Self> {
+        if !(worm_flits.is_finite() && worm_flits > 0.0) {
             return Err(ModelError::Spec(format!(
-                "invalid worm length {}",
-                self.worm_flits
+                "invalid worm length {worm_flits}"
             )));
         }
-        if !(self.avg_distance.is_finite() && self.avg_distance >= 1.0) {
+        if !(avg_distance.is_finite() && avg_distance >= 1.0) {
             return Err(ModelError::Spec(format!(
-                "invalid average distance {}",
-                self.avg_distance
+                "invalid average distance {avg_distance}"
             )));
         }
-        if self.injection.0 >= self.classes.len() {
-            return Err(ModelError::Spec("injection class out of range".into()));
+        if injections.is_empty() {
+            return Err(ModelError::Spec("no injection class".into()));
         }
-        if self.classes[self.injection.0].servers != 1 {
-            return Err(ModelError::Spec(
-                "injection class must be single-server".into(),
-            ));
+        for inj in &injections {
+            let Some(class) = classes.get(inj.0) else {
+                return Err(ModelError::Spec("injection class out of range".into()));
+            };
+            if class.servers != 1 {
+                return Err(ModelError::Spec(
+                    "injection class must be single-server".into(),
+                ));
+            }
         }
-        for (i, class) in self.classes.iter().enumerate() {
+        // Every one of a station's `m·L` lane slots needs a u32 index.
+        let max_servers = u32::MAX / MAX_LANES;
+        for (i, class) in classes.iter().enumerate() {
             if !(class.lambda.is_finite() && class.lambda >= 0.0) {
                 return Err(ModelError::Spec(format!(
                     "class {}: invalid rate {}",
@@ -280,67 +290,85 @@ impl NetworkSpec {
                     class.name
                 )));
             }
-            match &class.body {
-                ClassBody::Terminal { service_time } => {
-                    if !(service_time.is_finite() && *service_time > 0.0) {
-                        return Err(ModelError::Spec(format!(
-                            "class {}: invalid terminal service {service_time}",
-                            class.name
-                        )));
-                    }
+            if class.servers > max_servers {
+                return Err(ModelError::Spec(format!(
+                    "class {}: {} servers exceed the {max_servers} that {MAX_LANES} lanes \
+                     per channel allow",
+                    class.name, class.servers
+                )));
+            }
+            let mut total = 0.0;
+            for f in &class.forwards {
+                if f.to.0 >= classes.len() {
+                    return Err(ModelError::Spec(format!(
+                        "class {}: forward to missing class {}",
+                        class.name, f.to.0
+                    )));
                 }
-                ClassBody::Interior { forwards } => {
-                    if forwards.is_empty() {
-                        return Err(ModelError::Spec(format!(
-                            "class {}: interior class with no forwards",
-                            class.name
-                        )));
-                    }
-                    let mut total = 0.0;
-                    for f in forwards {
-                        if f.to.0 >= self.classes.len() {
-                            return Err(ModelError::Spec(format!(
-                                "class {}: forward to missing class {}",
-                                class.name, f.to.0
-                            )));
-                        }
-                        if f.to.0 == i {
-                            return Err(ModelError::Spec(format!(
-                                "class {}: self-forwarding is not allowed",
-                                class.name
-                            )));
-                        }
-                        if f.multiplicity == 0 {
-                            return Err(ModelError::Spec(format!(
-                                "class {}: zero-multiplicity forward",
-                                class.name
-                            )));
-                        }
-                        if !(f.prob_each.is_finite() && (0.0..=1.0).contains(&f.prob_each)) {
-                            return Err(ModelError::Spec(format!(
-                                "class {}: invalid probability {}",
-                                class.name, f.prob_each
-                            )));
-                        }
-                        if !(f.blocking_prob.is_finite() && (0.0..=1.0).contains(&f.blocking_prob))
-                        {
-                            return Err(ModelError::Spec(format!(
-                                "class {}: invalid blocking probability {}",
-                                class.name, f.blocking_prob
-                            )));
-                        }
-                        total += f64::from(f.multiplicity) * f.prob_each;
-                    }
-                    if (total - 1.0).abs() > 1e-9 {
-                        return Err(ModelError::Spec(format!(
-                            "class {}: forwarding probabilities total {total}, expected 1",
-                            class.name
-                        )));
-                    }
+                if f.to.0 == i {
+                    return Err(ModelError::Spec(format!(
+                        "class {}: self-forwarding is not allowed",
+                        class.name
+                    )));
                 }
+                if f.multiplicity == 0 {
+                    return Err(ModelError::Spec(format!(
+                        "class {}: zero-multiplicity forward",
+                        class.name
+                    )));
+                }
+                if !(f.prob_each.is_finite() && (0.0..=1.0).contains(&f.prob_each)) {
+                    return Err(ModelError::Spec(format!(
+                        "class {}: invalid probability {}",
+                        class.name, f.prob_each
+                    )));
+                }
+                if !(f.blocking_prob.is_finite() && (0.0..=1.0).contains(&f.blocking_prob)) {
+                    return Err(ModelError::Spec(format!(
+                        "class {}: invalid blocking probability {}",
+                        class.name, f.blocking_prob
+                    )));
+                }
+                total += f64::from(f.multiplicity) * f.prob_each;
+            }
+            if !class.forwards.is_empty() && (total - 1.0).abs() > 1e-9 {
+                return Err(ModelError::Spec(format!(
+                    "class {}: forwarding probabilities total {total}, expected 1",
+                    class.name
+                )));
             }
         }
-        Ok(())
+        Ok(Self {
+            order: reverse_topological_order(&classes),
+            classes,
+            worm_flits,
+            injections,
+            avg_distance,
+        })
+    }
+
+    /// The channel classes.
+    #[must_use]
+    pub fn classes(&self) -> &[ClassSpec] {
+        &self.classes
+    }
+
+    /// Worm length `s/f` in flits.
+    #[must_use]
+    pub fn worm_flits(&self) -> f64 {
+        self.worm_flits
+    }
+
+    /// The injection classes Eq. 2 averages over.
+    #[must_use]
+    pub fn injections(&self) -> &[ClassId] {
+        &self.injections
+    }
+
+    /// Average message distance `D̄` in channels.
+    #[must_use]
+    pub fn avg_distance(&self) -> f64 {
+        self.avg_distance
     }
 
     /// Arrival rate of class `j` at source rate `t` (`λ₀`): the one place
@@ -382,7 +410,7 @@ impl NetworkSpec {
         if options.lanes == 1 {
             return Ok(x);
         }
-        // Terminal service can sit exactly at the s/f floor; interior
+        // Ejection service sits exactly at the s/f floor; other classes'
         // iterates may transiently dip below it from damping, so clamp the
         // transmission decomposition rather than erroring mid-iteration.
         let x_checked = x.max(self.worm_flits);
@@ -421,65 +449,19 @@ impl NetworkSpec {
     /// damped by Eq. 10's blocking probability. At `lanes = 1` every term
     /// reduces to the identity and this is the paper's Eq. 11 unchanged.
     fn service_equation(&self, i: usize, x: &[f64], options: &ModelOptions, t: f64) -> Result<f64> {
-        match &self.classes[i].body {
-            ClassBody::Terminal { service_time } => Ok(*service_time),
-            ClassBody::Interior { forwards } => {
-                let mut sum = 0.0;
-                for f in forwards {
-                    let j = f.to.0;
-                    let r = self.lane_residence(j, x[j], options, t)?;
-                    let w = self.station_wait(j, r, options, t)?;
-                    let p = self.blocking(i, j, f.blocking_prob, options, t);
-                    sum += f64::from(f.multiplicity) * f.prob_each * (r + p * w);
-                }
-                Ok(sum)
-            }
+        let forwards = &self.classes[i].forwards;
+        if forwards.is_empty() {
+            return Ok(self.worm_flits);
         }
-    }
-
-    /// Reverse-topological order of the class dependency graph (edges
-    /// `i → forward.to`), or `None` when cyclic: Kahn's algorithm over a
-    /// stack of ready classes, each resolved class releasing its
-    /// dependents in increasing class index. Every forward must target an
-    /// existing class, as [`Self::validate`] checks.
-    pub(crate) fn reverse_topological_order(&self) -> Option<Vec<usize>> {
-        let n = self.classes.len();
-        let forwards = |i: usize| match &self.classes[i].body {
-            ClassBody::Interior { forwards } => forwards.as_slice(),
-            ClassBody::Terminal { .. } => &[],
-        };
-        // out_deg[i] = forwards of i into unresolved classes. The
-        // dependents of class j, one entry per forward into it, are
-        // dependents[start[j]..start[j + 1]]; a class forwarding twice to
-        // j is released once, at its second entry.
-        let mut out_deg: Vec<usize> = (0..n).map(|i| forwards(i).len()).collect();
-        let mut start = vec![0usize; n + 1];
-        for f in (0..n).flat_map(forwards) {
-            start[f.to.0 + 1] += 1;
+        let mut sum = 0.0;
+        for f in forwards {
+            let j = f.to.0;
+            let r = self.lane_residence(j, x[j], options, t)?;
+            let w = self.station_wait(j, r, options, t)?;
+            let p = self.blocking(i, j, f.blocking_prob, options, t);
+            sum += f64::from(f.multiplicity) * f.prob_each * (r + p * w);
         }
-        for j in 0..n {
-            start[j + 1] += start[j];
-        }
-        let mut next = start.clone();
-        let mut dependents = vec![0usize; start[n]];
-        for i in 0..n {
-            for f in forwards(i) {
-                dependents[next[f.to.0]] = i;
-                next[f.to.0] += 1;
-            }
-        }
-        let mut order = Vec::with_capacity(n);
-        let mut ready: Vec<usize> = (0..n).filter(|&i| out_deg[i] == 0).collect();
-        while let Some(i) = ready.pop() {
-            order.push(i);
-            for &d in &dependents[start[i]..start[i + 1]] {
-                out_deg[d] -= 1;
-                if out_deg[d] == 0 {
-                    ready.push(d);
-                }
-            }
-        }
-        (order.len() == n).then_some(order)
+        Ok(sum)
     }
 
     /// Solves for every class's service and waiting time at source rate
@@ -511,27 +493,13 @@ impl NetworkSpec {
         warm: Option<&mut WarmStart>,
         telemetry: Option<&mut ModelTelemetry>,
     ) -> Result<Solution> {
-        self.solve_at(lambda0, None, options, warm, telemetry)
-    }
-
-    /// [`Self::solve`] at source rate `t`. `order` is this spec's
-    /// [`Self::reverse_topological_order`] when the caller keeps one for
-    /// repeated solves; `None` resolves the order here.
-    pub(crate) fn solve_at(
-        &self,
-        t: f64,
-        order: Option<&[usize]>,
-        options: &ModelOptions,
-        warm: Option<&mut WarmStart>,
-        telemetry: Option<&mut ModelTelemetry>,
-    ) -> Result<Solution> {
         let [plain, ..] = ladder(warm.is_some());
         let Some(tel) = telemetry else {
-            return self.solve_profiled(t, order, options, warm, None, plain);
+            return self.solve_profiled(lambda0, options, warm, None, plain);
         };
         tel.reset();
-        let sol = self.solve_profiled(t, order, options, warm, Some(&mut tel.solver), plain)?;
-        tel.stations = self.station_breakdown(t, &sol, options)?;
+        let sol = self.solve_profiled(lambda0, options, warm, Some(&mut tel.solver), plain)?;
+        tel.stations = self.station_breakdown(lambda0, &sol, options)?;
         Ok(sol)
     }
 
@@ -546,7 +514,8 @@ impl NetworkSpec {
     /// # Errors
     ///
     /// Same as [`Self::solve`] (lane-residence decomposition can reject a
-    /// malformed service time).
+    /// malformed service time); [`ModelError::Spec`] when `sol` does not
+    /// hold one service and one waiting time per class of this spec.
     pub fn station_breakdown(
         &self,
         lambda0: f64,
@@ -554,16 +523,21 @@ impl NetworkSpec {
         options: &ModelOptions,
     ) -> Result<Vec<StationBreakdown>> {
         let n = self.classes.len();
+        if sol.service_times.len() != n || sol.waiting_times.len() != n {
+            return Err(ModelError::Spec(format!(
+                "solution of {} service and {} waiting times for a spec of {n} classes",
+                sol.service_times.len(),
+                sol.waiting_times.len()
+            )));
+        }
         let mut blk_num = vec![0.0; n];
         let mut blk_den = vec![0.0; n];
         for (i, class) in self.classes.iter().enumerate() {
-            if let ClassBody::Interior { forwards } = &class.body {
-                for f in forwards {
-                    let j = f.to.0;
-                    let weight = f64::from(f.multiplicity) * f.prob_each * self.rate(i, lambda0);
-                    blk_num[j] += weight * self.blocking(i, j, f.blocking_prob, options, lambda0);
-                    blk_den[j] += weight;
-                }
+            for f in &class.forwards {
+                let j = f.to.0;
+                let weight = f64::from(f.multiplicity) * f.prob_each * self.rate(i, lambda0);
+                blk_num[j] += weight * self.blocking(i, j, f.blocking_prob, options, lambda0);
+                blk_den[j] += weight;
             }
         }
         let mut rows = Vec::with_capacity(n);
@@ -608,27 +582,13 @@ impl NetworkSpec {
     ///
     /// # Errors
     ///
-    /// Only genuine usage errors: malformed specs, invalid options, a
-    /// non-finite or negative `lambda0`. The load being too high is *data*
+    /// Only genuine usage errors: invalid options, a non-finite or negative
+    /// `lambda0`. The load being too high is *data*
     /// ([`SolveOutcome::Saturated`]), not an error. On error the telemetry
     /// holds the ladder attempts and trace accumulated before the failure.
     pub fn solve_outcome(
         &self,
         lambda0: f64,
-        options: &ModelOptions,
-        warm: Option<&mut WarmStart>,
-        telemetry: Option<&mut ModelTelemetry>,
-    ) -> Result<SolveOutcome<Solution>> {
-        self.climb_ladder(lambda0, None, options, warm, telemetry)
-    }
-
-    /// The escalation ladder of [`Self::solve_outcome`] at source rate `t`,
-    /// with `order` as in [`Self::solve_at`]: the one place that decides
-    /// which failures climb and what a failed climb means.
-    pub(crate) fn climb_ladder(
-        &self,
-        t: f64,
-        order: Option<&[usize]>,
         options: &ModelOptions,
         mut warm: Option<&mut WarmStart>,
         mut telemetry: Option<&mut ModelTelemetry>,
@@ -645,7 +605,7 @@ impl NetworkSpec {
                     t.solver = SolverTrace::new();
                     &mut t.solver
                 });
-                let res = self.solve_profiled(t, order, options, warm.as_deref_mut(), trace, rung);
+                let res = self.solve_profiled(lambda0, options, warm.as_deref_mut(), trace, rung);
                 if let Some(t) = telemetry.as_deref_mut() {
                     t.ladder.push(LadderSample {
                         rung: rung.label.to_string(),
@@ -685,7 +645,7 @@ impl NetworkSpec {
         if let Some(tel) = telemetry {
             tel.outcome = Some(outcome.label());
             if let SolveOutcome::Converged(sol) = &outcome {
-                tel.stations = self.station_breakdown(t, sol, options)?;
+                tel.stations = self.station_breakdown(lambda0, sol, options)?;
             }
         }
         Ok(outcome)
@@ -714,12 +674,10 @@ impl NetworkSpec {
     /// `cfg.initial` or still feasible at `cfg.max` (e.g. a DAG model
     /// with no cyclic saturation inside the probed range).
     pub fn find_knee(&self, options: &ModelOptions, cfg: &KneeConfig) -> Result<Knee> {
-        self.validate()?;
-        let order = self.reverse_topological_order();
         let mut warm = WarmStart::new();
         let mut usage_err: Option<ModelError> = None;
         let bracket = bracket_knee(cfg, |t| {
-            match self.climb_ladder(t, order.as_deref(), options, Some(&mut warm), None) {
+            match self.solve_outcome(t, options, Some(&mut warm), None) {
                 Ok(outcome) => outcome.is_converged(),
                 Err(e) => {
                     // A usage error aborts the probe sequence; surface
@@ -735,20 +693,15 @@ impl NetworkSpec {
         bracket.map_err(ModelError::Knee)
     }
 
-    /// The injection class's service time `x̄_inj` at source rate `t`, the
-    /// quantity Eq. 26 equates with `1/λ₀`: the cold service-time pass of
-    /// [`Self::solve_at`] alone. It computes a station's wait only where a
-    /// forward into it reads it, never the injection class's own (Eq. 24),
-    /// so `x̄_inj` stays evaluable at the knee, where the source queue is
-    /// exactly critical.
-    pub(crate) fn injection_service_at(
-        &self,
-        t: f64,
-        order: Option<&[usize]>,
-        options: &ModelOptions,
-    ) -> Result<f64> {
+    /// The first injection class's service time `x̄_inj` at source rate
+    /// `t`, the quantity Eq. 26 equates with `1/λ₀`: the cold service-time
+    /// pass of [`Self::solve`] alone. It computes a station's wait only
+    /// where a forward into it reads it, never the injection class's own
+    /// (Eq. 24), so `x̄_inj` stays evaluable at the knee, where the source
+    /// queue is exactly critical.
+    pub(crate) fn injection_service_at(&self, t: f64, options: &ModelOptions) -> Result<f64> {
         let [plain, ..] = ladder(false);
-        Ok(self.service_pass(t, order, options, None, None, plain)?.0[self.injection.0])
+        Ok(self.service_pass(t, options, None, None, plain)?.0[self.injections[0].0])
     }
 
     /// One rung's solve at source rate `t`: the service-time pass,
@@ -756,14 +709,12 @@ impl NetworkSpec {
     fn solve_profiled(
         &self,
         t: f64,
-        order: Option<&[usize]>,
         options: &ModelOptions,
         warm: Option<&mut WarmStart>,
         trace: Option<&mut SolverTrace>,
         profile: SolveProfile,
     ) -> Result<Solution> {
-        let (x, iterations) =
-            self.service_pass(t, order, options, warm.as_deref(), trace, profile)?;
+        let (x, iterations) = self.service_pass(t, options, warm.as_deref(), trace, profile)?;
         let n = x.len();
         let mut w = vec![0.0; n];
         for i in 0..n {
@@ -790,13 +741,11 @@ impl NetworkSpec {
     fn service_pass(
         &self,
         t: f64,
-        order: Option<&[usize]>,
         options: &ModelOptions,
         warm: Option<&WarmStart>,
         trace: Option<&mut SolverTrace>,
         profile: SolveProfile,
     ) -> Result<(Vec<f64>, usize)> {
-        self.validate()?;
         options.check_lanes()?;
         if !(t.is_finite() && t >= 0.0) {
             return Err(ModelError::Spec(format!("invalid message rate {t}")));
@@ -814,9 +763,7 @@ impl NetworkSpec {
             _ => vec![self.worm_flits; n],
         };
         let mut x = seed;
-        // Resolve the order here unless the caller keeps one.
-        let resolved = order.map_or_else(|| self.reverse_topological_order(), |_| None);
-        if let Some(order) = order.or(resolved.as_deref()) {
+        if let Some(order) = &self.order {
             for &i in order {
                 x[i] = self.service_equation(i, &x, options, t)?;
             }
@@ -875,8 +822,9 @@ impl NetworkSpec {
     }
 
     /// Average latency at source rate `lambda0` via Eq. 2/25:
-    /// `L = W_inj + x̄_inj + D̄ − 1`. `warm` is the sweep state of
-    /// [`Self::solve`].
+    /// `L = W_inj + x̄_inj + D̄ − 1`, with the injection wait and hold
+    /// averaged over the spec's injection classes. `warm` is the sweep
+    /// state of [`Self::solve`].
     ///
     /// # Errors
     ///
@@ -887,12 +835,12 @@ impl NetworkSpec {
         options: &ModelOptions,
         warm: Option<&mut WarmStart>,
     ) -> Result<crate::bft::LatencyBreakdown> {
-        let sol = self.solve_at(lambda0, None, options, warm, None)?;
-        self.breakdown(&sol, &[self.injection], options, lambda0)
+        let sol = self.solve(lambda0, options, warm, None)?;
+        self.breakdown(&sol, options, lambda0)
     }
 
-    /// Eq. 2/25 over the `injections` classes of a solve at source rate
-    /// `t`: the mean injection wait and hold, plus `D̄ − 1`.
+    /// Eq. 2/25 over the injection classes of this spec's solve at source
+    /// rate `t`: the mean injection wait and hold, plus `D̄ − 1`.
     /// With lanes the wait is already the M/G/L lane-slot wait
     /// (all-lanes-busy priced by its occupancy distribution) and the hold
     /// is the multiplex-stretched residence; both are exact identities at
@@ -900,22 +848,63 @@ impl NetworkSpec {
     pub(crate) fn breakdown(
         &self,
         sol: &Solution,
-        injections: &[ClassId],
         options: &ModelOptions,
         t: f64,
     ) -> Result<crate::bft::LatencyBreakdown> {
         let (mut w_sum, mut x_sum) = (0.0, 0.0);
-        for inj in injections {
+        for inj in &self.injections {
             w_sum += sol.waiting_times[inj.0];
             x_sum += self.lane_residence(inj.0, sol.service_times[inj.0], options, t)?;
         }
-        let n = injections.len() as f64;
+        let n = self.injections.len() as f64;
         Ok(crate::bft::LatencyBreakdown::new(
             w_sum / n,
             x_sum / n,
             self.avg_distance,
         ))
     }
+}
+
+/// Reverse-topological order of the class dependency graph (edges
+/// `i → forward.to`), or `None` when cyclic: Kahn's algorithm over a stack
+/// of ready classes, each resolved class releasing its dependents in
+/// increasing class index. Every forward must target an existing class, as
+/// [`NetworkSpec::new`] checks before calling this.
+fn reverse_topological_order(classes: &[ClassSpec]) -> Option<Vec<usize>> {
+    let n = classes.len();
+    let forwards = |i: usize| classes[i].forwards.as_slice();
+    // out_deg[i] = forwards of i into unresolved classes. The dependents of
+    // class j, one entry per forward into it, are
+    // dependents[start[j]..start[j + 1]]; a class forwarding twice to j is
+    // released once, at its second entry.
+    let mut out_deg: Vec<usize> = (0..n).map(|i| forwards(i).len()).collect();
+    let mut start = vec![0usize; n + 1];
+    for f in (0..n).flat_map(forwards) {
+        start[f.to.0 + 1] += 1;
+    }
+    for j in 0..n {
+        start[j + 1] += start[j];
+    }
+    let mut next = start.clone();
+    let mut dependents = vec![0usize; start[n]];
+    for i in 0..n {
+        for f in forwards(i) {
+            dependents[next[f.to.0]] = i;
+            next[f.to.0] += 1;
+        }
+    }
+    let mut order = Vec::with_capacity(n);
+    let mut ready: Vec<usize> = (0..n).filter(|&i| out_deg[i] == 0).collect();
+    while let Some(i) = ready.pop() {
+        order.push(i);
+        for &d in &dependents[start[i]..start[i + 1]] {
+            out_deg[d] -= 1;
+            if out_deg[d] == 0 {
+                ready.push(d);
+            }
+        }
+    }
+    (order.len() == n).then_some(order)
 }
 
 /// Builds the butterfly fat-tree class specification of paper §3 per unit
@@ -926,8 +915,11 @@ impl NetworkSpec {
 /// `l − 1` for `l ∈ 1..=n` (`⟨1, 0⟩` is the ejection channel), and up
 /// class `⟨l, l+1⟩` is class `n + l` for `l ∈ 0..n` (`⟨0, 1⟩` is the
 /// injection channel).
-#[must_use]
-pub fn bft_spec(params: &wormsim_topology::bft::BftParams, worm_flits: f64) -> NetworkSpec {
+///
+/// # Errors
+///
+/// [`ModelError::Spec`] when the worm length is not finite and positive.
+pub fn bft_spec(params: &wormsim_topology::bft::BftParams, worm_flits: f64) -> Result<NetworkSpec> {
     let n = params.levels() as usize;
     let c = params.children() as f64;
     // Eq. 14: up class ⟨l, l+1⟩ carries P↑_l·(c/p)ˡ per channel and unit
@@ -942,25 +934,21 @@ pub fn bft_spec(params: &wormsim_topology::bft::BftParams, worm_flits: f64) -> N
 
     // Down classes.
     for l in 1..=n {
-        let body = if l == 1 {
-            ClassBody::Terminal {
-                service_time: worm_flits,
-            }
+        let forwards = if l == 1 {
+            Vec::new()
         } else {
             // ⟨l, l−1⟩ forwards to one of c children ⟨l−1, l−2⟩.
-            ClassBody::Interior {
-                forwards: vec![Forward::flat(
-                    down_idx(l - 1),
-                    params.children() as u32,
-                    1.0 / c,
-                )],
-            }
+            vec![Forward::flat(
+                down_idx(l - 1),
+                params.children() as u32,
+                1.0 / c,
+            )]
         };
         classes.push(ClassSpec {
             name: format!("<{},{}>", l, l - 1),
             lambda: up_rate(l - 1),
             servers: 1,
-            body,
+            forwards,
         });
     }
     // Up classes (including injection at l = 0).
@@ -987,16 +975,16 @@ pub fn bft_spec(params: &wormsim_topology::bft::BftParams, worm_flits: f64) -> N
             },
             lambda: up_rate(l),
             servers: if l == 0 { 1 } else { params.parents() as u32 },
-            body: ClassBody::Interior { forwards },
+            forwards,
         });
     }
 
-    NetworkSpec {
+    NetworkSpec::new(
         classes,
         worm_flits,
-        injection: up_idx(0),
-        avg_distance: params.average_distance(),
-    }
+        vec![up_idx(0)],
+        params.average_distance(),
+    )
 }
 
 /// Builds the class spec of a unidirectional `k`-node ring under uniform
@@ -1026,11 +1014,6 @@ pub fn ring_spec(k: usize, worm_flits: f64) -> Result<NetworkSpec> {
             "a ring needs at least 3 nodes to form a cycle, got {k}"
         )));
     }
-    if !(worm_flits.is_finite() && worm_flits > 0.0) {
-        return Err(ModelError::Spec(format!(
-            "invalid worm length {worm_flits}"
-        )));
-    }
     let d = k as f64 / 2.0;
     let p_continue = (d - 1.0) / d;
     let p_eject = 1.0 / d;
@@ -1042,38 +1025,27 @@ pub fn ring_spec(k: usize, worm_flits: f64) -> Result<NetworkSpec> {
         name: "eject".into(),
         lambda: 1.0,
         servers: 1,
-        body: ClassBody::Terminal {
-            service_time: worm_flits,
-        },
+        forwards: Vec::new(),
     });
     for i in 0..k {
         classes.push(ClassSpec {
             name: format!("ring{i}"),
             lambda: d,
             servers: 1,
-            body: ClassBody::Interior {
-                forwards: vec![
-                    Forward::flat(ring(i + 1), 1, p_continue),
-                    Forward::flat(eject, 1, p_eject),
-                ],
-            },
+            forwards: vec![
+                Forward::flat(ring(i + 1), 1, p_continue),
+                Forward::flat(eject, 1, p_eject),
+            ],
         });
     }
     classes.push(ClassSpec {
         name: "inject".into(),
         lambda: 1.0,
         servers: 1,
-        body: ClassBody::Interior {
-            forwards: vec![Forward::flat(ring(0), 1, 1.0)],
-        },
+        forwards: vec![Forward::flat(ring(0), 1, 1.0)],
     });
-    Ok(NetworkSpec {
-        classes,
-        worm_flits,
-        injection: ClassId(k + 1),
-        // Injection + D ring hops + ejection.
-        avg_distance: d + 2.0,
-    })
+    // Injection + D ring hops + ejection.
+    NetworkSpec::new(classes, worm_flits, vec![ClassId(k + 1)], d + 2.0)
 }
 
 #[cfg(test)]
@@ -1081,44 +1053,29 @@ mod tests {
     use super::*;
     use wormsim_topology::bft::BftParams;
 
-    /// A simple two-hop line network per unit source rate: injection →
-    /// middle link → ejection.
+    /// The classes of a simple two-hop line network per unit source rate:
+    /// injection (class 2) → middle link → ejection.
+    fn line_classes() -> Vec<ClassSpec> {
+        let class = |name: &str, forwards| ClassSpec {
+            name: name.into(),
+            lambda: 1.0,
+            servers: 1,
+            forwards,
+        };
+        vec![
+            class("eject", vec![]),
+            class("mid", vec![Forward::flat(ClassId(0), 1, 1.0)]),
+            class("inject", vec![Forward::flat(ClassId(1), 1, 1.0)]),
+        ]
+    }
+
     fn line_spec(s: f64) -> NetworkSpec {
-        NetworkSpec {
-            classes: vec![
-                ClassSpec {
-                    name: "eject".into(),
-                    lambda: 1.0,
-                    servers: 1,
-                    body: ClassBody::Terminal { service_time: s },
-                },
-                ClassSpec {
-                    name: "mid".into(),
-                    lambda: 1.0,
-                    servers: 1,
-                    body: ClassBody::Interior {
-                        forwards: vec![Forward::flat(ClassId(0), 1, 1.0)],
-                    },
-                },
-                ClassSpec {
-                    name: "inject".into(),
-                    lambda: 1.0,
-                    servers: 1,
-                    body: ClassBody::Interior {
-                        forwards: vec![Forward::flat(ClassId(1), 1, 1.0)],
-                    },
-                },
-            ],
-            worm_flits: s,
-            injection: ClassId(2),
-            avg_distance: 3.0,
-        }
+        NetworkSpec::new(line_classes(), s, vec![ClassId(2)], 3.0).unwrap()
     }
 
     #[test]
     fn line_network_resolves_backwards() {
         let spec = line_spec(16.0);
-        spec.validate().unwrap();
         let sol = spec
             .solve(0.01, &ModelOptions::paper(), None, None)
             .unwrap();
@@ -1157,19 +1114,27 @@ mod tests {
     fn bft_class_order_is_down_chain_then_up_chain() {
         // ⟨1,0⟩ … ⟨4,3⟩, then ⟨3,4⟩ … ⟨0,1⟩; a class forwarding twice to
         // one target is released once.
-        let mut spec = bft_spec(&BftParams::paper(256).unwrap(), 16.0);
+        let spec = bft_spec(&BftParams::paper(256).unwrap(), 16.0).unwrap();
         let down_then_up = Some(vec![0, 1, 2, 3, 7, 6, 5, 4]);
-        assert_eq!(spec.reverse_topological_order(), down_then_up);
-        if let ClassBody::Interior { forwards } = &mut spec.classes[4].body {
-            forwards.push(forwards[1]);
-        }
-        assert_eq!(spec.reverse_topological_order(), down_then_up);
+        assert_eq!(spec.order, down_then_up);
+        let mut classes = spec.classes.clone();
+        let forwards = &mut classes[4].forwards;
+        forwards[1].prob_each /= 2.0;
+        forwards.push(forwards[1]);
+        let twice = NetworkSpec::new(
+            classes,
+            spec.worm_flits,
+            spec.injections.clone(),
+            spec.avg_distance,
+        )
+        .unwrap();
+        assert_eq!(twice.order, down_then_up);
     }
 
     #[test]
     fn bft_spec_is_a_dag() {
         let params = BftParams::paper(256).unwrap();
-        let spec = bft_spec(&params, 32.0);
+        let spec = bft_spec(&params, 32.0).unwrap();
         let sol = spec
             .solve(0.001, &ModelOptions::paper(), None, None)
             .unwrap();
@@ -1178,54 +1143,23 @@ mod tests {
 
     #[test]
     fn cyclic_spec_falls_back_to_fixed_point() {
-        // Two classes forwarding to each other 50/50 with an escape to a
-        // terminal — a cycle the DAG path cannot order. Its rates are
+        // Two classes forwarding to each other 50/50 with an escape to the
+        // ejection class — a cycle the DAG path cannot order. Its rates are
         // absolute, so it is solved at λ₀ = 1.
-        let s = 8.0;
-        let spec = NetworkSpec {
-            classes: vec![
-                ClassSpec {
-                    name: "eject".into(),
-                    lambda: 0.01,
-                    servers: 1,
-                    body: ClassBody::Terminal { service_time: s },
-                },
-                ClassSpec {
-                    name: "a".into(),
-                    lambda: 0.01,
-                    servers: 1,
-                    body: ClassBody::Interior {
-                        forwards: vec![
-                            Forward::flat(ClassId(2), 1, 0.5),
-                            Forward::flat(ClassId(0), 1, 0.5),
-                        ],
-                    },
-                },
-                ClassSpec {
-                    name: "b".into(),
-                    lambda: 0.01,
-                    servers: 1,
-                    body: ClassBody::Interior {
-                        forwards: vec![
-                            Forward::flat(ClassId(1), 1, 0.5),
-                            Forward::flat(ClassId(0), 1, 0.5),
-                        ],
-                    },
-                },
-                ClassSpec {
-                    name: "inject".into(),
-                    lambda: 0.01,
-                    servers: 1,
-                    body: ClassBody::Interior {
-                        forwards: vec![Forward::flat(ClassId(1), 1, 1.0)],
-                    },
-                },
-            ],
-            worm_flits: s,
-            injection: ClassId(3),
-            avg_distance: 4.0,
+        let class = |name: &str, forwards| ClassSpec {
+            name: name.into(),
+            lambda: 0.01,
+            servers: 1,
+            forwards,
         };
-        spec.validate().unwrap();
+        let half = |to| Forward::flat(ClassId(to), 1, 0.5);
+        let classes = vec![
+            class("eject", vec![]),
+            class("a", vec![half(2), half(0)]),
+            class("b", vec![half(1), half(0)]),
+            class("inject", vec![Forward::flat(ClassId(1), 1, 1.0)]),
+        ];
+        let spec = NetworkSpec::new(classes, 8.0, vec![ClassId(3)], 4.0).unwrap();
         let sol = spec.solve(1.0, &ModelOptions::paper(), None, None).unwrap();
         assert!(sol.iterations > 0, "cycle must engage the fixed point");
         // The fixed point must satisfy the service equations.
@@ -1244,11 +1178,7 @@ mod tests {
     #[test]
     fn ring_spec_is_cyclic_and_consistent() {
         let spec = ring_spec(8, 16.0).unwrap();
-        spec.validate().unwrap();
-        assert!(
-            spec.reverse_topological_order().is_none(),
-            "a ring's class graph must be cyclic"
-        );
+        assert!(spec.order.is_none(), "a ring's class graph must be cyclic");
         let sol = spec
             .solve(0.003, &ModelOptions::paper(), None, None)
             .unwrap();
@@ -1334,7 +1264,7 @@ mod tests {
         // nothing about the answer.
         let params = BftParams::paper(64).unwrap();
         let mut warm = WarmStart::new();
-        let spec = bft_spec(&params, 16.0);
+        let spec = bft_spec(&params, 16.0).unwrap();
         for lambda0 in [0.0005, 0.001, 0.0015] {
             let cold = spec.latency(lambda0, &ModelOptions::paper(), None).unwrap();
             let hot = spec
@@ -1375,7 +1305,7 @@ mod tests {
             assert!(row.residence >= 0.0 && row.waiting_time >= 0.0);
         }
         // The injection class has no inbound forwards → neutral factor.
-        let inj = &tel.stations[spec.injection.0];
+        let inj = &tel.stations[spec.injections[0].0];
         assert_eq!(inj.inbound_blocking, 1.0);
     }
 
@@ -1404,7 +1334,7 @@ mod tests {
     #[test]
     fn traced_dag_solve_leaves_trace_empty_but_fills_stations() {
         let params = BftParams::paper(64).unwrap();
-        let spec = bft_spec(&params, 16.0);
+        let spec = bft_spec(&params, 16.0).unwrap();
         let mut tel = ModelTelemetry::default();
         let sol = spec
             .solve(0.001, &ModelOptions::paper(), None, Some(&mut tel))
@@ -1431,40 +1361,46 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_specs() {
-        let good = line_spec(16.0);
-        assert!(good.validate().is_ok());
+        let inject = || vec![ClassId(2)];
+        let new = |worm_flits, injections, avg_distance| {
+            NetworkSpec::new(line_classes(), worm_flits, injections, avg_distance)
+        };
+        assert!(new(16.0, inject(), 3.0).is_ok());
+        assert!(new(-1.0, inject(), 3.0).is_err());
+        assert!(new(16.0, inject(), 0.0).is_err());
+        assert!(new(16.0, vec![ClassId(99)], 3.0).is_err());
+        assert!(new(16.0, vec![], 3.0).is_err());
 
-        let mut bad = line_spec(16.0);
-        bad.worm_flits = -1.0;
-        assert!(bad.validate().is_err());
+        let edited = |edit: fn(&mut [ClassSpec])| {
+            let mut classes = line_classes();
+            edit(&mut classes);
+            NetworkSpec::new(classes, 16.0, inject(), 3.0)
+        };
+        // Probabilities no longer total 1, a NaN rate, a self-loop, a
+        // multi-server injection class.
+        assert!(edited(|c| c[2].forwards[0].prob_each = 0.7).is_err());
+        assert!(edited(|c| c[1].lambda = f64::NAN).is_err());
+        assert!(edited(|c| c[2].forwards[0].to = ClassId(2)).is_err());
+        assert!(edited(|c| c[2].servers = 2).is_err());
+        // A station's m·L lane slots must have u32 indices at L = MAX_LANES.
+        assert!(edited(|c| c[1].servers = u32::MAX / MAX_LANES).is_ok());
+        assert!(edited(|c| c[1].servers = u32::MAX / MAX_LANES + 1).is_err());
+    }
 
-        let mut bad = line_spec(16.0);
-        bad.avg_distance = 0.0;
-        assert!(bad.validate().is_err());
-
-        let mut bad = line_spec(16.0);
-        bad.injection = ClassId(99);
-        assert!(bad.validate().is_err());
-
-        let mut bad = line_spec(16.0);
-        if let ClassBody::Interior { forwards } = &mut bad.classes[2].body {
-            forwards[0].prob_each = 0.7; // probabilities no longer total 1
+    #[test]
+    fn station_breakdown_rejects_another_specs_solution() {
+        let opts = ModelOptions::paper();
+        let (ring8, ring6) = (ring_spec(8, 16.0).unwrap(), ring_spec(6, 16.0).unwrap());
+        let sol = ring6.solve(0.001, &opts, None, None).unwrap();
+        assert!(ring6.station_breakdown(0.001, &sol, &opts).is_ok());
+        let short_waits = Solution {
+            waiting_times: vec![0.0; 7],
+            ..sol.clone()
+        };
+        for (spec, sol) in [(&ring8, &sol), (&ring6, &short_waits)] {
+            let r = spec.station_breakdown(0.001, sol, &opts);
+            assert!(matches!(r, Err(ModelError::Spec(_))), "{r:?}");
         }
-        assert!(bad.validate().is_err());
-
-        let mut bad = line_spec(16.0);
-        bad.classes[1].lambda = f64::NAN;
-        assert!(bad.validate().is_err());
-
-        let mut bad = line_spec(16.0);
-        if let ClassBody::Interior { forwards } = &mut bad.classes[2].body {
-            forwards[0].to = ClassId(2); // self-loop
-        }
-        assert!(bad.validate().is_err());
-
-        let mut bad = line_spec(16.0);
-        bad.classes[2].servers = 2; // multi-server injection
-        assert!(bad.validate().is_err());
     }
 
     #[test]
@@ -1502,11 +1438,8 @@ mod tests {
             .solve_outcome(0.5, &opts, None, None)
             .unwrap()
             .is_saturated());
-        // A genuine usage error is still an error: a malformed spec, or a
-        // non-finite or negative λ₀ on any entry point.
-        let mut bad = spec.clone();
-        bad.classes[1].lambda = f64::NAN;
-        assert!(bad.solve_outcome(0.002, &opts, None, None).is_err());
+        // A genuine usage error is still an error: a non-finite or negative
+        // λ₀ on any entry point.
         for bad in [f64::NAN, -1.0, f64::INFINITY] {
             let results = [
                 spec.solve(bad, &opts, None, None).map(drop),
@@ -1580,7 +1513,7 @@ mod tests {
     fn station_rows_are_priced_at_the_solved_rate() {
         // One unit-rate spec, station rows at every λ₀ it is solved at.
         let opts = ModelOptions::paper();
-        let bft = bft_spec(&BftParams::paper(64).unwrap(), 16.0);
+        let bft = bft_spec(&BftParams::paper(64).unwrap(), 16.0).unwrap();
         let ring = ring_spec(8, 16.0).unwrap();
         for (spec, loads) in [(&bft, [0.0, 0.001, 0.004]), (&ring, [0.0, 0.001, 0.002])] {
             for lambda0 in loads {
@@ -1625,6 +1558,7 @@ mod tests {
             ));
         }
         assert!(ring_spec(8, f64::NAN).is_err());
+        assert!(crate::hypercube::hypercube_spec(4, f64::NAN).is_err());
     }
 
     #[test]

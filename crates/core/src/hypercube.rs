@@ -24,7 +24,7 @@
 //! equations). The spec holds these rates per unit source rate.
 
 use crate::error::ModelError;
-use crate::framework::{ClassBody, ClassId, ClassSpec, Forward, NetworkSpec};
+use crate::framework::{ClassId, ClassSpec, Forward, NetworkSpec};
 use crate::options::ModelOptions;
 use crate::throughput::{self, SaturationPoint};
 use crate::Result;
@@ -38,7 +38,7 @@ use crate::Result;
 /// # Errors
 ///
 /// [`ModelError::Spec`] when `dim` is 0 or too large for a 64-bit node
-/// count.
+/// count, or the worm length is not finite and positive.
 pub fn hypercube_spec(dim: u32, worm_flits: f64) -> Result<NetworkSpec> {
     if !(1..64).contains(&dim) {
         return Err(ModelError::Spec(format!(
@@ -58,9 +58,7 @@ pub fn hypercube_spec(dim: u32, worm_flits: f64) -> Result<NetworkSpec> {
         name: "eject".to_string(),
         lambda: 1.0,
         servers: 1,
-        body: ClassBody::Terminal {
-            service_time: worm_flits,
-        },
+        forwards: Vec::new(),
     });
     for k in 0..d {
         // Forward to each higher dimension j with 2^{-(j-k)}, eject with
@@ -74,7 +72,7 @@ pub fn hypercube_spec(dim: u32, worm_flits: f64) -> Result<NetworkSpec> {
             name: format!("dim{k}"),
             lambda: lambda_dim,
             servers: 1,
-            body: ClassBody::Interior { forwards },
+            forwards,
         });
     }
     // Injection: first differing bit k with probability 2^{d-1-k}/(2^d − 1).
@@ -91,18 +89,12 @@ pub fn hypercube_spec(dim: u32, worm_flits: f64) -> Result<NetworkSpec> {
         name: "inject".to_string(),
         lambda: 1.0,
         servers: 1,
-        body: ClassBody::Interior { forwards },
+        forwards,
     });
 
     // Average distance: d·2^{d-1}/(2^d − 1) switch hops + inject + eject.
     let avg_distance = f64::from(dim) * (n_nodes / 2.0) / (n_nodes - 1.0) + 2.0;
-
-    Ok(NetworkSpec {
-        classes,
-        worm_flits,
-        injection,
-        avg_distance,
-    })
+    NetworkSpec::new(classes, worm_flits, vec![injection], avg_distance)
 }
 
 /// Saturation point of the hypercube model (Eq. 26 applied to the cube),
@@ -114,9 +106,8 @@ pub fn hypercube_spec(dim: u32, worm_flits: f64) -> Result<NetworkSpec> {
 /// otherwise as [`throughput::saturation_point`].
 pub fn saturation(dim: u32, worm_flits: f64, options: &ModelOptions) -> Result<SaturationPoint> {
     let spec = hypercube_spec(dim, worm_flits)?;
-    let order = spec.reverse_topological_order();
     throughput::saturation_point(worm_flits, |lambda0| {
-        spec.injection_service_at(lambda0, order.as_deref(), options)
+        spec.injection_service_at(lambda0, options)
     })
 }
 
@@ -127,8 +118,7 @@ mod tests {
     #[test]
     fn spec_validates_for_all_dims() {
         for dim in 1..=10u32 {
-            let spec = hypercube_spec(dim, 16.0).unwrap();
-            spec.validate().unwrap_or_else(|e| panic!("dim {dim}: {e}"));
+            hypercube_spec(dim, 16.0).unwrap_or_else(|e| panic!("dim {dim}: {e}"));
         }
     }
 
@@ -148,16 +138,14 @@ mod tests {
         let dim = 7u32;
         let spec = hypercube_spec(dim, 16.0).unwrap();
         let d = dim as usize;
-        let lam = |cid: usize| spec.classes[cid].lambda;
+        let lam = |cid: usize| spec.classes()[cid].lambda;
         for j in 0..d {
             let target = 1 + j;
             let mut inflow = 0.0;
-            for (i, class) in spec.classes.iter().enumerate() {
-                if let ClassBody::Interior { forwards } = &class.body {
-                    for f in forwards {
-                        if f.to.0 == target {
-                            inflow += lam(i) * f64::from(f.multiplicity) * f.prob_each;
-                        }
+            for (i, class) in spec.classes().iter().enumerate() {
+                for f in &class.forwards {
+                    if f.to.0 == target {
+                        inflow += lam(i) * f64::from(f.multiplicity) * f.prob_each;
                     }
                 }
             }
@@ -169,12 +157,10 @@ mod tests {
         }
         // Ejection class: total inflow equals the source rate per channel.
         let mut eject_in = 0.0;
-        for (i, class) in spec.classes.iter().enumerate() {
-            if let ClassBody::Interior { forwards } = &class.body {
-                for f in forwards {
-                    if f.to.0 == 0 {
-                        eject_in += lam(i) * f64::from(f.multiplicity) * f.prob_each;
-                    }
+        for (i, class) in spec.classes().iter().enumerate() {
+            for f in &class.forwards {
+                if f.to.0 == 0 {
+                    eject_in += lam(i) * f64::from(f.multiplicity) * f.prob_each;
                 }
             }
         }
@@ -233,15 +219,15 @@ mod tests {
         // Smoke test for the forwarding table: probabilities from dim k sum
         // to 1 and decay geometrically.
         let spec = hypercube_spec(5, 16.0).unwrap();
-        if let ClassBody::Interior { forwards } = &spec.classes[1].body {
-            // dim0 of d=5: 2^-1, 2^-2, 2^-3, 2^-4 to dims 1..4 and 2^-4 eject.
-            let probs: Vec<f64> = forwards.iter().map(|f| f.prob_each).collect();
-            assert_eq!(probs.len(), 5);
-            assert!((probs[0] - 0.5).abs() < 1e-15);
-            assert!((probs[3] - 0.0625).abs() < 1e-15);
-            assert!((probs[4] - 0.0625).abs() < 1e-15);
-        } else {
-            panic!("dim0 must be interior");
-        }
+        // dim0 of d=5: 2^-1, 2^-2, 2^-3, 2^-4 to dims 1..4 and 2^-4 eject.
+        let probs: Vec<f64> = spec.classes()[1]
+            .forwards
+            .iter()
+            .map(|f| f.prob_each)
+            .collect();
+        assert_eq!(probs.len(), 5);
+        assert!((probs[0] - 0.5).abs() < 1e-15);
+        assert!((probs[3] - 0.0625).abs() < 1e-15);
+        assert!((probs[4] - 0.0625).abs() < 1e-15);
     }
 }

@@ -211,7 +211,7 @@ pub fn run(ctx: &ExperimentContext) -> Result<ExperimentOutput, ExperimentError>
     // ---- Per-station breakdown of the fat-tree spec at this run's
     // operating point (same lanes as the simulation). ----
     let lambda0 = flit_load / f64::from(worm_flits);
-    let spec = bft_spec(&BftParams::paper(n)?, f64::from(worm_flits));
+    let spec = bft_spec(&BftParams::paper(n)?, f64::from(worm_flits))?;
     let mut bft_tel = ModelTelemetry::default();
     match spec.solve(lambda0, &opts.with_lanes(lanes), None, Some(&mut bft_tel)) {
         Ok(_) => {

@@ -92,10 +92,15 @@ impl<T> SolveOutcome<T> {
         }
     }
 
-    /// Maps the converged value, preserving the failure arms.
-    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> SolveOutcome<U> {
-        match self {
-            SolveOutcome::Converged(v) => SolveOutcome::Converged(f(v)),
+    /// Maps the converged value through a fallible step, preserving the
+    /// failure arms, which never call `f`.
+    ///
+    /// # Errors
+    ///
+    /// The error of `f` on a converged value.
+    pub fn try_map<U, E>(self, f: impl FnOnce(T) -> Result<U, E>) -> Result<SolveOutcome<U>, E> {
+        Ok(match self {
+            SolveOutcome::Converged(v) => SolveOutcome::Converged(f(v)?),
             SolveOutcome::Saturated => SolveOutcome::Saturated,
             SolveOutcome::NoConvergence {
                 iterations,
@@ -104,7 +109,7 @@ impl<T> SolveOutcome<T> {
                 iterations,
                 residual,
             },
-        }
+        })
     }
 
     /// Short machine-friendly tag for CSV columns and telemetry
@@ -301,20 +306,25 @@ mod tests {
         assert_eq!(c.converged(), Some(&2.5));
         assert_eq!(c.label(), "converged");
         assert_eq!(c.clone().into_converged(), Some(2.5));
-        assert_eq!(c.map(|v| v * 2.0), SolveOutcome::Converged(5.0));
+        let doubled = c.clone().try_map(|v| Ok::<_, ()>(v * 2.0));
+        assert_eq!(doubled, Ok(SolveOutcome::Converged(5.0)));
+        assert_eq!(c.try_map(|_| Err::<f64, _>("step")), Err("step"));
 
+        // The failure arms survive a step that would fail.
+        let fail = |_: f64| Err::<f64, _>("step");
         let s: SolveOutcome<f64> = SolveOutcome::Saturated;
         assert!(s.is_saturated() && !s.is_converged());
         assert_eq!(s.label(), "saturated");
         assert_eq!(s.converged(), None);
-        assert_eq!(s.map(|v| v + 1.0), SolveOutcome::Saturated);
+        assert_eq!(s.try_map(fail), Ok(SolveOutcome::Saturated));
 
         let n: SolveOutcome<f64> = SolveOutcome::NoConvergence {
             iterations: 7,
             residual: 0.1,
         };
         assert_eq!(n.label(), "no_convergence");
-        assert_eq!(n.into_converged(), None);
+        assert_eq!(n.clone().into_converged(), None);
+        assert_eq!(n.clone().try_map(fail), Ok(n));
     }
 
     #[test]

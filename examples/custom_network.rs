@@ -8,15 +8,19 @@
 //! paper's up-link pairs) to a second stage that delivers to one of four
 //! sinks.
 //!
+//! `NetworkSpec::new` checks the description once, when it is built; an
+//! ejection class is simply a class with no forwards.
+//!
 //! ```text
 //! cargo run --example custom_network
 //! ```
 
-use wormsim::model::framework::{ClassBody, ClassId, ClassSpec, Forward, NetworkSpec};
+use wormsim::model::framework::{ClassId, ClassSpec, Forward, NetworkSpec};
 use wormsim::model::options::ModelOptions;
+use wormsim::model::ModelError;
 
 /// The switch's class spec per unit source rate; every solve takes `λ₀`.
-fn spec(worm_flits: f64) -> NetworkSpec {
+fn spec(worm_flits: f64) -> Result<NetworkSpec, ModelError> {
     // Class 0: ejection channels (4 per second-stage switch).
     // Class 1: middle links, bundled in pairs (M/G/2 stations).
     // Class 2: injection channels.
@@ -28,42 +32,33 @@ fn spec(worm_flits: f64) -> NetworkSpec {
     // feeds the same 2-link bundle, so per-link rate is 4λ0/2 = 2λ0. Each
     // middle link fans out to 4 ejection channels; per-ejection rate λ0
     // (16 sources over 16 sinks). Per unit λ0 the rates are 1, 2 and 1.
-    NetworkSpec {
-        classes: vec![
-            ClassSpec {
-                name: "eject".into(),
-                lambda: 1.0,
-                servers: 1,
-                body: ClassBody::Terminal {
-                    service_time: worm_flits,
-                },
-            },
-            ClassSpec {
-                name: "middle-pair".into(),
-                lambda: 2.0,
-                servers: 2,
-                body: ClassBody::Interior {
-                    forwards: vec![Forward::flat(eject, 4, 0.25)],
-                },
-            },
-            ClassSpec {
-                name: "inject".into(),
-                lambda: 1.0,
-                servers: 1,
-                body: ClassBody::Interior {
-                    forwards: vec![Forward::flat(middle, 1, 1.0)],
-                },
-            },
-        ],
-        worm_flits,
-        injection: ClassId(2),
-        avg_distance: 3.0, // inject + middle + eject
-    }
+    let classes = vec![
+        ClassSpec {
+            name: "eject".into(),
+            lambda: 1.0,
+            servers: 1,
+            forwards: vec![],
+        },
+        ClassSpec {
+            name: "middle-pair".into(),
+            lambda: 2.0,
+            servers: 2,
+            forwards: vec![Forward::flat(eject, 4, 0.25)],
+        },
+        ClassSpec {
+            name: "inject".into(),
+            lambda: 1.0,
+            servers: 1,
+            forwards: vec![Forward::flat(middle, 1, 1.0)],
+        },
+    ];
+    // Distance 3: inject + middle + eject.
+    NetworkSpec::new(classes, worm_flits, vec![ClassId(2)], 3.0)
 }
 
 fn main() {
     let s = 16.0;
-    let net = spec(s);
+    let net = spec(s).expect("valid spec");
     println!("two-stage switch, 16 sources, worms of {s} flits\n");
     println!(
         "{:>10}  {:>12}  {:>12}  {:>12}",

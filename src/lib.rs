@@ -28,9 +28,10 @@
 //!   model, in `NetworkSpec::solve_outcome`).
 //! * [`sim`] — a cycle-accurate flit-level wormhole-routing simulator used
 //!   to validate the model exactly as the paper does.
-//! * [`lanes`] — virtual-channel (multi-lane) channels: validated lane
-//!   configs, deterministic allocation policies, and occupancy statistics,
-//!   shared by the simulator and the multi-lane model extension.
+//! * [`lanes`] — virtual-channel (multi-lane) channels for the simulator:
+//!   validated lane configs, the first-free allocation policy, and
+//!   occupancy statistics (the multi-lane model's lane math is
+//!   [`queueing::lanes`]).
 //! * [`faults`] — seeded fault injection: deterministic link/switch
 //!   knockout plans, fault-aware degraded routing for every topology, and
 //!   graceful degradation contracts (typed disconnection errors, unroutable

@@ -20,7 +20,7 @@
 
 use wormsim::faults::link_faults;
 use wormsim::model::bft::BftModel;
-use wormsim::model::framework::bft_spec;
+use wormsim::model::framework::{bft_spec, NetworkSpec};
 use wormsim::model::options::ModelOptions;
 use wormsim::prelude::*;
 use wormsim::sim::config::{ArrivalProcess, LaneConfig, MmppProfile};
@@ -324,10 +324,18 @@ fn single_lane_model_matches_the_closed_form_to_rounding() {
 /// puts every machine's knee inside the default probe range.
 fn single_lane_knee(n: usize) -> f64 {
     let lambda0 = 2.5e-4;
-    let mut spec = bft_spec(&BftParams::paper(n).unwrap(), 16.0);
-    for class in &mut spec.classes {
+    let unit = bft_spec(&BftParams::paper(n).unwrap(), 16.0).unwrap();
+    let mut classes = unit.classes().to_vec();
+    for class in &mut classes {
         class.lambda *= lambda0;
     }
+    let spec = NetworkSpec::new(
+        classes,
+        unit.worm_flits(),
+        unit.injections().to_vec(),
+        unit.avg_distance(),
+    )
+    .unwrap();
     let knee = spec
         .find_knee(&ModelOptions::paper(), &KneeConfig::default())
         .unwrap();
@@ -480,7 +488,7 @@ fn model_lane_counts_stop_at_the_simulator_limit() {
     let tree = ButterflyFatTree::new(params);
     let flows = FlowVector::build(&tree, &DestinationPattern::Uniform).unwrap();
     let mut sweep = FlowModelSweep::new(tree.network(), &flows, 16.0).unwrap();
-    let spec = bft_spec(&params, 16.0);
+    let spec = bft_spec(&params, 16.0).unwrap();
     for lanes in [65, 1000, u32::MAX] {
         let opts = ModelOptions::paper().with_lanes(lanes);
         let bft = BftModel::with_options(params, 16.0, opts).latency_at_flit_load(0.01);
